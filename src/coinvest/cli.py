@@ -46,7 +46,6 @@ from .scenarios import (
 )
 from .shapley import (
     MAX_ENUMERATION_PLAYERS,
-    MAX_SUPERMODULARITY_PLAYERS,
     ShapleyMethod,
     check_core,
     check_supermodularity,
@@ -66,6 +65,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILED = 2
 EXIT_IO = 3
+
+#: ``verify`` output lines and the per-instance check each one aggregates.
+VERIFY_PROPERTIES = (
+    ("supermodularity", "supermodularity"),
+    ("core-membership", "core"),
+    ("oracle-triangle", "oracle_triangle"),
+    ("settlement-balance", "settlement_balance"),
+)
 
 
 @click.group()
@@ -120,25 +127,26 @@ def _rel_err(got: float, ref: float) -> float:
     return abs(got - ref) / max(1.0, abs(ref))
 
 
-def _check_instance(game: GameInstance, record) -> dict[str, str]:
-    """Stability and consistency checks backing summary.json and --strict."""
-    payoffs = {p.player_id: p.payoff for p in record.players}
-    checks = {}
+def _check_instance(
+    game: GameInstance, payoff, payment, revenue, capacity: float
+) -> dict[str, str]:
+    """Stability and settlement checks of one solved instance.
 
+    Each outcome reads ``pass``, ``skipped: ...`` or ``fail: ...``. ``run``
+    feeds it a record (summary.json, ``--strict``); ``verify`` feeds it the
+    closed-form payoffs and their settlement.
+    """
+    checks = {}
     n = len(game.players)
     if n > MAX_ENUMERATION_PLAYERS:
-        checks["core"] = f"skipped: {n} players exceeds the enumeration bound"
+        checks["core"] = checks["supermodularity"] = _too_many(n)
     else:
-        core = check_core(game, payoffs)
+        core = check_core(game, payoff)
         if core.in_core:
             checks["core"] = "pass"
         else:
             where = sorted(core.violating_coalition) if core.violating_coalition else "efficiency"
             checks["core"] = f"fail: blocked by {where}"
-
-    if n > MAX_SUPERMODULARITY_PLAYERS:
-        checks["supermodularity"] = f"skipped: {n} players exceeds the check bound"
-    else:
         report = check_supermodularity(game)
         if report.holds:
             checks["supermodularity"] = "pass"
@@ -148,13 +156,23 @@ def _check_instance(game: GameInstance, record) -> dict[str, str]:
                 f"fail: player {pid} contributes less to {sorted(large)} than to {sorted(small)}"
             )
 
-    bill = game.market.d * record.c_star
-    paid = math.fsum(p.payment for p in record.players)
-    if abs(paid - bill) <= 1e-6 * max(1.0, abs(bill)):
-        checks["settlement_balance"] = "pass"
-    else:
+    bill = game.market.d * capacity
+    paid = math.fsum(payment[pid] for pid in game.players)
+    broken = [
+        pid for pid in game.players
+        if _rel_err(payoff[pid], revenue[pid] - payment[pid]) > 1e-9
+    ]
+    if abs(paid - bill) > 1e-6 * max(1.0, abs(bill)):
         checks["settlement_balance"] = f"fail: payments sum to {paid!r}, capacity bill is {bill!r}"
+    elif broken:
+        checks["settlement_balance"] = f"fail: payoff is not revenue minus payment for {broken}"
+    else:
+        checks["settlement_balance"] = "pass"
     return checks
+
+
+def _too_many(n: int) -> str:
+    return f"skipped: {n} players exceeds the enumeration bound"
 
 
 def _summarize(game: GameInstance, record) -> dict:
@@ -182,7 +200,13 @@ def _summarize(game: GameInstance, record) -> dict:
         "v_grand": record.v_grand,
         "c_star": record.c_star,
         "players": players,
-        "checks": _check_instance(game, record),
+        "checks": _check_instance(
+            game,
+            payoff={p.player_id: p.payoff for p in record.players},
+            payment={p.player_id: p.payment for p in record.players},
+            revenue={p.player_id: p.r_hat for p in record.players},
+            capacity=record.c_star,
+        ),
     }
 
 
@@ -249,6 +273,8 @@ def run(config, out_dir, strict, seed, method):
         if out_dir is not None:
             cfg = replace(cfg, out_dir=out_dir)
         if seed is not None:
+            if seed < 0:
+                raise ConfigError(f"option '--seed' must be >= 0, got {seed!r}")
             cfg = replace(cfg, seed=seed)
         if method is not None:
             cfg = replace(cfg, method=ShapleyMethod(method))
@@ -294,12 +320,18 @@ def run(config, out_dir, strict, seed, method):
         "all_checks_passed": not failures,
     }
 
+    outputs = {"records.csv": _records_csv_text(records)}
+    try:
+        # allow_nan=False: a non-finite number is refused before any file is written
+        for name, doc in (("summary.json", summary_doc), ("meta.json", meta)):
+            outputs[name] = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise click.ClickException(f"refusing to write outputs: {exc}") from exc
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out / "records.csv", _records_csv_text(records))
-        _atomic_write(out / "summary.json", json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
-        _atomic_write(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        for name, text in outputs.items():
+            _atomic_write(out / name, text)
     except OSError as exc:
         click.echo(f"error: cannot write outputs to {out}: {exc}", err=True)
         raise SystemExit(EXIT_IO) from exc
@@ -328,80 +360,51 @@ def verify(config):
         raise click.ClickException(str(exc)) from exc
 
     games = [game for _, _, _, group in groups for game in group]
-    results = {
-        "supermodularity": _verify_supermodularity(games),
-        "core-membership": _verify_core(games),
-        "oracle-triangle": _verify_oracles(games, cfg),
-        "settlement-balance": _verify_settlement(games),
-    }
+    outcomes = []
+    for k, game in enumerate(games):
+        settlement = settle(game, shapley_closed_form(game).payoffs)
+        checks = _check_instance(
+            game,
+            settlement.payoff,
+            settlement.payment,
+            settlement.revenue,
+            settlement.allocation.C,
+        )
+        checks["oracle_triangle"] = _check_oracles(game, cfg.samples, cfg.seed + k)
+        outcomes.append(checks)
     failed = False
-    for name, (ok, detail) in results.items():
-        click.echo(f"{name:<22} {'PASS' if ok else 'FAIL'}  ({detail})")
-        failed = failed or not ok
+    for name, key in VERIFY_PROPERTIES:
+        results = [checks[key] for checks in outcomes]
+        detail = f"{results.count('pass')}/{len(results)} instances"
+        fails = [(k, r) for k, r in enumerate(results) if r.startswith("fail")]
+        if fails:
+            k, reason = fails[0]
+            detail += f"; instance {k}: {reason.removeprefix('fail: ')}"
+        click.echo(f"{name:<22} {'FAIL' if fails else 'PASS'}  ({detail})")
+        failed = failed or bool(fails)
     if failed:
         raise SystemExit(EXIT_CHECK_FAILED)
 
 
-def _verify_supermodularity(games):
-    checked = 0
-    for game in games:
-        if len(game.players) > MAX_SUPERMODULARITY_PLAYERS:
-            continue
-        report = check_supermodularity(game)
-        if not report.holds:
-            pid, small, large = report.counterexample
-            return False, f"player {pid}: T={sorted(small)}, S={sorted(large)}"
-        checked += 1
-    return True, f"{checked}/{len(games)} instances"
-
-
-def _verify_core(games):
-    checked = 0
-    for game in games:
-        if len(game.players) > MAX_ENUMERATION_PLAYERS:
-            continue
-        result = check_core(game, shapley_closed_form(game).payoffs)
-        if not result.in_core:
-            where = sorted(result.violating_coalition) if result.violating_coalition else "efficiency"
-            return False, f"blocked by {where}"
-        checked += 1
-    return True, f"{checked}/{len(games)} instances"
-
-
-def _verify_oracles(games, cfg: RunConfig):
-    checked = 0
-    for k, game in enumerate(games):
-        if len(game.players) > MAX_ENUMERATION_PLAYERS:
-            continue
-        exact = shapley_enumeration(game).payoffs
-        closed = shapley_closed_form(game).payoffs
-        for pid in game.players:
-            if _rel_err(closed[pid], exact[pid]) > 1e-9:
-                return False, f"closed form vs enumeration diverges for {pid}"
-        sampled = shapley_sampling(game, cfg.samples, cfg.seed + k)
-        for pid in game.players:
-            # 4 standard errors: this gate spans hundreds of simultaneous
-            # estimates per run, where a 3-sigma cut trips spuriously
-            # (~0.3% per estimate by the estimator's own correctness)
-            margin = 4.0 * sampled.stderr[pid] + 1e-9 * max(1.0, abs(exact[pid]))
-            if abs(sampled.payoffs[pid] - exact[pid]) > margin:
-                return False, f"sampling off by more than 4 standard errors for {pid}"
-        checked += 1
-    return True, f"{checked}/{len(games)} instances"
-
-
-def _verify_settlement(games):
-    for game in games:
-        settlement = settle(game, shapley_closed_form(game).payoffs)
-        bill = game.market.d * settlement.allocation.C
-        paid = math.fsum(settlement.payment.values())
-        if abs(paid - bill) > 1e-6 * max(1.0, abs(bill)):
-            return False, f"payments sum to {paid!r}, bill is {bill!r}"
-        for pid in game.players:
-            identity = settlement.revenue[pid] - settlement.payment[pid]
-            if _rel_err(settlement.payoff[pid], identity) > 1e-9:
-                return False, f"payoff identity broken for {pid}"
-    return True, f"{len(games)}/{len(games)} instances"
+def _check_oracles(game, samples: int, seed: int) -> str:
+    """Agreement of the three Shapley routes on one instance."""
+    n = len(game.players)
+    if n > MAX_ENUMERATION_PLAYERS:
+        return _too_many(n)
+    exact = shapley_enumeration(game).payoffs
+    closed = shapley_closed_form(game).payoffs
+    for pid in game.players:
+        if _rel_err(closed[pid], exact[pid]) > 1e-9:
+            return f"fail: closed form vs enumeration diverges for {pid}"
+    sampled = shapley_sampling(game, samples, seed)
+    for pid in game.players:
+        # 4 standard errors: this gate spans hundreds of simultaneous
+        # estimates per run, where a 3-sigma cut trips spuriously
+        # (~0.3% per estimate by the estimator's own correctness)
+        margin = 4.0 * sampled.stderr[pid] + 1e-9 * max(1.0, abs(exact[pid]))
+        if abs(sampled.payoffs[pid] - exact[pid]) > margin:
+            return f"fail: sampling off by more than 4 standard errors for {pid}"
+    return "pass"
 
 
 @main.command()

@@ -244,7 +244,7 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("the custom scenario requires at least one entry in 'custom_sps'")
 
     out_dir = _string(data.get("out_dir", "out"), "out_dir")
-    seed = _integer(data.get("seed", 0), "seed", minimum=-(2**63))
+    seed = _integer(data.get("seed", 0), "seed", minimum=0)
     samples = _integer(data.get("samples", 100_000), "samples", minimum=1)
 
     method_name = _string(data.get("method", "closed"), "method")

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .golden import golden_section_maximize
-
 #: Player id of the network owner. It hosts capacity, serves no load itself.
 NO = "NO"
 
@@ -144,10 +142,20 @@ class GameInstance:
             raise ValueError(f"provider ids must be unique, got {ids!r}")
         if NO in ids:
             raise ValueError(f"provider id {NO!r} is reserved for the network owner")
+        m = self.market
         for sp in sps:
-            if len(sp.load) != self.market.T:
+            if len(sp.load) != m.T:
                 raise ValueError(
-                    f"provider {sp.id!r} has {len(sp.load)} load slots, expected T={self.market.T}"
+                    f"provider {sp.id!r} has {len(sp.load)} load slots, expected T={m.T}"
+                )
+            # the same products optimal_allocation_single forms; an overflow
+            # here would put inf or nan into every value derived from them
+            scale = m.D * sp.beta * sp.load.total
+            gain = m.D * m.xi * sp.beta * sp.load.total / m.d
+            if not (math.isfinite(scale) and math.isfinite(gain)):
+                raise ValueError(
+                    f"provider {sp.id!r}: D*beta*L = {scale!r} and gain D*xi*beta*L/d = "
+                    f"{gain!r} must be finite"
                 )
 
     @property
@@ -190,40 +198,22 @@ class Settlement:
     allocation: Allocation
 
 
-def optimal_allocation_single(
-    sp: ServiceProvider, market: MarketParams, method: str = "closed"
-) -> SingleOptimum:
+def optimal_allocation_single(sp: ServiceProvider, market: MarketParams) -> SingleOptimum:
     """Best resource amount for one provider on its own and the profit it earns.
 
     Maximizes ``D * sum_t u(l_t, h) - d * h`` over ``h >= 0``. With the
     exponential utility the sum factors through the daily total L, the
     stationary point is ``(1/xi) * ln(D*xi*beta*L/d)``, and the optimum is 0
-    whenever the log argument does not exceed 1. ``method="golden"`` solves the
-    same problem with a derivative-free bracketing search instead; the two
-    routes agree to tight tolerances and the profit is never negative (doing
-    nothing costs nothing).
+    whenever the log argument does not exceed 1. The profit is never negative
+    (doing nothing costs nothing).
     """
     D, d, xi = market.D, market.d, market.xi
     beta = sp.beta
     daily_total = sp.load.total
     scale = D * beta * daily_total
-
-    def profit(h: float) -> float:
-        return scale * (1.0 - math.exp(-xi * h)) - d * h
-
     gain = D * xi * beta * daily_total / d
-    if method == "closed":
-        h = math.log(gain) / xi if gain > 1.0 else 0.0
-    elif method == "golden":
-        h_max = math.log(max(math.e, gain)) / xi + 10.0 / xi
-        # Width capped at 1e-6 absolute so tiny optima still resolve when
-        # h* is orders of magnitude below the bracket end.
-        h = golden_section_maximize(profit, 0.0, h_max, tol=min(1e-8 * h_max, 1e-6))
-        if profit(h) <= 0.0:
-            h = 0.0
-    else:
-        raise ValueError(f"method must be 'closed' or 'golden', got {method!r}")
-    return SingleOptimum(h_star=h, value=max(profit(h), 0.0))
+    h = math.log(gain) / xi if gain > 1.0 else 0.0
+    return SingleOptimum(h_star=h, value=max(scale * (1.0 - math.exp(-xi * h)) - d * h, 0.0))
 
 
 def coalition_value(game: GameInstance, coalition: Iterable[str]) -> float:

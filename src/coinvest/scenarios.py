@@ -23,15 +23,13 @@ from .game import (
     grand_allocation,
 )
 from .shapley import (
+    MAX_ENUMERATION_PLAYERS,
     ShapleyMethod,
     shapley_closed_form,
     shapley_enumeration,
     shapley_sampling,
     settle,
 )
-
-# Closed-form payoffs are re-derived by enumeration up to this many players.
-ENUM_CROSS_CHECK_PLAYERS = 10
 
 #: Default daily-total sweep for the load scenario, requests per day. Starts
 #: high enough that both providers are past their activation threshold, where
@@ -238,7 +236,7 @@ def run_sweep(
 
     Each record holds the grand allocation, the grand value, and the Shapley
     payoffs with their settlement. The closed-form payoff route is re-derived
-    by enumeration while the player count stays small; sampling derives one
+    by enumeration up to the enumeration bound; sampling derives one
     seed per instance from ``seed`` so records are reproducible regardless of
     how the list is chunked. Output order always equals input order.
     """
@@ -269,7 +267,7 @@ def _solve_one(game, scenario, sweep_param, sweep_value, method, samples, seed):
     v_grand = coalition_value(game, game.players)
     if method is ShapleyMethod.CLOSED_FORM:
         result = shapley_closed_form(game)
-        if len(game.players) <= ENUM_CROSS_CHECK_PLAYERS:
+        if len(game.players) <= MAX_ENUMERATION_PLAYERS:
             exact = shapley_enumeration(game)
             for pid, got in result.payoffs.items():
                 ref = exact.payoffs[pid]

@@ -31,10 +31,8 @@ from .game import (
     provider_revenue,
 )
 
-#: Subset enumeration (Shapley, core, classification) is capped here.
+#: Every exact route and check enumerates all 2^n coalitions; capped here.
 MAX_ENUMERATION_PLAYERS = 20
-#: The nested-subset scan of the supermodularity check is capped lower.
-MAX_SUPERMODULARITY_PLAYERS = 12
 
 # Up to this many players the sampler precomputes a full value table and
 # walks permutations vectorized; beyond it, it evaluates prefixes one by one.
@@ -126,17 +124,54 @@ class TabularGame:
         return self._default
 
 
-def _value_table(game, players: tuple[str, ...]) -> np.ndarray:
-    """Value of every coalition, indexed by membership bitmask over ``players``."""
-    n = len(players)
-    table = np.empty(1 << n)
-    for mask in range(1 << n):
-        table[mask] = game.value(frozenset(players[i] for i in range(n) if mask >> i & 1))
+def _value_table(game) -> np.ndarray:
+    """Value of every coalition, indexed by membership bitmask over ``game.players``.
+
+    Built once per game object through ``game.value`` and cached on it
+    read-only, so every exact route and check shares one table; the game
+    must not change afterwards.
+    """
+    table = game.__dict__.get("_coalition_table")
+    if table is None:
+        players = tuple(game.players)
+        n = len(players)
+        if n > MAX_ENUMERATION_PLAYERS:
+            raise ValueError(
+                f"{n} players exceeds the enumeration bound of {MAX_ENUMERATION_PLAYERS}; "
+                "only shapley_sampling runs beyond it"
+            )
+        table = np.empty(1 << n)
+        for mask in range(1 << n):
+            table[mask] = game.value(_mask_coalition(mask, players))
+        table.flags.writeable = False
+        object.__setattr__(game, "_coalition_table", table)
     return table
 
 
 def _mask_coalition(mask: int, players: tuple[str, ...]) -> Coalition:
     return frozenset(players[i] for i in range(len(players)) if mask >> i & 1)
+
+
+def _split(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of a bitmask-indexed array for every S avoiding player i, and for S + i.
+
+    Both are shaped (bits above i, bits below i), so raveling either lists S
+    in ascending bitmask order.
+    """
+    halves = values.reshape(-1, 2, 1 << i)
+    return halves[:, 0], halves[:, 1]
+
+
+def _subset_sums(x) -> np.ndarray:
+    """Sum of ``x`` over every coalition, indexed by bitmask.
+
+    Built by doubling, so each sum adds its terms in player order, exactly as
+    a left-to-right loop over the coalition's members would.
+    """
+    sums = np.zeros(1)
+    for term in x:
+        sums = np.concatenate([sums, sums + term])
+    return sums
 
 
 def marginal_contribution(game, player: str, coalition: Iterable[str]) -> float:
@@ -155,23 +190,14 @@ def shapley_enumeration(game) -> ShapleyResult:
     """
     players = tuple(game.players)
     n = len(players)
-    if n > MAX_ENUMERATION_PLAYERS:
-        raise ValueError(
-            f"{n} players exceeds the enumeration bound of {MAX_ENUMERATION_PLAYERS}; "
-            "use shapley_sampling instead"
-        )
-    table = _value_table(game, players)
+    table = _value_table(game)
     fact = [math.factorial(k) for k in range(n + 1)]
-    weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
+    weight = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
+    size = _subset_sums(np.ones(n)).astype(np.intp)
     payoffs = {}
     for i, pid in enumerate(players):
-        bit = 1 << i
-        acc = 0.0
-        for mask in range(1 << n):
-            if mask & bit:
-                continue
-            acc += weight[mask.bit_count()] * (table[mask | bit] - table[mask])
-        payoffs[pid] = float(acc)
+        without, joined = _split(table, i)
+        payoffs[pid] = float(np.sum(weight[_split(size, i)[0]] * (joined - without)))
     return ShapleyResult(payoffs=payoffs, method=ShapleyMethod.SUBSET_ENUMERATION)
 
 
@@ -223,7 +249,7 @@ def _finalize_stats(sums: np.ndarray, sqs: np.ndarray, samples: int):
 
 def _sample_with_table(game, players, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
     n = len(players)
-    table = _value_table(game, players)
+    table = _value_table(game)
     sums = np.zeros(n)
     sqs = np.zeros(n)
     remaining = samples
@@ -262,84 +288,53 @@ def check_core(game, payoffs: PayoffVector, *, include_slack: bool = False,
                tol: float = 1e-9) -> CoreCheck:
     """Exhaustively test whether a payoff vector sits in the core.
 
-    Every coalition must collectively receive at least its own value
-    (``tol`` absolute slack absorbs float noise) and the payoffs must exactly
-    exhaust the grand value (relative tolerance).
+    Every coalition must collectively receive at least its own value and the
+    payoffs must exactly exhaust the grand value; both tests allow a float
+    noise of ``tol`` relative to the grand value.
     """
     players = tuple(game.players)
-    n = len(players)
-    if n > MAX_ENUMERATION_PLAYERS:
-        raise ValueError(
-            f"{n} players exceeds the enumeration bound of {MAX_ENUMERATION_PLAYERS}"
-        )
     missing = [p for p in players if p not in payoffs]
     if missing:
         raise ValueError(f"payoff vector is missing players {missing!r}")
     x = [float(payoffs[p]) for p in players]
-    table = _value_table(game, players)
-    slack: dict[Coalition, float] = {}
-    violating: Coalition | None = None
-    for mask in range(1 << n):
-        paid = 0.0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            paid += x[low.bit_length() - 1]
-            mm ^= low
-        gap = paid - table[mask]
-        if include_slack:
-            slack[_mask_coalition(mask, players)] = float(gap)
-        if gap < -tol and violating is None:
-            violating = _mask_coalition(mask, players)
-            if not include_slack:
-                break
-    grand = float(table[(1 << n) - 1])
-    efficient = abs(math.fsum(x) - grand) <= 1e-9 * max(1.0, abs(grand))
+    table = _value_table(game)
+    grand = float(table[-1])
+    noise = tol * max(1.0, abs(grand))
+    gap = _subset_sums(x) - table
+    blocked = np.flatnonzero(gap < -noise)
     return CoreCheck(
-        in_core=violating is None and efficient,
-        violating_coalition=violating,
-        slack=slack if include_slack else None,
+        in_core=blocked.size == 0 and abs(math.fsum(x) - grand) <= noise,
+        violating_coalition=_mask_coalition(int(blocked[0]), players) if blocked.size else None,
+        slack=(
+            {_mask_coalition(mask, players): float(g) for mask, g in enumerate(gap)}
+            if include_slack else None
+        ),
     )
 
 
 def check_supermodularity(game, *, tol: float = 1e-9) -> SupermodularityReport:
-    """Brute-force test that marginal contributions grow with the coalition.
+    """Test that marginal contributions grow with the coalition.
 
-    Verifies ``v(T+i) - v(T) <= v(S+i) - v(S) + tol`` for every player i and
-    every nested pair T subseteq S of coalitions avoiding i.
+    Checks the local condition ``v(S+i) - v(S) <= v(S+i+j) - v(S+j) + tol``
+    for every pair of players i, j and every coalition S avoiding both, which
+    is equivalent to the nested condition over all T subseteq S (Shapley 1971,
+    "Cores of convex games").
     """
     players = tuple(game.players)
-    n = len(players)
-    if n > MAX_SUPERMODULARITY_PLAYERS:
-        raise ValueError(
-            f"{n} players exceeds the supermodularity-check bound of "
-            f"{MAX_SUPERMODULARITY_PLAYERS}"
-        )
-    table = _value_table(game, players)
-    full = (1 << n) - 1
-    for i, pid in enumerate(players):
-        bit = 1 << i
-        others = full ^ bit
-        s = others
-        while True:
-            delta_s = table[s | bit] - table[s]
-            t = s
-            while True:
-                if table[t | bit] - table[t] > delta_s + tol:
-                    return SupermodularityReport(
-                        holds=False,
-                        counterexample=(
-                            pid,
-                            _mask_coalition(t, players),
-                            _mask_coalition(s, players),
-                        ),
-                    )
-                if t == 0:
-                    break
-                t = (t - 1) & s
-            if s == 0:
-                break
-            s = (s - 1) & others
+    table = _value_table(game)
+    for j, pid in enumerate(players):
+        without, joined = _split(table, j)
+        gain = joined - without
+        for i in range(j):
+            # v(S+j) - v(S) against v(S+i+j) - v(S+i), S avoiding i and j
+            before, after = _split(gain, i)
+            shrunk = np.flatnonzero(after - before < -tol)
+            if shrunk.size:
+                masks = _split(_split(np.arange(table.size), j)[0], i)[0]
+                smaller = _mask_coalition(int(masks.ravel()[shrunk[0]]), players)
+                return SupermodularityReport(
+                    holds=False, counterexample=(pid, smaller, smaller | {players[i]})
+                )
     return SupermodularityReport(holds=True, counterexample=None)
 
 
@@ -350,28 +345,14 @@ def classify_players(game, *, tol: float = 0.0) -> dict[str, PlayerFlags]:
     adds nothing to any coalition. In a degenerate all-zero game a player can
     be both.
     """
-    players = tuple(game.players)
-    n = len(players)
-    if n > MAX_ENUMERATION_PLAYERS:
-        raise ValueError(
-            f"{n} players exceeds the enumeration bound of {MAX_ENUMERATION_PLAYERS}"
-        )
-    table = _value_table(game, players)
+    table = _value_table(game)
     flags = {}
-    for i, pid in enumerate(players):
-        bit = 1 << i
-        veto = True
-        null = True
-        for mask in range(1 << n):
-            if mask & bit:
-                continue
-            if veto and abs(table[mask]) > tol:
-                veto = False
-            if null and abs(table[mask | bit] - table[mask]) > tol:
-                null = False
-            if not veto and not null:
-                break
-        flags[pid] = PlayerFlags(veto=veto, null=null)
+    for i, pid in enumerate(game.players):
+        without, joined = _split(table, i)
+        flags[pid] = PlayerFlags(
+            veto=not np.any(np.abs(without) > tol),
+            null=not np.any(np.abs(joined - without) > tol),
+        )
     return flags
 
 

@@ -1,8 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles deliberately avoid the production shortcuts: Shapley values are
-re-derived by averaging over every arrival order, and single-provider optima
-by dense grid search over the raw objective.
+re-derived by averaging over every arrival order, single-provider optima by
+dense grid search or golden-section search over the raw objective, and the
+core, supermodularity and classification checks by plain loops over
+coalitions.
 """
 
 import itertools
@@ -58,6 +60,50 @@ def grid_max_single(sp, market, steps=1_000_000):
     profit = D * sp.beta * daily_total * (1.0 - np.exp(-xi * h)) - d * h
     k = int(np.argmax(profit))
     return float(h[k]), float(profit[k]), float(h_max / steps)
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_maximize(f, lo, hi, tol):
+    """Midpoint of a golden-ratio bracket narrower than ``tol`` around the
+    maximizer of a unimodal ``f`` on ``[lo, hi]``."""
+    c = hi - (hi - lo) * _INV_GOLDEN
+    d = lo + (hi - lo) * _INV_GOLDEN
+    fc = f(c)
+    fd = f(d)
+    while hi - lo > tol:
+        if fc < fd:
+            lo, c, fc = c, d, fd
+            d = lo + (hi - lo) * _INV_GOLDEN
+            fd = f(d)
+        else:
+            hi, d, fd = d, c, fc
+            c = hi - (hi - lo) * _INV_GOLDEN
+            fc = f(c)
+    return 0.5 * (lo + hi)
+
+
+def golden_max_single(sp, market):
+    """Derivative-free oracle for the one-provider profit maximization.
+
+    Returns (h, profit) found by golden-section search on the same bracket
+    as :func:`grid_max_single`, with h = 0 when no positive profit exists.
+    """
+    D, d, xi = market.D, market.d, market.xi
+    scale = D * sp.beta * sp.load.total
+
+    def profit(h):
+        return scale * (1.0 - math.exp(-xi * h)) - d * h
+
+    gain = D * xi * sp.beta * sp.load.total / d
+    h_max = math.log(max(math.e, gain)) / xi + 10.0 / xi
+    # Width capped at 1e-6 absolute so tiny optima still resolve when h* is
+    # orders of magnitude below the bracket end.
+    h = golden_section_maximize(profit, 0.0, h_max, tol=min(1e-8 * h_max, 1e-6))
+    if profit(h) <= 0.0:
+        h = 0.0
+    return h, max(profit(h), 0.0)
 
 
 def grid_max_joint(game, steps=2000):
@@ -127,6 +173,58 @@ def veto_table_game(contributions):
             values[frozenset(chosen)] = 0.0
             values[frozenset(chosen) | {"NO"}] = worth
     return TabularGame(players, values, default=None)
+
+
+def coalitions_by_mask(players):
+    """Every coalition of ``players``, listed in ascending membership-bitmask order."""
+    return [
+        frozenset(p for i, p in enumerate(players) if mask >> i & 1)
+        for mask in range(1 << len(players))
+    ]
+
+
+def core_scan(game, payoffs, tol=1e-9):
+    """Loop reference for the core test: (in_core, first blocking coalition).
+
+    Coalitions are visited in bitmask order and each one's payoff is summed in
+    player order; the slack allowed is ``tol`` relative to the grand value.
+    """
+    players = tuple(game.players)
+    grand = game.value(frozenset(players))
+    noise = tol * max(1.0, abs(grand))
+    for coalition in coalitions_by_mask(players):
+        paid = 0.0
+        for p in players:
+            if p in coalition:
+                paid += payoffs[p]
+        if paid - game.value(coalition) < -noise:
+            return False, coalition
+    return abs(math.fsum(payoffs[p] for p in players) - grand) <= noise, None
+
+
+def supermodularity_scan(game, tol=1e-9):
+    """Nested-pair reference: does ``v(T+i) - v(T) <= v(S+i) - v(S) + tol``
+    hold for every player i and every T subseteq S avoiding i?"""
+    players = tuple(game.players)
+    for i in players:
+        for larger in coalitions_by_mask(tuple(p for p in players if p != i)):
+            gain = game.value(larger | {i}) - game.value(larger)
+            for smaller in coalitions_by_mask(tuple(larger)):
+                if game.value(smaller | {i}) - game.value(smaller) > gain + tol:
+                    return False
+    return True
+
+
+def classification_scan(game, tol=0.0):
+    """Loop reference for veto/null flags: {player: (veto, null)}."""
+    players = tuple(game.players)
+    flags = {}
+    for i in players:
+        avoiding = coalitions_by_mask(tuple(p for p in players if p != i))
+        veto = all(abs(game.value(s)) <= tol for s in avoiding)
+        null = all(abs(game.value(s | {i}) - game.value(s)) <= tol for s in avoiding)
+        flags[i] = (veto, null)
+    return flags
 
 
 @pytest.fixture

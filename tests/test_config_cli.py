@@ -216,6 +216,33 @@ class TestCliRun:
         assert result.exit_code == 1
         assert "market.d" in result.output
 
+    def test_negative_seed_exits_1(self, tmp_path):
+        out = str(tmp_path / "n")
+        for args in (
+            ["run", '{"seed": -1}', "--out", out],
+            ["run", SMALL_RUN, "--out", out, "--seed", "-1"],
+            ["run", SMALL_RUN, "--out", out, "--method", "sample", "--seed", "-1"],
+            ["verify", '{"seed": -1}'],
+        ):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert "seed" in result.output, args
+        assert not (tmp_path / "n").exists()
+
+    def test_overflowing_provider_exits_1(self, tmp_path):
+        cfg = json.dumps(
+            {
+                "scenario": "custom",
+                "custom_sps": [{"id": "huge", "beta": 1e300, "daily_total": 1e300}],
+            }
+        )
+        out = tmp_path / "o"
+        for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert "custom_sps" in result.output and "'huge'" in result.output
+        assert not out.exists()
+
     def test_io_error_exits_3(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

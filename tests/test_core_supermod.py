@@ -2,23 +2,38 @@
 
 import pytest
 
+import math
+
+import numpy as np
+
 from coinvest import (
     NO,
     GameInstance,
     LoadProfile,
     MarketParams,
     ServiceProvider,
+    SinusoidalLoadSpec,
     TabularGame,
     check_core,
     check_supermodularity,
     classify_players,
     coalition_value,
     marginal_contribution,
+    scale_load,
     shapley_closed_form,
     shapley_enumeration,
+    shapley_sampling,
+    synth_load,
 )
 
-from conftest import random_game, veto_table_game
+from conftest import (
+    classification_scan,
+    coalitions_by_mask,
+    core_scan,
+    random_game,
+    supermodularity_scan,
+    veto_table_game,
+)
 
 
 def nonconvex_fixture():
@@ -33,6 +48,68 @@ def nonconvex_fixture():
         },
         default=0.0,
     )
+
+
+def heterogeneous_game():
+    """Seven providers with distinct rates and loads, one of them (SP03) idle."""
+    base = synth_load(SinusoidalLoadSpec())
+    sps = [
+        ("SP01", 2.782702349577632e-06, 992293.889926531),
+        ("SP02", 1.3779100235983496e-06, 1752513.8665936508),
+        ("SP03", 1.7606817735646794e-06, 16225.109511770066),
+        ("SP04", 1.839827684890239e-06, 541052.5446629863),
+        ("SP05", 1.3486037168329595e-06, 884021.6108645312),
+        ("SP06", 1.029460063623702e-06, 1146874.5558454327),
+        ("SP07", 2.490016333643833e-06, 533344.8534827954),
+    ]
+    return GameInstance(
+        MarketParams(),
+        tuple(
+            ServiceProvider(pid, beta, scale_load(base, total / base.total))
+            for pid, beta, total in sps
+        ),
+    )
+
+
+def integer_games(count=210, seed=7):
+    """Hand-built games with integer values, so every check is exact.
+
+    A third have arbitrary values; the rest are convex (additive plus
+    |S|^2), half of those with a few coalitions nudged by up to 2.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        players = tuple(f"P{i}" for i in range(int(rng.integers(1, 7))))
+        weights = dict(zip(players, rng.integers(0, 5, size=len(players)).tolist()))
+        values = {}
+        for coalition in coalitions_by_mask(players)[1:]:
+            if k % 3 == 0:
+                worth = int(rng.integers(0, 10))
+            else:
+                worth = sum(weights[p] for p in coalition) + len(coalition) ** 2
+                if k % 3 == 2 and rng.random() < 0.1:
+                    worth += int(rng.integers(-2, 3))
+            values[coalition] = float(worth)
+        yield TabularGame(players, values, default=0.0)
+
+
+def oracle_games():
+    yield nonconvex_fixture()
+    yield veto_table_game({"SP1": 3.0, "SP2": 1.0, "SP3": 0.0})
+    yield from integer_games()
+
+
+class CountingGame:
+    """Forwards to a game and counts characteristic-function evaluations."""
+
+    def __init__(self, game):
+        self.players = game.players
+        self.calls = 0
+        self._game = game
+
+    def value(self, coalition):
+        self.calls += 1
+        return self._game.value(coalition)
 
 
 class TestCore:
@@ -89,6 +166,27 @@ class TestCore:
         with pytest.raises(ValueError):
             check_core(bloated, {p: 0.0 for p in bloated.players})
 
+    def test_rounding_shortfall_is_not_blocked(self):
+        # Sampled payoffs sum to the grand value only up to rounding (about
+        # 1e-9 short of ~2581 here); an absolute slack of 1e-9 per coalition
+        # used to report the grand coalition as blocking.
+        game = heterogeneous_game()
+        payoffs = shapley_sampling(game, 200_000, seed=182719286).payoffs
+        grand = coalition_value(game, game.players)
+        assert math.fsum(payoffs.values()) != grand
+        assert check_core(game, payoffs).in_core
+
+    def test_relative_violation_is_blocked(self):
+        game = heterogeneous_game()
+        payoffs = dict(shapley_closed_form(game).payoffs)
+        grand = coalition_value(game, game.players)
+        moved = payoffs["SP01"] + 1e-6 * grand
+        payoffs["SP01"] -= moved
+        payoffs[NO] += moved
+        result = check_core(game, payoffs)
+        assert not result.in_core
+        assert result.violating_coalition == frozenset({"SP01"})
+
 
 class TestSupermodularity:
     def test_holds_on_random_instances(self, rng):
@@ -117,9 +215,13 @@ class TestSupermodularity:
         assert check_supermodularity(veto_table_game({"SP1": 3.0, "SP2": 1.0})).holds
 
     def test_player_bound(self):
-        bloated = TabularGame(tuple(f"P{i}" for i in range(13)), {}, default=0.0)
+        bloated = TabularGame(tuple(f"P{i}" for i in range(21)), {}, default=0.0)
         with pytest.raises(ValueError):
             check_supermodularity(bloated)
+
+    def test_accepts_thirteen_players(self):
+        game = TabularGame(tuple(f"P{i}" for i in range(13)), {}, default=0.0)
+        assert check_supermodularity(game).holds
 
 
 class TestClassification:
@@ -149,3 +251,46 @@ class TestClassification:
         flags = classify_players(game)
         assert flags[NO].veto and flags[NO].null
         assert flags["A"].veto and flags["A"].null
+
+
+class TestLoopOracles:
+    def test_core_matches_scan(self):
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for game in oracle_games():
+            players = game.players
+            grand = game.value(frozenset(players))
+            guess = dict(zip(players, rng.integers(-2, 6, size=len(players)).astype(float)))
+            guess[players[-1]] += grand - sum(guess.values())
+            for payoffs in (shapley_enumeration(game).payoffs, guess):
+                result = check_core(game, payoffs)
+                expected = core_scan(game, payoffs)
+                assert (result.in_core, result.violating_coalition) == expected
+                verdicts.add(result.in_core)
+        assert verdicts == {True, False}
+
+    def test_supermodularity_matches_scan(self):
+        verdicts = set()
+        for game in oracle_games():
+            report = check_supermodularity(game)
+            assert report.holds == supermodularity_scan(game)
+            verdicts.add(report.holds)
+            if not report.holds:
+                pid, smaller, larger = report.counterexample
+                assert smaller <= larger and pid not in larger
+                assert marginal_contribution(game, pid, smaller) > (
+                    marginal_contribution(game, pid, larger) + 1e-9
+                )
+        assert verdicts == {True, False}
+
+    def test_classification_matches_scan(self):
+        for game in oracle_games():
+            assert classify_players(game) == classification_scan(game)
+
+    def test_one_table_serves_every_check(self):
+        game = CountingGame(veto_table_game({"SP1": 3.0, "SP2": 1.0, "SP3": 2.0}))
+        payoffs = shapley_enumeration(game).payoffs
+        assert check_core(game, payoffs).in_core
+        assert check_supermodularity(game).holds
+        assert classify_players(game)[NO].veto
+        assert game.calls == 2 ** len(game.players)

@@ -18,7 +18,7 @@ from coinvest import (
     optimal_allocation_single,
 )
 
-from conftest import grid_max_joint, grid_max_single, random_game
+from conftest import golden_max_single, grid_max_joint, grid_max_single, random_game
 
 
 def constant_profile(total, T=96):
@@ -101,21 +101,21 @@ class TestDomainTypes:
             GameInstance(market, (ServiceProvider(NO, 0.0, load),))
         with pytest.raises(ValueError):
             GameInstance(market, (ServiceProvider("A", 0.0, LoadProfile((1.0, 2.0))),))
+        with pytest.raises(ValueError, match="'A'.*finite"):
+            GameInstance(market, (ServiceProvider("A", 1e300, constant_profile(1e300)),))
 
 
 class TestSingleOptimum:
     def test_zero_beta_stays_out(self, market):
         sp = ServiceProvider("A", 0.0, constant_profile(1e6))
-        for method in ("closed", "golden"):
-            h, value = optimal_allocation_single(sp, market, method=method)
+        for h, value in (optimal_allocation_single(sp, market), golden_max_single(sp, market)):
             assert h == 0.0 and value == 0.0
 
     def test_below_threshold_stays_out(self, market, rng):
         # gain = D*xi*beta*L/d <= 1 means no positive allocation beats zero
         price = amortized_unit_price(market)
         sp = ServiceProvider("A", price, constant_profile(9e4))  # threshold is T/xi = 96000
-        for method in ("closed", "golden"):
-            h, value = optimal_allocation_single(sp, market, method=method)
+        for h, value in (optimal_allocation_single(sp, market), golden_max_single(sp, market)):
             assert h == 0.0 and value == 0.0
         h_grid, best, _ = grid_max_single(sp, market, steps=20000)
         assert best <= 1e-9
@@ -128,11 +128,6 @@ class TestSingleOptimum:
         assert abs(h_cf - h_grid) <= step * (1.0 + 1e-9)
         assert abs(m_cf - m_grid) <= 1e-6 * max(1.0, abs(m_cf))
 
-    def test_invalid_method(self, market):
-        sp = ServiceProvider("A", 1e-6, constant_profile(1e6))
-        with pytest.raises(ValueError):
-            optimal_allocation_single(sp, market, method="newton")
-
     def test_closed_matches_golden_randomized(self, rng):
         for _ in range(40):
             market = MarketParams(
@@ -142,13 +137,13 @@ class TestSingleOptimum:
             beta = float(rng.uniform(0.0, 10.0 * amortized_unit_price(market)))
             sp = ServiceProvider("A", beta, constant_profile(float(rng.uniform(1e4, 5e6))))
             h_cf, m_cf = optimal_allocation_single(sp, market)
-            h_num, m_num = optimal_allocation_single(sp, market, method="golden")
+            h_num, m_num = golden_max_single(sp, market)
             assert abs(h_cf - h_num) <= 1e-6 * max(1.0, h_cf)
             assert abs(m_cf - m_num) <= 1e-9 * max(1.0, m_cf)
 
     def test_numeric_optimum_is_a_local_max(self, market):
         sp = ServiceProvider("A", 3.0 * amortized_unit_price(market), constant_profile(8e5))
-        h, value = optimal_allocation_single(sp, market, method="golden")
+        h, value = optimal_allocation_single(sp, market)
         scale = market.D * sp.beta * sp.load.total
 
         def profit(x):
