@@ -162,7 +162,9 @@ def _check_instance(
         pid for pid in game.players
         if _rel_err(payoff[pid], revenue[pid] - payment[pid]) > 1e-9
     ]
-    if abs(paid - bill) > 1e-6 * max(1.0, abs(bill)):
+    # each payment is revenue - payoff, so the sum carries their rounding too
+    terms = math.fsum(abs(revenue[pid]) + abs(payoff[pid]) for pid in game.players)
+    if abs(paid - bill) > max(1e-6 * max(1.0, abs(bill)), 1e-9 * terms):
         checks["settlement_balance"] = f"fail: payments sum to {paid!r}, capacity bill is {bill!r}"
     elif broken:
         checks["settlement_balance"] = f"fail: payoff is not revenue minus payment for {broken}"
@@ -398,6 +400,8 @@ def _check_oracles(game, samples: int, seed: int) -> str:
             return f"fail: closed form vs enumeration diverges for {pid}"
     sampled = shapley_sampling(game, samples, seed)
     for pid in game.players:
+        if not math.isfinite(sampled.stderr[pid]):
+            return f"fail: sampling stderr is not finite for {pid}"
         # 4 standard errors: this gate spans hundreds of simultaneous
         # estimates per run, where a 3-sigma cut trips spuriously
         # (~0.3% per estimate by the estimator's own correctness)

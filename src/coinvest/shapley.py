@@ -9,6 +9,9 @@ The enumeration, sampling and checker functions only need an object with a
 ``players`` tuple and a ``value(coalition)`` method, so they also run on
 hand-built characteristic functions (see :class:`TabularGame`); the closed
 form and the settlement need a full :class:`~coinvest.game.GameInstance`.
+Every route that reads coalition values is bounded by
+``MAX_ENUMERATION_PLAYERS``; only sampling a ``GameInstance``, which needs
+just the providers' standalone profits, runs beyond it.
 """
 
 from __future__ import annotations
@@ -33,10 +36,6 @@ from .game import (
 
 #: Every exact route and check enumerates all 2^n coalitions; capped here.
 MAX_ENUMERATION_PLAYERS = 20
-
-# Up to this many players the sampler precomputes a full value table and
-# walks permutations vectorized; beyond it, it evaluates prefixes one by one.
-_TABLE_PLAYERS = 16
 
 
 class ShapleyMethod(str, Enum):
@@ -138,7 +137,7 @@ def _value_table(game) -> np.ndarray:
         if n > MAX_ENUMERATION_PLAYERS:
             raise ValueError(
                 f"{n} players exceeds the enumeration bound of {MAX_ENUMERATION_PLAYERS}; "
-                "only shapley_sampling runs beyond it"
+                "only shapley_sampling of a GameInstance runs beyond it"
             )
         table = np.empty(1 << n)
         for mask in range(1 << n):
@@ -218,70 +217,76 @@ def shapley_sampling(game, samples: int, seed: int = 0) -> ShapleyResult:
     """Monte Carlo Shapley estimate from random arrival orders.
 
     Averages each player's marginal contribution over ``samples`` uniformly
-    random permutations. Unbiased, deterministic for a fixed seed, and the
-    estimates sum to the grand value exactly (each permutation telescopes).
-    Reports one standard error per player.
+    random permutations (Castro, Gomez & Tejada 2009). Unbiased, deterministic
+    for a fixed seed, and the estimates sum to the grand value up to rounding
+    (each permutation telescopes). Reports one standard error per player.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     players = tuple(game.players)
     n = len(players)
     rng = np.random.default_rng(seed)
-    if n <= _TABLE_PLAYERS:
-        mean, se = _sample_with_table(game, players, samples, rng)
-    else:
-        mean, se = _sample_walking(game, players, samples, rng)
-    return ShapleyResult(
-        payoffs={pid: float(mean[i]) for i, pid in enumerate(players)},
-        method=ShapleyMethod.PERMUTATION_SAMPLING,
-        sample_count=int(samples),
-        stderr={pid: float(se[i]) for i, pid in enumerate(players)},
-    )
-
-
-def _finalize_stats(sums: np.ndarray, sqs: np.ndarray, samples: int):
+    sums = np.zeros(n)
+    sqs = np.zeros(n)
+    # at most 2^17 orders and 2^21 cells per block: memory stays bounded for any n
+    rows = max(1, min(1 << 17, (1 << 21) // max(n, 1)))
+    remaining = samples
+    while remaining:
+        block = min(remaining, rows)
+        marginals, unit = _marginals(game, rng.random((block, n)))
+        sums += marginals.sum(axis=0)
+        sqs += (marginals * marginals).sum(axis=0)
+        remaining -= block
     mean = sums / samples
     var = np.maximum(sqs / samples - mean * mean, 0.0)
     if samples > 1:
         var *= samples / (samples - 1)
-    return mean, np.sqrt(var / samples)
+    se = np.sqrt(var / samples)
+    return ShapleyResult(
+        payoffs={pid: float(mean[i] * unit) for i, pid in enumerate(players)},
+        method=ShapleyMethod.PERMUTATION_SAMPLING,
+        sample_count=int(samples),
+        stderr={pid: float(se[i] * unit) for i, pid in enumerate(players)},
+    )
 
 
-def _sample_with_table(game, players, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    n = len(players)
+def _marginals(game, keys: np.ndarray) -> tuple[np.ndarray, float]:
+    """Every player's marginal contribution in a block of arrival orders.
+
+    ``keys[r, k]`` is player k's arrival time in order r. Returns the
+    ``(orders, players)`` marginals in units of the largest power of two not
+    above the largest |value| read, so that their squares stay finite
+    whenever they are; scaling by a power of two is exact.
+
+    A :class:`~coinvest.game.GameInstance` needs no coalition values: a
+    provider adds its standalone profit m_i when the owner arrived first and
+    nothing otherwise, and the owner adds the m_j of the providers before it.
+    Any other game reads its value table, so it is bounded like enumeration.
+    """
+    if isinstance(game, GameInstance):
+        optima = game.standalone_optima()
+        profit = np.array([optima[sp.id].value for sp in game.sps])
+        unit = _unit(profit)
+        profit /= unit
+        after = keys[:, :-1] > keys[:, -1:]
+        marginals = np.empty_like(keys)
+        marginals[:, :-1] = after * profit
+        marginals[:, -1] = (~after * profit).sum(axis=1)
+        return marginals, unit
     table = _value_table(game)
-    sums = np.zeros(n)
-    sqs = np.zeros(n)
-    remaining = samples
-    while remaining:
-        block = min(remaining, 1 << 17)
-        order = np.argsort(rng.random((block, n)), axis=1)
-        masks = np.bitwise_or.accumulate(np.left_shift(1, order), axis=1)
-        prev = np.concatenate([np.zeros((block, 1), dtype=masks.dtype), masks[:, :-1]], axis=1)
-        marginals = table[masks] - table[prev]
-        idx = order.ravel()
-        m = marginals.ravel()
-        sums += np.bincount(idx, weights=m, minlength=n)
-        sqs += np.bincount(idx, weights=m * m, minlength=n)
-        remaining -= block
-    return _finalize_stats(sums, sqs, samples)
+    unit = _unit(table)
+    order = np.argsort(keys, axis=1)
+    masks = np.bitwise_or.accumulate(np.left_shift(1, order), axis=1)
+    values = table[masks] / unit
+    gains = np.diff(values, axis=1, prepend=table[0] / unit)
+    marginals = np.empty_like(keys)
+    np.put_along_axis(marginals, order, gains, axis=1)
+    return marginals, unit
 
 
-def _sample_walking(game, players, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    n = len(players)
-    sums = np.zeros(n)
-    sqs = np.zeros(n)
-    for _ in range(samples):
-        members: set[str] = set()
-        prev = game.value(frozenset())
-        for idx in rng.permutation(n):
-            members.add(players[idx])
-            cur = game.value(frozenset(members))
-            delta = cur - prev
-            sums[idx] += delta
-            sqs[idx] += delta * delta
-            prev = cur
-    return _finalize_stats(sums, sqs, samples)
+def _unit(values: np.ndarray) -> float:
+    """The largest power of two not above the largest |value| (any, if all are 0)."""
+    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values), initial=0.0)))[1] - 1)
 
 
 def check_core(game, payoffs: PayoffVector, *, include_slack: bool = False,
@@ -315,20 +320,22 @@ def check_core(game, payoffs: PayoffVector, *, include_slack: bool = False,
 def check_supermodularity(game, *, tol: float = 1e-9) -> SupermodularityReport:
     """Test that marginal contributions grow with the coalition.
 
-    Checks the local condition ``v(S+i) - v(S) <= v(S+i+j) - v(S+j) + tol``
+    Checks the local condition ``v(S+i) - v(S) <= v(S+i+j) - v(S+j) + noise``
     for every pair of players i, j and every coalition S avoiding both, which
     is equivalent to the nested condition over all T subseteq S (Shapley 1971,
-    "Cores of convex games").
+    "Cores of convex games"). The noise is ``tol`` relative to the grand
+    value, as in :func:`check_core`.
     """
     players = tuple(game.players)
     table = _value_table(game)
+    noise = tol * max(1.0, abs(float(table[-1])))
     for j, pid in enumerate(players):
         without, joined = _split(table, j)
         gain = joined - without
         for i in range(j):
             # v(S+j) - v(S) against v(S+i+j) - v(S+i), S avoiding i and j
             before, after = _split(gain, i)
-            shrunk = np.flatnonzero(after - before < -tol)
+            shrunk = np.flatnonzero(after - before < -noise)
             if shrunk.size:
                 masks = _split(_split(np.arange(table.size), j)[0], i)[0]
                 smaller = _mask_coalition(int(masks.ravel()[shrunk[0]]), players)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -304,6 +305,47 @@ class TestCliVerifyAndPresets:
         )
         assert result.exit_code == 2
         assert "FAIL" in result.output
+
+    def test_verify_passes_at_huge_scale(self):
+        # v(N) near 1e302: absolute tolerances and squared marginals both broke here
+        cfg = json.dumps(
+            {
+                "scenario": "custom",
+                "custom_sps": [
+                    {"id": pid, "beta": beta, "daily_total": 1e150}
+                    for pid, beta in (("a", 1e150), ("b", 1.5e150), ("c", 2e150))
+                ],
+                "samples": 2000,
+            }
+        )
+        result = run_cli("verify", cfg)
+        assert result.exit_code == 0, result.output
+        assert result.output.count("PASS") == 4
+
+    def test_settlement_balance_follows_the_revenues(self, tmp_path):
+        # revenues near 1e304 against a capacity bill near 7e4
+        cfg = json.dumps({"l_total_grid": [1e308], "samples": 2000})
+        result = run_cli("verify", cfg)
+        assert result.exit_code == 0, result.output
+        assert result.output.count("PASS") == 4
+        out = tmp_path / "huge"
+        strict = run_cli("run", cfg, "--out", str(out), "--strict")
+        assert strict.exit_code == 0, strict.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["instances"][0]["checks"]["settlement_balance"] == "pass"
+
+    def test_verify_fails_on_nonfinite_stderr(self, monkeypatch):
+        def blind_sampler(game, samples, seed=0):
+            result = cli_mod.shapley_closed_form(game)
+            return replace(result, stderr={pid: math.nan for pid in game.players})
+
+        monkeypatch.setattr(cli_mod, "shapley_sampling", blind_sampler)
+        result = CliRunner().invoke(
+            main, ["verify", json.dumps({"l_total_grid": [2e6], "samples": 100})]
+        )
+        assert result.exit_code == 2
+        assert "oracle-triangle        FAIL" in result.output
+        assert "stderr is not finite" in result.output
 
     def test_presets_listing(self):
         result = run_cli("presets")

@@ -214,6 +214,13 @@ class TestSupermodularity:
     def test_hand_built_veto_game_holds(self):
         assert check_supermodularity(veto_table_game({"SP1": 3.0, "SP2": 1.0})).holds
 
+    def test_tolerance_scales_with_grand_value(self):
+        # at v(N) ~ 2e12 a shortfall of 1 is rounding, one of 1e4 is not
+        for shortfall, holds in ((1.0, True), (1e4, False)):
+            values = {("A",): 1e12, ("B",): 1e12, ("A", "B"): 2e12 - shortfall}
+            report = check_supermodularity(TabularGame(("A", "B"), values))
+            assert report.holds is holds
+
     def test_player_bound(self):
         bloated = TabularGame(tuple(f"P{i}" for i in range(21)), {}, default=0.0)
         with pytest.raises(ValueError):

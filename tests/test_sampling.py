@@ -3,14 +3,23 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinvest import (
     NO,
+    GameInstance,
+    LoadProfile,
+    MarketParams,
+    ServiceProvider,
+    amortized_unit_price,
     coalition_value,
     shapley_closed_form,
     shapley_enumeration,
     shapley_sampling,
 )
+
+from coinvest.shapley import MAX_ENUMERATION_PLAYERS
 
 from conftest import random_game
 
@@ -67,8 +76,47 @@ def test_rejects_nonpositive_samples(rng):
         shapley_sampling(game, 0)
 
 
-def test_walking_path_handles_many_players():
-    # 17 players forces the per-prefix path instead of the value table
+class PlainGame:
+    """Only ``players`` and ``value``: hides the GameInstance from the sampler."""
+
+    def __init__(self, game):
+        self.players = game.players
+        self.value = game.value
+
+
+@pytest.mark.parametrize("n_players", [3, 8, 12])
+def test_instance_and_table_routes_agree(rng, n_players):
+    game = random_game(rng, n_sps=n_players - 1)
+    direct = shapley_sampling(game, 3000, seed=13)
+    tabled = shapley_sampling(PlainGame(game), 3000, seed=13)
+    for pid in game.players:
+        assert direct.payoffs[pid] == pytest.approx(tabled.payoffs[pid], rel=1e-9, abs=1e-9)
+        assert direct.stderr[pid] == pytest.approx(tabled.stderr[pid], rel=1e-9, abs=1e-9)
+
+
+def test_instance_route_runs_past_the_enumeration_bound(rng):
+    game = random_game(rng, n_sps=29)
+    closed = shapley_closed_form(game).payoffs
+    sampled = shapley_sampling(game, 20_000, seed=17)
+    for pid in game.players:
+        margin = 4.0 * sampled.stderr[pid] + 1e-9 * max(1.0, abs(closed[pid]))
+        assert abs(sampled.payoffs[pid] - closed[pid]) <= margin
+    grand = coalition_value(game, game.players)
+    assert abs(math.fsum(sampled.payoffs.values()) - grand) <= 1e-9 * max(1.0, grand)
+
+
+def test_generic_game_is_bounded_like_enumeration():
+    class CountingGame:
+        players = tuple(f"P{i}" for i in range(MAX_ENUMERATION_PLAYERS + 1))
+
+        def value(self, coalition):
+            return float(len(frozenset(coalition)))
+
+    with pytest.raises(ValueError, match=f"enumeration bound of {MAX_ENUMERATION_PLAYERS}"):
+        shapley_sampling(CountingGame(), 10)
+
+
+def test_table_route_handles_seventeen_players():
     class SizeSquaredGame:
         players = tuple(f"P{i}" for i in range(17))
 
@@ -85,3 +133,66 @@ def test_walking_path_handles_many_players():
     for pid in game.players:
         margin = 3.0 * first.stderr[pid] + 1e-9
         assert abs(first.payoffs[pid] - 17.0) <= margin
+
+
+@pytest.mark.parametrize(
+    "providers",
+    [
+        # v(N) near 1e302: the squared marginals alone would overflow
+        (("a", 1e150, 1e150), ("b", 2e150, 1e150), ("c", 1.5e150, 1e150)),
+        # v(N) near 1.6e308: even the sum of the owner's marginals would
+        (("a", 1e303, 450.0),),
+    ],
+)
+def test_stays_finite_at_huge_scale(market, providers):
+    T = market.T
+    game = GameInstance(
+        market,
+        tuple(
+            ServiceProvider(pid, beta, LoadProfile([total / T] * T))
+            for pid, beta, total in providers
+        ),
+    )
+    closed = shapley_closed_form(game).payoffs
+    for route in (game, PlainGame(game)):
+        sampled = shapley_sampling(route, 2000, seed=3)
+        assert all(math.isfinite(se) and se > 0.0 for se in sampled.stderr.values())
+        for pid in game.players:
+            margin = 4.0 * sampled.stderr[pid] + 1e-9 * abs(closed[pid])
+            assert abs(sampled.payoffs[pid] - closed[pid]) <= margin
+
+
+_MARKET = MarketParams()
+_PRICE = amortized_unit_price(_MARKET)
+
+# a zero benefit factor gives a null provider, a zero total an idle one
+_providers = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        st.one_of(st.just(0.0), st.floats(1e3, 2e6)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(providers=_providers, seed=st.integers(0, 2**32), samples=st.integers(1, 3000))
+def test_sampled_payoffs_are_bounded_and_efficient(providers, seed, samples):
+    T = _MARKET.T
+    game = GameInstance(
+        _MARKET,
+        tuple(
+            ServiceProvider(f"SP{k}", factor * _PRICE, LoadProfile([total / T] * T))
+            for k, (factor, total) in enumerate(providers)
+        ),
+    )
+    sampled = shapley_sampling(game, samples, seed)
+    assert all(math.isfinite(x) for x in sampled.payoffs.values())
+    assert all(math.isfinite(x) for x in sampled.stderr.values())
+    grand = coalition_value(game, game.players)
+    assert abs(math.fsum(sampled.payoffs.values()) - grand) <= 1e-9 * max(1.0, grand)
+    optima = game.standalone_optima()
+    for sp in game.sps:
+        # a mean of k equal terms can round a few ulps above the term
+        assert 0.0 <= sampled.payoffs[sp.id] <= optima[sp.id].value * (1.0 + 1e-12)
