@@ -45,7 +45,11 @@ from .scenarios import (
     synth_load,
 )
 from .shapley import (
+    AGREEMENT_TOL,
     MAX_ENUMERATION_PLAYERS,
+    SAMPLING_SIGMAS,
+    SETTLE_TERMS_TOL,
+    SETTLE_TOL,
     ShapleyMethod,
     check_core,
     check_supermodularity,
@@ -160,11 +164,11 @@ def _check_instance(
     paid = math.fsum(payment[pid] for pid in game.players)
     broken = [
         pid for pid in game.players
-        if _rel_err(payoff[pid], revenue[pid] - payment[pid]) > 1e-9
+        if _rel_err(payoff[pid], revenue[pid] - payment[pid]) > AGREEMENT_TOL
     ]
     # each payment is revenue - payoff, so the sum carries their rounding too
     terms = math.fsum(abs(revenue[pid]) + abs(payoff[pid]) for pid in game.players)
-    if abs(paid - bill) > max(1e-6 * max(1.0, abs(bill)), 1e-9 * terms):
+    if abs(paid - bill) > max(SETTLE_TOL * max(1.0, abs(bill)), SETTLE_TERMS_TOL * terms):
         checks["settlement_balance"] = f"fail: payments sum to {paid!r}, capacity bill is {bill!r}"
     elif broken:
         checks["settlement_balance"] = f"fail: payoff is not revenue minus payment for {broken}"
@@ -396,18 +400,15 @@ def _check_oracles(game, samples: int, seed: int) -> str:
     exact = shapley_enumeration(game).payoffs
     closed = shapley_closed_form(game).payoffs
     for pid in game.players:
-        if _rel_err(closed[pid], exact[pid]) > 1e-9:
+        if _rel_err(closed[pid], exact[pid]) > AGREEMENT_TOL:
             return f"fail: closed form vs enumeration diverges for {pid}"
     sampled = shapley_sampling(game, samples, seed)
     for pid in game.players:
         if not math.isfinite(sampled.stderr[pid]):
             return f"fail: sampling stderr is not finite for {pid}"
-        # 4 standard errors: this gate spans hundreds of simultaneous
-        # estimates per run, where a 3-sigma cut trips spuriously
-        # (~0.3% per estimate by the estimator's own correctness)
-        margin = 4.0 * sampled.stderr[pid] + 1e-9 * max(1.0, abs(exact[pid]))
+        margin = SAMPLING_SIGMAS * sampled.stderr[pid] + AGREEMENT_TOL * max(1.0, abs(exact[pid]))
         if abs(sampled.payoffs[pid] - exact[pid]) > margin:
-            return f"fail: sampling off by more than 4 standard errors for {pid}"
+            return f"fail: sampling off by more than {SAMPLING_SIGMAS:g} standard errors for {pid}"
     return "pass"
 
 

@@ -157,6 +157,17 @@ class GameInstance:
                     f"provider {sp.id!r}: D*beta*L = {scale!r} and gain D*xi*beta*L/d = "
                     f"{gain!r} must be finite"
                 )
+        # every coalition value is a subset sum of these profits, the grand
+        # value the largest; fsum raises OverflowError when it is not finite
+        try:
+            grand = math.fsum(opt.value for opt in self.standalone_optima().values())
+        except OverflowError:
+            grand = math.inf
+        if not math.isfinite(grand):
+            raise ValueError(
+                f"providers {ids!r}: their standalone profits sum to more than the "
+                "largest finite float"
+            )
 
     @property
     def players(self) -> tuple[str, ...]:

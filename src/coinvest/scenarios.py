@@ -23,6 +23,7 @@ from .game import (
     grand_allocation,
 )
 from .shapley import (
+    AGREEMENT_TOL,
     MAX_ENUMERATION_PLAYERS,
     ShapleyMethod,
     shapley_closed_form,
@@ -271,7 +272,7 @@ def _solve_one(game, scenario, sweep_param, sweep_value, method, samples, seed):
             exact = shapley_enumeration(game)
             for pid, got in result.payoffs.items():
                 ref = exact.payoffs[pid]
-                if abs(got - ref) > 1e-9 * max(1.0, abs(ref)):
+                if abs(got - ref) > AGREEMENT_TOL * max(1.0, abs(ref)):
                     raise RuntimeError(
                         f"closed-form payoff for {pid} diverges from enumeration: "
                         f"{got!r} vs {ref!r}"

@@ -12,6 +12,13 @@ form and the settlement need a full :class:`~coinvest.game.GameInstance`.
 Every route that reads coalition values is bounded by
 ``MAX_ENUMERATION_PLAYERS``; only sampling a ``GameInstance``, which needs
 just the providers' standalone profits, runs beyond it.
+
+The exact routes and checks read one 2^n table of coalition values per game.
+A coinvestment instance's table is built by compensated doubling over the
+providers' standalone profits in O(2^n) numpy passes, bit-identical to
+:func:`~coinvest.game.coalition_value`; a generic game's table is built
+through one ``value`` call per coalition. The checks' tolerances are the
+``*_TOL`` and ``SAMPLING_SIGMAS`` constants below.
 """
 
 from __future__ import annotations
@@ -36,6 +43,22 @@ from .game import (
 
 #: Every exact route and check enumerates all 2^n coalitions; capped here.
 MAX_ENUMERATION_PLAYERS = 20
+
+#: Float noise the core and supermodularity checks allow, relative to the grand value
+#: (or to 1, if that is smaller).
+STABILITY_TOL = 1e-9
+#: Largest relative gap between two exact Shapley routes, or between a payoff
+#: and its revenue minus payment.
+AGREEMENT_TOL = 1e-9
+#: How far payoffs may miss the grand value, and payments the capacity bill,
+#: relative to that value or bill (or to 1, if that is smaller).
+SETTLE_TOL = 1e-6
+#: Settlement balance also allows this much of the summed |revenue| + |payoff|,
+#: since each payment carries the rounding of both.
+SETTLE_TERMS_TOL = 1e-9
+#: Standard errors a sampled payoff may sit from the exact one: the gate spans
+#: hundreds of estimates per run, where a 3-sigma cut trips spuriously.
+SAMPLING_SIGMAS = 4.0
 
 
 class ShapleyMethod(str, Enum):
@@ -126,9 +149,12 @@ class TabularGame:
 def _value_table(game) -> np.ndarray:
     """Value of every coalition, indexed by membership bitmask over ``game.players``.
 
-    Built once per game object through ``game.value`` and cached on it
-    read-only, so every exact route and check shares one table; the game
-    must not change afterwards.
+    Built once per game object and cached on it read-only, so every exact
+    route and check shares one table; the game must not change afterwards.
+    A :class:`~coinvest.game.GameInstance` is built from its providers'
+    standalone profits in O(2^n) numpy passes (see :func:`_fsum_subset_sums`),
+    bit-identical to :func:`~coinvest.game.coalition_value`; any other game
+    is built through one ``game.value`` call per coalition.
     """
     table = game.__dict__.get("_coalition_table")
     if table is None:
@@ -139,12 +165,62 @@ def _value_table(game) -> np.ndarray:
                 f"{n} players exceeds the enumeration bound of {MAX_ENUMERATION_PLAYERS}; "
                 "only shapley_sampling of a GameInstance runs beyond it"
             )
-        table = np.empty(1 << n)
-        for mask in range(1 << n):
-            table[mask] = game.value(_mask_coalition(mask, players))
+        if isinstance(game, GameInstance):
+            # the owner is the last player, so the high bit: zero without it
+            optima = game.standalone_optima()
+            sums = _fsum_subset_sums([optima[sp.id].value for sp in game.sps])
+            table = np.concatenate([np.zeros(sums.size), sums])
+        else:
+            table = np.empty(1 << n)
+            for mask in range(1 << n):
+                table[mask] = game.value(_mask_coalition(mask, players))
         table.flags.writeable = False
         object.__setattr__(game, "_coalition_table", table)
     return table
+
+
+def _two_sum(a, b):
+    """``(s, err)`` with ``s = fl(a + b)`` and ``s + err == a + b`` exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fsum_subset_sums(x) -> np.ndarray:
+    """``math.fsum`` of the finite ``x`` over every coalition, indexed by bitmask.
+
+    Doubling as in :func:`_subset_sums`, but error-free: each sum is carried
+    as ``hi + lo`` plus the rounding errors of the ``lo`` additions, whose
+    magnitudes add up in ``slack`` (Ogita, Rump & Oishi 2005, "Accurate sum
+    and dot product"). The rounded ``hi + lo`` is the correctly rounded exact
+    sum, which is what ``fsum`` returns, when ``slack`` is zero, or when the
+    exact sum, known to within ``slack``, lies strictly inside the rounding
+    interval of ``hi + lo``. Every other entry, and any that is not finite,
+    is recomputed with ``fsum``.
+    """
+    x = [float(v) for v in x]
+    size = 1 << len(x)
+    hi, lo, slack = np.zeros(size), np.zeros(size), np.zeros(size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, term in enumerate(x):
+            h = 1 << k
+            hi[h:2 * h], err = _two_sum(hi[:h], term)
+            lo[h:2 * h], lost = _two_sum(lo[:h], err)
+            slack[h:2 * h] = slack[:h] + np.abs(lost)
+        # where slack is 0, hi + lo is the exact sum (on real games, everywhere)
+        rough = np.flatnonzero(slack)
+        sums, err = _two_sum(hi[rough], lo[rough])
+        # inflated to cover the rounding of slack's own additions (one per term)
+        bound = slack[rough] * (1.0 + 1e-10)
+        up = (np.nextafter(sums, np.inf) - sums) * 0.5
+        down = (sums - np.nextafter(sums, -np.inf)) * 0.5
+        inside = (err + bound < up) & (err - bound > -down)
+        sums = np.add(hi, lo, out=hi)
+    redo = ~np.isfinite(sums)
+    redo[rough[~inside]] = True
+    for mask in np.flatnonzero(redo).tolist():
+        sums[mask] = math.fsum(v for k, v in enumerate(x) if mask >> k & 1)
+    return sums
 
 
 def _mask_coalition(mask: int, players: tuple[str, ...]) -> Coalition:
@@ -290,7 +366,7 @@ def _unit(values: np.ndarray) -> float:
 
 
 def check_core(game, payoffs: PayoffVector, *, include_slack: bool = False,
-               tol: float = 1e-9) -> CoreCheck:
+               tol: float = STABILITY_TOL) -> CoreCheck:
     """Exhaustively test whether a payoff vector sits in the core.
 
     Every coalition must collectively receive at least its own value and the
@@ -317,7 +393,7 @@ def check_core(game, payoffs: PayoffVector, *, include_slack: bool = False,
     )
 
 
-def check_supermodularity(game, *, tol: float = 1e-9) -> SupermodularityReport:
+def check_supermodularity(game, *, tol: float = STABILITY_TOL) -> SupermodularityReport:
     """Test that marginal contributions grow with the coalition.
 
     Checks the local condition ``v(S+i) - v(S) <= v(S+i+j) - v(S+j) + noise``
@@ -378,7 +454,7 @@ def settle(game: GameInstance, payoffs: PayoffVector) -> Settlement:
         raise ValueError(f"payoff vector is missing players {missing!r}")
     grand = coalition_value(game, players)
     total = math.fsum(float(payoffs[p]) for p in players)
-    if abs(total - grand) > 1e-6 * max(1.0, abs(grand)):
+    if abs(total - grand) > SETTLE_TOL * max(1.0, abs(grand)):
         raise ValueError(
             f"payoffs sum to {total!r} but the grand coalition is worth {grand!r}"
         )

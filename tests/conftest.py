@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from coinvest import (
     GameInstance,
@@ -23,6 +24,11 @@ from coinvest import (
     scale_load,
     synth_load,
 )
+
+# Property tests draw the same examples on every run, and a slow example
+# (a 2^n table) is not a failure.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def shapley_by_orderings(players, value_fn):

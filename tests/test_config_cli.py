@@ -244,6 +244,25 @@ class TestCliRun:
             assert "custom_sps" in result.output and "'huge'" in result.output
         assert not out.exists()
 
+    def test_overflowing_grand_value_exits_1(self, tmp_path):
+        # each provider's profit is finite, their sum is not
+        cfg = json.dumps(
+            {
+                "scenario": "custom",
+                "custom_sps": [
+                    {"id": "a", "beta": 1e303, "daily_total": 450},
+                    {"id": "b", "beta": 1e303, "daily_total": 450},
+                ],
+            }
+        )
+        out = tmp_path / "o"
+        for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert "custom_sps" in result.output and "['a', 'b']" in result.output
+            assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_io_error_exits_3(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

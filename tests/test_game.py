@@ -104,6 +104,12 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="'A'.*finite"):
             GameInstance(market, (ServiceProvider("A", 1e300, constant_profile(1e300)),))
 
+    def test_game_rejects_overflowing_grand_value(self, market):
+        huge = ServiceProvider("A", 1e303, constant_profile(450.0))
+        assert math.isfinite(optimal_allocation_single(huge, market).value)
+        with pytest.raises(ValueError, match=r"\['A', 'B'\].*largest finite float"):
+            GameInstance(market, (huge, ServiceProvider("B", huge.beta, huge.load)))
+
 
 class TestSingleOptimum:
     def test_zero_beta_stays_out(self, market):
