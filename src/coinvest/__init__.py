@@ -9,32 +9,20 @@ scenario engine with a CLI that emits analysis-ready tables.
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, CustomProvider, RunConfig, config_from_dict, config_to_dict, parse_config
+from .config import ConfigError, RunConfig, config_to_dict, parse_config
 from .game import (
     NO,
-    Allocation,
-    Coalition,
     GameInstance,
     LoadProfile,
     MarketParams,
-    PayoffVector,
     ServiceProvider,
-    Settlement,
-    SingleOptimum,
     coalition_value,
     eval_utility,
     grand_allocation,
     optimal_allocation_single,
-    provider_revenue,
 )
 from .scenarios import (
-    DEFAULT_D_GRID,
-    DEFAULT_L_TOTAL,
-    DEFAULT_L_TOTAL_GRID,
-    DEFAULT_OMEGA_GRID,
-    PlayerRecord,
     SinusoidalLoadSpec,
-    SweepRecord,
     amortized_unit_price,
     clamping_applied,
     run_sweep,
@@ -45,16 +33,11 @@ from .scenarios import (
     synth_load,
 )
 from .shapley import (
-    CoreCheck,
-    PlayerFlags,
     ShapleyMethod,
-    ShapleyResult,
     SupermodularityReport,
-    TabularGame,
     check_core,
     check_supermodularity,
     classify_players,
-    marginal_contribution,
     settle,
     shapley_closed_form,
     shapley_enumeration,
@@ -63,45 +46,26 @@ from .shapley import (
 
 __all__ = [
     "NO",
-    "Allocation",
-    "Coalition",
     "ConfigError",
-    "CoreCheck",
-    "CustomProvider",
-    "DEFAULT_D_GRID",
-    "DEFAULT_L_TOTAL",
-    "DEFAULT_L_TOTAL_GRID",
-    "DEFAULT_OMEGA_GRID",
     "GameInstance",
     "LoadProfile",
     "MarketParams",
-    "PayoffVector",
-    "PlayerFlags",
-    "PlayerRecord",
     "RunConfig",
     "ServiceProvider",
-    "Settlement",
     "ShapleyMethod",
-    "ShapleyResult",
-    "SingleOptimum",
     "SinusoidalLoadSpec",
     "SupermodularityReport",
-    "SweepRecord",
-    "TabularGame",
     "amortized_unit_price",
     "check_core",
     "check_supermodularity",
     "clamping_applied",
     "classify_players",
     "coalition_value",
-    "config_from_dict",
     "config_to_dict",
     "eval_utility",
     "grand_allocation",
-    "marginal_contribution",
     "optimal_allocation_single",
     "parse_config",
-    "provider_revenue",
     "run_sweep",
     "scale_load",
     "scenario_omega",

@@ -34,7 +34,7 @@ from .config import (
     parse_config,
     preset_names,
 )
-from .game import GameInstance, LoadProfile, ServiceProvider
+from .game import MAX_ENUMERATION_PLAYERS, GameInstance, LoadProfile, ServiceProvider
 from .scenarios import (
     clamping_applied,
     run_sweep,
@@ -46,7 +46,6 @@ from .scenarios import (
 )
 from .shapley import (
     AGREEMENT_TOL,
-    MAX_ENUMERATION_PLAYERS,
     SAMPLING_SIGMAS,
     SETTLE_TERMS_TOL,
     SETTLE_TOL,
@@ -95,36 +94,50 @@ def _load_config(config_arg: str) -> RunConfig:
 def _build_groups(cfg: RunConfig):
     """Instances to solve, grouped as (label, sweep_param, sweep_values, games)."""
     if cfg.scenario == "same-type":
-        games = [scenario_same_type(l, cfg.market, cfg.load_spec) for l in cfg.l_total_grid]
+        games = [
+            _build(f"market, load_spec, l_total_grid[{k}]", scenario_same_type,
+                   l, cfg.market, cfg.load_spec)
+            for k, l in enumerate(cfg.l_total_grid)
+        ]
         return [("same-type", "l_total", list(cfg.l_total_grid), games)]
     if cfg.scenario == "omega":
-        games = [scenario_omega(w, cfg.l_total, cfg.market, cfg.load_spec) for w in cfg.omega_grid]
+        games = [
+            _build(f"market, load_spec, l_total, omega_grid[{k}]", scenario_omega,
+                   w, cfg.l_total, cfg.market, cfg.load_spec)
+            for k, w in enumerate(cfg.omega_grid)
+        ]
         return [("omega", "omega", list(cfg.omega_grid), games)]
     if cfg.scenario == "price-sweep":
         groups = []
-        for n in cfg.n_sps:
-            games = scenario_price_sweep(n, cfg.d_grid, cfg.l_total, cfg.market, cfg.load_spec)
+        for k, n in enumerate(cfg.n_sps):
+            games = _build(f"market, load_spec, l_total, n_sps[{k}], d_grid",
+                           scenario_price_sweep, n, cfg.d_grid, cfg.l_total, cfg.market,
+                           cfg.load_spec)
             groups.append((f"price-sweep-n{n}", "d", list(cfg.d_grid), games))
         return groups
     # custom: one instance assembled from the explicit provider list
-    base = synth_load(cfg.load_spec)
+    base = _build("load_spec", synth_load, cfg.load_spec)
     sps = []
-    for spec in cfg.custom_sps:
+    for k, spec in enumerate(cfg.custom_sps):
         if spec.loads is not None:
             load = LoadProfile(spec.loads)
+        elif base.total <= 0.0 and spec.daily_total > 0.0:
+            raise ConfigError(f"custom_sps[{k}]: load shape sums to zero; give explicit loads")
         else:
-            if base.total <= 0.0 and spec.daily_total > 0.0:
-                raise ConfigError(
-                    f"custom_sps[{len(sps)}]: load shape sums to zero; give explicit loads"
-                )
             factor = 0.0 if spec.daily_total == 0.0 else spec.daily_total / base.total
-            load = scale_load(base, factor)
+            load = _build(f"load_spec, custom_sps[{k}].daily_total", scale_load, base, factor)
         sps.append(ServiceProvider(spec.id, spec.beta, load))
-    try:
-        game = GameInstance(market=cfg.market, sps=tuple(sps))
-    except ValueError as exc:
-        raise ConfigError(f"custom_sps: {exc}") from exc
+    game = _build("custom_sps", GameInstance, cfg.market, tuple(sps))
     return [("custom", "index", [0.0], [game])]
+
+
+def _build(fields: str, make, *args):
+    """``make(*args)``, with a ValueError the model raises reported as a
+    :class:`ConfigError` that names the config ``fields`` it was built from."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{fields}: {exc}") from exc
 
 
 def _rel_err(got: float, ref: float) -> float:

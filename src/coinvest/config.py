@@ -242,6 +242,14 @@ def config_from_dict(data: dict) -> RunConfig:
     )
     if scenario == "custom" and not custom_sps:
         raise ConfigError("the custom scenario requires at least one entry in 'custom_sps'")
+    # every scenario but a custom one with explicit loads shapes loads from the spec
+    if load_spec.T != market.T and (
+        scenario != "custom" or any(sp.loads is None for sp in custom_sps)
+    ):
+        raise ConfigError(
+            f"config field 'load_spec.T' is {load_spec.T} but 'market.T' is {market.T}; "
+            "loads synthesized from the spec need one slot per market timeslot"
+        )
 
     out_dir = _string(data.get("out_dir", "out"), "out_dir")
     seed = _integer(data.get("seed", 0), "seed", minimum=0)

@@ -9,7 +9,9 @@ capacity can be deployed and a coalition is worth exactly zero.
 
 Because the objective decomposes per provider, a coalition's value is the sum
 of each member provider's standalone optimum, which is what makes the rest of
-the analysis (payoff division, stability checks) tractable.
+the analysis (payoff division, stability checks) tractable. Summing those
+optima is decided here only: :func:`coalition_value` for one coalition,
+:meth:`GameInstance.coalition_table` for all 2^n of them, bit-identically.
 """
 
 from __future__ import annotations
@@ -18,10 +20,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
+import numpy as np
+
 #: Player id of the network owner. It hosts capacity, serves no load itself.
 NO = "NO"
 
 DAYS_PER_YEAR = 365
+
+#: Every exact route and check enumerates all 2^n coalitions; capped here.
+MAX_ENUMERATION_PLAYERS = 20
 
 #: A coalition is any subset of the player ids of a game.
 Coalition = frozenset[str]
@@ -182,6 +189,30 @@ class GameInstance:
             object.__setattr__(self, "_optima", cached)
         return cached
 
+    def coalition_table(self) -> np.ndarray:
+        """Value of every coalition, indexed by membership bitmask over :attr:`players`.
+
+        Built once and cached read-only, so every exact route and check
+        shares one table. The subset sums of the providers' standalone
+        profits come from :func:`_fsum_subset_sums` in O(2^n) numpy passes,
+        bit-identical to :func:`coalition_value`; the owner is the last
+        player, so the high bit, and every coalition without it is worth 0.
+        """
+        cached = self.__dict__.get("_coalition_table")
+        if cached is None:
+            n = len(self.players)
+            if n > MAX_ENUMERATION_PLAYERS:
+                raise ValueError(
+                    f"{n} players exceeds the enumeration bound of {MAX_ENUMERATION_PLAYERS}; "
+                    "only shapley_sampling of a GameInstance runs beyond it"
+                )
+            optima = self.standalone_optima()
+            sums = _fsum_subset_sums([optima[sp.id].value for sp in self.sps])
+            cached = np.concatenate([np.zeros(sums.size), sums])
+            cached.flags.writeable = False
+            object.__setattr__(self, "_coalition_table", cached)
+        return cached
+
     def value(self, coalition: Iterable[str]) -> float:
         """Characteristic function, see :func:`coalition_value`."""
         return coalition_value(self, coalition)
@@ -242,6 +273,51 @@ def coalition_value(game: GameInstance, coalition: Iterable[str]) -> float:
         return 0.0
     optima = game.standalone_optima()
     return math.fsum(optima[pid].value for pid in members if pid != NO)
+
+
+def _two_sum(a, b):
+    """``(s, err)`` with ``s = fl(a + b)`` and ``s + err == a + b`` exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fsum_subset_sums(x) -> np.ndarray:
+    """``math.fsum`` of the finite ``x`` over every coalition, indexed by bitmask.
+
+    Built by doubling (``t <- [t, t + x_k]``, so bit k is term k), but
+    error-free: each sum is carried as ``hi + lo`` plus the rounding errors
+    of the ``lo`` additions, whose magnitudes add up in ``slack`` (Ogita,
+    Rump & Oishi 2005, "Accurate sum and dot product"). The rounded
+    ``hi + lo`` is the correctly rounded exact sum, which is what ``fsum``
+    returns, when ``slack`` is zero, or when the exact sum, known to within
+    ``slack``, lies strictly inside the rounding interval of ``hi + lo``.
+    Every other entry, and any that is not finite, is recomputed with
+    ``fsum``.
+    """
+    x = [float(v) for v in x]
+    size = 1 << len(x)
+    hi, lo, slack = np.zeros(size), np.zeros(size), np.zeros(size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, term in enumerate(x):
+            h = 1 << k
+            hi[h:2 * h], err = _two_sum(hi[:h], term)
+            lo[h:2 * h], lost = _two_sum(lo[:h], err)
+            slack[h:2 * h] = slack[:h] + np.abs(lost)
+        # where slack is 0, hi + lo is the exact sum (on real games, everywhere)
+        rough = np.flatnonzero(slack)
+        sums, err = _two_sum(hi[rough], lo[rough])
+        # inflated to cover the rounding of slack's own additions (one per term)
+        bound = slack[rough] * (1.0 + 1e-10)
+        up = (np.nextafter(sums, np.inf) - sums) * 0.5
+        down = (sums - np.nextafter(sums, -np.inf)) * 0.5
+        inside = (err + bound < up) & (err - bound > -down)
+        sums = np.add(hi, lo, out=hi)
+    redo = ~np.isfinite(sums)
+    redo[rough[~inside]] = True
+    for mask in np.flatnonzero(redo).tolist():
+        sums[mask] = math.fsum(v for k, v in enumerate(x) if mask >> k & 1)
+    return sums
 
 
 def grand_allocation(game: GameInstance) -> Allocation:

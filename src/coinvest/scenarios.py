@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .game import (
+    MAX_ENUMERATION_PLAYERS,
     NO,
     GameInstance,
     LoadProfile,
@@ -24,7 +25,6 @@ from .game import (
 )
 from .shapley import (
     AGREEMENT_TOL,
-    MAX_ENUMERATION_PLAYERS,
     ShapleyMethod,
     shapley_closed_form,
     shapley_enumeration,

@@ -2,9 +2,15 @@
 
 The oracles deliberately avoid the production shortcuts: Shapley values are
 re-derived by averaging over every arrival order, single-provider optima by
-dense grid search or golden-section search over the raw objective, and the
-core, supermodularity and classification checks by plain loops over
-coalitions.
+dense grid search or golden-section search over the raw objective, the core,
+supermodularity and classification checks by plain loops over coalitions,
+and sampled payoffs by walking each arrival order through the coalition
+table.
+
+:class:`TabularGame` gives the exact routes and checks hand-built games,
+including ones the coinvestment model can never produce (e.g. non-convex
+fixtures): like a ``GameInstance`` it has ``players`` and
+``coalition_table()``, plus ``value(coalition)`` for the loop oracles.
 """
 
 import itertools
@@ -16,10 +22,10 @@ from hypothesis import settings
 
 from coinvest import (
     GameInstance,
+    LoadProfile,
     MarketParams,
     ServiceProvider,
     SinusoidalLoadSpec,
-    TabularGame,
     amortized_unit_price,
     scale_load,
     synth_load,
@@ -29,6 +35,86 @@ from coinvest import (
 # (a 2^n table) is not a failure.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+class TabularGame:
+    """Characteristic function given explicitly as a table.
+
+    Coalitions missing from ``values`` take ``default``; pass ``default=None``
+    to require a complete table.
+    """
+
+    def __init__(self, players, values, default=0.0):
+        self.players = tuple(players)
+        known = frozenset(self.players)
+        if len(known) != len(self.players):
+            raise ValueError(f"player ids must be unique, got {self.players!r}")
+        self._values = {}
+        for coal, val in values.items():
+            members = frozenset(coal)
+            if not members <= known:
+                raise ValueError(f"table entry {sorted(members)!r} references unknown players")
+            self._values[members] = float(val)
+        self._default = None if default is None else float(default)
+
+    def value(self, coalition):
+        members = frozenset(coalition)
+        if not members <= frozenset(self.players):
+            raise ValueError(f"coalition references unknown players: {sorted(members)!r}")
+        got = self._values.get(members)
+        if got is not None:
+            return got
+        if self._default is None:
+            raise KeyError(f"no value for coalition {sorted(members)!r}")
+        return self._default
+
+    def coalition_table(self):
+        """Every coalition's value in bitmask order, built once by a plain loop."""
+        table = self.__dict__.get("_coalition_table")
+        if table is None:
+            table = np.array([self.value(c) for c in coalitions_by_mask(self.players)])
+            table.flags.writeable = False
+            self._coalition_table = table
+        return table
+
+
+def marginal_contribution(game, player, coalition):
+    """Value the player adds on joining: v(S + player) - v(S)."""
+    members = frozenset(coalition)
+    if player in members:
+        raise ValueError(f"player {player!r} is already in the coalition")
+    return float(game.value(members | {player}) - game.value(members))
+
+
+def bloated_game(n_players=21):
+    """A coinvestment instance with one player more than the enumeration bound.
+
+    Building it is cheap; only reading its 2^n coalition table is refused.
+    """
+    market = MarketParams()
+    load = LoadProfile([1e6 / market.T] * market.T)
+    sps = tuple(ServiceProvider(f"SP{k}", 1e-6, load) for k in range(n_players - 1))
+    return GameInstance(market, sps)
+
+
+def sampling_by_table(game, samples, seed):
+    """Reference sampler: (payoffs, stderr) from one block of arrival orders.
+
+    Draws ``rng.random((samples, n))`` arrival keys, as the production
+    sampler's first block does, sorts each row into an arrival order and
+    reads every player's marginal contribution off the coalition table.
+    """
+    players = tuple(game.players)
+    keys = np.random.default_rng(seed).random((samples, len(players)))
+    table = game.coalition_table()
+    order = np.argsort(keys, axis=1)
+    masks = np.bitwise_or.accumulate(np.left_shift(1, order), axis=1)
+    gains = np.diff(table[masks], axis=1, prepend=table[0])
+    marginals = np.empty_like(keys)
+    np.put_along_axis(marginals, order, gains, axis=1)
+    mean = marginals.mean(axis=0)
+    se = marginals.std(axis=0, ddof=1) / math.sqrt(samples)
+    return dict(zip(players, mean.tolist())), dict(zip(players, se.tolist()))
 
 
 def shapley_by_orderings(players, value_fn):

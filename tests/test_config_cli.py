@@ -71,6 +71,21 @@ class TestParseConfig:
         cfg = parse_config('{"market": {"T": 48}}')
         assert cfg.load_spec.T == 48
 
+    def test_load_spec_slots_must_match_the_market(self):
+        with pytest.raises(ConfigError, match="load_spec.T"):
+            parse_config('{"load_spec": {"T": 24}}')
+        shaped = {"id": "A", "beta": 2e-6, "daily_total": 5e5}
+        explicit = {"id": "B", "beta": 2e-6, "loads": [1.0] * 96}
+        with pytest.raises(ConfigError, match="load_spec.T"):
+            parse_config(json.dumps(
+                {"scenario": "custom", "load_spec": {"T": 24}, "custom_sps": [explicit, shaped]}
+            ))
+        # explicit loads read nothing from the spec
+        cfg = parse_config(json.dumps(
+            {"scenario": "custom", "load_spec": {"T": 24}, "custom_sps": [explicit]}
+        ))
+        assert cfg.load_spec.T == 24
+
     def test_custom_scenario_needs_providers(self):
         with pytest.raises(ConfigError, match="custom_sps"):
             parse_config('{"scenario": "custom"}')
@@ -261,6 +276,67 @@ class TestCliRun:
             assert result.exit_code == 1, args
             assert "custom_sps" in result.output and "['a', 'b']" in result.output
             assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_load_spec_slot_mismatch_exits_1(self, tmp_path):
+        cfg = json.dumps({"load_spec": {"T": 24}})
+        out = tmp_path / "t"
+        for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert "load_spec.T" in result.output and "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_explicit_loads_ignore_the_spec_slots(self, tmp_path):
+        cfg = json.dumps(
+            {
+                "scenario": "custom",
+                "load_spec": {"T": 24},
+                "custom_sps": [{"id": "A", "beta": 3e-6, "loads": [1e4] * 96}],
+            }
+        )
+        result = run_cli("run", cfg, "--out", str(tmp_path / "e"), "--strict")
+        assert result.exit_code == 0, result.output
+        result = run_cli("verify", json.dumps({**json.loads(cfg), "samples": 1000}))
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize(
+        "scenario, field",
+        [("same-type", "l_total_grid[0]"), ("omega", "omega_grid[0]"), ("price-sweep", "d_grid")],
+    )
+    def test_overflowing_scenario_instance_exits_1(self, tmp_path, scenario, field):
+        # the benefit factor is pinned to d / (D*T), so xi * beta * L overflows
+        cfg = json.dumps({"scenario": scenario, "market": {"d": 1e300, "xi": 1e150}})
+        out = tmp_path / "o"
+        for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert "market" in result.output and field in result.output, result.output
+            assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, fields",
+        [
+            # every slot clamps to zero, so no shape scales to l_total
+            ({"load_spec": {"a0": -5.0}}, "load_spec, l_total_grid[0]"),
+            (
+                {
+                    "scenario": "custom",
+                    "load_spec": {"a0": 1e-300, "components": [[0.0, 0.0]]},
+                    "custom_sps": [{"id": "a", "beta": 1e-6, "daily_total": 1e300}],
+                },
+                "load_spec, custom_sps[0].daily_total",
+            ),
+        ],
+    )
+    def test_unscalable_load_shape_exits_1(self, tmp_path, config, fields):
+        cfg = json.dumps(config)
+        out = tmp_path / "z"
+        for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert fields in result.output, result.output
         assert not out.exists()
 
     def test_io_error_exits_3(self, tmp_path):

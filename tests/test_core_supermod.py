@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+import coinvest.game
 from coinvest import (
     NO,
     GameInstance,
@@ -13,12 +14,10 @@ from coinvest import (
     MarketParams,
     ServiceProvider,
     SinusoidalLoadSpec,
-    TabularGame,
     check_core,
     check_supermodularity,
     classify_players,
     coalition_value,
-    marginal_contribution,
     scale_load,
     shapley_closed_form,
     shapley_enumeration,
@@ -27,9 +26,12 @@ from coinvest import (
 )
 
 from conftest import (
+    TabularGame,
+    bloated_game,
     classification_scan,
     coalitions_by_mask,
     core_scan,
+    marginal_contribution,
     random_game,
     supermodularity_scan,
     veto_table_game,
@@ -99,19 +101,6 @@ def oracle_games():
     yield from integer_games()
 
 
-class CountingGame:
-    """Forwards to a game and counts characteristic-function evaluations."""
-
-    def __init__(self, game):
-        self.players = game.players
-        self.calls = 0
-        self._game = game
-
-    def value(self, coalition):
-        self.calls += 1
-        return self._game.value(coalition)
-
-
 class TestCore:
     def test_shapley_payoffs_are_in_the_core(self, rng):
         for _ in range(30):
@@ -153,17 +142,22 @@ class TestCore:
             check_core(game, {"SP1": 0.0, NO: 0.0})
 
     def test_slack_map(self, rng):
+        # payoff minus value: zero on the empty and the grand coalition, never negative
         game = random_game(rng, n_sps=2)
-        result = check_core(game, shapley_closed_form(game).payoffs, include_slack=True)
-        assert result.slack[frozenset()] == 0.0
-        assert len(result.slack) == 2 ** len(game.players)
-        assert all(gap >= -1e-9 for gap in result.slack.values())
-        grand = frozenset(game.players)
-        assert result.slack[grand] == pytest.approx(0.0, abs=1e-9)
+        payoffs = shapley_closed_form(game).payoffs
+        assert check_core(game, payoffs).in_core
+        slack = {
+            c: math.fsum(payoffs[p] for p in c) - v
+            for c, v in zip(coalitions_by_mask(game.players), game.coalition_table())
+        }
+        assert slack[frozenset()] == 0.0
+        assert len(slack) == 2 ** len(game.players)
+        assert all(gap >= -1e-9 for gap in slack.values())
+        assert slack[frozenset(game.players)] == pytest.approx(0.0, abs=1e-9)
 
     def test_player_bound(self):
-        bloated = TabularGame(tuple(f"P{i}" for i in range(21)), {}, default=0.0)
-        with pytest.raises(ValueError):
+        bloated = bloated_game()
+        with pytest.raises(ValueError, match="enumeration bound"):
             check_core(bloated, {p: 0.0 for p in bloated.players})
 
     def test_rounding_shortfall_is_not_blocked(self):
@@ -222,9 +216,8 @@ class TestSupermodularity:
             assert report.holds is holds
 
     def test_player_bound(self):
-        bloated = TabularGame(tuple(f"P{i}" for i in range(21)), {}, default=0.0)
-        with pytest.raises(ValueError):
-            check_supermodularity(bloated)
+        with pytest.raises(ValueError, match="enumeration bound"):
+            check_supermodularity(bloated_game())
 
     def test_accepts_thirteen_players(self):
         game = TabularGame(tuple(f"P{i}" for i in range(13)), {}, default=0.0)
@@ -294,10 +287,18 @@ class TestLoopOracles:
         for game in oracle_games():
             assert classify_players(game) == classification_scan(game)
 
-    def test_one_table_serves_every_check(self):
-        game = CountingGame(veto_table_game({"SP1": 3.0, "SP2": 1.0, "SP3": 2.0}))
+    def test_one_table_serves_every_check(self, monkeypatch, rng):
+        build = coinvest.game._fsum_subset_sums
+        builds = []
+
+        def counting(x):
+            builds.append(len(x))
+            return build(x)
+
+        monkeypatch.setattr(coinvest.game, "_fsum_subset_sums", counting)
+        game = random_game(rng, n_sps=3)
         payoffs = shapley_enumeration(game).payoffs
         assert check_core(game, payoffs).in_core
         assert check_supermodularity(game).holds
         assert classify_players(game)[NO].veto
-        assert game.calls == 2 ** len(game.players)
+        assert builds == [3]

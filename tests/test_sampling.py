@@ -19,9 +19,7 @@ from coinvest import (
     shapley_sampling,
 )
 
-from coinvest.shapley import MAX_ENUMERATION_PLAYERS
-
-from conftest import random_game
+from conftest import random_game, sampling_by_table
 
 
 def test_deterministic_for_fixed_seed(rng):
@@ -76,22 +74,15 @@ def test_rejects_nonpositive_samples(rng):
         shapley_sampling(game, 0)
 
 
-class PlainGame:
-    """Only ``players`` and ``value``: hides the GameInstance from the sampler."""
-
-    def __init__(self, game):
-        self.players = game.players
-        self.value = game.value
-
-
 @pytest.mark.parametrize("n_players", [3, 8, 12])
 def test_instance_and_table_routes_agree(rng, n_players):
+    # the same arrival keys walked through the coalition table
     game = random_game(rng, n_sps=n_players - 1)
     direct = shapley_sampling(game, 3000, seed=13)
-    tabled = shapley_sampling(PlainGame(game), 3000, seed=13)
+    payoffs, stderr = sampling_by_table(game, 3000, seed=13)
     for pid in game.players:
-        assert direct.payoffs[pid] == pytest.approx(tabled.payoffs[pid], rel=1e-9, abs=1e-9)
-        assert direct.stderr[pid] == pytest.approx(tabled.stderr[pid], rel=1e-9, abs=1e-9)
+        assert direct.payoffs[pid] == pytest.approx(payoffs[pid], rel=1e-9, abs=1e-9)
+        assert direct.stderr[pid] == pytest.approx(stderr[pid], rel=1e-9, abs=1e-9)
 
 
 def test_instance_route_runs_past_the_enumeration_bound(rng):
@@ -103,36 +94,6 @@ def test_instance_route_runs_past_the_enumeration_bound(rng):
         assert abs(sampled.payoffs[pid] - closed[pid]) <= margin
     grand = coalition_value(game, game.players)
     assert abs(math.fsum(sampled.payoffs.values()) - grand) <= 1e-9 * max(1.0, grand)
-
-
-def test_generic_game_is_bounded_like_enumeration():
-    class CountingGame:
-        players = tuple(f"P{i}" for i in range(MAX_ENUMERATION_PLAYERS + 1))
-
-        def value(self, coalition):
-            return float(len(frozenset(coalition)))
-
-    with pytest.raises(ValueError, match=f"enumeration bound of {MAX_ENUMERATION_PLAYERS}"):
-        shapley_sampling(CountingGame(), 10)
-
-
-def test_table_route_handles_seventeen_players():
-    class SizeSquaredGame:
-        players = tuple(f"P{i}" for i in range(17))
-
-        def value(self, coalition):
-            return float(len(frozenset(coalition)) ** 2)
-
-    game = SizeSquaredGame()
-    first = shapley_sampling(game, 300, seed=5)
-    second = shapley_sampling(game, 300, seed=5)
-    assert first.payoffs == second.payoffs
-    total = math.fsum(first.payoffs.values())
-    assert total == pytest.approx(float(17**2), rel=1e-9)
-    # symmetric game: every player's true share is n^2 / n = 17
-    for pid in game.players:
-        margin = 3.0 * first.stderr[pid] + 1e-9
-        assert abs(first.payoffs[pid] - 17.0) <= margin
 
 
 @pytest.mark.parametrize(
@@ -154,12 +115,11 @@ def test_stays_finite_at_huge_scale(market, providers):
         ),
     )
     closed = shapley_closed_form(game).payoffs
-    for route in (game, PlainGame(game)):
-        sampled = shapley_sampling(route, 2000, seed=3)
-        assert all(math.isfinite(se) and se > 0.0 for se in sampled.stderr.values())
-        for pid in game.players:
-            margin = 4.0 * sampled.stderr[pid] + 1e-9 * abs(closed[pid])
-            assert abs(sampled.payoffs[pid] - closed[pid]) <= margin
+    sampled = shapley_sampling(game, 2000, seed=3)
+    assert all(math.isfinite(se) and se > 0.0 for se in sampled.stderr.values())
+    for pid in game.players:
+        margin = 4.0 * sampled.stderr[pid] + 1e-9 * abs(closed[pid])
+        assert abs(sampled.payoffs[pid] - closed[pid]) <= margin
 
 
 _MARKET = MarketParams()

@@ -10,15 +10,19 @@ from coinvest import (
     LoadProfile,
     MarketParams,
     ServiceProvider,
-    TabularGame,
     amortized_unit_price,
     coalition_value,
-    marginal_contribution,
     shapley_closed_form,
     shapley_enumeration,
 )
 
-from conftest import random_game, shapley_by_orderings, veto_table_game
+from conftest import (
+    bloated_game,
+    marginal_contribution,
+    random_game,
+    shapley_by_orderings,
+    veto_table_game,
+)
 
 
 class TestMarginalContribution:
@@ -38,11 +42,6 @@ class TestMarginalContribution:
         got = marginal_contribution(game, "SP1", [NO])
         expected = coalition_value(game, [NO, "SP1"]) - coalition_value(game, [NO])
         assert got == expected
-
-    def test_member_cannot_rejoin(self, rng):
-        game = random_game(rng, n_sps=2)
-        with pytest.raises(ValueError):
-            marginal_contribution(game, "SP1", ["SP1", NO])
 
 
 class TestEnumeration:
@@ -83,10 +82,8 @@ class TestEnumeration:
             assert abs(result.payoffs[NO] - grand / 2.0) <= 1e-9 * max(1.0, grand)
 
     def test_player_bound(self):
-        players = tuple(f"P{i}" for i in range(21))
-        bloated = TabularGame(players, {}, default=0.0)
         with pytest.raises(ValueError, match="sampling"):
-            shapley_enumeration(bloated)
+            shapley_enumeration(bloated_game())
 
 
 class TestClosedForm:

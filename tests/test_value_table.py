@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import coinvest.game
 from coinvest import GameInstance, LoadProfile, MarketParams, ServiceProvider, coalition_value
-from coinvest.shapley import _fsum_subset_sums, _value_table
+from coinvest.game import _fsum_subset_sums
 
-from conftest import coalitions_by_mask
+from conftest import bloated_game, coalitions_by_mask
 
 _MARKET = MarketParams()
 
@@ -58,7 +58,7 @@ def games(draw):
 @settings(max_examples=150)
 @given(game=games())
 def test_table_is_bit_identical_to_fsum(game):
-    assert_bit_identical(_value_table(game), fsum_table(game))
+    assert_bit_identical(game.coalition_table(), fsum_table(game))
 
 
 def test_rounding_tie_matches_fsum():
@@ -85,19 +85,14 @@ def test_game_table_makes_no_value_calls(monkeypatch):
             for k in range(6)
         ),
     )
-    table = _value_table(game)
+    table = game.coalition_table()
     assert calls == []
     assert not table.flags.writeable
-    assert _value_table(game) is table
+    assert game.coalition_table() is table
     monkeypatch.undo()
     assert_bit_identical(table, fsum_table(game))
 
 
 def test_game_table_is_bounded_like_enumeration():
-    T = _MARKET.T
-    game = GameInstance(
-        _MARKET,
-        tuple(ServiceProvider(f"SP{k}", 1e-6, LoadProfile([1e6 / T] * T)) for k in range(20)),
-    )
     with pytest.raises(ValueError, match="enumeration bound"):
-        _value_table(game)
+        bloated_game().coalition_table()
