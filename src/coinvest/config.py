@@ -26,6 +26,10 @@ from .scenarios import (
 from .shapley import ShapleyMethod
 
 SCENARIOS = ("same-type", "omega", "price-sweep", "custom")
+#: Most permutations a config may ask the sampler for, per instance. The
+#: sampler's time grows linearly in it, so a mistyped count (say 1e12) is
+#: refused before any work instead of running until it is killed.
+MAX_SAMPLES = 10**8
 
 _TOP_KEYS = {
     "scenario", "description", "market", "load_spec", "l_total", "l_total_grid",
@@ -254,6 +258,8 @@ def config_from_dict(data: dict) -> RunConfig:
     out_dir = _string(data.get("out_dir", "out"), "out_dir")
     seed = _integer(data.get("seed", 0), "seed", minimum=0)
     samples = _integer(data.get("samples", 100_000), "samples", minimum=1)
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"config field 'samples' must be <= {MAX_SAMPLES}, got {samples!r}")
 
     method_name = _string(data.get("method", "closed"), "method")
     try:

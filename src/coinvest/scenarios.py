@@ -65,11 +65,16 @@ class SinusoidalLoadSpec:
             raise ValueError(f"T must be an integer >= 1, got {self.T!r}")
 
     def raw_profile(self) -> np.ndarray:
-        """The shape before clamping; may dip below zero."""
+        """The shape before clamping; may dip below zero.
+
+        Finite parameters can still overflow to inf or nan; that is left for
+        the callers' finite checks to report, without a numpy warning.
+        """
         t = np.arange(1, self.T + 1, dtype=float)
         out = np.full(self.T, float(self.a0))
-        for k, (amp, offset) in enumerate(self.components, start=1):
-            out += amp * np.sin(2.0 * k * math.pi * (t - offset) / self.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (amp, offset) in enumerate(self.components, start=1):
+                out += amp * np.sin(2.0 * k * math.pi * (t - offset) / self.T)
         return out
 
 

@@ -165,26 +165,43 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     """Monte Carlo Shapley estimate from random arrival orders.
 
     Averages each player's marginal contribution over ``samples`` uniformly
-    random permutations (Castro, Gomez & Tejada 2009). Unbiased, deterministic
-    for a fixed seed, and the estimates sum to the grand value up to rounding
-    (each permutation telescopes). Reports one standard error per player.
+    random permutations (Castro, Gomez & Tejada 2009). No coalition value is
+    read: a provider adds its standalone profit m_i exactly when the owner
+    arrived before it, so its sum is m_i times a count of orders, and only the
+    owner, who adds the m_j of the providers before it, is valued per order.
+    Unbiased, deterministic for a fixed seed, and the estimates sum to the
+    grand value up to rounding (each permutation telescopes). Reports one
+    standard error per player.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     players = tuple(game.players)
     n = len(players)
+    optima = game.standalone_optima()
+    profit = np.array([optima[sp.id].value for sp in game.sps])
+    # in units of a power of two near the largest m_i (exact), so that the
+    # owner's squared values stay finite whenever they are
+    unit = _unit(profit)
+    profit /= unit
     rng = np.random.default_rng(seed)
-    sums = np.zeros(n)
-    sqs = np.zeros(n)
+    count = np.zeros(n - 1)  # per provider: orders where the owner arrived first
+    owner_sum = owner_sq = 0.0
     # at most 2^17 orders and 2^21 cells per block: memory stays bounded for any n
-    rows = max(1, min(1 << 17, (1 << 21) // max(n, 1)))
+    rows = max(1, min(1 << 17, (1 << 21) // n))
     remaining = samples
     while remaining:
         block = min(remaining, rows)
-        marginals, unit = _marginals(game, rng.random((block, n)))
-        sums += marginals.sum(axis=0)
-        sqs += (marginals * marginals).sum(axis=0)
+        # keys[r, k] is player k's arrival time in order r; the owner is last
+        keys = rng.random((block, n))
+        before = keys[:, :-1] <= keys[:, -1:]
+        # an exact count: a BLAS mat-vec beats a reduction over a bool matrix
+        count += block - np.ones(block) @ before
+        owner = before @ profit
+        owner_sum += owner.sum()
+        owner_sq += owner @ owner
         remaining -= block
+    sums = np.append(count * profit, owner_sum)
+    sqs = np.append(count * profit * profit, owner_sq)
     mean = sums / samples
     var = np.maximum(sqs / samples - mean * mean, 0.0)
     if samples > 1:
@@ -196,27 +213,6 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
         sample_count=int(samples),
         stderr={pid: float(se[i] * unit) for i, pid in enumerate(players)},
     )
-
-
-def _marginals(game: GameInstance, keys: np.ndarray) -> tuple[np.ndarray, float]:
-    """Every player's marginal contribution in a block of arrival orders.
-
-    ``keys[r, k]`` is player k's arrival time in order r. No coalition value
-    is read: a provider adds its standalone profit m_i when the owner arrived
-    first and nothing otherwise, and the owner adds the m_j of the providers
-    before it. Returns the ``(orders, players)`` marginals in units of the
-    largest power of two not above the largest m_i, so that their squares
-    stay finite whenever they are; scaling by a power of two is exact.
-    """
-    optima = game.standalone_optima()
-    profit = np.array([optima[sp.id].value for sp in game.sps])
-    unit = _unit(profit)
-    profit /= unit
-    after = keys[:, :-1] > keys[:, -1:]
-    marginals = np.empty_like(keys)
-    marginals[:, :-1] = after * profit
-    marginals[:, -1] = (~after * profit).sum(axis=1)
-    return marginals, unit
 
 
 def _unit(values: np.ndarray) -> float:

@@ -5,7 +5,7 @@ re-derived by averaging over every arrival order, single-provider optima by
 dense grid search or golden-section search over the raw objective, the core,
 supermodularity and classification checks by plain loops over coalitions,
 and sampled payoffs by walking each arrival order through the coalition
-table.
+table or by exact rational arithmetic over the same arrival orders.
 
 :class:`TabularGame` gives the exact routes and checks hand-built games,
 including ones the coinvestment model can never produce (e.g. non-convex
@@ -15,6 +15,7 @@ fixtures): like a ``GameInstance`` it has ``players`` and
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +116,34 @@ def sampling_by_table(game, samples, seed):
     mean = marginals.mean(axis=0)
     se = marginals.std(axis=0, ddof=1) / math.sqrt(samples)
     return dict(zip(players, mean.tolist())), dict(zip(players, se.tolist()))
+
+
+def sampling_exact_mean(game, samples, seed):
+    """Exact rational mean of every player's marginal contribution over the
+    arrival orders that ``shapley_sampling`` draws for ``samples`` and ``seed``.
+
+    The keys are ``rng.random((samples, n))``: the production sampler draws
+    them in blocks of rows, which yields the same numbers in the same order.
+    A provider's mean is m_i times the fraction of orders in which the owner
+    arrived first; the owner's is the average of the summed profits of the
+    providers before it, grouped by the set of providers that came first.
+    """
+    players = tuple(game.players)
+    keys = np.random.default_rng(seed).random((samples, len(players)))
+    optima = game.standalone_optima()
+    profit = [Fraction(optima[sp.id].value) for sp in game.sps]
+    before = keys[:, :-1] <= keys[:, -1:]
+    mean = {
+        pid: int(np.count_nonzero(~before[:, i])) * profit[i] / samples
+        for i, pid in enumerate(players[:-1])
+    }
+    sets, counts = np.unique(before @ (1 << np.arange(len(profit))), return_counts=True)
+    owner = sum(
+        int(count) * sum(m for i, m in enumerate(profit) if int(mask) >> i & 1)
+        for mask, count in zip(sets, counts)
+    )
+    mean[players[-1]] = Fraction(owner) / samples
+    return mean
 
 
 def shapley_by_orderings(players, value_fn):
@@ -247,6 +276,27 @@ def random_game(rng, n_sps=None, market=None):
         total = float(rng.uniform(5e4, 2e6))
         sps.append(ServiceProvider(f"SP{k + 1}", beta, random_load(rng, market, total)))
     return GameInstance(market=market, sps=tuple(sps))
+
+
+def heterogeneous_game():
+    """Seven providers with distinct rates and loads, one of them (SP03) idle."""
+    base = synth_load(SinusoidalLoadSpec())
+    sps = [
+        ("SP01", 2.782702349577632e-06, 992293.889926531),
+        ("SP02", 1.3779100235983496e-06, 1752513.8665936508),
+        ("SP03", 1.7606817735646794e-06, 16225.109511770066),
+        ("SP04", 1.839827684890239e-06, 541052.5446629863),
+        ("SP05", 1.3486037168329595e-06, 884021.6108645312),
+        ("SP06", 1.029460063623702e-06, 1146874.5558454327),
+        ("SP07", 2.490016333643833e-06, 533344.8534827954),
+    ]
+    return GameInstance(
+        MarketParams(),
+        tuple(
+            ServiceProvider(pid, beta, scale_load(base, total / base.total))
+            for pid, beta, total in sps
+        ),
+    )
 
 
 def veto_table_game(contributions):

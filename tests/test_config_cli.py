@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import coinvest.cli as cli_mod
+import coinvest.scenarios as scenarios_mod
 from coinvest import (
     ConfigError,
     RunConfig,
@@ -19,7 +21,7 @@ from coinvest import (
     parse_config,
 )
 from coinvest.cli import CSV_COLUMNS, main
-from coinvest.config import load_preset, preset_names
+from coinvest.config import MAX_SAMPLES, load_preset, preset_names
 
 
 class TestParseConfig:
@@ -56,6 +58,11 @@ class TestParseConfig:
             parse_config('{"method": "guess"}')
         with pytest.raises(ConfigError, match="samples"):
             parse_config('{"samples": 0}')
+
+    def test_samples_are_capped(self):
+        assert parse_config(json.dumps({"samples": MAX_SAMPLES})).samples == MAX_SAMPLES
+        with pytest.raises(ConfigError, match=f"'samples' must be <= {MAX_SAMPLES}"):
+            parse_config(json.dumps({"samples": MAX_SAMPLES + 1}))
 
     def test_overrides_are_applied(self):
         cfg = parse_config(
@@ -339,6 +346,35 @@ class TestCliRun:
             assert fields in result.output, result.output
         assert not out.exists()
 
+    def test_overflowing_load_spec_exits_1_without_a_warning(self, tmp_path):
+        # every parameter is finite, but the evaluated shape overflows
+        cfg = json.dumps({"load_spec": {"a0": 1e308, "components": [[1e308, 0]]}})
+        out = tmp_path / "w"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
+                result = run_cli(*args)
+                assert result.exit_code == 1, args
+                assert "load_spec" in result.output, result.output
+        assert not out.exists()
+
+    def test_too_many_samples_exit_1_before_any_work(self, tmp_path, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        for module in (cli_mod, scenarios_mod):
+            monkeypatch.setattr(module, "shapley_sampling", no_sampling)
+        cfg = json.dumps({"l_total_grid": [2e6], "samples": MAX_SAMPLES + 1})
+        out = tmp_path / "s"
+        for args in (
+            ["run", cfg, "--out", str(out), "--method", "sample"],
+            ["verify", cfg],
+        ):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert "samples" in result.output, result.output
+        assert not out.exists()
+
     def test_io_error_exits_3(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -449,13 +485,18 @@ class TestCliVerifyAndPresets:
             assert name in result.output
 
     def test_module_entry_point(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        # the child imports the same package as this suite, installed or not
+        src = str(Path(cli_mod.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "coinvest", "presets"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "fig1" in proc.stdout

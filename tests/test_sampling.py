@@ -19,7 +19,7 @@ from coinvest import (
     shapley_sampling,
 )
 
-from conftest import random_game, sampling_by_table
+from conftest import heterogeneous_game, random_game, sampling_by_table, sampling_exact_mean
 
 
 def test_deterministic_for_fixed_seed(rng):
@@ -83,6 +83,17 @@ def test_instance_and_table_routes_agree(rng, n_players):
     for pid in game.players:
         assert direct.payoffs[pid] == pytest.approx(payoffs[pid], rel=1e-9, abs=1e-9)
         assert direct.stderr[pid] == pytest.approx(stderr[pid], rel=1e-9, abs=1e-9)
+
+
+def test_matches_the_exact_mean_of_its_orders():
+    # 200 000 orders span two blocks of keys; every payoff is the exactly
+    # rounded mean of its own orders' marginals, up to a few ulps
+    game = heterogeneous_game()
+    sampled = shapley_sampling(game, 200_000, seed=11).payoffs
+    exact = sampling_exact_mean(game, 200_000, seed=11)
+    for pid in game.players:
+        target = float(exact[pid])
+        assert abs(sampled[pid] - target) <= 4 * math.ulp(target), pid
 
 
 def test_instance_route_runs_past_the_enumeration_bound(rng):
