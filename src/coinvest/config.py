@@ -30,6 +30,16 @@ SCENARIOS = ("same-type", "omega", "price-sweep", "custom")
 #: sampler's time grows linearly in it, so a mistyped count (say 1e12) is
 #: refused before any work instead of running until it is killed.
 MAX_SAMPLES = 10**8
+#: Most providers per instance: each ``n_sps`` value and the length of
+#: ``custom_sps``. Past the 20-player enumeration bound only the closed form
+#: and sampling run, in time linear in the providers.
+MAX_PROVIDERS = 1000
+#: Most entries in one sweep list (``l_total_grid``, ``omega_grid``,
+#: ``d_grid``, ``n_sps``): each entry is one more instance to solve.
+MAX_GRID_POINTS = 1000
+#: Most timeslots per day (``market.T``, ``load_spec.T``, each custom
+#: ``loads``): every provider's load profile and optimum are this long.
+MAX_TIMESLOTS = 10**4
 
 _TOP_KEYS = {
     "scenario", "description", "market", "load_spec", "l_total", "l_total_grid",
@@ -141,12 +151,21 @@ def _number(value, field: str, *, minimum=None, strict_min=None) -> float:
     return value
 
 
-def _integer(value, field: str, *, minimum: int) -> int:
+def _integer(value, field: str, *, minimum: int, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"config field '{field}' must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"config field '{field}' must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"config field '{field}' must be <= {maximum}, got {value!r}")
     return value
+
+
+def _check_length(value: list, field: str, maximum: int) -> None:
+    if len(value) > maximum:
+        raise ConfigError(
+            f"config field '{field}' may hold at most {maximum} entries, got {len(value)}"
+        )
 
 
 def _string(value, field: str) -> str:
@@ -155,9 +174,10 @@ def _string(value, field: str) -> str:
     return value
 
 
-def _number_list(value, field: str, **kwargs) -> tuple[float, ...]:
+def _number_list(value, field: str, *, max_len: int, **kwargs) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"config field '{field}' must be a non-empty list of numbers")
+    _check_length(value, field, max_len)
     return tuple(_number(v, f"{field}[{i}]", **kwargs) for i, v in enumerate(value))
 
 
@@ -180,7 +200,9 @@ def config_from_dict(data: dict) -> RunConfig:
     if "Y" in market_data:
         market_kwargs["Y"] = _integer(market_data["Y"], "market.Y", minimum=1)
     if "T" in market_data:
-        market_kwargs["T"] = _integer(market_data["T"], "market.T", minimum=1)
+        market_kwargs["T"] = _integer(
+            market_data["T"], "market.T", minimum=1, maximum=MAX_TIMESLOTS
+        )
     if "xi" in market_data:
         market_kwargs["xi"] = _number(market_data["xi"], "market.xi", strict_min=0.0)
     market = MarketParams(**market_kwargs)
@@ -193,7 +215,9 @@ def config_from_dict(data: dict) -> RunConfig:
     if "a0" in spec_data:
         spec_kwargs["a0"] = _number(spec_data["a0"], "load_spec.a0")
     if "T" in spec_data:
-        spec_kwargs["T"] = _integer(spec_data["T"], "load_spec.T", minimum=1)
+        spec_kwargs["T"] = _integer(
+            spec_data["T"], "load_spec.T", minimum=1, maximum=MAX_TIMESLOTS
+        )
     if "components" in spec_data:
         comps = spec_data["components"]
         if not isinstance(comps, list) or not comps:
@@ -215,12 +239,14 @@ def config_from_dict(data: dict) -> RunConfig:
 
     l_total = _number(data.get("l_total", DEFAULT_L_TOTAL), "l_total", minimum=0.0)
     l_total_grid = (
-        _number_list(data["l_total_grid"], "l_total_grid", minimum=0.0)
+        _number_list(
+            data["l_total_grid"], "l_total_grid", max_len=MAX_GRID_POINTS, minimum=0.0
+        )
         if "l_total_grid" in data
         else DEFAULT_L_TOTAL_GRID
     )
     if "omega_grid" in data:
-        omega_grid = _number_list(data["omega_grid"], "omega_grid")
+        omega_grid = _number_list(data["omega_grid"], "omega_grid", max_len=MAX_GRID_POINTS)
         for i, w in enumerate(omega_grid):
             if not 0.5 <= w <= 1.0:
                 raise ConfigError(
@@ -229,7 +255,7 @@ def config_from_dict(data: dict) -> RunConfig:
     else:
         omega_grid = DEFAULT_OMEGA_GRID
     d_grid = (
-        _number_list(data["d_grid"], "d_grid", strict_min=0.0)
+        _number_list(data["d_grid"], "d_grid", max_len=MAX_GRID_POINTS, strict_min=0.0)
         if "d_grid" in data
         else DEFAULT_D_GRID
     )
@@ -239,11 +265,16 @@ def config_from_dict(data: dict) -> RunConfig:
         raw_n = [raw_n]
     if not isinstance(raw_n, list) or not raw_n:
         raise ConfigError("config field 'n_sps' must be an integer or a non-empty list")
-    n_sps = tuple(_integer(v, f"n_sps[{i}]", minimum=1) for i, v in enumerate(raw_n))
-
-    custom_sps = tuple(
-        _parse_custom_sp(entry, i) for i, entry in enumerate(data.get("custom_sps", []))
+    _check_length(raw_n, "n_sps", MAX_GRID_POINTS)
+    n_sps = tuple(
+        _integer(v, f"n_sps[{i}]", minimum=1, maximum=MAX_PROVIDERS) for i, v in enumerate(raw_n)
     )
+
+    raw_custom = data.get("custom_sps", [])
+    if not isinstance(raw_custom, list):
+        raise ConfigError("config field 'custom_sps' must be a list")
+    _check_length(raw_custom, "custom_sps", MAX_PROVIDERS)
+    custom_sps = tuple(_parse_custom_sp(entry, i) for i, entry in enumerate(raw_custom))
     if scenario == "custom" and not custom_sps:
         raise ConfigError("the custom scenario requires at least one entry in 'custom_sps'")
     # every scenario but a custom one with explicit loads shapes loads from the spec
@@ -257,9 +288,7 @@ def config_from_dict(data: dict) -> RunConfig:
 
     out_dir = _string(data.get("out_dir", "out"), "out_dir")
     seed = _integer(data.get("seed", 0), "seed", minimum=0)
-    samples = _integer(data.get("samples", 100_000), "samples", minimum=1)
-    if samples > MAX_SAMPLES:
-        raise ConfigError(f"config field 'samples' must be <= {MAX_SAMPLES}, got {samples!r}")
+    samples = _integer(data.get("samples", 100_000), "samples", minimum=1, maximum=MAX_SAMPLES)
 
     method_name = _string(data.get("method", "closed"), "method")
     try:
@@ -309,9 +338,8 @@ def _parse_custom_sp(entry, index: int) -> CustomProvider:
             beta=beta,
             daily_total=_number(entry["daily_total"], f"{where}.daily_total", minimum=0.0),
         )
-    return CustomProvider(
-        id=sp_id, beta=beta, loads=_number_list(entry["loads"], f"{where}.loads", minimum=0.0)
-    )
+    loads = _number_list(entry["loads"], f"{where}.loads", max_len=MAX_TIMESLOTS, minimum=0.0)
+    return CustomProvider(id=sp_id, beta=beta, loads=loads)
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -53,6 +53,9 @@ SETTLE_TERMS_TOL = 1e-9
 #: hundreds of estimates per run, where a 3-sigma cut trips spuriously.
 SAMPLING_SIGMAS = 4.0
 
+# arrival keys the sampler draws per reused buffer (256 KiB of float64)
+_CHUNK_CELLS = 1 << 15
+
 
 class ShapleyMethod(str, Enum):
     SUBSET_ENUMERATION = "enum"
@@ -186,19 +189,35 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     rng = np.random.default_rng(seed)
     count = np.zeros(n - 1)  # per provider: orders where the owner arrived first
     owner_sum = owner_sq = 0.0
-    # at most 2^17 orders and 2^21 cells per block: memory stays bounded for any n
-    rows = max(1, min(1 << 17, (1 << 21) // n))
+    # orders are taken in blocks of at most 2^17 orders and 2^21 keys; a block
+    # keeps only the owner's value per order, so memory is bounded for any n
+    # and does not grow with samples
+    rows = max(1, min(1 << 17, (1 << 21) // n, samples))
+    owner = np.empty(rows)
+    # within a block, keys are drawn a chunk of orders at a time into reused
+    # buffers: the same numbers in the same order as rng.random((samples, n))
+    chunk = max(1, min(rows, _CHUNK_CELLS // n))
+    keys = np.empty((chunk, n))
+    # times[k, r] = keys[r, k], so the comparison's inner loop runs along the chunk
+    times = np.empty((n, chunk))
+    before = np.empty((n - 1, chunk))
+    ones = np.ones(chunk)
     remaining = samples
     while remaining:
         block = min(remaining, rows)
-        # keys[r, k] is player k's arrival time in order r; the owner is last
-        keys = rng.random((block, n))
-        before = keys[:, :-1] <= keys[:, -1:]
-        # an exact count: a BLAS mat-vec beats a reduction over a bool matrix
-        count += block - np.ones(block) @ before
-        owner = before @ profit
-        owner_sum += owner.sum()
-        owner_sq += owner @ owner
+        for start in range(0, block, chunk):
+            c = min(chunk, block - start)
+            # keys[r, k] is player k's arrival time in order r; the owner is last
+            rng.random(out=keys[:c])
+            t = times[:, :c]
+            t[...] = keys[:c].T
+            b = before[:, :c]
+            np.less_equal(t[:-1], t[-1:], out=b)
+            # an exact count: a BLAS mat-vec beats a reduction over a bool matrix
+            count += c - b @ ones[:c]
+            np.matmul(profit, b, out=owner[start : start + c])
+        owner_sum += owner[:block].sum()
+        owner_sq += owner[:block] @ owner[:block]
         remaining -= block
     sums = np.append(count * profit, owner_sum)
     sqs = np.append(count * profit * profit, owner_sq)

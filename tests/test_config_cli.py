@@ -3,12 +3,15 @@
 import csv
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import coinvest.cli as cli_mod
 import coinvest.scenarios as scenarios_mod
@@ -21,7 +24,43 @@ from coinvest import (
     parse_config,
 )
 from coinvest.cli import CSV_COLUMNS, main
-from coinvest.config import MAX_SAMPLES, load_preset, preset_names
+from coinvest.config import (
+    MAX_GRID_POINTS,
+    MAX_PROVIDERS,
+    MAX_SAMPLES,
+    MAX_TIMESLOTS,
+    config_from_dict,
+    load_preset,
+    preset_names,
+)
+
+_SHAPED = {"id": "A", "beta": 2e-6, "daily_total": 5e5}
+
+# one config per cap, each one entry or one unit past it, and the field it names
+OVER_CAP = [
+    pytest.param({"n_sps": [MAX_PROVIDERS + 1]}, "n_sps[0]", id="n_sps-value"),
+    pytest.param({"n_sps": [2] * (MAX_GRID_POINTS + 1)}, "n_sps", id="n_sps-length"),
+    pytest.param(
+        {"scenario": "custom", "custom_sps": [_SHAPED] * (MAX_PROVIDERS + 1)},
+        "custom_sps",
+        id="custom_sps-length",
+    ),
+    pytest.param(
+        {"l_total_grid": [1e6] * (MAX_GRID_POINTS + 1)}, "l_total_grid", id="l_total_grid"
+    ),
+    pytest.param({"omega_grid": [0.5] * (MAX_GRID_POINTS + 1)}, "omega_grid", id="omega_grid"),
+    pytest.param({"d_grid": [0.05] * (MAX_GRID_POINTS + 1)}, "d_grid", id="d_grid"),
+    pytest.param({"market": {"T": MAX_TIMESLOTS + 1}}, "market.T", id="market.T"),
+    pytest.param({"load_spec": {"T": MAX_TIMESLOTS + 1}}, "load_spec.T", id="load_spec.T"),
+    pytest.param(
+        {
+            "scenario": "custom",
+            "custom_sps": [{"id": "A", "beta": 2e-6, "loads": [1.0] * (MAX_TIMESLOTS + 1)}],
+        },
+        "custom_sps[0].loads",
+        id="loads-length",
+    ),
+]
 
 
 class TestParseConfig:
@@ -58,11 +97,38 @@ class TestParseConfig:
             parse_config('{"method": "guess"}')
         with pytest.raises(ConfigError, match="samples"):
             parse_config('{"samples": 0}')
+        with pytest.raises(ConfigError, match="'custom_sps' must be a list"):
+            parse_config('{"custom_sps": 5}')
 
     def test_samples_are_capped(self):
         assert parse_config(json.dumps({"samples": MAX_SAMPLES})).samples == MAX_SAMPLES
         with pytest.raises(ConfigError, match=f"'samples' must be <= {MAX_SAMPLES}"):
             parse_config(json.dumps({"samples": MAX_SAMPLES + 1}))
+
+    @pytest.mark.parametrize("data, field", OVER_CAP)
+    def test_caps_name_the_field(self, data, field):
+        message = f"config field '{re.escape(field)}' (must be <=|may hold at most)"
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(data)
+
+    def test_caps_admit_their_bound(self):
+        at_cap = config_from_dict(
+            {
+                "scenario": "custom",
+                "market": {"T": MAX_TIMESLOTS},
+                "load_spec": {"T": MAX_TIMESLOTS},
+                "l_total_grid": [1e6] * MAX_GRID_POINTS,
+                "omega_grid": [0.5] * MAX_GRID_POINTS,
+                "d_grid": [0.05] * MAX_GRID_POINTS,
+                "n_sps": [MAX_PROVIDERS] * MAX_GRID_POINTS,
+                "custom_sps": [{"id": "B", "beta": 2e-6, "loads": [1.0] * MAX_TIMESLOTS}]
+                + [_SHAPED] * (MAX_PROVIDERS - 1),
+            }
+        )
+        assert at_cap.market.T == at_cap.load_spec.T == MAX_TIMESLOTS
+        assert len(at_cap.custom_sps) == MAX_PROVIDERS
+        assert len(at_cap.custom_sps[0].loads) == MAX_TIMESLOTS
+        assert len(at_cap.d_grid) == len(at_cap.n_sps) == MAX_GRID_POINTS
 
     def test_overrides_are_applied(self):
         cfg = parse_config(
@@ -120,6 +186,73 @@ class TestParseConfig:
         echoed = parse_config(json.dumps(config_to_dict(cfg)))
         assert echoed == cfg
         assert config_to_dict(echoed) == config_to_dict(cfg)
+
+
+_floats = st.floats(0.0, 1e12)
+_positive = st.floats(1e-9, 1e3)
+_slots = st.sampled_from([96, 24, MAX_TIMESLOTS])
+
+
+def _short_lists(elements):
+    return st.lists(elements, min_size=1, max_size=4)
+
+
+def _custom_sp(explicit_loads):
+    loads = st.fixed_dictionaries({"loads": _short_lists(_floats)})
+    return st.tuples(
+        st.fixed_dictionaries({"id": st.text(max_size=5), "beta": _floats}),
+        loads if explicit_loads else loads | st.fixed_dictionaries({"daily_total": _floats}),
+    ).map(lambda parts: {**parts[0], **parts[1]})
+
+
+_fields = st.fixed_dictionaries(
+    {"scenario": st.sampled_from(["same-type", "omega", "price-sweep", "custom"])},
+    optional={
+        "description": st.text(max_size=10),
+        "market": st.fixed_dictionaries(
+            {}, optional={"d": _positive, "Y": st.integers(1, 30), "T": _slots, "xi": _positive}
+        ),
+        "load_spec": st.fixed_dictionaries(
+            {},
+            optional={
+                "a0": st.floats(-10.0, 10.0),
+                "components": _short_lists(
+                    st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=2)
+                ),
+            },
+        ),
+        "l_total": _floats,
+        "l_total_grid": _short_lists(_floats),
+        "omega_grid": _short_lists(st.floats(0.5, 1.0)),
+        "d_grid": _short_lists(_positive),
+        "n_sps": st.integers(1, MAX_PROVIDERS) | _short_lists(st.integers(1, MAX_PROVIDERS)),
+        "out_dir": st.text(max_size=10),
+        "seed": st.integers(0, 2**63),
+        "method": st.sampled_from(["enum", "closed", "sample"]),
+        "samples": st.integers(1, MAX_SAMPLES),
+    },
+)
+
+
+@st.composite
+def _configs(draw):
+    """A valid config: only custom providers that all give explicit loads
+    free the load spec's slot count from the market's."""
+    data = draw(_fields)
+    custom = data["scenario"] == "custom"
+    spec_slots = draw(st.none() | _slots) if custom else None
+    data["custom_sps"] = draw(
+        st.lists(_custom_sp(spec_slots is not None), min_size=int(custom), max_size=3)
+    )
+    if spec_slots is not None:
+        data.setdefault("load_spec", {})["T"] = spec_slots
+    return data
+
+
+@given(data=_configs())
+def test_config_round_trip_is_a_fixpoint(data):
+    cfg = config_from_dict(data)
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 class TestPresets:
@@ -373,6 +506,20 @@ class TestCliRun:
             result = run_cli(*args)
             assert result.exit_code == 1, args
             assert "samples" in result.output, result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, field", OVER_CAP)
+    def test_over_cap_exits_1_before_any_work(self, tmp_path, monkeypatch, data, field):
+        def no_work(*args, **kwargs):
+            raise AssertionError("instances built")
+
+        monkeypatch.setattr(cli_mod, "_build_groups", no_work)
+        cfg = json.dumps(data)
+        out = tmp_path / "s"
+        for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert f"'{field}'" in result.output, result.output
         assert not out.exists()
 
     def test_io_error_exits_3(self, tmp_path):

@@ -1,6 +1,7 @@
 """Permutation-sampling Shapley estimator: determinism, accuracy, edge cases."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from coinvest import (
     shapley_enumeration,
     shapley_sampling,
 )
+from coinvest import shapley as shapley_mod
 
 from conftest import heterogeneous_game, random_game, sampling_by_table, sampling_exact_mean
 
@@ -74,26 +76,66 @@ def test_rejects_nonpositive_samples(rng):
         shapley_sampling(game, 0)
 
 
-@pytest.mark.parametrize("n_players", [3, 8, 12])
+def _chunk_rows(n_players):
+    """Orders the sampler draws per reused key buffer at this player count."""
+    return shapley_mod._CHUNK_CELLS // n_players
+
+
+# a sample count inside one chunk, one either side of a chunk boundary, and
+# one that ends three orders into a second 2^17-order block
+def _sample_counts(n_players):
+    rows = _chunk_rows(n_players)
+    return (3000, rows - 1, rows + 1, (1 << 17) + 3)
+
+
+# 2^15 keys are no whole number of 3- or 7-player orders; 2 is the smallest game
+@pytest.mark.parametrize("n_players", [3, 8, 12, 2, 7])
 def test_instance_and_table_routes_agree(rng, n_players):
     # the same arrival keys walked through the coalition table
     game = random_game(rng, n_sps=n_players - 1)
-    direct = shapley_sampling(game, 3000, seed=13)
-    payoffs, stderr = sampling_by_table(game, 3000, seed=13)
-    for pid in game.players:
-        assert direct.payoffs[pid] == pytest.approx(payoffs[pid], rel=1e-9, abs=1e-9)
-        assert direct.stderr[pid] == pytest.approx(stderr[pid], rel=1e-9, abs=1e-9)
+    for samples in _sample_counts(n_players):
+        direct = shapley_sampling(game, samples, seed=13)
+        payoffs, stderr = sampling_by_table(game, samples, seed=13)
+        for pid in game.players:
+            assert direct.payoffs[pid] == pytest.approx(payoffs[pid], rel=1e-9, abs=1e-9)
+            assert direct.stderr[pid] == pytest.approx(stderr[pid], rel=1e-9, abs=1e-9)
 
 
-def test_matches_the_exact_mean_of_its_orders():
-    # 200 000 orders span two blocks of keys; every payoff is the exactly
-    # rounded mean of its own orders' marginals, up to a few ulps
-    game = heterogeneous_game()
-    sampled = shapley_sampling(game, 200_000, seed=11).payoffs
-    exact = sampling_exact_mean(game, 200_000, seed=11)
+def _assert_exact_mean(game, samples, seed):
+    # every payoff is the exactly rounded mean of its own orders' marginals,
+    # up to a few ulps
+    sampled = shapley_sampling(game, samples, seed=seed).payoffs
+    exact = sampling_exact_mean(game, samples, seed=seed)
     for pid in game.players:
         target = float(exact[pid])
-        assert abs(sampled[pid] - target) <= 4 * math.ulp(target), pid
+        assert abs(sampled[pid] - target) <= 4 * math.ulp(target), (pid, samples)
+
+
+def test_matches_the_exact_mean_of_its_orders(rng):
+    # 200 000 orders span two blocks of keys
+    game = heterogeneous_game()
+    for samples in _sample_counts(len(game.players))[1:] + (200_000,):
+        _assert_exact_mean(game, samples, seed=11)
+    for n_players in (2, 3, 7, 22):
+        game = random_game(rng, n_sps=n_players - 1)
+        counts = _sample_counts(n_players)[1:]
+        # the oracle visits every distinct set of providers before the owner:
+        # past a block of 22-player orders that is too slow for tier-1
+        for samples in counts if n_players < 22 else counts[:2]:
+            _assert_exact_mean(game, samples, seed=5)
+
+
+def test_memory_does_not_grow_with_samples(rng):
+    # no (samples, n) or (block, n) key matrix: a million orders of 8 players
+    # would need 64 MB of keys, a 2^17-order block 8 MB
+    game = random_game(rng, n_sps=7)
+    tracemalloc.start()
+    try:
+        shapley_sampling(game, 10**6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def test_instance_route_runs_past_the_enumeration_bound(rng):
