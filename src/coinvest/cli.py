@@ -27,6 +27,7 @@ import click
 
 from . import __version__
 from .config import (
+    MAX_SEED,
     ConfigError,
     RunConfig,
     config_to_dict,
@@ -120,7 +121,7 @@ def _build_groups(cfg: RunConfig):
     sps = []
     for k, spec in enumerate(cfg.custom_sps):
         if spec.loads is not None:
-            load = LoadProfile(spec.loads)
+            load = _build(f"custom_sps[{k}].loads", LoadProfile, spec.loads)
         elif base.total <= 0.0 and spec.daily_total > 0.0:
             raise ConfigError(f"custom_sps[{k}]: load shape sums to zero; give explicit loads")
         else:
@@ -292,8 +293,10 @@ def run(config, out_dir, strict, seed, method):
         if out_dir is not None:
             cfg = replace(cfg, out_dir=out_dir)
         if seed is not None:
-            if seed < 0:
-                raise ConfigError(f"option '--seed' must be >= 0, got {seed!r}")
+            if not 0 <= seed <= MAX_SEED:
+                raise ConfigError(
+                    f"option '--seed' must lie in [0, {MAX_SEED}], got {seed!r}"
+                )
             cfg = replace(cfg, seed=seed)
         if method is not None:
             cfg = replace(cfg, method=ShapleyMethod(method))

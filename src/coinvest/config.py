@@ -37,6 +37,9 @@ MAX_PROVIDERS = 1000
 #: Most entries in one sweep list (``l_total_grid``, ``omega_grid``,
 #: ``d_grid``, ``n_sps``): each entry is one more instance to solve.
 MAX_GRID_POINTS = 1000
+#: Largest base seed. Instance k samples with ``seed + k``, and the sampler
+#: takes seeds below 2^64, so every instance keeps a seed of its own.
+MAX_SEED = 2**63 - 1
 #: Most timeslots per day (``market.T``, ``load_spec.T``, each custom
 #: ``loads``): every provider's load profile and optimum are this long.
 MAX_TIMESLOTS = 10**4
@@ -287,7 +290,7 @@ def config_from_dict(data: dict) -> RunConfig:
         )
 
     out_dir = _string(data.get("out_dir", "out"), "out_dir")
-    seed = _integer(data.get("seed", 0), "seed", minimum=0)
+    seed = _integer(data.get("seed", 0), "seed", minimum=0, maximum=MAX_SEED)
     samples = _integer(data.get("samples", 100_000), "samples", minimum=1, maximum=MAX_SAMPLES)
 
     method_name = _string(data.get("method", "closed"), "method")

@@ -96,6 +96,10 @@ class LoadProfile:
         for slot, v in enumerate(vals):
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ValueError(f"load at slot {slot} must be finite and >= 0, got {v!r}")
+        try:
+            math.fsum(vals)
+        except OverflowError:
+            raise ValueError("the daily load total overflows a float") from None
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:

@@ -53,8 +53,10 @@ SETTLE_TERMS_TOL = 1e-9
 #: hundreds of estimates per run, where a 3-sigma cut trips spuriously.
 SAMPLING_SIGMAS = 4.0
 
-# arrival keys the sampler draws per reused buffer (256 KiB of float64)
+# arrival keys the sampler draws per reused buffer (256 KiB of uint64)
 _CHUNK_CELLS = 1 << 15
+# SplitMix64's increment, the golden ratio in 64-bit fixed point
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class ShapleyMethod(str, Enum):
@@ -175,9 +177,15 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     Unbiased, deterministic for a fixed seed, and the estimates sum to the
     grand value up to rounding (each permutation telescopes). Reports one
     standard error per player.
+
+    Player k's arrival key in order r is ``mix64(mix64(seed) + (r*n + k + 1)
+    * gamma)`` modulo 2^64: SplitMix64 (Steele, Lea & Flood 2014) indexed by
+    (order, player), so ``seed`` must lie in [0, 2^64).
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
     players = tuple(game.players)
     n = len(players)
     optima = game.standalone_optima()
@@ -186,7 +194,7 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     # owner's squared values stay finite whenever they are
     unit = _unit(profit)
     profit /= unit
-    rng = np.random.default_rng(seed)
+    state = int(_mix64(np.array([seed], dtype=np.uint64))[0])
     count = np.zeros(n - 1)  # per provider: orders where the owner arrived first
     owner_sum = owner_sq = 0.0
     # orders are taken in blocks of at most 2^17 orders and 2^21 keys; a block
@@ -194,23 +202,31 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     # and does not grow with samples
     rows = max(1, min(1 << 17, (1 << 21) // n, samples))
     owner = np.empty(rows)
-    # within a block, keys are drawn a chunk of orders at a time into reused
-    # buffers: the same numbers in the same order as rng.random((samples, n))
+    # within a block, keys are computed a chunk of orders at a time into reused
+    # buffers; each key is a hash of its own index, so the chunk and block
+    # sizes do not change which orders a seed draws
     chunk = max(1, min(rows, _CHUNK_CELLS // n))
-    keys = np.empty((chunk, n))
-    # times[k, r] = keys[r, k], so the comparison's inner loop runs along the chunk
-    times = np.empty((n, chunk))
+    # steps[k, i] = (i*n + k + 1) * gamma: the counter of player k in the
+    # chunk's order i, less the chunk's first order; the comparison's inner
+    # loop runs along the chunk
+    steps = np.arange(1, n + 1, dtype=np.uint64)[:, None] + np.arange(
+        0, chunk * n, n, dtype=np.uint64
+    )
+    steps *= _GAMMA
+    keys = np.empty((n, chunk), dtype=np.uint64)
     before = np.empty((n - 1, chunk))
     ones = np.ones(chunk)
-    remaining = samples
-    while remaining:
-        block = min(remaining, rows)
+    drawn = 0
+    while drawn < samples:
+        block = min(samples - drawn, rows)
         for start in range(0, block, chunk):
             c = min(chunk, block - start)
-            # keys[r, k] is player k's arrival time in order r; the owner is last
-            rng.random(out=keys[:c])
-            t = times[:, :c]
-            t[...] = keys[:c].T
+            # keys[k, i] is player k's arrival time in order drawn + start + i;
+            # the owner is last
+            t = keys[:, :c]
+            offset = (state + (drawn + start) * n * _GAMMA) % (1 << 64)
+            np.add(steps[:, :c], np.uint64(offset), out=t)
+            _mix64(t)
             b = before[:, :c]
             np.less_equal(t[:-1], t[-1:], out=b)
             # an exact count: a BLAS mat-vec beats a reduction over a bool matrix
@@ -218,7 +234,7 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
             np.matmul(profit, b, out=owner[start : start + c])
         owner_sum += owner[:block].sum()
         owner_sq += owner[:block] @ owner[:block]
-        remaining -= block
+        drawn += block
     sums = np.append(count * profit, owner_sum)
     sqs = np.append(count * profit * profit, owner_sq)
     mean = sums / samples
@@ -232,6 +248,20 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
         sample_count=int(samples),
         stderr={pid: float(se[i] * unit) for i, pid in enumerate(players)},
     )
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, in place on a uint64 array, which it returns.
+
+    A bijection of 64-bit words; applied to a counter stepped by ``_GAMMA``
+    it is the SplitMix64 generator (Steele, Lea & Flood 2014).
+    """
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
 
 def _unit(values: np.ndarray) -> float:

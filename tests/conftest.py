@@ -98,20 +98,43 @@ def bloated_game(n_players=21):
     return GameInstance(market, sps)
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z):
+    """SplitMix64's output function on a Python int below 2^64 or a uint64 array."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix_keys(seed, samples, n):
+    """The (samples, n) uint64 arrival keys ``shapley_sampling`` draws.
+
+    Key (r, k) is output r*n + k + 1 of a SplitMix64 stream started at
+    state ``mix(seed)``: the stream's counter steps by gamma, and each
+    output is the mix of the counter.
+    """
+    state = np.uint64(splitmix64_mix(seed))
+    index = np.arange(1, samples * n + 1, dtype=np.uint64)
+    return splitmix64_mix(index * np.uint64(_GOLDEN_GAMMA) + state).reshape(samples, n)
+
+
 def sampling_by_table(game, samples, seed):
     """Reference sampler: (payoffs, stderr) from one block of arrival orders.
 
-    Draws ``rng.random((samples, n))`` arrival keys, as the production
-    sampler's first block does, sorts each row into an arrival order and
-    reads every player's marginal contribution off the coalition table.
+    Draws the :func:`splitmix_keys` arrival keys that the production sampler
+    draws, sorts each row into an arrival order and reads every player's
+    marginal contribution off the coalition table.
     """
     players = tuple(game.players)
-    keys = np.random.default_rng(seed).random((samples, len(players)))
+    keys = splitmix_keys(seed, samples, len(players))
     table = game.coalition_table()
     order = np.argsort(keys, axis=1)
     masks = np.bitwise_or.accumulate(np.left_shift(1, order), axis=1)
     gains = np.diff(table[masks], axis=1, prepend=table[0])
-    marginals = np.empty_like(keys)
+    marginals = np.empty(keys.shape)
     np.put_along_axis(marginals, order, gains, axis=1)
     mean = marginals.mean(axis=0)
     se = marginals.std(axis=0, ddof=1) / math.sqrt(samples)
@@ -122,14 +145,15 @@ def sampling_exact_mean(game, samples, seed):
     """Exact rational mean of every player's marginal contribution over the
     arrival orders that ``shapley_sampling`` draws for ``samples`` and ``seed``.
 
-    The keys are ``rng.random((samples, n))``: the production sampler draws
-    them in blocks of rows, which yields the same numbers in the same order.
-    A provider's mean is m_i times the fraction of orders in which the owner
-    arrived first; the owner's is the average of the summed profits of the
-    providers before it, grouped by the set of providers that came first.
+    The keys are :func:`splitmix_keys`: each depends only on the seed, the
+    order and the player, so the production sampler's blocks and chunks
+    yield the same ones. A provider's mean is m_i times the fraction of
+    orders in which the owner arrived first; the owner's is the average of
+    the summed profits of the providers before it, grouped by the set of
+    providers that came first.
     """
     players = tuple(game.players)
-    keys = np.random.default_rng(seed).random((samples, len(players)))
+    keys = splitmix_keys(seed, samples, len(players))
     optima = game.standalone_optima()
     profit = [Fraction(optima[sp.id].value) for sp in game.sps]
     before = keys[:, :-1] <= keys[:, -1:]

@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +32,7 @@ from coinvest.config import (
     MAX_GRID_POINTS,
     MAX_PROVIDERS,
     MAX_SAMPLES,
+    MAX_SEED,
     MAX_TIMESLOTS,
     config_from_dict,
     load_preset,
@@ -60,6 +65,7 @@ OVER_CAP = [
         "custom_sps[0].loads",
         id="loads-length",
     ),
+    pytest.param({"seed": MAX_SEED + 1}, "seed", id="seed"),
 ]
 
 
@@ -123,12 +129,14 @@ class TestParseConfig:
                 "n_sps": [MAX_PROVIDERS] * MAX_GRID_POINTS,
                 "custom_sps": [{"id": "B", "beta": 2e-6, "loads": [1.0] * MAX_TIMESLOTS}]
                 + [_SHAPED] * (MAX_PROVIDERS - 1),
+                "seed": MAX_SEED,
             }
         )
         assert at_cap.market.T == at_cap.load_spec.T == MAX_TIMESLOTS
         assert len(at_cap.custom_sps) == MAX_PROVIDERS
         assert len(at_cap.custom_sps[0].loads) == MAX_TIMESLOTS
         assert len(at_cap.d_grid) == len(at_cap.n_sps) == MAX_GRID_POINTS
+        assert at_cap.seed == MAX_SEED
 
     def test_overrides_are_applied(self):
         cfg = parse_config(
@@ -227,7 +235,7 @@ _fields = st.fixed_dictionaries(
         "d_grid": _short_lists(_positive),
         "n_sps": st.integers(1, MAX_PROVIDERS) | _short_lists(st.integers(1, MAX_PROVIDERS)),
         "out_dir": st.text(max_size=10),
-        "seed": st.integers(0, 2**63),
+        "seed": st.integers(0, MAX_SEED),
         "method": st.sampled_from(["enum", "closed", "sample"]),
         "samples": st.integers(1, MAX_SAMPLES),
     },
@@ -385,6 +393,19 @@ class TestCliRun:
             assert "seed" in result.output, args
         assert not (tmp_path / "n").exists()
 
+    def test_seed_option_is_bounded(self, tmp_path):
+        # the last of three instances samples with seed 2^63 + 1
+        out = tmp_path / "m"
+        top = run_cli("run", SMALL_RUN, "--out", str(out), "--method", "sample",
+                      "--seed", str(MAX_SEED))
+        assert top.exit_code == 0, top.output
+        assert json.loads((out / "meta.json").read_text())["seed"] == MAX_SEED
+        over = run_cli("run", SMALL_RUN, "--out", str(tmp_path / "o"), "--seed",
+                       str(MAX_SEED + 1))
+        assert over.exit_code == 1
+        assert "'--seed'" in over.output
+        assert not (tmp_path / "o").exists()
+
     def test_overflowing_provider_exits_1(self, tmp_path):
         cfg = json.dumps(
             {
@@ -489,6 +510,26 @@ class TestCliRun:
                 result = run_cli(*args)
                 assert result.exit_code == 1, args
                 assert "load_spec" in result.output, result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, fields",
+        [
+            # every slot is finite, their sum is not
+            ({"load_spec": {"components": [[1e308, 0.0]]}}, "load_spec, l_total_grid[0]"),
+            (
+                {"scenario": "custom", "custom_sps": [{"id": "a", "loads": [1e307] * 96}]},
+                "custom_sps[0].loads",
+            ),
+        ],
+    )
+    def test_overflowing_daily_total_exits_1(self, tmp_path, config, fields):
+        cfg = json.dumps(config)
+        out = tmp_path / "d"
+        for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert fields in result.output and "overflows" in result.output, result.output
         assert not out.exists()
 
     def test_too_many_samples_exit_1_before_any_work(self, tmp_path, monkeypatch):
@@ -632,18 +673,182 @@ class TestCliVerifyAndPresets:
             assert name in result.output
 
     def test_module_entry_point(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        # the child imports the same package as this suite, installed or not
-        src = str(Path(cli_mod.__file__).parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "coinvest", "presets"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = _fresh_interpreter("-m", "coinvest", "presets")
         assert proc.returncode == 0
         assert "fig1" in proc.stdout
+
+    def test_sampling_loads_neither_numpy_random_nor_hashlib(self, tmp_path):
+        # numpy.random imports secrets, hmac and hashlib, which loads OpenSSL:
+        # ~6 MB of resident memory in every process that samples
+        one_instance = json.dumps({"l_total_grid": [2e6], "samples": 5000})
+        for args in (
+            ["verify", "fig1"],
+            ["run", one_instance, "--method", "sample", "--out", str(tmp_path / "s")],
+        ):
+            proc = _fresh_interpreter("-c", _LIST_MODULES_AT_EXIT, *args)
+            assert proc.returncode == 0, (args, proc.stderr)
+            loaded = set(proc.stderr.split())
+            assert {"numpy", "coinvest.shapley"} <= loaded, args
+            assert not {"numpy.random", "hashlib"} & loaded, args
+
+
+# runs ``python -m coinvest`` on the arguments that follow it, then lists
+# every module it imported on stderr
+_LIST_MODULES_AT_EXIT = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+    "runpy.run_module('coinvest', run_name='__main__')\n"
+)
+
+
+def _fresh_interpreter(*args):
+    """Run ``python ARGS`` in a new process; returns the completed process."""
+    # the child imports the same package as this suite, installed or not
+    src = str(Path(cli_mod.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+
+# values of the wrong type for every field that takes a number, list or object
+_junk = st.none() | st.booleans() | st.just("x") | st.just([]) | st.just({})
+# finite values that pass every range check but can overflow the model
+_extreme = st.sampled_from([1e150, 1e300, 1.7e308])
+_nonfinite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _bad_list(element):
+    """A list that is empty, has one bad element, or is one entry past its cap."""
+    return (
+        st.just([])
+        | st.lists(element, min_size=1, max_size=2)
+        | st.just([1.0] * (MAX_GRID_POINTS + 1))
+        | _junk
+    )
+
+
+def _provider(slots):
+    """A valid custom provider, shaped by the load spec or with explicit loads."""
+    beta = st.floats(0.0, 1e-5)
+    return st.fixed_dictionaries(
+        {"beta": beta, "daily_total": st.floats(0.0, 1e7)}
+    ) | st.fixed_dictionaries(
+        {"beta": beta, "loads": st.lists(st.floats(0.0, 1e5), min_size=slots, max_size=slots)}
+    )
+
+
+# per field, values it rejects, or accepts but that overflow the model
+_BAD_FIELDS = {
+    "scenario": st.just("bogus") | _junk,
+    "description": st.none() | st.integers(),
+    "market": _junk
+    | st.fixed_dictionaries({"d": _nonfinite | st.just(0.0) | _extreme})
+    | st.fixed_dictionaries({"Y": st.sampled_from([0, 1.5, True])})
+    | st.fixed_dictionaries({"T": st.sampled_from([0, MAX_TIMESLOTS + 1])})
+    | st.fixed_dictionaries({"xi": _nonfinite | st.just(-1.0) | _extreme})
+    | st.just({"spread": 1}),
+    "load_spec": _junk
+    | st.fixed_dictionaries({"a0": _nonfinite | _extreme | st.just(-5.0)})
+    | st.fixed_dictionaries({"components": _junk | st.just([[1.0]]) | st.just([[1e308, 0.0]])})
+    | st.fixed_dictionaries({"T": st.sampled_from([0, 24, MAX_TIMESLOTS + 1])}),
+    "l_total": _junk | _nonfinite | _extreme | st.just(-1.0),
+    "l_total_grid": _bad_list(_nonfinite | _extreme | st.just(-1.0)),
+    "omega_grid": _bad_list(st.sampled_from([0.4, 1.1, math.nan])),
+    "d_grid": _bad_list(st.sampled_from([0.0, -1.0, math.inf, 1e300])),
+    "n_sps": st.sampled_from([0, -1, MAX_PROVIDERS + 1, 2.5, [], [0], [2] * (MAX_GRID_POINTS + 1)])
+    | _junk,
+    "custom_sps": _junk
+    | st.lists(_junk, min_size=1, max_size=2)
+    | st.sampled_from(
+        [
+            [{"beta": 1e-6, "daily_total": 1e6}],
+            [{"id": "a", "beta": 1e-6}],
+            [{"id": "a", "beta": 1e-6, "daily_total": 1e6, "loads": [1.0]}],
+            [{"id": "a", "beta": 1e-6, "loads": [1.0] * 7}],
+            [{"id": "a", "beta": 1e-6, "daily_total": 1e6}] * 2,
+            [{"id": "NO", "beta": 1e-6, "daily_total": 1e6}],
+            [{"id": "a", "beta": 1e300, "daily_total": 1e300}],
+            [{"id": "a", "beta": -1.0, "daily_total": 1e6}],
+        ]
+    ),
+    "out_dir": st.none() | st.just([]),
+    "seed": st.sampled_from([-1, MAX_SEED + 1, 2**64, 1.0]) | _junk,
+    "method": st.just("guess") | _junk,
+    "samples": st.sampled_from([0, MAX_SAMPLES + 1, 10.0]) | _junk,
+    "bogus": st.integers(),
+}
+
+
+@st.composite
+def _any_config(draw):
+    """A valid config, or one whose fields are valid but for one or two."""
+    keys = draw(st.sets(st.sampled_from(sorted(_BAD_FIELDS.keys() - {"out_dir", "bogus"}))))
+    slots = draw(st.integers(1, 48)) if "market" in keys else 96
+    valid = {
+        "scenario": st.sampled_from(["same-type", "omega", "price-sweep", "custom"]),
+        "description": st.text(max_size=5),
+        "market": st.fixed_dictionaries(
+            {"T": st.just(slots)},
+            optional={
+                "d": st.floats(1e-3, 1.0),
+                "Y": st.integers(1, 3),
+                "xi": st.floats(1e-4, 1e-2),
+            },
+        ),
+        "load_spec": st.fixed_dictionaries(
+            {},
+            optional={
+                "a0": st.floats(0.5, 2.0),
+                "components": st.lists(
+                    st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2),
+                    min_size=1,
+                    max_size=2,
+                ),
+            },
+        ),
+        "l_total": st.floats(0.0, 1e7),
+        "l_total_grid": st.lists(st.floats(0.0, 1e7), min_size=1, max_size=3),
+        "omega_grid": st.lists(st.floats(0.5, 1.0), min_size=1, max_size=3),
+        "d_grid": st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3),
+        "n_sps": st.integers(1, 4) | st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        "custom_sps": st.lists(_provider(slots), min_size=1, max_size=3).map(
+            lambda sps: [{"id": f"SP{k}", **sp} for k, sp in enumerate(sps)]
+        ),
+        "seed": st.integers(0, MAX_SEED),
+        "method": st.sampled_from(["enum", "closed", "sample"]),
+        "samples": st.integers(1, 500),
+    }
+    data = {key: draw(valid[key]) for key in sorted(keys)}
+    for key in draw(st.lists(st.sampled_from(sorted(_BAD_FIELDS)), max_size=2, unique=True)):
+        data[key] = draw(_BAD_FIELDS[key])
+    return data
+
+
+# a message names a config field when it names one of these keys
+_CONFIG_FIELD = re.compile(
+    r"\b(scenario|description|market|load_spec|l_total|l_total_grid|omega_grid|d_grid"
+    r"|n_sps|custom_sps|out_dir|seed|method|samples|bogus)\b"
+)
+_TEXT_COLUMNS = {"scenario", "sweep_param", "player_id"}
+
+
+@given(data=_any_config())
+def test_any_config_runs_finite_or_exits_1_naming_a_field(data):
+    with tempfile.TemporaryDirectory() as out:
+        result = run_cli("run", json.dumps(data), "--out", out)
+        if result.exit_code == 1:
+            assert _CONFIG_FIELD.search(result.output), result.output
+            assert not os.listdir(out)
+            return
+        assert result.exit_code == 0, result.output
+        with open(os.path.join(out, "records.csv"), newline="") as handle:
+            for row in csv.DictReader(handle):
+                for column, cell in row.items():
+                    assert column in _TEXT_COLUMNS or math.isfinite(float(cell)), row
+        with open(os.path.join(out, "summary.json")) as handle:
+            json.load(handle)

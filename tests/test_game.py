@@ -86,6 +86,8 @@ class TestDomainTypes:
         profile = LoadProfile((1.0, 2.5, 0.0))
         assert profile.total == 3.5
         assert len(profile) == 3
+        with pytest.raises(ValueError, match="total overflows"):
+            LoadProfile((1e308, 1e308))
 
     def test_provider_rejects_negative_beta(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,14 @@ from coinvest import (
 )
 from coinvest import shapley as shapley_mod
 
-from conftest import heterogeneous_game, random_game, sampling_by_table, sampling_exact_mean
+from conftest import (
+    heterogeneous_game,
+    random_game,
+    sampling_by_table,
+    sampling_exact_mean,
+    splitmix64_mix,
+    splitmix_keys,
+)
 
 
 def test_deterministic_for_fixed_seed(rng):
@@ -74,6 +82,46 @@ def test_rejects_nonpositive_samples(rng):
     game = random_game(rng, n_sps=1)
     with pytest.raises(ValueError):
         shapley_sampling(game, 0)
+
+
+def test_rejects_seeds_outside_64_bits(rng):
+    game = random_game(rng, n_sps=2)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            shapley_sampling(game, 10, seed)
+    assert shapley_sampling(game, 10, 2**64 - 1).sample_count == 10
+
+
+# the first outputs of a SplitMix64 generator whose state starts at 0
+# (Steele, Lea & Flood 2014); a seed of 0 mixes to the state 0
+_SPLITMIX_STATE0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+
+
+def test_splitmix_keys_match_the_published_stream():
+    gamma = 0x9E3779B97F4A7C15
+    counters = [j * gamma % 2**64 for j in (1, 2, 3)]
+    assert [splitmix64_mix(c) for c in counters] == list(_SPLITMIX_STATE0)
+    assert splitmix64_mix(0) == 0
+    assert splitmix_keys(0, 1, 3).tolist() == [list(_SPLITMIX_STATE0)]
+    mixed = shapley_mod._mix64(np.array(counters, dtype=np.uint64))
+    assert mixed.tolist() == list(_SPLITMIX_STATE0)
+
+
+def test_owner_z_scores_look_standard_normal_across_seeds():
+    # 300 seeds of 2000 orders: the owner's z-score against the exact payoff
+    # has standard error 0.058 on its mean, ~0.04 on its std and 0.058 on the
+    # lag-1 correlation between consecutive seeds
+    game = heterogeneous_game()
+    exact = shapley_closed_form(game).payoffs[NO]
+    z = []
+    for seed in range(300):
+        sampled = shapley_sampling(game, 2000, seed)
+        z.append((sampled.payoffs[NO] - exact) / sampled.stderr[NO])
+    z = np.array(z)
+    assert abs(z.mean()) <= 0.2, z.mean()
+    assert 0.85 <= z.std() <= 1.15, z.std()
+    lag1 = np.corrcoef(z[:-1], z[1:])[0, 1]
+    assert abs(lag1) <= 0.2, lag1
 
 
 def _chunk_rows(n_players):
