@@ -36,8 +36,11 @@ from .shapley import (
     ShapleyMethod,
     SupermodularityReport,
     check_core,
+    check_core_structural,
     check_supermodularity,
+    check_supermodularity_structural,
     classify_players,
+    classify_players_structural,
     settle,
     shapley_closed_form,
     shapley_enumeration,
@@ -57,9 +60,12 @@ __all__ = [
     "SupermodularityReport",
     "amortized_unit_price",
     "check_core",
+    "check_core_structural",
     "check_supermodularity",
+    "check_supermodularity_structural",
     "clamping_applied",
     "classify_players",
+    "classify_players_structural",
     "coalition_value",
     "config_to_dict",
     "eval_utility",

@@ -3,10 +3,12 @@
 ``coinvest run`` solves the configured scenario and writes three files into
 the output directory: ``records.csv`` (one row per instance and player, fixed
 column order), ``summary.json`` (per-instance payoffs, settlement, player
-flags and check outcomes) and ``meta.json`` (the fully resolved config, tool
-version and seed). ``coinvest verify`` runs the property suite on the same
-instances and prints one pass/fail line per property. ``coinvest presets``
-lists the configurations shipped with the package.
+flags, check outcomes and the method behind them) and ``meta.json`` (the
+fully resolved config, tool version and seed). ``coinvest verify`` runs the
+property suite on the same instances and prints one pass/fail line per
+property. ``coinvest presets`` lists the configurations shipped with the
+package. With the closed-form method, ``run`` decides its checks
+structurally and never loads numpy.
 
 Exit codes: 0 success, 1 validation error, 2 property-check failure (under
 ``--strict`` or from ``verify``), 3 I/O error.
@@ -52,8 +54,10 @@ from .shapley import (
     SETTLE_TOL,
     ShapleyMethod,
     check_core,
+    check_core_structural,
     check_supermodularity,
-    classify_players,
+    check_supermodularity_structural,
+    classify_players_structural,
     settle,
     shapley_closed_form,
     shapley_enumeration,
@@ -77,6 +81,16 @@ VERIFY_PROPERTIES = (
     ("oracle-triangle", "oracle_triangle"),
     ("settlement-balance", "settlement_balance"),
 )
+
+#: How ``run`` decides the checks and flags of every instance it writes to
+#: summary.json, at any instance size: from the standalone profits in O(n),
+#: or by summing the settlement directly.
+RUN_CHECK_METHODS = {
+    "core": "structural",
+    "supermodularity": "structural",
+    "flags": "structural",
+    "settlement_balance": "direct",
+}
 
 
 @click.group()
@@ -146,33 +160,27 @@ def _rel_err(got: float, ref: float) -> float:
 
 
 def _check_instance(
-    game: GameInstance, payoff, payment, revenue, capacity: float
+    game: GameInstance, payoff, payment, revenue, capacity: float, brute_force: bool = False
 ) -> dict[str, str]:
     """Stability and settlement checks of one solved instance.
 
-    Each outcome reads ``pass``, ``skipped: ...`` or ``fail: ...``. ``run``
-    feeds it a record (summary.json, ``--strict``); ``verify`` feeds it the
-    closed-form payoffs and their settlement.
+    Each outcome reads ``pass`` or ``fail: ...``. ``run`` feeds it a record
+    (summary.json, ``--strict``); ``verify`` feeds it the closed-form payoffs
+    and their settlement, with ``brute_force``. The core and supermodularity
+    checks are decided structurally, for any number of players; with
+    ``brute_force``, an instance within the enumeration bound is also checked
+    over all 2^n coalitions, and the check fails unless both verdicts agree.
     """
-    checks = {}
-    n = len(game.players)
-    if n > MAX_ENUMERATION_PLAYERS:
-        checks["core"] = checks["supermodularity"] = _too_many(n)
-    else:
-        core = check_core(game, payoff)
-        if core.in_core:
-            checks["core"] = "pass"
-        else:
-            where = sorted(core.violating_coalition) if core.violating_coalition else "efficiency"
-            checks["core"] = f"fail: blocked by {where}"
-        report = check_supermodularity(game)
-        if report.holds:
-            checks["supermodularity"] = "pass"
-        else:
-            pid, small, large = report.counterexample
-            checks["supermodularity"] = (
-                f"fail: player {pid} contributes less to {sorted(large)} than to {sorted(small)}"
-            )
+    checks = {
+        "core": _core_outcome(check_core_structural(game, payoff)),
+        "supermodularity": _supermodularity_outcome(check_supermodularity_structural(game)),
+    }
+    if brute_force and len(game.players) <= MAX_ENUMERATION_PLAYERS:
+        for name, outcome in (
+            ("core", _core_outcome(check_core(game, payoff))),
+            ("supermodularity", _supermodularity_outcome(check_supermodularity(game))),
+        ):
+            checks[name] = _agreed(checks[name], outcome)
 
     bill = game.market.d * capacity
     paid = math.fsum(payment[pid] for pid in game.players)
@@ -191,16 +199,35 @@ def _check_instance(
     return checks
 
 
+def _core_outcome(core) -> str:
+    if core.in_core:
+        return "pass"
+    where = sorted(core.violating_coalition) if core.violating_coalition else "efficiency"
+    return f"fail: blocked by {where}"
+
+
+def _supermodularity_outcome(report) -> str:
+    if report.holds:
+        return "pass"
+    pid, small, large = report.counterexample
+    return f"fail: player {pid} contributes less to {sorted(large)} than to {sorted(small)}"
+
+
+def _agreed(structural: str, brute_force: str) -> str:
+    """The brute-force outcome if both verdicts agree, else a failure naming both."""
+    if (structural == "pass") == (brute_force == "pass"):
+        return brute_force
+    return f"fail: structural verdict '{structural}' but brute-force verdict '{brute_force}'"
+
+
 def _too_many(n: int) -> str:
     return f"skipped: {n} players exceeds the enumeration bound"
 
 
 def _summarize(game: GameInstance, record) -> dict:
-    n = len(game.players)
-    flags = classify_players(game) if n <= MAX_ENUMERATION_PLAYERS else None
-    players = {}
-    for p in record.players:
-        entry = {
+    flags = classify_players_structural(game)
+    players = {
+        p.player_id: {
             "beta": p.beta,
             "daily_load": p.daily_load,
             "h_star": p.h_star,
@@ -208,11 +235,11 @@ def _summarize(game: GameInstance, record) -> dict:
             "shapley": p.shapley,
             "payment": p.payment,
             "payoff": p.payoff,
+            "veto": flags[p.player_id].veto,
+            "null": flags[p.player_id].null,
         }
-        if flags is not None:
-            entry["veto"] = flags[p.player_id].veto
-            entry["null"] = flags[p.player_id].null
-        players[p.player_id] = entry
+        for p in record.players
+    }
     return {
         "scenario": record.scenario,
         "sweep_param": record.sweep_param,
@@ -340,6 +367,7 @@ def run(config, out_dir, strict, seed, method):
     summary_doc = {
         "instances": summaries,
         "all_checks_passed": not failures,
+        "check_methods": RUN_CHECK_METHODS,
     }
 
     outputs = {"records.csv": _records_csv_text(records)}
@@ -373,7 +401,9 @@ def verify(config):
 
     Properties: supermodularity of every instance, core membership of the
     Shapley payoffs, agreement of the three Shapley routes, and settlement
-    balance. CONFIG is a preset name, a JSON file path, or inline JSON.
+    balance. Up to the enumeration bound, the core and supermodularity are
+    decided both structurally and by brute force, and must agree. CONFIG is
+    a preset name, a JSON file path, or inline JSON.
     """
     try:
         cfg = _load_config(config)
@@ -391,6 +421,7 @@ def verify(config):
             settlement.payment,
             settlement.revenue,
             settlement.allocation.C,
+            brute_force=True,
         )
         checks["oracle_triangle"] = _check_oracles(game, cfg.samples, cfg.seed + k)
         outcomes.append(checks)

@@ -12,6 +12,7 @@ of each member provider's standalone optimum, which is what makes the rest of
 the analysis (payoff division, stability checks) tractable. Summing those
 optima is decided here only: :func:`coalition_value` for one coalition,
 :meth:`GameInstance.coalition_table` for all 2^n of them, bit-identically.
+Only the table needs numpy, which it imports when it is first built.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
-
-import numpy as np
 
 #: Player id of the network owner. It hosts capacity, serves no load itself.
 NO = "NO"
@@ -204,6 +203,8 @@ class GameInstance:
         """
         cached = self.__dict__.get("_coalition_table")
         if cached is None:
+            import numpy as np
+
             n = len(self.players)
             if n > MAX_ENUMERATION_PLAYERS:
                 raise ValueError(
@@ -299,6 +300,8 @@ def _fsum_subset_sums(x) -> np.ndarray:
     Every other entry, and any that is not finite, is recomputed with
     ``fsum``.
     """
+    import numpy as np
+
     x = [float(v) for v in x]
     size = 1 << len(x)
     hi, lo, slack = np.zeros(size), np.zeros(size), np.zeros(size)

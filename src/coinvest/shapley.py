@@ -1,13 +1,18 @@
 """Payoff division and stability analysis for transferable-utility games.
 
 Three independent routes to the Shapley value (exact subset enumeration, a
-closed form exploiting the owner's veto structure, and permutation sampling)
-plus brute-force checkers for core membership and supermodularity, player
+closed form exploiting the owner's veto structure, and permutation sampling),
+two checkers each for core membership, supermodularity and player
 classification, and the up-front payment settlement.
 
-Enumeration and the three checks only need an object with a ``players``
-tuple and a ``coalition_table()`` method returning the value of every
-coalition, indexed by membership bitmask over ``players``.
+The ``*_structural`` checks decide a coinvestment game in O(n) from its
+providers' standalone profits: the game is convex (Shapley 1971, "Cores of
+convex games"), so every verdict can be read off the profits. They need a
+full :class:`~coinvest.game.GameInstance` and run on instances of any size.
+
+Enumeration and the brute-force checks only need an object with a
+``players`` tuple and a ``coalition_table()`` method returning the value of
+every coalition, indexed by membership bitmask over ``players``.
 :meth:`~coinvest.game.GameInstance.coalition_table` builds and caches that
 table once per instance, so every exact route and check shares it, and it is
 bounded by :data:`~coinvest.game.MAX_ENUMERATION_PLAYERS`. The closed form,
@@ -15,6 +20,9 @@ sampling and the settlement need a full :class:`~coinvest.game.GameInstance`;
 sampling reads only the providers' standalone profits, so it runs beyond the
 bound. The checks' tolerances are the ``*_TOL`` and ``SAMPLING_SIGMAS``
 constants below.
+
+numpy is imported inside the functions that use it, so a process that only
+needs the closed form and the structural checks never loads it.
 """
 
 from __future__ import annotations
@@ -23,8 +31,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
-
-import numpy as np
 
 from .game import (
     NO,
@@ -81,10 +87,11 @@ class ShapleyResult:
 
 @dataclass(frozen=True)
 class CoreCheck:
-    """Outcome of the exhaustive core test.
+    """Outcome of a core test.
 
-    ``violating_coalition`` is the first coalition, in bitmask order, that
-    could do better on its own.
+    ``violating_coalition`` is a coalition that could do better on its own:
+    the first in bitmask order for :func:`check_core`, the one with the least
+    slack for :func:`check_core_structural`.
     """
 
     in_core: bool
@@ -93,7 +100,7 @@ class CoreCheck:
 
 @dataclass(frozen=True)
 class SupermodularityReport:
-    """Outcome of the brute-force supermodularity test.
+    """Outcome of a supermodularity test.
 
     On failure, ``counterexample`` is a ``(player, smaller, larger)`` triple of
     nested coalitions where the player's marginal contribution shrank.
@@ -128,6 +135,8 @@ def _subset_sums(x) -> np.ndarray:
     Built by doubling, so each sum adds its terms in player order, exactly as
     a left-to-right loop over the coalition's members would.
     """
+    import numpy as np
+
     sums = np.zeros(1)
     for term in x:
         sums = np.concatenate([sums, sums + term])
@@ -140,6 +149,8 @@ def shapley_enumeration(game) -> ShapleyResult:
     For each player, sums ``|S|! * (n-|S|-1)! / n!`` times its marginal
     contribution over every coalition S avoiding it.
     """
+    import numpy as np
+
     players = tuple(game.players)
     n = len(players)
     table = game.coalition_table()
@@ -182,6 +193,8 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     * gamma)`` modulo 2^64: SplitMix64 (Steele, Lea & Flood 2014) indexed by
     (order, player), so ``seed`` must lie in [0, 2^64).
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     if not 0 <= seed < 1 << 64:
@@ -266,7 +279,7 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 def _unit(values: np.ndarray) -> float:
     """The largest power of two not above the largest |value| (any, if all are 0)."""
-    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values), initial=0.0)))[1] - 1)
+    return math.ldexp(1.0, math.frexp(float(abs(values).max(initial=0.0)))[1] - 1)
 
 
 def check_core(game, payoffs: PayoffVector) -> CoreCheck:
@@ -280,6 +293,8 @@ def check_core(game, payoffs: PayoffVector) -> CoreCheck:
     missing = [p for p in players if p not in payoffs]
     if missing:
         raise ValueError(f"payoff vector is missing players {missing!r}")
+    import numpy as np
+
     x = [float(payoffs[p]) for p in players]
     table = game.coalition_table()
     grand = float(table[-1])
@@ -301,6 +316,8 @@ def check_supermodularity(game) -> SupermodularityReport:
     "Cores of convex games"). The noise is ``STABILITY_TOL`` relative to the
     grand value, as in :func:`check_core`.
     """
+    import numpy as np
+
     players = tuple(game.players)
     table = game.coalition_table()
     noise = STABILITY_TOL * max(1.0, abs(float(table[-1])))
@@ -327,6 +344,8 @@ def classify_players(game) -> dict[str, PlayerFlags]:
     player adds exactly 0 to every coalition. In a degenerate all-zero game a
     player can be both.
     """
+    import numpy as np
+
     table = game.coalition_table()
     flags = {}
     for i, pid in enumerate(game.players):
@@ -335,6 +354,82 @@ def classify_players(game) -> dict[str, PlayerFlags]:
             veto=not np.any(without),
             null=not np.any(joined != without),
         )
+    return flags
+
+
+def _profits(game: GameInstance) -> list[float]:
+    """The providers' standalone profits m_i, in provider order."""
+    optima = game.standalone_optima()
+    return [optima[sp.id].value for sp in game.sps]
+
+
+def check_core_structural(game: GameInstance, payoffs: PayoffVector) -> CoreCheck:
+    """Core membership of a payoff vector, read off the standalone profits in O(n).
+
+    With v(S) = [NO in S] * sum of the m_i in S, the least slack x(S) - v(S)
+    over coalitions without the owner is the sum of the negative x_i, and
+    over coalitions with it x_NO plus the sum of the negative x_i - m_i; each
+    minimiser takes exactly the providers whose term is negative. Both sums
+    are rounded once (``fsum``), and both tests allow the noise of
+    :func:`check_core`, so the verdicts agree. On failure the coalition named
+    is the one with the least slack.
+    """
+    players = game.players
+    missing = [p for p in players if p not in payoffs]
+    if missing:
+        raise ValueError(f"payoff vector is missing players {missing!r}")
+    x = {p: float(payoffs[p]) for p in players}
+    profits = _profits(game)
+    grand = math.fsum(profits)
+    noise = STABILITY_TOL * max(1.0, abs(grand))
+    without = [sp.id for sp in game.sps if x[sp.id] < 0.0]
+    short = [(sp.id, m) for sp, m in zip(game.sps, profits) if x[sp.id] < m]
+    slack = math.fsum(x[p] for p in without)
+    owner_slack = math.fsum([x[NO], *(x[p] for p, _ in short), *(-m for _, m in short)])
+    weakest = frozenset(without)
+    if owner_slack < slack:
+        slack, weakest = owner_slack, frozenset([NO, *(p for p, _ in short)])
+    blocked = slack < -noise
+    return CoreCheck(
+        in_core=not blocked and abs(math.fsum(x.values()) - grand) <= noise,
+        violating_coalition=weakest if blocked else None,
+    )
+
+
+def check_supermodularity_structural(game: GameInstance) -> SupermodularityReport:
+    """Supermodularity of a coinvestment game, read off the standalone profits in O(n).
+
+    The second difference v(S+i+j) - v(S+i) - v(S+j) + v(S) is m_j when i is
+    the owner and j a provider not in S, and 0 otherwise. So the game is
+    supermodular iff every m_j >= -noise, with the noise of
+    :func:`check_supermodularity`; since every standalone profit is floored
+    at 0, it always is. A counterexample is the one the brute-force test
+    finds first: the owner adds less to {j} than to the empty coalition.
+    """
+    profits = _profits(game)
+    noise = STABILITY_TOL * max(1.0, abs(math.fsum(profits)))
+    for sp, m in zip(game.sps, profits):
+        if m < -noise:
+            return SupermodularityReport(
+                holds=False, counterexample=(NO, frozenset(), frozenset([sp.id]))
+            )
+    return SupermodularityReport(holds=True, counterexample=None)
+
+
+def classify_players_structural(game: GameInstance) -> dict[str, PlayerFlags]:
+    """Veto and null flags of a coinvestment game, read off the standalone profits in O(n).
+
+    The owner is always veto, and null iff every m_i is 0. A provider is null
+    iff its m_i is 0, and veto iff every other provider's is. Profits are
+    compared with exact 0, as :func:`classify_players` compares values.
+    """
+    profits = _profits(game)
+    nonzero = sum(m != 0.0 for m in profits)
+    flags = {
+        sp.id: PlayerFlags(veto=nonzero - (m != 0.0) == 0, null=m == 0.0)
+        for sp, m in zip(game.sps, profits)
+    }
+    flags[NO] = PlayerFlags(veto=True, null=nonzero == 0)
     return flags
 
 

@@ -4,8 +4,9 @@ The oracles deliberately avoid the production shortcuts: Shapley values are
 re-derived by averaging over every arrival order, single-provider optima by
 dense grid search or golden-section search over the raw objective, the core,
 supermodularity and classification checks by plain loops over coalitions,
-and sampled payoffs by walking each arrival order through the coalition
-table or by exact rational arithmetic over the same arrival orders.
+sampled payoffs by walking each arrival order through the coalition
+table or by exact rational arithmetic over the same arrival orders, and the
+synthesized load shape by numpy's vectorized sine.
 
 :class:`TabularGame` gives the exact routes and checks hand-built games,
 including ones the coinvestment model can never produce (e.g. non-convex
@@ -273,6 +274,22 @@ def grid_max_joint(game, steps=2000):
     # most ~0.5 * d * xi * delta^2 per provider (curvature at the optimum)
     bound = sum(1.1 * 0.5 * m.d * m.xi * delta**2 for delta in deltas)
     return float(joint.max()), bound
+
+
+def numpy_raw_profile(spec):
+    """The load shape before clamping, evaluated with numpy arrays: the
+    reference for the pure-Python ``SinusoidalLoadSpec.raw_profile``."""
+    t = np.arange(1, spec.T + 1, dtype=float)
+    out = np.full(spec.T, float(spec.a0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (amp, offset) in enumerate(spec.components, start=1):
+            out += amp * np.sin(2.0 * k * math.pi * (t - offset) / spec.T)
+    return out
+
+
+def numpy_synth_load(spec):
+    """Reference for ``synth_load``: the numpy shape clamped by ``np.maximum``."""
+    return LoadProfile(tuple(np.maximum(numpy_raw_profile(spec), 0.0)))
 
 
 def random_load(rng, market, total):

@@ -28,6 +28,7 @@ from coinvest import (
     parse_config,
 )
 from coinvest.cli import CSV_COLUMNS, main
+from coinvest.shapley import CoreCheck
 from coinvest.config import (
     MAX_GRID_POINTS,
     MAX_PROVIDERS,
@@ -576,7 +577,8 @@ class TestCliRun:
                 counterexample=("SP1", frozenset(), frozenset({"NO"})),
             )
 
-        monkeypatch.setattr(cli_mod, "check_supermodularity", broken_check)
+        # run decides supermodularity structurally
+        monkeypatch.setattr(cli_mod, "check_supermodularity_structural", broken_check)
         out = tmp_path / "s"
         strict = CliRunner().invoke(main, ["run", SMALL_RUN, "--out", str(out), "--strict"])
         assert strict.exit_code == 2
@@ -676,6 +678,73 @@ class TestCliVerifyAndPresets:
         proc = _fresh_interpreter("-m", "coinvest", "presets")
         assert proc.returncode == 0
         assert "fig1" in proc.stdout
+
+    def test_verify_names_both_verdicts_when_they_disagree(self, monkeypatch):
+        cfg = json.dumps({"l_total_grid": [2e6, 3e6], "samples": 1000})
+        monkeypatch.setattr(
+            cli_mod, "check_core_structural", lambda game, payoffs: CoreCheck(False, None)
+        )
+        result = CliRunner().invoke(main, ["verify", cfg])
+        assert result.exit_code == 2
+        assert (
+            "core-membership        FAIL  (0/2 instances; instance 0: structural verdict "
+            "'fail: blocked by efficiency' but brute-force verdict 'pass')"
+        ) in result.output
+        assert "supermodularity        PASS  (2/2 instances)" in result.output
+
+    def test_run_decides_checks_past_the_enumeration_bound(self, tmp_path):
+        cfg = json.dumps(
+            {
+                "scenario": "custom",
+                "custom_sps": [
+                    {"id": f"SP{k:02d}", "beta": 2e-6, "daily_total": 5e5 + k} for k in range(20)
+                ],
+                "samples": 1000,
+            }
+        )
+        out = tmp_path / "wide"
+        result = run_cli("run", cfg, "--out", str(out), "--strict")
+        assert result.exit_code == 0, result.output
+        summary = json.loads((out / "summary.json").read_text())
+        [instance] = summary["instances"]
+        assert instance["checks"] == {
+            "core": "pass",
+            "supermodularity": "pass",
+            "settlement_balance": "pass",
+        }
+        assert len(instance["players"]) == 21
+        assert {(p["veto"], p["null"]) for p in instance["players"].values()} == {
+            (True, False),
+            (False, False),
+        }
+        assert summary["check_methods"] == cli_mod.RUN_CHECK_METHODS
+        assert set(summary["check_methods"].values()) == {"structural", "direct"}
+        result = run_cli("verify", cfg)
+        assert result.exit_code == 0, result.output
+        assert "supermodularity        PASS  (1/1 instances)" in result.output
+        assert "core-membership        PASS  (1/1 instances)" in result.output
+        assert "oracle-triangle        PASS  (0/1 instances)" in result.output
+
+    def test_numpy_is_loaded_only_where_it_is_used(self, tmp_path):
+        wide = json.dumps(
+            {
+                "scenario": "custom",
+                "custom_sps": [
+                    {"id": f"SP{k:02d}", "beta": 2e-6, "daily_total": 5e5} for k in range(20)
+                ],
+            }
+        )
+        for args, numpy in (
+            (["run", "fig1", "--out", str(tmp_path / "fig1")], False),
+            (["run", wide, "--out", str(tmp_path / "wide")], False),
+            (["presets"], False),
+            (["run", "fig1", "--method", "enum", "--out", str(tmp_path / "enum")], True),
+        ):
+            proc = _fresh_interpreter("-c", _LIST_MODULES_AT_EXIT, *args)
+            assert proc.returncode == 0, (args, proc.stderr)
+            loaded = set(proc.stderr.split())
+            assert "coinvest.shapley" in loaded, args
+            assert ("numpy" in loaded) is numpy, args
 
     def test_sampling_loads_neither_numpy_random_nor_hashlib(self, tmp_path):
         # numpy.random imports secrets, hmac and hashlib, which loads OpenSSL:

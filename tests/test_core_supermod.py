@@ -3,22 +3,31 @@
 import pytest
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 import coinvest.game
 from coinvest import (
     NO,
     GameInstance,
     LoadProfile,
+    MarketParams,
     ServiceProvider,
     check_core,
+    check_core_structural,
     check_supermodularity,
+    check_supermodularity_structural,
     classify_players,
+    classify_players_structural,
     coalition_value,
     shapley_closed_form,
     shapley_enumeration,
 )
+from coinvest.game import SingleOptimum
+from coinvest.shapley import STABILITY_TOL
 
 from conftest import (
     TabularGame,
@@ -279,3 +288,128 @@ class TestLoopOracles:
         assert check_supermodularity(game).holds
         assert classify_players(game)[NO].veto
         assert builds == [3]
+
+
+# one timeslot a day; a provider with beta * L above d / (D * xi) is active
+_ONE_SLOT = MarketParams(T=1)
+_THRESHOLD = _ONE_SLOT.d / (_ONE_SLOT.D * _ONE_SLOT.xi)
+
+
+@st.composite
+def profit_games(draw):
+    """A game of 1-5 providers, each active, idle (positive rate and load
+    below the activation threshold) or null (no rate or no load). Active
+    providers' gains D*xi*beta*L/d scale together, putting their profits
+    anywhere from ~1e-5 to ~1e150."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e12, 1e150]))
+    sps = []
+    for k in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["active", "active", "idle", "no-rate", "no-load"]))
+        if kind == "active":
+            beta, gain = 1.0, 1.0 + scale * draw(st.floats(0.5, 2.0))
+        elif kind == "idle":
+            beta, gain = 1.0, draw(st.floats(0.01, 1.0))
+        else:
+            beta, gain = (0.0, 1.0) if kind == "no-rate" else (1.0, 0.0)
+        load = LoadProfile((gain * _THRESHOLD,))
+        sps.append(ServiceProvider(f"SP{k}", beta, load))
+    return GameInstance(_ONE_SLOT, tuple(sps))
+
+
+@st.composite
+def payoff_cases(draw):
+    """(game, payoffs, kind): Shapley payoffs, a point inside the core, one
+    outside it by 1e-8 to 1 of max(1, v(N)) with efficiency kept, or an
+    inefficient one that misses v(N) by that much."""
+    game = draw(profit_games())
+    optima = game.standalone_optima()
+    profits = {sp.id: optima[sp.id].value for sp in game.sps}
+    grand = math.fsum(profits.values())
+    kind = draw(st.sampled_from(["shapley", "inside", "below-0", "above-m", "inefficient"]))
+    if kind == "shapley":
+        return game, dict(shapley_closed_form(game).payoffs), kind
+    share = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    x = {pid: draw(share) * m for pid, m in profits.items()}
+    x[NO] = grand - math.fsum(x.values())
+    delta = draw(st.sampled_from([1e-8, 1e-6, 1e-3, 1.0])) * max(1.0, grand)
+    pid = draw(st.sampled_from(sorted(profits)))
+    if kind == "below-0":  # {pid} blocks
+        x[NO] += x[pid] + delta
+        x[pid] = -delta
+    elif kind == "above-m":  # everyone but pid blocks
+        x[NO] -= profits[pid] + delta - x[pid]
+        x[pid] = profits[pid] + delta
+    elif kind == "inefficient":
+        x[NO] += draw(st.sampled_from([delta, -delta]))
+    return game, x, kind
+
+
+@given(payoff_cases())
+def test_structural_brute_force_and_loop_verdicts_agree(case):
+    game, payoffs, kind = case
+    noise = STABILITY_TOL * max(1.0, coalition_value(game, game.players))
+
+    structural = check_core_structural(game, payoffs)
+    brute = check_core(game, payoffs)
+    assert structural.in_core == brute.in_core == core_scan(game, payoffs)[0]
+    assert structural.in_core is (kind in ("shapley", "inside"))
+    blocking = structural.violating_coalition
+    assert (blocking is None) == (brute.violating_coalition is None)
+    if blocking is not None:
+        paid = math.fsum(payoffs[p] for p in blocking)
+        assert paid - coalition_value(game, blocking) < -noise
+
+    assert check_supermodularity_structural(game).holds
+    assert check_supermodularity(game).holds
+    assert supermodularity_scan(game, tol=noise)
+
+    flags = classify_players_structural(game)
+    assert flags == classify_players(game) == classification_scan(game)
+
+
+class ProfitsOnly:
+    """Stands in for a GameInstance with the given standalone profits, which
+    may be negative, as no GameInstance's can."""
+
+    def __init__(self, profits):
+        self.sps = tuple(SimpleNamespace(id=pid) for pid in profits)
+        self.players = tuple(profits) + (NO,)
+        self._optima = {pid: SingleOptimum(0.0, m) for pid, m in profits.items()}
+
+    def standalone_optima(self):
+        return self._optima
+
+
+def test_structural_checks_match_brute_force_on_negative_profits():
+    profits = {"SP1": 3.0, "SP2": -1.0, "SP3": 0.0, "SP4": -2.0}
+    stand_in, table = ProfitsOnly(profits), veto_table_game(profits)
+    report = check_supermodularity_structural(stand_in)
+    assert not report.holds
+    assert report == check_supermodularity(table)
+    assert report.counterexample == (NO, frozenset(), frozenset({"SP2"}))
+    assert classify_players_structural(stand_in) == classify_players(table)
+    for payoffs in (
+        {"SP1": 1.0, "SP2": -1.0, "SP3": 0.0, "SP4": -2.0, NO: 2.0},
+        {"SP1": 3.0, "SP2": -1.0, "SP3": 0.0, "SP4": -2.0, NO: 0.0},
+        {"SP1": 4.0, "SP2": 0.0, "SP3": 0.0, "SP4": -2.0, NO: -2.0},
+    ):
+        structural = check_core_structural(stand_in, payoffs)
+        assert structural.in_core == check_core(table, payoffs).in_core
+        if structural.violating_coalition is not None:
+            worth = table.value(structural.violating_coalition)
+            assert math.fsum(payoffs[p] for p in structural.violating_coalition) < worth
+
+
+def test_structural_core_names_the_weakest_coalition():
+    game = heterogeneous_game()
+    payoffs = dict(shapley_closed_form(game).payoffs)
+    grand = coalition_value(game, game.players)
+    # SP01 keeps a little of its share, SP02 is pushed below zero: the owner's
+    # side is fine, {SP02} alone blocks by 1e-6 * v(N)
+    moved = payoffs["SP02"] + 1e-6 * grand
+    payoffs["SP02"] -= moved
+    payoffs[NO] += moved
+    result = check_core_structural(game, payoffs)
+    assert not result.in_core
+    assert result.violating_coalition == frozenset({"SP02"})
+    assert check_core(game, payoffs).violating_coalition == frozenset({"SP02"})

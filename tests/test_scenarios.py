@@ -1,9 +1,12 @@
 """Load synthesis, scenario builders, and the sweep runner."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from coinvest import (
     NO,
@@ -22,7 +25,33 @@ from coinvest import (
     synth_load,
 )
 
-from conftest import random_game
+from coinvest.scenarios import DEFAULT_D_GRID
+
+from conftest import numpy_raw_profile, numpy_synth_load, random_game
+
+# finite spec parameters, the huge ones overflowing the shape to inf or nan
+_param = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e150, -1e150, 1.7e308, -1.7e308]
+)
+_specs = st.builds(
+    SinusoidalLoadSpec,
+    a0=_param,
+    components=st.lists(st.tuples(_param, _param), min_size=1, max_size=3).map(tuple),
+    T=st.integers(1, 130),
+)
+
+
+def _bits(values):
+    """Each float's bytes: equal lists are equal bit for bit, signs of 0 and nan included."""
+    return [struct.pack("<d", v) for v in values]
+
+
+def _synthesized(make, spec):
+    """The slots' bits of ``make(spec)``, or the message of the ValueError it raises."""
+    try:
+        return _bits(make(spec).values)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestSynthLoad:
@@ -51,6 +80,28 @@ class TestSynthLoad:
     def test_requires_a_component(self):
         with pytest.raises(ValueError):
             SinusoidalLoadSpec(components=())
+
+    @given(spec=_specs)
+    @example(spec=SinusoidalLoadSpec())
+    @example(spec=SinusoidalLoadSpec(a0=-0.0, components=((0.0, 0.0),), T=17))
+    @example(spec=SinusoidalLoadSpec(a0=1e308, components=((1e308, 0.5), (-1e308, 1.0)), T=9))
+    def test_shape_matches_numpy_bit_for_bit(self, spec):
+        assert _bits(spec.raw_profile()) == _bits(numpy_raw_profile(spec).tolist())
+        assert clamping_applied(spec) is bool((numpy_raw_profile(spec) < 0.0).any())
+        assert _synthesized(synth_load, spec) == _synthesized(numpy_synth_load, spec)
+
+    def test_sine_of_an_infinite_argument_is_nan(self):
+        # 2*pi*(t + 1.7e308) overflows to inf: math.sin raises there, np.sin gives nan
+        spec = SinusoidalLoadSpec(a0=1.0, components=((1.0, -1.7e308),), T=4)
+        assert _bits(spec.raw_profile()) == _bits(numpy_raw_profile(spec).tolist())
+        assert all(math.isnan(v) for v in spec.raw_profile())
+        message = _synthesized(synth_load, spec)
+        assert message == _synthesized(numpy_synth_load, spec)
+        assert message == "load at slot 0 must be finite and >= 0, got nan"
+
+    def test_default_price_grid_is_geometric(self):
+        assert all(type(v) is float for v in DEFAULT_D_GRID)
+        assert DEFAULT_D_GRID == tuple(np.geomspace(0.005, 0.5, 20))
 
 
 class TestScaleLoad:
