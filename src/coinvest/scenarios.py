@@ -141,19 +141,7 @@ def scenario_same_type(
     the same daily shape with the first carrying four fifths of ``l_total``.
     The scale factors are built so the per-slot 4:1 ratio is exact.
     """
-    if not (l_total >= 0.0 and math.isfinite(l_total)):
-        raise ValueError(f"l_total must be finite and >= 0, got {l_total!r}")
-    market = market or MarketParams()
-    base = _base_shape(load_spec, market)
-    f2 = _shape_factor(base, l_total / 5.0)
-    price = amortized_unit_price(market)
-    return GameInstance(
-        market=market,
-        sps=(
-            ServiceProvider("SP1", price, scale_load(base, 4.0 * f2)),
-            ServiceProvider("SP2", price, scale_load(base, f2)),
-        ),
-    )
+    return scenario_omega(0.5, l_total, market, load_spec)
 
 
 def scenario_omega(

@@ -183,11 +183,12 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     Averages each player's marginal contribution over ``samples`` uniformly
     random permutations (Castro, Gomez & Tejada 2009). No coalition value is
     read: a provider adds its standalone profit m_i exactly when the owner
-    arrived before it, so its sum is m_i times a count of orders, and only the
-    owner, who adds the m_j of the providers before it, is valued per order.
-    Unbiased, deterministic for a fixed seed, and the estimates sum to the
-    grand value up to rounding (each permutation telescopes). Reports one
-    standard error per player.
+    arrived before it, so its sum is m_i times a count of orders. The owner
+    adds the m_j of the providers before it, so its sum is read off the same
+    counts, and only its sum of squares is built order by order. Unbiased,
+    deterministic for a fixed seed, and the estimates sum to the grand value
+    up to rounding (each permutation telescopes). Reports one standard error
+    per player.
 
     Player k's arrival key in order r is ``mix64(mix64(seed) + (r*n + k + 1)
     * gamma)`` modulo 2^64: SplitMix64 (Steele, Lea & Flood 2014) indexed by
@@ -209,16 +210,12 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     profit /= unit
     state = int(_mix64(np.array([seed], dtype=np.uint64))[0])
     count = np.zeros(n - 1)  # per provider: orders where the owner arrived first
-    owner_sum = owner_sq = 0.0
-    # orders are taken in blocks of at most 2^17 orders and 2^21 keys; a block
-    # keeps only the owner's value per order, so memory is bounded for any n
-    # and does not grow with samples
-    rows = max(1, min(1 << 17, (1 << 21) // n, samples))
-    owner = np.empty(rows)
-    # within a block, keys are computed a chunk of orders at a time into reused
-    # buffers; each key is a hash of its own index, so the chunk and block
-    # sizes do not change which orders a seed draws
-    chunk = max(1, min(rows, _CHUNK_CELLS // n))
+    owner_sq = lost = 0.0
+    # keys are computed a chunk of orders at a time into reused buffers, so
+    # memory is bounded for any n and does not grow with samples; each key is
+    # a hash of its own index, so the chunk size does not change which orders
+    # a seed draws
+    chunk = max(1, min(samples, _CHUNK_CELLS // n))
     # steps[k, i] = (i*n + k + 1) * gamma: the counter of player k in the
     # chunk's order i, less the chunk's first order; the comparison's inner
     # loop runs along the chunk
@@ -228,26 +225,28 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     steps *= _GAMMA
     keys = np.empty((n, chunk), dtype=np.uint64)
     before = np.empty((n - 1, chunk))
+    owner = np.empty(chunk)
     ones = np.ones(chunk)
-    drawn = 0
-    while drawn < samples:
-        block = min(samples - drawn, rows)
-        for start in range(0, block, chunk):
-            c = min(chunk, block - start)
-            # keys[k, i] is player k's arrival time in order drawn + start + i;
-            # the owner is last
-            t = keys[:, :c]
-            offset = (state + (drawn + start) * n * _GAMMA) % (1 << 64)
-            np.add(steps[:, :c], np.uint64(offset), out=t)
-            _mix64(t)
-            b = before[:, :c]
-            np.less_equal(t[:-1], t[-1:], out=b)
-            # an exact count: a BLAS mat-vec beats a reduction over a bool matrix
-            count += c - b @ ones[:c]
-            np.matmul(profit, b, out=owner[start : start + c])
-        owner_sum += owner[:block].sum()
-        owner_sq += owner[:block] @ owner[:block]
-        drawn += block
+    for start in range(0, samples, chunk):
+        c = min(chunk, samples - start)
+        # keys[k, i] is player k's arrival time in order start + i; the owner
+        # is last
+        t = keys[:, :c]
+        np.add(steps[:, :c], np.uint64((state + start * n * _GAMMA) % (1 << 64)), out=t)
+        _mix64(t)
+        b = before[:, :c]
+        np.less_equal(t[:-1], t[-1:], out=b)
+        # an exact count: a BLAS mat-vec beats a reduction over a bool matrix
+        count += c - b @ ones[:c]
+        o = np.matmul(profit, b, out=owner[:c])
+        # compensated (Kahan 1965), so the rounding does not grow with the
+        # number of chunks
+        sq = o @ o - lost
+        lost = ((owner_sq + sq) - owner_sq) - sq
+        owner_sq += sq
+    # the owner adds m_j in each of the samples - count[j] orders where
+    # provider j came first
+    owner_sum = math.fsum(profit * (samples - count))
     sums = np.append(count * profit, owner_sum)
     sqs = np.append(count * profit * profit, owner_sq)
     mean = sums / samples

@@ -123,7 +123,7 @@ def splitmix_keys(seed, samples, n):
 
 
 def sampling_by_table(game, samples, seed):
-    """Reference sampler: (payoffs, stderr) from one block of arrival orders.
+    """Reference sampler: (payoffs, stderr) from every arrival order at once.
 
     Draws the :func:`splitmix_keys` arrival keys that the production sampler
     draws, sorts each row into an arrival order and reads every player's
@@ -147,11 +147,11 @@ def sampling_exact_mean(game, samples, seed):
     arrival orders that ``shapley_sampling`` draws for ``samples`` and ``seed``.
 
     The keys are :func:`splitmix_keys`: each depends only on the seed, the
-    order and the player, so the production sampler's blocks and chunks
-    yield the same ones. A provider's mean is m_i times the fraction of
-    orders in which the owner arrived first; the owner's is the average of
-    the summed profits of the providers before it, grouped by the set of
-    providers that came first.
+    order and the player, so the production sampler's chunks yield the
+    same ones. A provider's mean is m_i times the fraction of orders in
+    which the owner arrived first; the owner's is the average of the summed
+    profits of the providers before it, grouped by the set of providers that
+    came first.
     """
     players = tuple(game.players)
     keys = splitmix_keys(seed, samples, len(players))

@@ -760,6 +760,17 @@ class TestCliVerifyAndPresets:
             assert {"numpy", "coinvest.shapley"} <= loaded, args
             assert not {"numpy.random", "hashlib"} & loaded, args
 
+    def test_sampled_payoffs_pass_strict_checks(self, tmp_path):
+        # a sampled provider payoff lies in [0, m_i] and the owner takes the
+        # rest, so the estimates are always in the core
+        out = tmp_path / "sample"
+        proc = _fresh_interpreter(
+            "-m", "coinvest", "run", "fig1", "--method", "sample", "--strict", "--out", str(out)
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert {i["checks"]["core"] for i in summary["instances"]} == {"pass"}
+
 
 # runs ``python -m coinvest`` on the arguments that follow it, then lists
 # every module it imported on stderr

@@ -15,6 +15,8 @@ from coinvest import (
     MarketParams,
     ServiceProvider,
     amortized_unit_price,
+    check_core,
+    check_core_structural,
     coalition_value,
     shapley_closed_form,
     shapley_enumeration,
@@ -130,7 +132,7 @@ def _chunk_rows(n_players):
 
 
 # a sample count inside one chunk, one either side of a chunk boundary, and
-# one that ends three orders into a second 2^17-order block
+# one past 2^17 that spans many chunks and ends part-way into its last
 def _sample_counts(n_players):
     rows = _chunk_rows(n_players)
     return (3000, rows - 1, rows + 1, (1 << 17) + 3)
@@ -149,6 +151,25 @@ def test_instance_and_table_routes_agree(rng, n_players):
             assert direct.stderr[pid] == pytest.approx(stderr[pid], rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("n_players", [2, 3, 8])
+def test_chunk_size_does_not_change_the_estimate(rng, monkeypatch, n_players):
+    # against 2^15 keys per chunk: one order per chunk, and five orders with
+    # three keys left over
+    game = random_game(rng, n_sps=n_players - 1)
+    counts = _sample_counts(n_players)
+    monkeypatch.setattr(shapley_mod, "_CHUNK_CELLS", 1 << 15)
+    reference = [shapley_sampling(game, samples, seed=23) for samples in counts]
+    for cells in (n_players, 5 * n_players + 3):
+        monkeypatch.setattr(shapley_mod, "_CHUNK_CELLS", cells)
+        for samples, expected in zip(counts, reference):
+            sampled = shapley_sampling(game, samples, seed=23)
+            assert sampled.payoffs == expected.payoffs, (cells, samples)
+            for pid in game.players:
+                assert sampled.stderr[pid] == pytest.approx(
+                    expected.stderr[pid], rel=1e-12, abs=0.0
+                ), (cells, samples, pid)
+
+
 def _assert_exact_mean(game, samples, seed):
     # every payoff is the exactly rounded mean of its own orders' marginals,
     # up to a few ulps
@@ -160,7 +181,7 @@ def _assert_exact_mean(game, samples, seed):
 
 
 def test_matches_the_exact_mean_of_its_orders(rng):
-    # 200 000 orders span two blocks of keys
+    # 200 000 orders span several chunks of keys
     game = heterogeneous_game()
     for samples in _sample_counts(len(game.players))[1:] + (200_000,):
         _assert_exact_mean(game, samples, seed=11)
@@ -168,14 +189,14 @@ def test_matches_the_exact_mean_of_its_orders(rng):
         game = random_game(rng, n_sps=n_players - 1)
         counts = _sample_counts(n_players)[1:]
         # the oracle visits every distinct set of providers before the owner:
-        # past a block of 22-player orders that is too slow for tier-1
+        # past a few chunks of 22-player orders that is too slow for tier-1
         for samples in counts if n_players < 22 else counts[:2]:
             _assert_exact_mean(game, samples, seed=5)
 
 
 def test_memory_does_not_grow_with_samples(rng):
-    # no (samples, n) or (block, n) key matrix: a million orders of 8 players
-    # would need 64 MB of keys, a 2^17-order block 8 MB
+    # no (samples, n) key matrix and no per-order buffer: a million orders of
+    # 8 players would need 64 MB of keys, and the owner's values 8 MB
     game = random_game(rng, n_sps=7)
     tracemalloc.start()
     try:
@@ -183,7 +204,7 @@ def test_memory_does_not_grow_with_samples(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6, peak
+    assert peak < 1.5e6, peak
 
 
 def test_instance_route_runs_past_the_enumeration_bound(rng):
@@ -257,3 +278,9 @@ def test_sampled_payoffs_are_bounded_and_efficient(providers, seed, samples):
     for sp in game.sps:
         # a mean of k equal terms can round a few ulps above the term
         assert 0.0 <= sampled.payoffs[sp.id] <= optima[sp.id].value * (1.0 + 1e-12)
+    # so every coalition S with the owner gets v(S) plus the sum of m_i - x_i
+    # over the providers outside it, and every other coalition is worth 0:
+    # sampled payoffs lie in the core, up to rounding (at most 9 players here,
+    # so brute force is cheap)
+    assert check_core_structural(game, sampled.payoffs).in_core
+    assert check_core(game, sampled.payoffs).in_core
