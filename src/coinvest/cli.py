@@ -4,14 +4,15 @@
 the output directory: ``records.csv`` (one row per instance and player, fixed
 column order), ``summary.json`` (per-instance payoffs, settlement, player
 flags, check outcomes and the method behind them) and ``meta.json`` (the
-fully resolved config, tool version and seed). ``coinvest verify`` runs the
-property suite on the same instances and prints one pass/fail line per
-property. ``coinvest presets`` lists the configurations shipped with the
-package. With the closed-form method, ``run`` decides its checks
-structurally and never loads numpy.
+fully resolved config, tool version and seed). ``coinvest verify`` solves
+the same instances the way ``run --method closed`` does, runs the property
+suite on them and prints one pass/fail line per property. ``coinvest
+presets`` lists the configurations shipped with the package. With the
+closed-form method, ``run`` decides its checks structurally and never loads
+numpy.
 
-Exit codes: 0 success, 1 validation error, 2 property-check failure (under
-``--strict`` or from ``verify``), 3 I/O error.
+Exit codes: 0 success, 1 validation error (a bad config or a usage error),
+2 property-check failure (under ``--strict`` or from ``verify``), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .config import (
 )
 from .game import MAX_ENUMERATION_PLAYERS, GameInstance, LoadProfile, ServiceProvider
 from .scenarios import (
+    SweepRecord,
     clamping_applied,
     run_sweep,
     scale_load,
@@ -58,7 +60,6 @@ from .shapley import (
     check_supermodularity,
     check_supermodularity_structural,
     classify_players_structural,
-    settle,
     shapley_closed_form,
     shapley_enumeration,
     shapley_sampling,
@@ -93,7 +94,27 @@ RUN_CHECK_METHODS = {
 }
 
 
-@click.group()
+class _Group(click.Group):
+    """A click group whose usage errors (a missing or malformed argument, an
+    unknown option or command) exit 1 like any other validation error:
+    click's own 2 would read as a failed property check."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_VALIDATION
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_VALIDATION
+            raise
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="coinvest")
 def main():
     """Plan a capacity coinvestment: solve it, split the payoff, settle the bill."""
@@ -101,9 +122,46 @@ def main():
 
 def _load_config(config_arg: str) -> RunConfig:
     """Resolve a CLI config argument: preset name, file path, or inline JSON."""
-    if config_arg in preset_names():
-        return parse_config(load_preset(config_arg))
-    return parse_config(config_arg)
+    try:
+        if config_arg in preset_names():
+            return parse_config(load_preset(config_arg))
+        return parse_config(config_arg)
+    except ConfigError as exc:
+        raise click.ClickException(str(exc)) from exc
+
+
+def _solve(cfg: RunConfig) -> list[tuple[GameInstance, SweepRecord]]:
+    """Build the configured instances and solve each with ``cfg.method``.
+
+    ``run`` and ``verify`` both solve here: one (game, record) pair per
+    instance, in config order. A config the model rejects exits 1, naming
+    the config fields it blames.
+    """
+    try:
+        groups = _build_groups(cfg)
+        if cfg.method is ShapleyMethod.SUBSET_ENUMERATION:
+            n = max(len(game.players) for *_, games in groups for game in games)
+            if n > MAX_ENUMERATION_PLAYERS:
+                raise ConfigError(
+                    f"config field 'method' (or --method) is 'enum', which enumerates at most "
+                    f"{MAX_ENUMERATION_PLAYERS} players, but an instance has {n}; "
+                    "use 'closed' or 'sample'"
+                )
+        solved = []
+        for label, param, values, games in groups:
+            records = run_sweep(
+                games,
+                scenario=label,
+                sweep_param=param,
+                sweep_values=values,
+                method=cfg.method,
+                samples=cfg.samples,
+                seed=cfg.seed,
+            )
+            solved.extend(zip(games, records))
+    except (ValueError, RuntimeError) as exc:
+        raise click.ClickException(str(exc)) from exc
+    return solved
 
 
 def _build_groups(cfg: RunConfig):
@@ -160,17 +218,18 @@ def _rel_err(got: float, ref: float) -> float:
 
 
 def _check_instance(
-    game: GameInstance, payoff, payment, revenue, capacity: float, brute_force: bool = False
+    game: GameInstance, record: SweepRecord, brute_force: bool = False
 ) -> dict[str, str]:
     """Stability and settlement checks of one solved instance.
 
-    Each outcome reads ``pass`` or ``fail: ...``. ``run`` feeds it a record
-    (summary.json, ``--strict``); ``verify`` feeds it the closed-form payoffs
-    and their settlement, with ``brute_force``. The core and supermodularity
-    checks are decided structurally, for any number of players; with
-    ``brute_force``, an instance within the enumeration bound is also checked
-    over all 2^n coalitions, and the check fails unless both verdicts agree.
+    Each outcome reads ``pass`` or ``fail: ...``. ``run`` checks its records
+    (summary.json, ``--strict``); ``verify`` checks closed-form records, with
+    ``brute_force``. The core and supermodularity checks are decided
+    structurally, for any number of players; with ``brute_force``, an
+    instance within the enumeration bound is also checked over all 2^n
+    coalitions, and the check fails unless both verdicts agree.
     """
+    payoff = {p.player_id: p.payoff for p in record.players}
     checks = {
         "core": _core_outcome(check_core_structural(game, payoff)),
         "supermodularity": _supermodularity_outcome(check_supermodularity_structural(game)),
@@ -182,14 +241,14 @@ def _check_instance(
         ):
             checks[name] = _agreed(checks[name], outcome)
 
-    bill = game.market.d * capacity
-    paid = math.fsum(payment[pid] for pid in game.players)
+    bill = game.market.d * record.c_star
+    paid = math.fsum(p.payment for p in record.players)
     broken = [
-        pid for pid in game.players
-        if _rel_err(payoff[pid], revenue[pid] - payment[pid]) > AGREEMENT_TOL
+        p.player_id for p in record.players
+        if _rel_err(p.payoff, p.r_hat - p.payment) > AGREEMENT_TOL
     ]
     # each payment is revenue - payoff, so the sum carries their rounding too
-    terms = math.fsum(abs(revenue[pid]) + abs(payoff[pid]) for pid in game.players)
+    terms = math.fsum(abs(p.r_hat) + abs(p.payoff) for p in record.players)
     if abs(paid - bill) > max(SETTLE_TOL * max(1.0, abs(bill)), SETTLE_TERMS_TOL * terms):
         checks["settlement_balance"] = f"fail: payments sum to {paid!r}, capacity bill is {bill!r}"
     elif broken:
@@ -247,13 +306,7 @@ def _summarize(game: GameInstance, record) -> dict:
         "v_grand": record.v_grand,
         "c_star": record.c_star,
         "players": players,
-        "checks": _check_instance(
-            game,
-            payoff={p.player_id: p.payoff for p in record.players},
-            payment={p.player_id: p.payment for p in record.players},
-            revenue={p.player_id: p.r_hat for p in record.players},
-            capacity=record.c_star,
-        ),
+        "checks": _check_instance(game, record),
     }
 
 
@@ -303,7 +356,12 @@ def _atomic_write(path: Path, text: str) -> None:
 @click.argument("config")
 @click.option("--out", "out_dir", default=None, help="Output directory (overrides the config).")
 @click.option("--strict", is_flag=True, help="Exit nonzero if any property check fails.")
-@click.option("--seed", type=int, default=None, help="Random seed (overrides the config).")
+@click.option(
+    "--seed",
+    type=click.IntRange(0, MAX_SEED),
+    default=None,
+    help="Random seed (overrides the config).",
+)
 @click.option(
     "--method",
     type=click.Choice([m.value for m in ShapleyMethod]),
@@ -315,39 +373,16 @@ def run(config, out_dir, strict, seed, method):
 
     CONFIG is a preset name, a JSON file path, or inline JSON.
     """
-    try:
-        cfg = _load_config(config)
-        if out_dir is not None:
-            cfg = replace(cfg, out_dir=out_dir)
-        if seed is not None:
-            if not 0 <= seed <= MAX_SEED:
-                raise ConfigError(
-                    f"option '--seed' must lie in [0, {MAX_SEED}], got {seed!r}"
-                )
-            cfg = replace(cfg, seed=seed)
-        if method is not None:
-            cfg = replace(cfg, method=ShapleyMethod(method))
-        groups = _build_groups(cfg)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
-
-    records = []
-    summaries = []
-    try:
-        for label, param, values, games in groups:
-            recs = run_sweep(
-                games,
-                scenario=label,
-                sweep_param=param,
-                sweep_values=values,
-                method=cfg.method,
-                samples=cfg.samples,
-                seed=cfg.seed,
-            )
-            records.extend(recs)
-            summaries.extend(_summarize(game, rec) for game, rec in zip(games, recs))
-    except (ValueError, RuntimeError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    cfg = _load_config(config)
+    if out_dir is not None:
+        cfg = replace(cfg, out_dir=out_dir)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
+    if method is not None:
+        cfg = replace(cfg, method=ShapleyMethod(method))
+    solved = _solve(cfg)
+    records = [record for _, record in solved]
+    summaries = [_summarize(game, record) for game, record in solved]
 
     failures = [
         (i, name, outcome)
@@ -405,24 +440,10 @@ def verify(config):
     decided both structurally and by brute force, and must agree. CONFIG is
     a preset name, a JSON file path, or inline JSON.
     """
-    try:
-        cfg = _load_config(config)
-        groups = _build_groups(cfg)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
-
-    games = [game for _, _, _, group in groups for game in group]
+    cfg = _load_config(config)
     outcomes = []
-    for k, game in enumerate(games):
-        settlement = settle(game, shapley_closed_form(game).payoffs)
-        checks = _check_instance(
-            game,
-            settlement.payoff,
-            settlement.payment,
-            settlement.revenue,
-            settlement.allocation.C,
-            brute_force=True,
-        )
+    for k, (game, record) in enumerate(_solve(replace(cfg, method=ShapleyMethod.CLOSED_FORM))):
+        checks = _check_instance(game, record, brute_force=True)
         checks["oracle_triangle"] = _check_oracles(game, cfg.samples, cfg.seed + k)
         outcomes.append(checks)
     failed = False

@@ -1,9 +1,10 @@
 """Run configuration: JSON parsing, validation, defaults and shipped presets.
 
 A configuration is a single JSON object; every key is optional and unknown
-keys are rejected. The full schema is documented in the README and mirrored
-by :func:`config_to_dict`, which round-trips losslessly through
-:func:`parse_config`.
+keys are rejected. Its keys are the fields of :class:`RunConfig` and of the
+dataclasses it holds, and a missing key takes the field's default. The
+README documents the schema; :func:`config_to_dict` reads it back off the
+fields and round-trips losslessly through :func:`parse_config`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -43,15 +44,6 @@ MAX_SEED = 2**63 - 1
 #: Most timeslots per day (``market.T``, ``load_spec.T``, each custom
 #: ``loads``): every provider's load profile and optimum are this long.
 MAX_TIMESLOTS = 10**4
-
-_TOP_KEYS = {
-    "scenario", "description", "market", "load_spec", "l_total", "l_total_grid",
-    "omega_grid", "d_grid", "n_sps", "custom_sps", "out_dir", "seed", "method",
-    "samples",
-}
-_MARKET_KEYS = {"d", "Y", "T", "xi"}
-_LOAD_SPEC_KEYS = {"a0", "components", "T"}
-_CUSTOM_SP_KEYS = {"id", "beta", "daily_total", "loads"}
 
 
 class ConfigError(ValueError):
@@ -132,13 +124,22 @@ def _read_source(source: str | os.PathLike) -> tuple[str, str]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
 
-def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
+def _reject_unknown(data: dict, schema, where: str) -> None:
+    """Refuse any key of ``data`` that is not a field of the dataclass ``schema``."""
+    allowed = {f.name for f in fields(schema)}
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(
             f"unknown key{'s' if len(unknown) > 1 else ''} {unknown!r} in {where}; "
             f"allowed: {sorted(allowed)!r}"
         )
+
+
+def _object(value, field: str, schema) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field '{field}' must be an object")
+    _reject_unknown(value, schema, f"'{field}'")
+    return value
 
 
 def _number(value, field: str, *, minimum=None, strict_min=None) -> float:
@@ -184,100 +185,54 @@ def _number_list(value, field: str, *, max_len: int, **kwargs) -> tuple[float, .
     return tuple(_number(v, f"{field}[{i}]", **kwargs) for i, v in enumerate(value))
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    """Validate a plain dict (already-parsed JSON) into a :class:`RunConfig`."""
-    _reject_unknown(data, _TOP_KEYS, "the top-level config")
+def _field(data: dict, key: str, default, parse, where: str = "", **limits):
+    """``parse`` of ``data[key]``, named ``where + key`` in errors; ``default`` if absent."""
+    return parse(data[key], where + key, **limits) if key in data else default
 
-    scenario = _string(data.get("scenario", "same-type"), "scenario")
+
+def config_from_dict(data: dict) -> RunConfig:
+    """Validate a plain dict (already-parsed JSON) into a :class:`RunConfig`.
+
+    A missing field takes its default from :class:`RunConfig`, except
+    ``load_spec.T``, which follows ``market.T``.
+    """
+    _reject_unknown(data, RunConfig, "the top-level config")
+    default = RunConfig()
+
+    scenario = _field(data, "scenario", default.scenario, _string)
     if scenario not in SCENARIOS:
         raise ConfigError(f"config field 'scenario' must be one of {SCENARIOS!r}, got {scenario!r}")
-    description = _string(data.get("description", ""), "description")
+    description = _field(data, "description", default.description, _string)
 
-    market_data = data.get("market", {})
-    if not isinstance(market_data, dict):
-        raise ConfigError("config field 'market' must be an object")
-    _reject_unknown(market_data, _MARKET_KEYS, "'market'")
-    market_kwargs = {}
-    if "d" in market_data:
-        market_kwargs["d"] = _number(market_data["d"], "market.d", strict_min=0.0)
-    if "Y" in market_data:
-        market_kwargs["Y"] = _integer(market_data["Y"], "market.Y", minimum=1)
-    if "T" in market_data:
-        market_kwargs["T"] = _integer(
-            market_data["T"], "market.T", minimum=1, maximum=MAX_TIMESLOTS
-        )
-    if "xi" in market_data:
-        market_kwargs["xi"] = _number(market_data["xi"], "market.xi", strict_min=0.0)
-    market = MarketParams(**market_kwargs)
-
-    spec_data = data.get("load_spec", {})
-    if not isinstance(spec_data, dict):
-        raise ConfigError("config field 'load_spec' must be an object")
-    _reject_unknown(spec_data, _LOAD_SPEC_KEYS, "'load_spec'")
-    spec_kwargs = {"T": market.T}
-    if "a0" in spec_data:
-        spec_kwargs["a0"] = _number(spec_data["a0"], "load_spec.a0")
-    if "T" in spec_data:
-        spec_kwargs["T"] = _integer(
-            spec_data["T"], "load_spec.T", minimum=1, maximum=MAX_TIMESLOTS
-        )
-    if "components" in spec_data:
-        comps = spec_data["components"]
-        if not isinstance(comps, list) or not comps:
-            raise ConfigError("config field 'load_spec.components' must be a non-empty list")
-        parsed = []
-        for i, comp in enumerate(comps):
-            if not isinstance(comp, list) or len(comp) != 2:
-                raise ConfigError(
-                    f"config field 'load_spec.components[{i}]' must be an [amplitude, offset] pair"
-                )
-            parsed.append(
-                (
-                    _number(comp[0], f"load_spec.components[{i}][0]"),
-                    _number(comp[1], f"load_spec.components[{i}][1]"),
-                )
-            )
-        spec_kwargs["components"] = tuple(parsed)
-    load_spec = SinusoidalLoadSpec(**spec_kwargs)
-
-    l_total = _number(data.get("l_total", DEFAULT_L_TOTAL), "l_total", minimum=0.0)
-    l_total_grid = (
-        _number_list(
-            data["l_total_grid"], "l_total_grid", max_len=MAX_GRID_POINTS, minimum=0.0
-        )
-        if "l_total_grid" in data
-        else DEFAULT_L_TOTAL_GRID
+    raw = _object(data.get("market", {}), "market", MarketParams)
+    market = MarketParams(
+        d=_field(raw, "d", default.market.d, _number, "market.", strict_min=0.0),
+        Y=_field(raw, "Y", default.market.Y, _integer, "market.", minimum=1),
+        T=_field(raw, "T", default.market.T, _integer, "market.", minimum=1,
+                 maximum=MAX_TIMESLOTS),
+        xi=_field(raw, "xi", default.market.xi, _number, "market.", strict_min=0.0),
     )
-    if "omega_grid" in data:
-        omega_grid = _number_list(data["omega_grid"], "omega_grid", max_len=MAX_GRID_POINTS)
-        for i, w in enumerate(omega_grid):
-            if not 0.5 <= w <= 1.0:
-                raise ConfigError(
-                    f"config field 'omega_grid[{i}]' must lie in [0.5, 1], got {w!r}"
-                )
-    else:
-        omega_grid = DEFAULT_OMEGA_GRID
-    d_grid = (
-        _number_list(data["d_grid"], "d_grid", max_len=MAX_GRID_POINTS, strict_min=0.0)
-        if "d_grid" in data
-        else DEFAULT_D_GRID
+    raw = _object(data.get("load_spec", {}), "load_spec", SinusoidalLoadSpec)
+    load_spec = SinusoidalLoadSpec(
+        a0=_field(raw, "a0", default.load_spec.a0, _number, "load_spec."),
+        T=_field(raw, "T", market.T, _integer, "load_spec.", minimum=1, maximum=MAX_TIMESLOTS),
+        components=_field(raw, "components", default.load_spec.components, _components,
+                          "load_spec."),
     )
 
-    raw_n = data.get("n_sps", [2])
-    if isinstance(raw_n, int) and not isinstance(raw_n, bool):
-        raw_n = [raw_n]
-    if not isinstance(raw_n, list) or not raw_n:
-        raise ConfigError("config field 'n_sps' must be an integer or a non-empty list")
-    _check_length(raw_n, "n_sps", MAX_GRID_POINTS)
-    n_sps = tuple(
-        _integer(v, f"n_sps[{i}]", minimum=1, maximum=MAX_PROVIDERS) for i, v in enumerate(raw_n)
-    )
+    l_total = _field(data, "l_total", default.l_total, _number, minimum=0.0)
+    l_total_grid = _field(data, "l_total_grid", default.l_total_grid, _number_list,
+                          max_len=MAX_GRID_POINTS, minimum=0.0)
+    omega_grid = _field(data, "omega_grid", default.omega_grid, _number_list,
+                        max_len=MAX_GRID_POINTS)
+    for i, w in enumerate(omega_grid):
+        if not 0.5 <= w <= 1.0:
+            raise ConfigError(f"config field 'omega_grid[{i}]' must lie in [0.5, 1], got {w!r}")
+    d_grid = _field(data, "d_grid", default.d_grid, _number_list, max_len=MAX_GRID_POINTS,
+                    strict_min=0.0)
+    n_sps = _field(data, "n_sps", default.n_sps, _provider_counts)
 
-    raw_custom = data.get("custom_sps", [])
-    if not isinstance(raw_custom, list):
-        raise ConfigError("config field 'custom_sps' must be a list")
-    _check_length(raw_custom, "custom_sps", MAX_PROVIDERS)
-    custom_sps = tuple(_parse_custom_sp(entry, i) for i, entry in enumerate(raw_custom))
+    custom_sps = _field(data, "custom_sps", default.custom_sps, _custom_providers)
     if scenario == "custom" and not custom_sps:
         raise ConfigError("the custom scenario requires at least one entry in 'custom_sps'")
     # every scenario but a custom one with explicit loads shapes loads from the spec
@@ -288,19 +243,6 @@ def config_from_dict(data: dict) -> RunConfig:
             f"config field 'load_spec.T' is {load_spec.T} but 'market.T' is {market.T}; "
             "loads synthesized from the spec need one slot per market timeslot"
         )
-
-    out_dir = _string(data.get("out_dir", "out"), "out_dir")
-    seed = _integer(data.get("seed", 0), "seed", minimum=0, maximum=MAX_SEED)
-    samples = _integer(data.get("samples", 100_000), "samples", minimum=1, maximum=MAX_SAMPLES)
-
-    method_name = _string(data.get("method", "closed"), "method")
-    try:
-        method = ShapleyMethod(method_name)
-    except ValueError:
-        raise ConfigError(
-            f"config field 'method' must be one of "
-            f"{[m.value for m in ShapleyMethod]!r}, got {method_name!r}"
-        ) from None
 
     return RunConfig(
         scenario=scenario,
@@ -313,72 +255,101 @@ def config_from_dict(data: dict) -> RunConfig:
         d_grid=d_grid,
         n_sps=n_sps,
         custom_sps=custom_sps,
-        out_dir=out_dir,
-        seed=seed,
-        method=method,
-        samples=samples,
+        out_dir=_field(data, "out_dir", default.out_dir, _string),
+        seed=_field(data, "seed", default.seed, _integer, minimum=0, maximum=MAX_SEED),
+        samples=_field(data, "samples", default.samples, _integer, minimum=1,
+                       maximum=MAX_SAMPLES),
+        method=_field(data, "method", default.method, _method),
     )
 
 
-def _parse_custom_sp(entry, index: int) -> CustomProvider:
-    where = f"custom_sps[{index}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"config field '{where}' must be an object")
-    _reject_unknown(entry, _CUSTOM_SP_KEYS, f"'{where}'")
+def _components(value, field: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"config field '{field}' must be a non-empty list")
+    pairs = []
+    for i, comp in enumerate(value):
+        if not isinstance(comp, list) or len(comp) != 2:
+            raise ConfigError(f"config field '{field}[{i}]' must be an [amplitude, offset] pair")
+        pairs.append(tuple(_number(c, f"{field}[{i}][{j}]") for j, c in enumerate(comp)))
+    return tuple(pairs)
+
+
+def _provider_counts(value, field: str) -> tuple[int, ...]:
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = [value]
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"config field '{field}' must be an integer or a non-empty list")
+    _check_length(value, field, MAX_GRID_POINTS)
+    return tuple(
+        _integer(v, f"{field}[{i}]", minimum=1, maximum=MAX_PROVIDERS) for i, v in enumerate(value)
+    )
+
+
+def _method(value, field: str) -> ShapleyMethod:
+    name = _string(value, field)
+    try:
+        return ShapleyMethod(name)
+    except ValueError:
+        raise ConfigError(
+            f"config field '{field}' must be one of "
+            f"{[m.value for m in ShapleyMethod]!r}, got {name!r}"
+        ) from None
+
+
+def _custom_providers(value, field: str) -> tuple[CustomProvider, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"config field '{field}' must be a list")
+    _check_length(value, field, MAX_PROVIDERS)
+    return tuple(_custom_provider(entry, f"{field}[{i}]") for i, entry in enumerate(value))
+
+
+def _custom_provider(entry, where: str) -> CustomProvider:
+    _object(entry, where, CustomProvider)
     if "id" not in entry:
         raise ConfigError(f"config field '{where}.id' is required")
     sp_id = _string(entry["id"], f"{where}.id")
     beta = _number(entry.get("beta", 0.0), f"{where}.beta", minimum=0.0)
-    has_total = "daily_total" in entry
-    has_loads = "loads" in entry
-    if has_total == has_loads:
+    if ("daily_total" in entry) == ("loads" in entry):
         raise ConfigError(
             f"config field '{where}' needs exactly one of 'daily_total' or 'loads'"
         )
-    if has_total:
-        return CustomProvider(
-            id=sp_id,
-            beta=beta,
-            daily_total=_number(entry["daily_total"], f"{where}.daily_total", minimum=0.0),
-        )
-    loads = _number_list(entry["loads"], f"{where}.loads", max_len=MAX_TIMESLOTS, minimum=0.0)
-    return CustomProvider(id=sp_id, beta=beta, loads=loads)
+    return CustomProvider(
+        id=sp_id,
+        beta=beta,
+        daily_total=_field(entry, "daily_total", None, _number, f"{where}.", minimum=0.0),
+        loads=_field(entry, "loads", None, _number_list, f"{where}.", max_len=MAX_TIMESLOTS,
+                     minimum=0.0),
+    )
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    """Serialize a config back to the JSON schema; a fixpoint of parsing."""
-    custom = []
-    for sp in config.custom_sps:
-        entry = {"id": sp.id, "beta": sp.beta}
-        if sp.loads is not None:
-            entry["loads"] = list(sp.loads)
-        else:
-            entry["daily_total"] = sp.daily_total
-        custom.append(entry)
+    """Serialize a config back to the JSON schema; a fixpoint of parsing.
+
+    Every dataclass field is read by name; a custom provider drops the one of
+    ``daily_total`` and ``loads`` it does not give.
+    """
+    data = _field_values(config)
+    data["market"] = _field_values(config.market)
+    data["load_spec"] = _field_values(config.load_spec)
+    data["load_spec"]["components"] = [list(c) for c in config.load_spec.components]
+    data["custom_sps"] = [
+        {key: value for key, value in _field_values(sp).items() if value is not None}
+        for sp in config.custom_sps
+    ]
+    data["method"] = config.method.value
+    return data
+
+
+def _field_values(obj) -> dict:
+    """Each field of a dataclass by name, a tuple as the list JSON reads back.
+
+    Shallow on purpose: ``dataclasses.asdict`` copies tuples element by
+    element, which takes seconds on a config with 10^6 explicit load floats.
+    """
     return {
-        "scenario": config.scenario,
-        "description": config.description,
-        "market": {
-            "d": config.market.d,
-            "Y": config.market.Y,
-            "T": config.market.T,
-            "xi": config.market.xi,
-        },
-        "load_spec": {
-            "a0": config.load_spec.a0,
-            "components": [list(c) for c in config.load_spec.components],
-            "T": config.load_spec.T,
-        },
-        "l_total": config.l_total,
-        "l_total_grid": list(config.l_total_grid),
-        "omega_grid": list(config.omega_grid),
-        "d_grid": list(config.d_grid),
-        "n_sps": list(config.n_sps),
-        "custom_sps": custom,
-        "out_dir": config.out_dir,
-        "seed": config.seed,
-        "method": config.method.value,
-        "samples": config.samples,
+        f.name: list(value) if isinstance(value, tuple) else value
+        for f in fields(obj)
+        for value in (getattr(obj, f.name),)
     }
 
 

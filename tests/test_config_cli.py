@@ -490,6 +490,15 @@ class TestCliRun:
                 },
                 "load_spec, custom_sps[0].daily_total",
             ),
+            # some slots are positive before clamping, none after
+            (
+                {
+                    "scenario": "custom",
+                    "load_spec": {"a0": -5.0, "components": [[0.1, 0.0]]},
+                    "custom_sps": [{"id": "a", "beta": 1e-6, "daily_total": 1e6}],
+                },
+                "custom_sps[0]: load shape sums to zero",
+            ),
         ],
     )
     def test_unscalable_load_shape_exits_1(self, tmp_path, config, fields):
@@ -548,6 +557,24 @@ class TestCliRun:
             result = run_cli(*args)
             assert result.exit_code == 1, args
             assert "samples" in result.output, result.output
+        assert not out.exists()
+
+    def test_enum_past_the_bound_exits_1_before_solving(self, tmp_path, monkeypatch):
+        def no_solving(*args, **kwargs):
+            raise AssertionError("solving started")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", no_solving)
+        # the first group fits the enumeration bound, the second has 21 players
+        wide = {"scenario": "price-sweep", "n_sps": [3, 20], "d_grid": [0.05]}
+        out = tmp_path / "e"
+        for args in (
+            ["run", json.dumps({**wide, "method": "enum"}), "--out", str(out)],
+            ["run", json.dumps(wide), "--out", str(out), "--method", "enum"],
+        ):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert "'method'" in result.output, result.output
+            assert "an instance has 21" in result.output, result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("data, field", OVER_CAP)
@@ -772,6 +799,78 @@ class TestCliVerifyAndPresets:
         assert {i["checks"]["core"] for i in summary["instances"]} == {"pass"}
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            pytest.param([], "Usage:", id="bare"),
+            pytest.param(["run"], "'CONFIG'", id="run-without-config"),
+            pytest.param(["verify"], "'CONFIG'", id="verify-without-config"),
+            pytest.param(["run", "fig1", "--bogus"], "'--bogus'", id="unknown-option"),
+            pytest.param(["bogus"], "'bogus'", id="unknown-command"),
+            pytest.param(["run", "fig1", "--seed", "abc"], "'--seed'", id="seed-not-an-integer"),
+            pytest.param(["run", "fig1", "--method", "xx"], "'--method'", id="unknown-method"),
+        ],
+    )
+    def test_usage_error_exits_1(self, args, named):
+        # exit 2 means a failed property check, so a usage error is a validation error
+        proc = _fresh_interpreter("-m", "coinvest", *args)
+        assert proc.returncode == 1, proc.stderr
+        assert named in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["run", "--help"]])
+    def test_help_and_version_exit_0(self, args):
+        proc = _fresh_interpreter("-m", "coinvest", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
+
+
+# one sampled order gives a zero plug-in stderr, so verify FAILs the oracle triangle
+_ONE_ORDER = json.dumps({"l_total_grid": [2e6], "samples": 1})
+_COMMAND = st.sampled_from(["run", "verify"]) | st.sampled_from(
+    ["presets", "bogus", "--help", "--version", ""]
+)
+_CONFIG = st.sampled_from(
+    ["fig2", json.dumps({"l_total_grid": [2e6], "samples": 200}), _ONE_ORDER,
+     '{"bogus": 1}', "no-such.json"]
+)
+_OPTION = st.sampled_from(["--out", "--strict", "--seed", "--method"]) | st.sampled_from(
+    ["--help", "--bogus", "-x", "--"]
+)
+_VALUES = {
+    "--out": ["o", ""],
+    "--seed": ["3", "-1", "abc", str(MAX_SEED + 1)],
+    "--method": ["enum", "closed", "sample", "xx"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command or junk, mostly a config, then options, mostly with a value of their kind."""
+    argv = [draw(_COMMAND)]
+    if draw(st.integers(0, 3)):
+        argv.append(draw(_CONFIG))
+    for option in draw(st.lists(_OPTION, max_size=3)):
+        argv.append(option)
+        if option in _VALUES and draw(st.integers(0, 3)):
+            argv.append(draw(st.sampled_from(_VALUES[option])))
+    return argv
+
+
+@given(argv=_argv())
+def test_any_argv_exits_with_a_documented_code(argv):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, argv)
+    assert result.exit_code in (0, 1, 2, 3), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        argv, result.exc_info
+    )
+    assert "Traceback" not in result.output, argv
+    if result.exit_code == 2:
+        assert "FAIL" in result.output or "check failed" in result.output, (argv, result.output)
+
+
 # runs ``python -m coinvest`` on the arguments that follow it, then lists
 # every module it imported on stderr
 _LIST_MODULES_AT_EXIT = (
@@ -917,13 +1016,26 @@ _CONFIG_FIELD = re.compile(
 _TEXT_COLUMNS = {"scenario", "sweep_param", "player_id"}
 
 
-@given(data=_any_config())
-def test_any_config_runs_finite_or_exits_1_naming_a_field(data):
+# each command that solves through cli._solve: run with the config's own
+# method, run with each override that meets the instances there, and verify
+_INVOCATIONS = [["run"], ["run", "--method", "enum"], ["run", "--method", "sample"], ["verify"]]
+
+
+@given(data=_any_config(), invocation=st.sampled_from(_INVOCATIONS))
+def test_any_config_runs_finite_or_exits_1_naming_a_field(data, invocation):
+    command, *options = invocation
     with tempfile.TemporaryDirectory() as out:
-        result = run_cli("run", json.dumps(data), "--out", out)
+        if command == "run":
+            options += ["--out", out]
+        result = run_cli(command, json.dumps(data), *options)
         if result.exit_code == 1:
             assert _CONFIG_FIELD.search(result.output), result.output
             assert not os.listdir(out)
+            return
+        if command == "verify":
+            # e.g. "samples": 1 gives a zero stderr, which FAILs the oracle triangle
+            assert result.exit_code in (0, 2), result.output
+            assert ("FAIL" in result.output) == (result.exit_code == 2), result.output
             return
         assert result.exit_code == 0, result.output
         with open(os.path.join(out, "records.csv"), newline="") as handle:
