@@ -114,6 +114,13 @@ class _Group(click.Group):
             raise
 
 
+class _Seed(click.IntRange):
+    """An integer range that names itself an integer, so a non-number reads
+    ``'abc' is not a valid integer`` rather than "integer range"."""
+
+    name = "integer"
+
+
 @click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="coinvest")
 def main():
@@ -358,7 +365,7 @@ def _atomic_write(path: Path, text: str) -> None:
 @click.option("--strict", is_flag=True, help="Exit nonzero if any property check fails.")
 @click.option(
     "--seed",
-    type=click.IntRange(0, MAX_SEED),
+    type=_Seed(0, MAX_SEED),
     default=None,
     help="Random seed (overrides the config).",
 )

@@ -213,7 +213,8 @@ class GameInstance:
                 )
             optima = self.standalone_optima()
             sums = _fsum_subset_sums([optima[sp.id].value for sp in self.sps])
-            cached = np.concatenate([np.zeros(sums.size), sums])
+            cached = np.zeros(2 * sums.size)
+            cached[sums.size:] = sums
             cached.flags.writeable = False
             object.__setattr__(self, "_coalition_table", cached)
         return cached
@@ -280,11 +281,21 @@ def coalition_value(game: GameInstance, coalition: Iterable[str]) -> float:
     return math.fsum(optima[pid].value for pid in members if pid != NO)
 
 
-def _two_sum(a, b):
-    """``(s, err)`` with ``s = fl(a + b)`` and ``s + err == a + b`` exactly (Knuth's TwoSum)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def _two_sum(a, b, s=None, spare=None, err=None):
+    """``(s, err)`` with ``s = fl(a + b)`` and ``s + err == a + b`` exactly (Knuth's TwoSum).
+
+    ``a`` is an array. Given arrays ``s``, ``spare`` and ``err`` (``err`` may
+    be ``b``), it writes into them through ``out=`` and allocates nothing.
+    """
+    import numpy as np
+
+    s = np.add(a, b, out=s)
+    bb = np.subtract(s, a, out=spare)
+    err = np.subtract(b, bb, out=err)
+    # a - (s - bb), overwriting bb once it is no longer needed
+    t = np.subtract(s, bb, out=spare)
+    t = np.subtract(a, t, out=spare)
+    return s, np.add(t, err, out=err)
 
 
 def _fsum_subset_sums(x) -> np.ndarray:
@@ -299,18 +310,24 @@ def _fsum_subset_sums(x) -> np.ndarray:
     ``slack``, lies strictly inside the rounding interval of ``hi + lo``.
     Every other entry, and any that is not finite, is recomputed with
     ``fsum``.
+
+    Each doubling step writes its TwoSums straight into the upper halves,
+    through two reused scratch rows of half the length of ``hi``, so no
+    temporary outgrows one of ``hi``, ``lo`` and ``slack``.
     """
     import numpy as np
 
     x = [float(v) for v in x]
     size = 1 << len(x)
     hi, lo, slack = np.zeros(size), np.zeros(size), np.zeros(size)
+    scratch = np.empty((2, size // 2))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, term in enumerate(x):
             h = 1 << k
-            hi[h:2 * h], err = _two_sum(hi[:h], term)
-            lo[h:2 * h], lost = _two_sum(lo[:h], err)
-            slack[h:2 * h] = slack[:h] + np.abs(lost)
+            spare, err = scratch[:, :h]
+            _two_sum(hi[:h], term, hi[h:2 * h], spare, err)
+            _, lost = _two_sum(lo[:h], err, lo[h:2 * h], spare, err)
+            np.add(slack[:h], np.abs(lost, out=lost), out=slack[h:2 * h])
         # where slack is 0, hi + lo is the exact sum (on real games, everywhere)
         rough = np.flatnonzero(slack)
         sums, err = _two_sum(hi[rough], lo[rough])
@@ -342,8 +359,12 @@ def grand_allocation(game: GameInstance) -> Allocation:
 def provider_revenue(sp: ServiceProvider, market: MarketParams, h: float) -> float:
     """Revenue a provider collects over the whole horizon at allocation ``h``.
 
-    Exact summation over the day's slots, scaled by the number of days.
+    Exact summation over the day's slots of :func:`eval_utility`'s products,
+    scaled by the number of days. The served share depends on ``h`` only, so
+    it is computed, and ``h`` checked, once per call.
     """
-    return market.D * math.fsum(
-        eval_utility(sp.beta, market.xi, load, h) for load in sp.load.values
-    )
+    if not (h >= 0.0):
+        raise ValueError(f"h must be >= 0, got {h!r}")
+    served = 1.0 - math.exp(-market.xi * h)
+    beta = sp.beta
+    return market.D * math.fsum([beta * load * served for load in sp.load.values])

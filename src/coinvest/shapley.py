@@ -132,14 +132,18 @@ def _split(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
 def _subset_sums(x) -> np.ndarray:
     """Sum of ``x`` over every coalition, indexed by bitmask.
 
-    Built by doubling, so each sum adds its terms in player order, exactly as
-    a left-to-right loop over the coalition's members would.
+    Built by doubling in place (``t[h:2h] = t[:h] + x_k``, so bit k is term
+    k), so each sum adds its terms in player order, exactly as a
+    left-to-right loop over the coalition's members would. The sums take the
+    dtype of ``x``.
     """
     import numpy as np
 
-    sums = np.zeros(1)
-    for term in x:
-        sums = np.concatenate([sums, sums + term])
+    x = np.asarray(x)
+    sums = np.zeros(1 << x.size, dtype=x.dtype)
+    for k, term in enumerate(x):
+        h = 1 << k
+        np.add(sums[:h], term, out=sums[h:2 * h])
     return sums
 
 
@@ -156,11 +160,16 @@ def shapley_enumeration(game) -> ShapleyResult:
     table = game.coalition_table()
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
-    size = _subset_sums(np.ones(n)).astype(np.intp)
+    # raveled, the coalitions avoiding any one player list the other players'
+    # subsets in bitmask order, so one array of weights serves every player
+    coef = weight[_subset_sums(np.ones(n - 1, dtype=np.intp))]
+    buffer = np.empty_like(coef)
     payoffs = {}
     for i, pid in enumerate(players):
         without, joined = _split(table, i)
-        payoffs[pid] = float(np.sum(weight[_split(size, i)[0]] * (joined - without)))
+        gain = np.subtract(joined, without, out=buffer.reshape(joined.shape))
+        gain *= coef.reshape(gain.shape)
+        payoffs[pid] = float(np.sum(gain))
     return ShapleyResult(payoffs=payoffs, method=ShapleyMethod.SUBSET_ENUMERATION)
 
 
@@ -298,7 +307,8 @@ def check_core(game, payoffs: PayoffVector) -> CoreCheck:
     table = game.coalition_table()
     grand = float(table[-1])
     noise = STABILITY_TOL * max(1.0, abs(grand))
-    gap = _subset_sums(x) - table
+    gap = _subset_sums(x)
+    gap -= table
     blocked = np.flatnonzero(gap < -noise)
     return CoreCheck(
         in_core=blocked.size == 0 and abs(math.fsum(x) - grand) <= noise,

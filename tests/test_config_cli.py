@@ -818,6 +818,16 @@ class TestUsageErrors:
         assert proc.returncode == 1, proc.stderr
         assert named in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
+    def test_seed_is_named_an_integer(self):
+        # the option takes one integer, so neither message nor help says "range"
+        proc = _fresh_interpreter("-m", "coinvest", "run", "fig1", "--seed", "abc")
+        assert proc.returncode == 1, proc.stderr
+        assert "Invalid value for '--seed': 'abc' is not a valid integer.\n" in proc.stderr
+        proc = _fresh_interpreter("-m", "coinvest", "run", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "--seed INTEGER " in proc.stdout and "RANGE" not in proc.stdout
+        assert f"[0<=x<={MAX_SEED}]" in proc.stdout
+
     @pytest.mark.parametrize("args", [["--help"], ["--version"], ["run", "--help"]])
     def test_help_and_version_exit_0(self, args):
         proc = _fresh_interpreter("-m", "coinvest", *args)

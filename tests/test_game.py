@@ -17,6 +17,7 @@ from coinvest import (
     grand_allocation,
     optimal_allocation_single,
 )
+from coinvest.game import provider_revenue
 
 from conftest import golden_max_single, grid_max_joint, grid_max_single, random_game
 
@@ -255,3 +256,31 @@ class TestGrandAllocation:
         alloc = grand_allocation(GameInstance(market, sps))
         assert alloc.h["A"] == pytest.approx(alloc.h["B"], rel=1e-9)
         assert alloc.C == pytest.approx(alloc.h["A"] + alloc.h["B"], rel=1e-12)
+
+
+class TestProviderRevenue:
+    def test_equals_the_exact_sum_of_slot_utilities(self, rng):
+        # eval_utility's product per slot, fsum over the day, D days: bit for bit
+        for _ in range(40):
+            market = MarketParams(
+                d=float(rng.uniform(0.01, 0.1)),
+                Y=int(rng.integers(1, 4)),
+                T=int(rng.integers(1, 200)),
+                xi=float(10.0 ** rng.uniform(-5.0, -1.0)),
+            )
+            game = random_game(rng, market=market)
+            alloc = grand_allocation(game)
+            for sp in game.sps:
+                for h in (0.0, alloc.h[sp.id], float(rng.uniform(0.0, 1e4)), 1e300):
+                    want = market.D * math.fsum(
+                        eval_utility(sp.beta, market.xi, load, h) for load in sp.load.values
+                    )
+                    got = provider_revenue(sp, market, h)
+                    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+                    assert got == want, (sp.id, h)
+
+    @pytest.mark.parametrize("h", [-1.0, -1e-300, math.nan])
+    def test_invalid_allocation_raises(self, market, h):
+        sp = ServiceProvider("A", 2e-6, constant_profile(8e5))
+        with pytest.raises(ValueError, match="h must be >= 0"):
+            provider_revenue(sp, market, h)

@@ -1,6 +1,8 @@
-"""The numpy build of a coinvestment game's coalition table against fsum."""
+"""The numpy build of a coinvestment game's coalition table against fsum,
+and the memory the exact layer spends on top of it."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coinvest.game
-from coinvest import GameInstance, LoadProfile, MarketParams, ServiceProvider, coalition_value
+from coinvest import (
+    GameInstance,
+    LoadProfile,
+    MarketParams,
+    ServiceProvider,
+    check_core,
+    coalition_value,
+    shapley_closed_form,
+    shapley_enumeration,
+)
 from coinvest.game import _fsum_subset_sums
 
-from conftest import bloated_game, coalitions_by_mask
+from conftest import bloated_game, coalitions_by_mask, random_game
 
 _MARKET = MarketParams()
 
@@ -96,3 +107,27 @@ def test_game_table_makes_no_value_calls(monkeypatch):
 def test_game_table_is_bounded_like_enumeration():
     with pytest.raises(ValueError, match="enumeration bound"):
         bloated_game().coalition_table()
+
+
+def _traced_peak(step):
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_layer_memory_stays_near_the_table(rng):
+    # the build keeps hi, lo and slack (half the table each) and two reused
+    # scratch rows (a quarter each); the checks on the cached table allocate
+    # about one table's worth of their own
+    game = random_game(rng, n_sps=15)
+    payoffs = shapley_closed_form(game).payoffs
+    build = _traced_peak(game.coalition_table)
+    table = game.coalition_table().nbytes
+    core = _traced_peak(lambda: check_core(game, payoffs))
+    enum = _traced_peak(lambda: shapley_enumeration(game))
+    assert build <= 2.5 * table, build / table
+    assert core <= 1.25 * table, core / table
+    assert enum <= 1.5 * table, enum / table
