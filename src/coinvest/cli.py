@@ -163,7 +163,7 @@ def _solve(cfg: RunConfig) -> list[tuple[GameInstance, SweepRecord]]:
                 sweep_values=values,
                 method=cfg.method,
                 samples=cfg.samples,
-                seed=cfg.seed,
+                seed=cfg.seed + len(solved),
             )
             solved.extend(zip(games, records))
     except (ValueError, RuntimeError) as exc:
@@ -196,7 +196,7 @@ def _build_groups(cfg: RunConfig):
             groups.append((f"price-sweep-n{n}", "d", list(cfg.d_grid), games))
         return groups
     # custom: one instance assembled from the explicit provider list
-    base = _build("load_spec", synth_load, cfg.load_spec)
+    base = _build("load_spec", synth_load, cfg.load_spec, cfg.market.T)
     sps = []
     for k, spec in enumerate(cfg.custom_sps):
         if spec.loads is not None:
@@ -403,7 +403,7 @@ def run(config, out_dir, strict, seed, method):
         "seed": cfg.seed,
         "strict": bool(strict),
         "config": config_to_dict(cfg),
-        "load_clamping_applied": clamping_applied(cfg.load_spec),
+        "load_clamping_applied": clamping_applied(cfg.load_spec, cfg.market.T),
         "instances": len(records),
     }
     summary_doc = {

@@ -41,8 +41,8 @@ MAX_GRID_POINTS = 1000
 #: Largest base seed. Instance k samples with ``seed + k``, and the sampler
 #: takes seeds below 2^64, so every instance keeps a seed of its own.
 MAX_SEED = 2**63 - 1
-#: Most timeslots per day (``market.T``, ``load_spec.T``, each custom
-#: ``loads``): every provider's load profile and optimum are this long.
+#: Most timeslots per day (``market.T``, each custom ``loads``): every
+#: provider's load profile and optimum are this long.
 MAX_TIMESLOTS = 10**4
 
 
@@ -103,6 +103,10 @@ def parse_config(source: str | os.PathLike) -> RunConfig:
             raise ConfigError(
                 f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except ValueError as exc:  # an integer literal past the digit limit
+            raise ConfigError(f"{origin}: invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"{origin}: invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{origin}: the top level must be a JSON object")
     return config_from_dict(data)
@@ -120,7 +124,7 @@ def _read_source(source: str | os.PathLike) -> tuple[str, str]:
         raise ConfigError(f"config file not found: {path}")
     try:
         return path.read_text(encoding="utf-8"), str(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
 
@@ -145,7 +149,11 @@ def _object(value, field: str, schema) -> dict:
 def _number(value, field: str, *, minimum=None, strict_min=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config field '{field}' must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"config field '{field}' must be finite, got an integer past the "
+                          "float range") from None
     if not math.isfinite(value):
         raise ConfigError(f"config field '{field}' must be finite, got {value!r}")
     if minimum is not None and value < minimum:
@@ -193,8 +201,7 @@ def _field(data: dict, key: str, default, parse, where: str = "", **limits):
 def config_from_dict(data: dict) -> RunConfig:
     """Validate a plain dict (already-parsed JSON) into a :class:`RunConfig`.
 
-    A missing field takes its default from :class:`RunConfig`, except
-    ``load_spec.T``, which follows ``market.T``.
+    A missing field takes its default from :class:`RunConfig`.
     """
     _reject_unknown(data, RunConfig, "the top-level config")
     default = RunConfig()
@@ -215,7 +222,6 @@ def config_from_dict(data: dict) -> RunConfig:
     raw = _object(data.get("load_spec", {}), "load_spec", SinusoidalLoadSpec)
     load_spec = SinusoidalLoadSpec(
         a0=_field(raw, "a0", default.load_spec.a0, _number, "load_spec."),
-        T=_field(raw, "T", market.T, _integer, "load_spec.", minimum=1, maximum=MAX_TIMESLOTS),
         components=_field(raw, "components", default.load_spec.components, _components,
                           "load_spec."),
     )
@@ -235,14 +241,6 @@ def config_from_dict(data: dict) -> RunConfig:
     custom_sps = _field(data, "custom_sps", default.custom_sps, _custom_providers)
     if scenario == "custom" and not custom_sps:
         raise ConfigError("the custom scenario requires at least one entry in 'custom_sps'")
-    # every scenario but a custom one with explicit loads shapes loads from the spec
-    if load_spec.T != market.T and (
-        scenario != "custom" or any(sp.loads is None for sp in custom_sps)
-    ):
-        raise ConfigError(
-            f"config field 'load_spec.T' is {load_spec.T} but 'market.T' is {market.T}; "
-            "loads synthesized from the spec need one slot per market timeslot"
-        )
 
     return RunConfig(
         scenario=scenario,

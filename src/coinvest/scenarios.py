@@ -52,35 +52,34 @@ DEFAULT_L_TOTAL = 1.0e6
 class SinusoidalLoadSpec:
     """Daily load shape: a base level plus K sinusoidal harmonics.
 
-    Slot t (1-based) carries ``a0 + sum_k a_k * sin(2*k*pi*(t - t_k)/T)``,
-    clamped at zero. The default shape is a residential evening peak.
+    Over a day of T slots, slot t (1-based) carries
+    ``a0 + sum_k a_k * sin(2*k*pi*(t - t_k)/T)``, clamped at zero. T is the
+    market's, so one spec shapes a day of any length. The default shape is a
+    residential evening peak.
     """
 
     a0: float = 1.0
     components: tuple[tuple[float, float], ...] = ((0.45, 66.0), (0.15, 30.0))
-    T: int = 96
 
     def __post_init__(self):
         comps = tuple((float(a), float(t0)) for a, t0 in self.components)
         object.__setattr__(self, "components", comps)
         if len(comps) < 1:
             raise ValueError("at least one sinusoidal component is required")
-        if not (isinstance(self.T, int) and self.T >= 1):
-            raise ValueError(f"T must be an integer >= 1, got {self.T!r}")
 
-    def raw_profile(self) -> list[float]:
-        """The shape before clamping, one float per slot; may dip below zero.
+    def raw_profile(self, T: int) -> list[float]:
+        """The shape over T slots before clamping; may dip below zero.
 
         Finite parameters can still overflow to inf or nan; that is left for
         the callers' finite checks to report. The sine of an infinite
         argument is nan here (``math.sin`` would raise), so a slot is never
         an exception.
         """
-        out = [float(self.a0)] * self.T
+        out = [float(self.a0)] * T
         for k, (amp, offset) in enumerate(self.components, start=1):
             w = 2.0 * k * math.pi
-            for i in range(self.T):
-                x = w * (i + 1.0 - offset) / self.T
+            for i in range(T):
+                x = w * (i + 1.0 - offset) / T
                 out[i] += amp * (math.sin(x) if math.isfinite(x) else x - x)
         return out
 
@@ -88,18 +87,18 @@ class SinusoidalLoadSpec:
 DEFAULT_LOAD_SPEC = SinusoidalLoadSpec()
 
 
-def synth_load(spec: SinusoidalLoadSpec) -> LoadProfile:
-    """Evaluate a sinusoidal spec into a nonnegative per-slot profile.
+def synth_load(spec: SinusoidalLoadSpec, T: int) -> LoadProfile:
+    """Evaluate a sinusoidal spec over T slots into a nonnegative profile.
 
     Negative slots and -0.0 become 0.0; nan is kept, for
     :class:`~coinvest.game.LoadProfile` to refuse.
     """
-    return LoadProfile(tuple(v if v > 0.0 or v != v else 0.0 for v in spec.raw_profile()))
+    return LoadProfile(tuple(v if v > 0.0 or v != v else 0.0 for v in spec.raw_profile(T)))
 
 
-def clamping_applied(spec: SinusoidalLoadSpec) -> bool:
-    """Whether synthesizing this spec clips negative slots to zero."""
-    return any(v < 0.0 for v in spec.raw_profile())
+def clamping_applied(spec: SinusoidalLoadSpec, T: int) -> bool:
+    """Whether synthesizing this spec over T slots clips negative slots to zero."""
+    return any(v < 0.0 for v in spec.raw_profile(T))
 
 
 def scale_load(profile: LoadProfile, factor: float) -> LoadProfile:
@@ -112,14 +111,6 @@ def scale_load(profile: LoadProfile, factor: float) -> LoadProfile:
 def amortized_unit_price(market: MarketParams) -> float:
     """Capacity price spread over every slot of the horizon: d / (D * T)."""
     return market.d / (market.D * market.T)
-
-
-def _base_shape(load_spec: SinusoidalLoadSpec, market: MarketParams) -> LoadProfile:
-    if load_spec.T != market.T:
-        raise ValueError(
-            f"load spec has T={load_spec.T} but the market uses T={market.T}"
-        )
-    return synth_load(load_spec)
 
 
 def _shape_factor(base: LoadProfile, daily_total: float) -> float:
@@ -161,7 +152,7 @@ def scenario_omega(
     if not (l_total >= 0.0 and math.isfinite(l_total)):
         raise ValueError(f"l_total must be finite and >= 0, got {l_total!r}")
     market = market or MarketParams()
-    base = _base_shape(load_spec, market)
+    base = synth_load(load_spec, market.T)
     f2 = _shape_factor(base, l_total / 5.0)
     beta_total = 2.0 * amortized_unit_price(market)
     return GameInstance(
@@ -194,7 +185,7 @@ def scenario_price_sweep(
     if not d_list:
         raise ValueError("d_values must not be empty")
     market_base = market_base or MarketParams()
-    base = _base_shape(load_spec, market_base)
+    base = synth_load(load_spec, market_base.T)
     share = scale_load(base, _shape_factor(base, l_total / n_sps))
     price = amortized_unit_price(market_base)
     sps = tuple(ServiceProvider(f"SP{k}", price, share) for k in range(1, n_sps + 1))

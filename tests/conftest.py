@@ -276,20 +276,20 @@ def grid_max_joint(game, steps=2000):
     return float(joint.max()), bound
 
 
-def numpy_raw_profile(spec):
-    """The load shape before clamping, evaluated with numpy arrays: the
-    reference for the pure-Python ``SinusoidalLoadSpec.raw_profile``."""
-    t = np.arange(1, spec.T + 1, dtype=float)
-    out = np.full(spec.T, float(spec.a0))
+def numpy_raw_profile(spec, T):
+    """The load shape over T slots before clamping, evaluated with numpy
+    arrays: the reference for the pure-Python ``SinusoidalLoadSpec.raw_profile``."""
+    t = np.arange(1, T + 1, dtype=float)
+    out = np.full(T, float(spec.a0))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (amp, offset) in enumerate(spec.components, start=1):
-            out += amp * np.sin(2.0 * k * math.pi * (t - offset) / spec.T)
+            out += amp * np.sin(2.0 * k * math.pi * (t - offset) / T)
     return out
 
 
-def numpy_synth_load(spec):
+def numpy_synth_load(spec, T):
     """Reference for ``synth_load``: the numpy shape clamped by ``np.maximum``."""
-    return LoadProfile(tuple(np.maximum(numpy_raw_profile(spec), 0.0)))
+    return LoadProfile(tuple(np.maximum(numpy_raw_profile(spec, T), 0.0)))
 
 
 def random_load(rng, market, total):
@@ -300,9 +300,8 @@ def random_load(rng, market, total):
             (float(rng.uniform(0.0, 0.6)), float(rng.uniform(0.0, market.T))),
             (float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, market.T))),
         ),
-        T=market.T,
     )
-    base = synth_load(spec)
+    base = synth_load(spec, market.T)
     return scale_load(base, total / base.total)
 
 
@@ -321,7 +320,7 @@ def random_game(rng, n_sps=None, market=None):
 
 def heterogeneous_game():
     """Seven providers with distinct rates and loads, one of them (SP03) idle."""
-    base = synth_load(SinusoidalLoadSpec())
+    base = synth_load(SinusoidalLoadSpec(), MarketParams().T)
     sps = [
         ("SP01", 2.782702349577632e-06, 992293.889926531),
         ("SP02", 1.3779100235983496e-06, 1752513.8665936508),

@@ -26,6 +26,8 @@ from coinvest import (
     SupermodularityReport,
     config_to_dict,
     parse_config,
+    scenario_price_sweep,
+    shapley_sampling,
 )
 from coinvest.cli import CSV_COLUMNS, main
 from coinvest.shapley import CoreCheck
@@ -57,7 +59,6 @@ OVER_CAP = [
     pytest.param({"omega_grid": [0.5] * (MAX_GRID_POINTS + 1)}, "omega_grid", id="omega_grid"),
     pytest.param({"d_grid": [0.05] * (MAX_GRID_POINTS + 1)}, "d_grid", id="d_grid"),
     pytest.param({"market": {"T": MAX_TIMESLOTS + 1}}, "market.T", id="market.T"),
-    pytest.param({"load_spec": {"T": MAX_TIMESLOTS + 1}}, "load_spec.T", id="load_spec.T"),
     pytest.param(
         {
             "scenario": "custom",
@@ -123,7 +124,6 @@ class TestParseConfig:
             {
                 "scenario": "custom",
                 "market": {"T": MAX_TIMESLOTS},
-                "load_spec": {"T": MAX_TIMESLOTS},
                 "l_total_grid": [1e6] * MAX_GRID_POINTS,
                 "omega_grid": [0.5] * MAX_GRID_POINTS,
                 "d_grid": [0.05] * MAX_GRID_POINTS,
@@ -133,7 +133,7 @@ class TestParseConfig:
                 "seed": MAX_SEED,
             }
         )
-        assert at_cap.market.T == at_cap.load_spec.T == MAX_TIMESLOTS
+        assert at_cap.market.T == MAX_TIMESLOTS
         assert len(at_cap.custom_sps) == MAX_PROVIDERS
         assert len(at_cap.custom_sps[0].loads) == MAX_TIMESLOTS
         assert len(at_cap.d_grid) == len(at_cap.n_sps) == MAX_GRID_POINTS
@@ -148,25 +148,6 @@ class TestParseConfig:
         assert cfg.market.xi == 0.002
         assert cfg.omega_grid == (0.5, 0.75, 1.0)
         assert cfg.method is ShapleyMethod.SUBSET_ENUMERATION
-
-    def test_load_spec_inherits_market_slots(self):
-        cfg = parse_config('{"market": {"T": 48}}')
-        assert cfg.load_spec.T == 48
-
-    def test_load_spec_slots_must_match_the_market(self):
-        with pytest.raises(ConfigError, match="load_spec.T"):
-            parse_config('{"load_spec": {"T": 24}}')
-        shaped = {"id": "A", "beta": 2e-6, "daily_total": 5e5}
-        explicit = {"id": "B", "beta": 2e-6, "loads": [1.0] * 96}
-        with pytest.raises(ConfigError, match="load_spec.T"):
-            parse_config(json.dumps(
-                {"scenario": "custom", "load_spec": {"T": 24}, "custom_sps": [explicit, shaped]}
-            ))
-        # explicit loads read nothing from the spec
-        cfg = parse_config(json.dumps(
-            {"scenario": "custom", "load_spec": {"T": 24}, "custom_sps": [explicit]}
-        ))
-        assert cfg.load_spec.T == 24
 
     def test_custom_scenario_needs_providers(self):
         with pytest.raises(ConfigError, match="custom_sps"):
@@ -206,12 +187,11 @@ def _short_lists(elements):
     return st.lists(elements, min_size=1, max_size=4)
 
 
-def _custom_sp(explicit_loads):
-    loads = st.fixed_dictionaries({"loads": _short_lists(_floats)})
-    return st.tuples(
-        st.fixed_dictionaries({"id": st.text(max_size=5), "beta": _floats}),
-        loads if explicit_loads else loads | st.fixed_dictionaries({"daily_total": _floats}),
-    ).map(lambda parts: {**parts[0], **parts[1]})
+_custom_sp = st.tuples(
+    st.fixed_dictionaries({"id": st.text(max_size=5), "beta": _floats}),
+    st.fixed_dictionaries({"loads": _short_lists(_floats)})
+    | st.fixed_dictionaries({"daily_total": _floats}),
+).map(lambda parts: {**parts[0], **parts[1]})
 
 
 _fields = st.fixed_dictionaries(
@@ -245,16 +225,10 @@ _fields = st.fixed_dictionaries(
 
 @st.composite
 def _configs(draw):
-    """A valid config: only custom providers that all give explicit loads
-    free the load spec's slot count from the market's."""
+    """A valid config: the custom scenario draws at least one provider."""
     data = draw(_fields)
     custom = data["scenario"] == "custom"
-    spec_slots = draw(st.none() | _slots) if custom else None
-    data["custom_sps"] = draw(
-        st.lists(_custom_sp(spec_slots is not None), min_size=int(custom), max_size=3)
-    )
-    if spec_slots is not None:
-        data.setdefault("load_spec", {})["T"] = spec_slots
+    data["custom_sps"] = draw(st.lists(_custom_sp, min_size=int(custom), max_size=3))
     return data
 
 
@@ -441,26 +415,52 @@ class TestCliRun:
         assert not out.exists()
 
     def test_load_spec_slot_mismatch_exits_1(self, tmp_path):
-        cfg = json.dumps({"load_spec": {"T": 24}})
+        # the shape takes its slots from the market: 'T' is no key of the spec,
+        # even where it equals market.T
         out = tmp_path / "t"
-        for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
-            result = run_cli(*args)
-            assert result.exit_code == 1, args
-            assert "load_spec.T" in result.output and "Traceback" not in result.output
+        for spec_slots in (24, 96):
+            cfg = json.dumps({"load_spec": {"T": spec_slots}})
+            for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
+                result = run_cli(*args)
+                assert result.exit_code == 1, args
+                assert "unknown key ['T'] in 'load_spec'" in result.output, result.output
+                assert "Traceback" not in result.output
         assert not out.exists()
 
-    def test_explicit_loads_ignore_the_spec_slots(self, tmp_path):
-        cfg = json.dumps(
-            {
-                "scenario": "custom",
-                "load_spec": {"T": 24},
-                "custom_sps": [{"id": "A", "beta": 3e-6, "loads": [1e4] * 96}],
-            }
-        )
-        result = run_cli("run", cfg, "--out", str(tmp_path / "e"), "--strict")
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            pytest.param(b'{"l_total": 1' + b"0" * 400 + b"}", "'l_total'", id="past-float-range"),
+            pytest.param(b'{"l_total": 1' + b"0" * 5000 + b"}", None, id="past-digit-limit"),
+            pytest.param(
+                b'{"n_sps": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", None, id="nested-too-deep"
+            ),
+            pytest.param(b'{"description": "caf\xe9"}', None, id="not-utf-8"),
+        ],
+    )
+    def test_input_the_decoders_refuse_exits_1(self, tmp_path, content, named):
+        # named: the field the message names; None: it names the config file
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        out = tmp_path / "r"
+        for args in (["run", str(path), "--out", str(out)], ["verify", str(path)]):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert (named or str(path)) in result.output, result.output
+        assert not out.exists()
+
+    def test_sampling_seeds_run_on_across_price_sweep_groups(self, tmp_path):
+        # two groups of one identical game each: instance k samples with seed + k
+        data = {"scenario": "price-sweep", "n_sps": [2, 2], "d_grid": [0.05],
+                "method": "sample", "samples": 200, "seed": 7}
+        out = tmp_path / "g"
+        result = run_cli("run", json.dumps(data), "--out", str(out))
         assert result.exit_code == 0, result.output
-        result = run_cli("verify", json.dumps({**json.loads(cfg), "samples": 1000}))
-        assert result.exit_code == 0, result.output
+        summary = json.loads((out / "summary.json").read_text())
+        game = scenario_price_sweep(2, [0.05], RunConfig().l_total)[0]
+        for k, instance in enumerate(summary["instances"]):
+            expected = shapley_sampling(game, 200, 7 + k).payoffs
+            assert {pid: p["shapley"] for pid, p in instance["players"].items()} == expected
 
     @pytest.mark.parametrize(
         "scenario, field",
@@ -907,7 +907,7 @@ def _fresh_interpreter(*args):
 # values of the wrong type for every field that takes a number, list or object
 _junk = st.none() | st.booleans() | st.just("x") | st.just([]) | st.just({})
 # finite values that pass every range check but can overflow the model
-_extreme = st.sampled_from([1e150, 1e300, 1.7e308])
+_extreme = st.sampled_from([1e150, 1e300, 1.7e308, 10**400])
 _nonfinite = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
@@ -943,8 +943,7 @@ _BAD_FIELDS = {
     | st.just({"spread": 1}),
     "load_spec": _junk
     | st.fixed_dictionaries({"a0": _nonfinite | _extreme | st.just(-5.0)})
-    | st.fixed_dictionaries({"components": _junk | st.just([[1.0]]) | st.just([[1e308, 0.0]])})
-    | st.fixed_dictionaries({"T": st.sampled_from([0, 24, MAX_TIMESLOTS + 1])}),
+    | st.fixed_dictionaries({"components": _junk | st.just([[1.0]]) | st.just([[1e308, 0.0]])}),
     "l_total": _junk | _nonfinite | _extreme | st.just(-1.0),
     "l_total_grid": _bad_list(_nonfinite | _extreme | st.just(-1.0)),
     "omega_grid": _bad_list(st.sampled_from([0.4, 1.1, math.nan])),

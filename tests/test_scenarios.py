@@ -37,8 +37,8 @@ _specs = st.builds(
     SinusoidalLoadSpec,
     a0=_param,
     components=st.lists(st.tuples(_param, _param), min_size=1, max_size=3).map(tuple),
-    T=st.integers(1, 130),
 )
+_T = MarketParams().T
 
 
 def _bits(values):
@@ -46,57 +46,57 @@ def _bits(values):
     return [struct.pack("<d", v) for v in values]
 
 
-def _synthesized(make, spec):
-    """The slots' bits of ``make(spec)``, or the message of the ValueError it raises."""
+def _synthesized(make, spec, T):
+    """The slots' bits of ``make(spec, T)``, or the message of the ValueError it raises."""
     try:
-        return _bits(make(spec).values)
+        return _bits(make(spec, T).values)
     except ValueError as exc:
         return str(exc)
 
 
 class TestSynthLoad:
     def test_zero_amplitudes_give_constant(self):
-        spec = SinusoidalLoadSpec(a0=3.0, components=((0.0, 0.0),), T=10)
-        profile = synth_load(spec)
+        spec = SinusoidalLoadSpec(a0=3.0, components=((0.0, 0.0),))
+        profile = synth_load(spec, 10)
         assert profile.values == (3.0,) * 10
 
     def test_pure_sine_zeros_and_clamping(self):
-        spec = SinusoidalLoadSpec(a0=0.0, components=((1.0, 0.0),), T=96)
-        profile = synth_load(spec)
+        spec = SinusoidalLoadSpec(a0=0.0, components=((1.0, 0.0),))
+        profile = synth_load(spec, 96)
         # sin(2 pi t / 96): zero at t = 48 and t = 96, negative half clamped
         assert profile.values[47] == pytest.approx(0.0, abs=1e-12)
         assert profile.values[95] == pytest.approx(0.0, abs=1e-12)
         assert all(v > 0.0 for v in profile.values[:47])
         assert all(v == 0.0 for v in profile.values[48:])
-        assert clamping_applied(spec)
+        assert clamping_applied(spec, 96)
 
     def test_default_shape_balances_over_the_day(self):
         spec = SinusoidalLoadSpec()
-        profile = synth_load(spec)
-        assert not clamping_applied(spec)
+        profile = synth_load(spec, _T)
+        assert not clamping_applied(spec, _T)
         # harmonics sum to zero over a full period, leaving a0 * T
-        assert profile.total == pytest.approx(spec.a0 * spec.T, rel=1e-6)
+        assert profile.total == pytest.approx(spec.a0 * _T, rel=1e-6)
 
     def test_requires_a_component(self):
         with pytest.raises(ValueError):
             SinusoidalLoadSpec(components=())
 
-    @given(spec=_specs)
-    @example(spec=SinusoidalLoadSpec())
-    @example(spec=SinusoidalLoadSpec(a0=-0.0, components=((0.0, 0.0),), T=17))
-    @example(spec=SinusoidalLoadSpec(a0=1e308, components=((1e308, 0.5), (-1e308, 1.0)), T=9))
-    def test_shape_matches_numpy_bit_for_bit(self, spec):
-        assert _bits(spec.raw_profile()) == _bits(numpy_raw_profile(spec).tolist())
-        assert clamping_applied(spec) is bool((numpy_raw_profile(spec) < 0.0).any())
-        assert _synthesized(synth_load, spec) == _synthesized(numpy_synth_load, spec)
+    @given(spec=_specs, T=st.integers(1, 130))
+    @example(spec=SinusoidalLoadSpec(), T=_T)
+    @example(spec=SinusoidalLoadSpec(a0=-0.0, components=((0.0, 0.0),)), T=17)
+    @example(spec=SinusoidalLoadSpec(a0=1e308, components=((1e308, 0.5), (-1e308, 1.0))), T=9)
+    def test_shape_matches_numpy_bit_for_bit(self, spec, T):
+        assert _bits(spec.raw_profile(T)) == _bits(numpy_raw_profile(spec, T).tolist())
+        assert clamping_applied(spec, T) is bool((numpy_raw_profile(spec, T) < 0.0).any())
+        assert _synthesized(synth_load, spec, T) == _synthesized(numpy_synth_load, spec, T)
 
     def test_sine_of_an_infinite_argument_is_nan(self):
         # 2*pi*(t + 1.7e308) overflows to inf: math.sin raises there, np.sin gives nan
-        spec = SinusoidalLoadSpec(a0=1.0, components=((1.0, -1.7e308),), T=4)
-        assert _bits(spec.raw_profile()) == _bits(numpy_raw_profile(spec).tolist())
-        assert all(math.isnan(v) for v in spec.raw_profile())
-        message = _synthesized(synth_load, spec)
-        assert message == _synthesized(numpy_synth_load, spec)
+        spec = SinusoidalLoadSpec(a0=1.0, components=((1.0, -1.7e308),))
+        assert _bits(spec.raw_profile(4)) == _bits(numpy_raw_profile(spec, 4).tolist())
+        assert all(math.isnan(v) for v in spec.raw_profile(4))
+        message = _synthesized(synth_load, spec, 4)
+        assert message == _synthesized(numpy_synth_load, spec, 4)
         assert message == "load at slot 0 must be finite and >= 0, got nan"
 
     def test_default_price_grid_is_geometric(self):
@@ -106,21 +106,21 @@ class TestSynthLoad:
 
 class TestScaleLoad:
     def test_zero_factor(self):
-        profile = synth_load(SinusoidalLoadSpec())
+        profile = synth_load(SinusoidalLoadSpec(), _T)
         assert scale_load(profile, 0.0).values == (0.0,) * len(profile)
 
     def test_factor_four(self):
-        profile = synth_load(SinusoidalLoadSpec())
+        profile = synth_load(SinusoidalLoadSpec(), _T)
         scaled = scale_load(profile, 4.0)
         assert all(s == 4.0 * v for s, v in zip(scaled.values, profile.values))
 
     def test_identity(self):
-        profile = synth_load(SinusoidalLoadSpec())
+        profile = synth_load(SinusoidalLoadSpec(), _T)
         assert scale_load(profile, 1.0).values == profile.values
 
     def test_rejects_negative_factor(self):
         with pytest.raises(ValueError):
-            scale_load(synth_load(SinusoidalLoadSpec()), -0.1)
+            scale_load(synth_load(SinusoidalLoadSpec(), _T), -0.1)
 
 
 class TestSameType:
@@ -151,8 +151,13 @@ class TestSameType:
             scenario_same_type(-1.0, market)
 
     def test_spec_and_market_slots_must_agree(self):
-        with pytest.raises(ValueError):
-            scenario_same_type(1e6, MarketParams(T=48))
+        # the default shape is evaluated over the market's slots, whatever their number
+        game = scenario_same_type(1e6, MarketParams(T=48))
+        base = synth_load(SinusoidalLoadSpec(), 48)
+        for sp in game.sps:
+            assert len(sp.load) == 48
+            factor = sp.load.total / base.total
+            assert sp.load.values == pytest.approx([v * factor for v in base.values], rel=1e-12)
 
 
 class TestOmega:
