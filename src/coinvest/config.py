@@ -134,9 +134,18 @@ def _reject_unknown(data: dict, schema, where: str) -> None:
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(
-            f"unknown key{'s' if len(unknown) > 1 else ''} {unknown!r} in {where}; "
+            f"unknown key{'s' if len(unknown) > 1 else ''} {_shown(unknown)} in {where}; "
             f"allowed: {sorted(allowed)!r}"
         )
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message; past 80 characters, its first 80,
+    the value's type and the repr's length, so the message stays a line."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    return f"{text[:80]}... ({type(value).__name__}, {len(text)} characters in all)"
 
 
 def _object(value, field: str, schema) -> dict:
@@ -148,7 +157,7 @@ def _object(value, field: str, schema) -> dict:
 
 def _number(value, field: str, *, minimum=None, strict_min=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config field '{field}' must be a number, got {value!r}")
+        raise ConfigError(f"config field '{field}' must be a number, got {_shown(value)}")
     try:
         value = float(value)
     except OverflowError:
@@ -165,11 +174,11 @@ def _number(value, field: str, *, minimum=None, strict_min=None) -> float:
 
 def _integer(value, field: str, *, minimum: int, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config field '{field}' must be an integer, got {value!r}")
+        raise ConfigError(f"config field '{field}' must be an integer, got {_shown(value)}")
     if value < minimum:
-        raise ConfigError(f"config field '{field}' must be >= {minimum}, got {value!r}")
+        raise ConfigError(f"config field '{field}' must be >= {minimum}, got {_shown(value)}")
     if maximum is not None and value > maximum:
-        raise ConfigError(f"config field '{field}' must be <= {maximum}, got {value!r}")
+        raise ConfigError(f"config field '{field}' must be <= {maximum}, got {_shown(value)}")
     return value
 
 
@@ -182,7 +191,7 @@ def _check_length(value: list, field: str, maximum: int) -> None:
 
 def _string(value, field: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"config field '{field}' must be a string, got {value!r}")
+        raise ConfigError(f"config field '{field}' must be a string, got {_shown(value)}")
     return value
 
 
@@ -208,7 +217,9 @@ def config_from_dict(data: dict) -> RunConfig:
 
     scenario = _field(data, "scenario", default.scenario, _string)
     if scenario not in SCENARIOS:
-        raise ConfigError(f"config field 'scenario' must be one of {SCENARIOS!r}, got {scenario!r}")
+        raise ConfigError(
+            f"config field 'scenario' must be one of {SCENARIOS!r}, got {_shown(scenario)}"
+        )
     description = _field(data, "description", default.description, _string)
 
     raw = _object(data.get("market", {}), "market", MarketParams)
@@ -290,7 +301,7 @@ def _method(value, field: str) -> ShapleyMethod:
     except ValueError:
         raise ConfigError(
             f"config field '{field}' must be one of "
-            f"{[m.value for m in ShapleyMethod]!r}, got {name!r}"
+            f"{[m.value for m in ShapleyMethod]!r}, got {_shown(name)}"
         ) from None
 
 

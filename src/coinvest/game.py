@@ -96,18 +96,19 @@ class LoadProfile:
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ValueError(f"load at slot {slot} must be finite and >= 0, got {v!r}")
         try:
-            math.fsum(vals)
+            total = math.fsum(vals)
         except OverflowError:
             raise ValueError("the daily load total overflows a float") from None
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_total", total)
 
     def __len__(self) -> int:
         return len(self.values)
 
     @property
     def total(self) -> float:
-        """Daily request total."""
-        return math.fsum(self.values)
+        """Daily request total, summed once when the profile is made."""
+        return self._total
 
 
 @dataclass(frozen=True)
@@ -158,19 +159,14 @@ class GameInstance:
                 raise ValueError(
                     f"provider {sp.id!r} has {len(sp.load)} load slots, expected T={m.T}"
                 )
-            # the same products optimal_allocation_single forms; an overflow
-            # here would put inf or nan into every value derived from them
-            scale = m.D * sp.beta * sp.load.total
-            gain = m.D * m.xi * sp.beta * sp.load.total / m.d
-            if not (math.isfinite(scale) and math.isfinite(gain)):
-                raise ValueError(
-                    f"provider {sp.id!r}: D*beta*L = {scale!r} and gain D*xi*beta*L/d = "
-                    f"{gain!r} must be finite"
-                )
+        optima = self.standalone_optima()
+        for pid, opt in optima.items():
+            if not (math.isfinite(opt.h_star) and math.isfinite(opt.value)):
+                raise ValueError(f"provider {pid!r}: standalone optimum {opt!r} must be finite")
         # every coalition value is a subset sum of these profits, the grand
         # value the largest; fsum raises OverflowError when it is not finite
         try:
-            grand = math.fsum(opt.value for opt in self.standalone_optima().values())
+            grand = math.fsum(opt.value for opt in optima.values())
         except OverflowError:
             grand = math.inf
         if not math.isfinite(grand):

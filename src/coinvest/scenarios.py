@@ -18,7 +18,6 @@ from .game import (
     MarketParams,
     ServiceProvider,
     coalition_value,
-    grand_allocation,
 )
 from .shapley import (
     ShapleyMethod,
@@ -258,7 +257,6 @@ def run_sweep(
 
 
 def _solve_one(game, scenario, sweep_param, sweep_value, method, samples, seed):
-    alloc = grand_allocation(game)
     v_grand = coalition_value(game, game.players)
     if method is ShapleyMethod.CLOSED_FORM:
         result = shapley_closed_form(game)
@@ -269,6 +267,7 @@ def _solve_one(game, scenario, sweep_param, sweep_value, method, samples, seed):
     else:
         raise ValueError(f"unknown Shapley method {method!r}")
     settlement = settle(game, result.payoffs)
+    alloc = settlement.allocation
     rows = tuple(
         PlayerRecord(
             player_id=sp.id,

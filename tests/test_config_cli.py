@@ -21,9 +21,11 @@ import coinvest.cli as cli_mod
 import coinvest.scenarios as scenarios_mod
 from coinvest import (
     ConfigError,
+    MarketParams,
     RunConfig,
     ShapleyMethod,
     SupermodularityReport,
+    coalition_value,
     config_to_dict,
     parse_config,
     scenario_price_sweep,
@@ -414,6 +416,46 @@ class TestCliRun:
             assert "Traceback" not in result.output
         assert not out.exists()
 
+    def test_infinite_optimum_exits_1(self, tmp_path):
+        # beta*L and the gain D*xi*beta*L/d are finite, h* = ln(gain)/xi is not
+        cfg = json.dumps(
+            {
+                "scenario": "custom",
+                "market": {"xi": 1e-308, "d": 1e-10},
+                "custom_sps": [{"id": "a", "beta": 2.74e290, "daily_total": 1e6}],
+            }
+        )
+        out = tmp_path / "o"
+        for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert "custom_sps: provider 'a': " in result.output, result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            pytest.param({"seed": 10**4000}, "'seed'", id="long-integer"),
+            pytest.param({"description": [k / 7 for k in range(10**4)]}, "'description'",
+                         id="long-list"),
+            pytest.param({"scenario": json.loads("[" * 900 + "]" * 900)}, "'scenario'",
+                         id="deep-list"),
+        ],
+    )
+    def test_oversized_value_gives_a_short_error(self, tmp_path, data, named):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        result = run_cli("run", str(path), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 1
+        assert named in result.output
+        assert len(result.output.encode()) < 1024, result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_short_value_is_echoed_whole(self):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"description": [1.5, 2.5]})
+        assert str(info.value) == "config field 'description' must be a string, got [1.5, 2.5]"
+
     def test_load_spec_slot_mismatch_exits_1(self, tmp_path):
         # the shape takes its slots from the market: 'T' is no key of the spec,
         # even where it equals market.T
@@ -694,6 +736,44 @@ class TestCliVerifyAndPresets:
         assert result.exit_code == 2
         assert "oracle-triangle        FAIL" in result.output
         assert "stderr is not finite" in result.output
+
+    @staticmethod
+    def _spread_profits(*gains):
+        """Custom providers at the default market whose gains D*xi*beta*L/d are ``gains``."""
+        market = MarketParams()
+        scale = market.d / (market.D * market.xi) / 1e6
+        return json.dumps(
+            {
+                "scenario": "custom",
+                "custom_sps": [
+                    {"id": pid, "beta": gain * scale, "daily_total": 1e6}
+                    for pid, gain in zip("ab", gains)
+                ],
+                "samples": 2000,
+            }
+        )
+
+    def test_verify_passes_on_profits_nine_decades_apart(self):
+        # m_a ~ 4.7 and m_b ~ 5e9: enumeration's payoff for 'a' misses by a
+        # fraction of an ulp of v(N), far more than 1e-9 of its own size
+        result = run_cli("verify", self._spread_profits(1.5, 1e8))
+        assert result.exit_code == 0, result.output
+        assert result.output.count("PASS") == 4
+
+    def test_verify_still_catches_a_closed_form_off_by_more_than_rounding(self, monkeypatch):
+        real = cli_mod.shapley_closed_form
+
+        def shifted(game):
+            result = real(game)
+            grand = coalition_value(game, game.players)
+            payoffs = dict(result.payoffs)
+            payoffs["a"] += 100 * len(game.players) * math.ulp(grand)
+            return replace(result, payoffs=payoffs)
+
+        monkeypatch.setattr(cli_mod, "shapley_closed_form", shifted)
+        result = run_cli("verify", self._spread_profits(1.5, 1e8))
+        assert result.exit_code == 2
+        assert "closed form vs enumeration diverges for a" in result.output
 
     def test_presets_listing(self):
         result = run_cli("presets")

@@ -1,21 +1,25 @@
 """Domain types, the utility function, single-provider optima, coalition values."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+import coinvest.game as game_mod
 from coinvest import (
     NO,
     GameInstance,
     LoadProfile,
     MarketParams,
     ServiceProvider,
+    ShapleyMethod,
     amortized_unit_price,
     coalition_value,
     eval_utility,
     grand_allocation,
     optimal_allocation_single,
+    run_sweep,
 )
 from coinvest.game import provider_revenue
 
@@ -106,6 +110,41 @@ class TestDomainTypes:
             GameInstance(market, (ServiceProvider("A", 0.0, LoadProfile((1.0, 2.0))),))
         with pytest.raises(ValueError, match="'A'.*finite"):
             GameInstance(market, (ServiceProvider("A", 1e300, constant_profile(1e300)),))
+
+    def test_game_rejects_an_infinite_optimum(self):
+        # beta*L and the gain D*xi*beta*L/d are finite, h* = ln(gain)/xi is not
+        market = MarketParams(xi=1e-308, d=1e-10)
+        sp = ServiceProvider("a", 2.74e290, constant_profile(1e6))
+        assert math.isinf(optimal_allocation_single(sp, market).h_star)
+        with pytest.raises(ValueError, match=r"provider 'a': .*h_star=inf.*must be finite"):
+            GameInstance(market, (sp,))
+
+    def test_load_profile_total_is_fsum(self, rng):
+        for _ in range(50):
+            top = 10.0 ** rng.uniform(-3, 12)
+            values = tuple(rng.uniform(0.0, top, size=rng.integers(1, 200)))
+            assert LoadProfile(values).total.hex() == math.fsum(values).hex()
+
+    def test_solving_sums_each_profile_once(self, rng, monkeypatch):
+        # every math.fsum call in coinvest.game whose argument is a profile's slots
+        calls = []
+
+        def fsum(values):
+            calls.append(values)
+            return math.fsum(values)
+
+        fake_math = types.SimpleNamespace(**vars(math))
+        fake_math.fsum = fsum
+        monkeypatch.setattr(game_mod, "math", fake_math)
+        market = MarketParams(T=24)
+        loads = [LoadProfile(tuple(rng.uniform(0.0, 1e5, size=24))) for _ in range(3)]
+        game = GameInstance(
+            market, tuple(ServiceProvider(f"SP{k}", 1e-6, load) for k, load in enumerate(loads))
+        )
+        for method in ShapleyMethod:
+            run_sweep([game], method=method, samples=100)
+        for load in loads:
+            assert sum(values is load.values for values in calls) == 1
 
     def test_game_rejects_overflowing_grand_value(self, market):
         huge = ServiceProvider("A", 1e303, constant_profile(450.0))
