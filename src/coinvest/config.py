@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .game import MarketParams
+from .game import MarketParams, _shown
 from .scenarios import (
     DEFAULT_D_GRID,
     DEFAULT_L_TOTAL,
@@ -137,15 +137,6 @@ def _reject_unknown(data: dict, schema, where: str) -> None:
             f"unknown key{'s' if len(unknown) > 1 else ''} {_shown(unknown)} in {where}; "
             f"allowed: {sorted(allowed)!r}"
         )
-
-
-def _shown(value) -> str:
-    """``repr(value)`` for an error message; past 80 characters, its first 80,
-    the value's type and the repr's length, so the message stays a line."""
-    text = repr(value)
-    if len(text) <= 80:
-        return text
-    return f"{text[:80]}... ({type(value).__name__}, {len(text)} characters in all)"
 
 
 def _object(value, field: str, schema) -> dict:

@@ -18,6 +18,7 @@ Only the table needs numpy, which it imports when it is first built.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -34,6 +35,14 @@ Coalition = frozenset[str]
 
 #: Payoff vectors map every player id to money.
 PayoffVector = Mapping[str, float]
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a message; past 80 characters, its first 80, type and length."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    return f"{text[:80]}... ({type(value).__name__}, {len(text)} characters in all)"
 
 
 def eval_utility(beta: float, xi: float, load: float, h: float) -> float:
@@ -150,19 +159,22 @@ class GameInstance:
             raise ValueError("a game needs at least one service provider")
         ids = [sp.id for sp in sps]
         if len(set(ids)) != len(ids):
-            raise ValueError(f"provider ids must be unique, got {ids!r}")
+            repeated = [pid for pid, k in Counter(ids).items() if k > 1]
+            raise ValueError(f"provider ids must be unique, got {_shown(repeated)} more than once")
         if NO in ids:
             raise ValueError(f"provider id {NO!r} is reserved for the network owner")
         m = self.market
         for sp in sps:
             if len(sp.load) != m.T:
                 raise ValueError(
-                    f"provider {sp.id!r} has {len(sp.load)} load slots, expected T={m.T}"
+                    f"provider {_shown(sp.id)} has {len(sp.load)} load slots, expected T={m.T}"
                 )
         optima = self.standalone_optima()
         for pid, opt in optima.items():
             if not (math.isfinite(opt.h_star) and math.isfinite(opt.value)):
-                raise ValueError(f"provider {pid!r}: standalone optimum {opt!r} must be finite")
+                raise ValueError(
+                    f"provider {_shown(pid)}: standalone optimum {opt!r} must be finite"
+                )
         # every coalition value is a subset sum of these profits, the grand
         # value the largest; fsum raises OverflowError when it is not finite
         try:
@@ -171,7 +183,7 @@ class GameInstance:
             grand = math.inf
         if not math.isfinite(grand):
             raise ValueError(
-                f"providers {ids!r}: their standalone profits sum to more than the "
+                f"providers {_shown(ids)}: their standalone profits sum to more than the "
                 "largest finite float"
             )
 

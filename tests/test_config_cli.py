@@ -451,6 +451,31 @@ class TestCliRun:
         assert len(result.output.encode()) < 1024, result.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "providers, named",
+        [
+            pytest.param([{"id": f"p{k:04d}", "beta": 1e303, "daily_total": 450}
+                          for k in range(1000)], "largest finite float", id="grand-overflow"),
+            pytest.param([{"id": "x" * 10**5, "beta": 1e300, "daily_total": 1e300}],
+                         "standalone optimum", id="long-id"),
+            pytest.param([{"id": "x" * 10**5, "beta": 1e-6, "daily_total": 1e6}] * 2
+                         + [{"id": "y", "beta": 1e-6, "daily_total": 1e6}],
+                         "more than once", id="repeated-long-id"),
+        ],
+    )
+    def test_game_error_stays_short(self, tmp_path, providers, named):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"scenario": "custom", "custom_sps": providers}))
+        result = _fresh_interpreter("-m", "coinvest", "run", str(path),
+                                    "--out", str(tmp_path / "o"))
+        output = result.stdout + result.stderr
+        assert result.returncode == 1, output
+        assert "custom_sps" in output and named in output, output
+        # only the repeated ids are named
+        assert "'y'" not in output
+        assert len(output.encode()) < 1024, output
+        assert not (tmp_path / "o").exists()
+
     def test_short_value_is_echoed_whole(self):
         with pytest.raises(ConfigError) as info:
             config_from_dict({"description": [1.5, 2.5]})

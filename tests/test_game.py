@@ -152,6 +152,12 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match=r"\['A', 'B'\].*largest finite float"):
             GameInstance(market, (huge, ServiceProvider("B", huge.beta, huge.load)))
 
+    def test_game_names_only_the_repeated_ids(self, market):
+        load = constant_profile(1e6)
+        sps = tuple(ServiceProvider(pid, 1e-6, load) for pid in ("a", "b", "a", "c", "b", "a"))
+        with pytest.raises(ValueError, match=r"unique, got \['a', 'b'\] more than once$"):
+            GameInstance(market, sps)
+
 
 class TestSingleOptimum:
     def test_zero_beta_stays_out(self, market):

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinvest import (
     NO,
@@ -16,9 +18,12 @@ from coinvest import (
     optimal_allocation_single,
     settle,
     shapley_closed_form,
+    shapley_enumeration,
+    shapley_sampling,
 )
+from coinvest.shapley import AGREEMENT_TOL, SETTLE_TERMS_TOL, SETTLE_TOL, STABILITY_TOL
 
-from conftest import random_game
+from conftest import golden_max_single, random_game, shapley_by_orderings
 
 
 def test_settlement_identities(rng):
@@ -81,3 +86,61 @@ def test_rejects_missing_players(rng):
     game = random_game(rng, n_sps=2)
     with pytest.raises(ValueError):
         settle(game, {NO: 0.0})
+
+
+_MARKET = MarketParams()
+_PRICE = amortized_unit_price(_MARKET)
+
+# benefit factors around the activation price, with null (zero factor) and
+# idle (zero load) providers; at most 6 players, so every order is visited
+_providers = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        st.one_of(st.just(0.0), st.floats(1e3, 2e6)),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=40)
+@given(providers=_providers, samples=st.integers(1, 3000), seed=st.integers(0, 2**32))
+def test_every_route_is_efficient_and_settles_the_bill(providers, samples, seed):
+    T = _MARKET.T
+    game = GameInstance(
+        _MARKET,
+        tuple(
+            ServiceProvider(f"SP{k}", factor * _PRICE, LoadProfile([total / T] * T))
+            for k, (factor, total) in enumerate(providers)
+        ),
+    )
+    players = game.players
+    grand = coalition_value(game, players)
+    # the loop oracle: every arrival order telescopes to v(N)
+    oracle = shapley_by_orderings(players, game.value)
+    rounding = len(players) * math.ulp(grand)
+    noise = STABILITY_TOL * max(1.0, abs(grand))
+    routes = {
+        "closed": shapley_closed_form(game).payoffs,
+        "enum": shapley_enumeration(game).payoffs,
+        "sample": shapley_sampling(game, samples, seed).payoffs,
+    }
+    assert abs(math.fsum(oracle.values()) - grand) <= noise
+    # the capacity is the providers' standalone optima, found by the
+    # derivative-free oracle
+    capacity = math.fsum(golden_max_single(sp, _MARKET)[0] for sp in game.sps)
+    for name, payoffs in routes.items():
+        assert abs(math.fsum(payoffs.values()) - grand) <= noise, name
+        if name != "sample":
+            for pid in players:
+                margin = AGREEMENT_TOL * max(1.0, abs(oracle[pid])) + rounding
+                assert abs(payoffs[pid] - oracle[pid]) <= margin, (name, pid)
+        settlement = settle(game, payoffs)
+        C = settlement.allocation.C
+        assert abs(C - capacity) <= 1e-6 * max(1.0, capacity) * len(game.sps), name
+        bill = _MARKET.d * C
+        paid = math.fsum(settlement.payment.values())
+        terms = math.fsum(
+            abs(settlement.revenue[pid]) + abs(settlement.payoff[pid]) for pid in players
+        )
+        assert abs(paid - bill) <= max(SETTLE_TOL * max(1.0, abs(bill)), SETTLE_TERMS_TOL * terms)
