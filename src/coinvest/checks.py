@@ -1,0 +1,144 @@
+"""The property suite ``run`` and ``verify`` apply to every solved instance.
+
+The game is convex, so the Shapley payoffs lie in the core (Shapley 1971,
+"Cores of convex games"), and they settle the capacity bill d·C. Every check
+returns an :class:`Outcome`; :data:`PROPERTIES` names the checks, their
+``verify`` lines and how ``run`` decides each one.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+from .game import MAX_ENUMERATION_PLAYERS, GameInstance
+from .scenarios import SweepRecord
+from .shapley import (
+    AGREEMENT_TOL,
+    SAMPLING_SIGMAS,
+    SETTLE_TERMS_TOL,
+    SETTLE_TOL,
+    check_core,
+    check_core_structural,
+    check_supermodularity,
+    check_supermodularity_structural,
+    shapley_closed_form,
+    shapley_enumeration,
+    shapley_sampling,
+)
+
+PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
+
+#: Each property's summary.json key, ``verify`` line and the method ``run``
+#: decides it by, the ``verify`` lines in print order. ``run`` leaves the oracle
+#: triangle to ``verify``; the player flags are no check, but have a method.
+PROPERTIES = (
+    ("supermodularity", "supermodularity", "structural"),
+    ("core", "core-membership", "structural"),
+    ("oracle_triangle", "oracle-triangle", None),
+    ("settlement_balance", "settlement-balance", "direct"),
+    ("flags", None, "structural"),
+)
+RUN_METHODS = {key: method for key, _, method in PROPERTIES if method}  # check_methods
+
+
+class Outcome(NamedTuple):
+    """One check's verdict on one instance (``pass``, ``fail`` or ``skipped``)
+    and, unless it passed, why. Its string is ``pass`` or ``<verdict>: <detail>``."""
+
+    verdict: str
+    detail: str = ""
+
+    def __str__(self) -> str:
+        return f"{self.verdict}: {self.detail}" if self.detail else self.verdict
+
+
+def run_checks(game: GameInstance, record: SweepRecord) -> dict[str, Outcome]:
+    """The core, supermodularity and settlement checks ``run`` writes to summary.json."""
+    payoffs = {p.player_id: p.payoff for p in record.players}
+    return {
+        "core": _core(check_core_structural(game, payoffs)),
+        "supermodularity": _supermodularity(check_supermodularity_structural(game)),
+        "settlement_balance": _settlement(game, record),
+    }
+
+
+def verify_checks(game, record, samples: int, seed: int) -> dict[str, Outcome]:
+    """``run``'s checks plus the oracle triangle. Within the enumeration bound,
+    the core and supermodularity are also decided by brute force over all 2^n
+    coalitions, and fail unless both verdicts agree; beyond it the oracle
+    triangle is skipped."""
+    checks = run_checks(game, record)
+    n = len(game.players)
+    if n > MAX_ENUMERATION_PLAYERS:
+        checks["oracle_triangle"] = Outcome(SKIPPED, f"{n} players exceeds the enumeration bound")
+        return checks
+    for name, brute_force in (
+        ("core", _core(check_core(game, {p.player_id: p.payoff for p in record.players}))),
+        ("supermodularity", _supermodularity(check_supermodularity(game))),
+    ):
+        structural = checks[name]
+        if (structural.verdict == PASS) != (brute_force.verdict == PASS):
+            brute_force = Outcome(
+                FAIL, f"structural verdict '{structural}' but brute-force verdict '{brute_force}'"
+            )
+        checks[name] = brute_force
+    checks["oracle_triangle"] = _oracles(game, samples, seed)
+    return checks
+
+
+def _core(core) -> Outcome:
+    if core.in_core:
+        return Outcome(PASS)
+    where = sorted(core.violating_coalition) if core.violating_coalition else "efficiency"
+    return Outcome(FAIL, f"blocked by {where}")
+
+
+def _supermodularity(report) -> Outcome:
+    if report.holds:
+        return Outcome(PASS)
+    pid, small, large = report.counterexample
+    return Outcome(
+        FAIL, f"player {pid} contributes less to {sorted(large)} than to {sorted(small)}"
+    )
+
+
+def _settlement(game: GameInstance, record: SweepRecord) -> Outcome:
+    bill = game.market.d * record.c_star
+    paid = math.fsum(p.payment for p in record.players)
+    broken = [
+        p.player_id for p in record.players
+        if abs(p.payoff - (p.r_hat - p.payment)) / max(1.0, abs(p.r_hat - p.payment))
+        > AGREEMENT_TOL
+    ]
+    # each payment is revenue - payoff, so the sum carries their rounding too
+    terms = math.fsum(abs(p.r_hat) + abs(p.payoff) for p in record.players)
+    if abs(paid - bill) > max(SETTLE_TOL * max(1.0, abs(bill)), SETTLE_TERMS_TOL * terms):
+        return Outcome(FAIL, f"payments sum to {paid!r}, capacity bill is {bill!r}")
+    if broken:
+        return Outcome(FAIL, f"payoff is not revenue minus payment for {broken}")
+    return Outcome(PASS)
+
+
+def _oracles(game: GameInstance, samples: int, seed: int) -> Outcome:
+    """Agreement of the three Shapley routes on one instance."""
+    exact = shapley_enumeration(game).payoffs
+    closed = shapley_closed_form(game).payoffs
+    # enumeration reads each marginal off two correctly rounded table entries,
+    # each within half an ulp of v(N) (the last entry), so its payoffs may miss
+    # by about one ulp of v(N) whatever their own size; n of them bound that
+    rounding = len(game.players) * math.ulp(float(game.coalition_table()[-1]))
+    margin = {pid: AGREEMENT_TOL * max(1.0, abs(exact[pid])) + rounding for pid in game.players}
+    for pid in game.players:
+        if abs(closed[pid] - exact[pid]) > margin[pid]:
+            return Outcome(FAIL, f"closed form vs enumeration diverges for {pid}")
+    sampled = shapley_sampling(game, samples, seed)
+    for pid in game.players:
+        if not math.isfinite(sampled.stderr[pid]):
+            return Outcome(FAIL, f"sampling stderr is not finite for {pid}")
+        off = abs(sampled.payoffs[pid] - exact[pid])
+        if off > SAMPLING_SIGMAS * sampled.stderr[pid] + margin[pid]:
+            return Outcome(
+                FAIL, f"sampling off by more than {SAMPLING_SIGMAS:g} standard errors for {pid}"
+            )
+    return Outcome(PASS)

@@ -6,8 +6,8 @@ column order), ``summary.json`` (per-instance payoffs, settlement, player
 flags, check outcomes and the method behind them) and ``meta.json`` (the
 fully resolved config, tool version and seed). ``coinvest verify`` solves
 the same instances the way ``run --method closed`` does, runs the property
-suite on them and prints one pass/fail line per property. ``coinvest
-presets`` lists the configurations shipped with the package. With the
+suite (:mod:`coinvest.checks`) on them and prints one pass/fail line per
+property. ``coinvest presets`` lists the shipped configurations. With the
 closed-form method, ``run`` decides its checks structurally and never loads
 numpy.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import tempfile
 from dataclasses import replace
@@ -29,6 +28,7 @@ from pathlib import Path
 import click
 
 from . import __version__
+from .checks import FAIL, PASS, PROPERTIES, RUN_METHODS, run_checks, verify_checks
 from .config import (
     MAX_SEED,
     ConfigError,
@@ -49,49 +49,17 @@ from .scenarios import (
     scenario_same_type,
     synth_load,
 )
-from .shapley import (
-    AGREEMENT_TOL,
-    SAMPLING_SIGMAS,
-    SETTLE_TERMS_TOL,
-    SETTLE_TOL,
-    ShapleyMethod,
-    check_core,
-    check_core_structural,
-    check_supermodularity,
-    check_supermodularity_structural,
-    classify_players_structural,
-    shapley_closed_form,
-    shapley_enumeration,
-    shapley_sampling,
-)
+# shapley_closed_form is not called here: bench/run.py reads it off this module
+from .shapley import ShapleyMethod, classify_players_structural, shapley_closed_form  # noqa: F401
 
 CSV_COLUMNS = (
     "scenario", "sweep_param", "sweep_value", "player_id", "beta", "daily_load",
     "h_star", "C_star", "r_hat", "shapley", "payment", "payoff", "v_grand",
 )
 
-EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILED = 2
 EXIT_IO = 3
-
-#: ``verify`` output lines and the per-instance check each one aggregates.
-VERIFY_PROPERTIES = (
-    ("supermodularity", "supermodularity"),
-    ("core-membership", "core"),
-    ("oracle-triangle", "oracle_triangle"),
-    ("settlement-balance", "settlement_balance"),
-)
-
-#: How ``run`` decides the checks and flags of every instance it writes to
-#: summary.json, at any instance size: from the standalone profits in O(n),
-#: or by summing the settlement directly.
-RUN_CHECK_METHODS = {
-    "core": "structural",
-    "supermodularity": "structural",
-    "flags": "structural",
-    "settlement_balance": "direct",
-}
 
 
 class _Group(click.Group):
@@ -125,6 +93,9 @@ class _Seed(click.IntRange):
 @click.version_option(version=__version__, prog_name="coinvest")
 def main():
     """Plan a capacity coinvestment: solve it, split the payoff, settle the bill."""
+    # no command makes a BLAS call, yet OpenBLAS starts a worker per core as
+    # numpy loads, which spins on the CPU; a thread count the user set still wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def _load_config(config_arg: str) -> RunConfig:
@@ -220,77 +191,7 @@ def _build(fields: str, make, *args):
         raise ConfigError(f"{fields}: {exc}") from exc
 
 
-def _rel_err(got: float, ref: float) -> float:
-    return abs(got - ref) / max(1.0, abs(ref))
-
-
-def _check_instance(
-    game: GameInstance, record: SweepRecord, brute_force: bool = False
-) -> dict[str, str]:
-    """Stability and settlement checks of one solved instance.
-
-    Each outcome reads ``pass`` or ``fail: ...``. ``run`` checks its records
-    (summary.json, ``--strict``); ``verify`` checks closed-form records, with
-    ``brute_force``. The core and supermodularity checks are decided
-    structurally, for any number of players; with ``brute_force``, an
-    instance within the enumeration bound is also checked over all 2^n
-    coalitions, and the check fails unless both verdicts agree.
-    """
-    payoff = {p.player_id: p.payoff for p in record.players}
-    checks = {
-        "core": _core_outcome(check_core_structural(game, payoff)),
-        "supermodularity": _supermodularity_outcome(check_supermodularity_structural(game)),
-    }
-    if brute_force and len(game.players) <= MAX_ENUMERATION_PLAYERS:
-        for name, outcome in (
-            ("core", _core_outcome(check_core(game, payoff))),
-            ("supermodularity", _supermodularity_outcome(check_supermodularity(game))),
-        ):
-            checks[name] = _agreed(checks[name], outcome)
-
-    bill = game.market.d * record.c_star
-    paid = math.fsum(p.payment for p in record.players)
-    broken = [
-        p.player_id for p in record.players
-        if _rel_err(p.payoff, p.r_hat - p.payment) > AGREEMENT_TOL
-    ]
-    # each payment is revenue - payoff, so the sum carries their rounding too
-    terms = math.fsum(abs(p.r_hat) + abs(p.payoff) for p in record.players)
-    if abs(paid - bill) > max(SETTLE_TOL * max(1.0, abs(bill)), SETTLE_TERMS_TOL * terms):
-        checks["settlement_balance"] = f"fail: payments sum to {paid!r}, capacity bill is {bill!r}"
-    elif broken:
-        checks["settlement_balance"] = f"fail: payoff is not revenue minus payment for {broken}"
-    else:
-        checks["settlement_balance"] = "pass"
-    return checks
-
-
-def _core_outcome(core) -> str:
-    if core.in_core:
-        return "pass"
-    where = sorted(core.violating_coalition) if core.violating_coalition else "efficiency"
-    return f"fail: blocked by {where}"
-
-
-def _supermodularity_outcome(report) -> str:
-    if report.holds:
-        return "pass"
-    pid, small, large = report.counterexample
-    return f"fail: player {pid} contributes less to {sorted(large)} than to {sorted(small)}"
-
-
-def _agreed(structural: str, brute_force: str) -> str:
-    """The brute-force outcome if both verdicts agree, else a failure naming both."""
-    if (structural == "pass") == (brute_force == "pass"):
-        return brute_force
-    return f"fail: structural verdict '{structural}' but brute-force verdict '{brute_force}'"
-
-
-def _too_many(n: int) -> str:
-    return f"skipped: {n} players exceeds the enumeration bound"
-
-
-def _summarize(game: GameInstance, record) -> dict:
+def _summarize(game: GameInstance, record, checks) -> dict:
     flags = classify_players_structural(game)
     players = {
         p.player_id: {
@@ -313,7 +214,7 @@ def _summarize(game: GameInstance, record) -> dict:
         "v_grand": record.v_grand,
         "c_star": record.c_star,
         "players": players,
-        "checks": _check_instance(game, record),
+        "checks": {name: str(outcome) for name, outcome in checks.items()},
     }
 
 
@@ -327,23 +228,11 @@ def _records_csv_text(records) -> str:
     writer.writerow(CSV_COLUMNS)
     for rec in records:
         for p in rec.players:
-            writer.writerow(
-                [
-                    rec.scenario,
-                    rec.sweep_param,
-                    _fmt(rec.sweep_value),
-                    p.player_id,
-                    _fmt(p.beta),
-                    _fmt(p.daily_load),
-                    _fmt(p.h_star),
-                    _fmt(rec.c_star),
-                    _fmt(p.r_hat),
-                    _fmt(p.shapley),
-                    _fmt(p.payment),
-                    _fmt(p.payoff),
-                    _fmt(rec.v_grand),
-                ]
-            )
+            writer.writerow([
+                rec.scenario, rec.sweep_param, _fmt(rec.sweep_value), p.player_id,
+                *map(_fmt, (p.beta, p.daily_load, p.h_star, rec.c_star, p.r_hat, p.shapley,
+                            p.payment, p.payoff, rec.v_grand)),
+            ])
     return buf.getvalue()
 
 
@@ -363,18 +252,9 @@ def _atomic_write(path: Path, text: str) -> None:
 @click.argument("config")
 @click.option("--out", "out_dir", default=None, help="Output directory (overrides the config).")
 @click.option("--strict", is_flag=True, help="Exit nonzero if any property check fails.")
-@click.option(
-    "--seed",
-    type=_Seed(0, MAX_SEED),
-    default=None,
-    help="Random seed (overrides the config).",
-)
-@click.option(
-    "--method",
-    type=click.Choice([m.value for m in ShapleyMethod]),
-    default=None,
-    help="Shapley method (overrides the config).",
-)
+@click.option("--seed", type=_Seed(0, MAX_SEED), help="Random seed (overrides the config).")
+@click.option("--method", type=click.Choice([m.value for m in ShapleyMethod]),
+              help="Shapley method (overrides the config).")
 def run(config, out_dir, strict, seed, method):
     """Solve the configured scenario and write records.csv, summary.json, meta.json.
 
@@ -389,13 +269,12 @@ def run(config, out_dir, strict, seed, method):
         cfg = replace(cfg, method=ShapleyMethod(method))
     solved = _solve(cfg)
     records = [record for _, record in solved]
-    summaries = [_summarize(game, record) for game, record in solved]
-
+    checks = [run_checks(game, record) for game, record in solved]
     failures = [
         (i, name, outcome)
-        for i, summary in enumerate(summaries)
-        for name, outcome in summary["checks"].items()
-        if outcome.startswith("fail")
+        for i, outcomes in enumerate(checks)
+        for name, outcome in outcomes.items()
+        if outcome.verdict == FAIL
     ]
     meta = {
         "tool": "coinvest",
@@ -407,9 +286,9 @@ def run(config, out_dir, strict, seed, method):
         "instances": len(records),
     }
     summary_doc = {
-        "instances": summaries,
+        "instances": [_summarize(*pair, outcomes) for pair, outcomes in zip(solved, checks)],
         "all_checks_passed": not failures,
-        "check_methods": RUN_CHECK_METHODS,
+        "check_methods": RUN_METHODS,
     }
 
     outputs = {"records.csv": _records_csv_text(records)}
@@ -448,48 +327,25 @@ def verify(config):
     a preset name, a JSON file path, or inline JSON.
     """
     cfg = _load_config(config)
-    outcomes = []
-    for k, (game, record) in enumerate(_solve(replace(cfg, method=ShapleyMethod.CLOSED_FORM))):
-        checks = _check_instance(game, record, brute_force=True)
-        checks["oracle_triangle"] = _check_oracles(game, cfg.samples, cfg.seed + k)
-        outcomes.append(checks)
+    solved = _solve(replace(cfg, method=ShapleyMethod.CLOSED_FORM))
+    outcomes = [
+        verify_checks(game, record, cfg.samples, cfg.seed + k)
+        for k, (game, record) in enumerate(solved)
+    ]
     failed = False
-    for name, key in VERIFY_PROPERTIES:
+    for key, line, _ in PROPERTIES:
+        if line is None:
+            continue
         results = [checks[key] for checks in outcomes]
-        detail = f"{results.count('pass')}/{len(results)} instances"
-        fails = [(k, r) for k, r in enumerate(results) if r.startswith("fail")]
+        detail = f"{sum(r.verdict == PASS for r in results)}/{len(results)} instances"
+        fails = [(k, r) for k, r in enumerate(results) if r.verdict == FAIL]
         if fails:
-            k, reason = fails[0]
-            detail += f"; instance {k}: {reason.removeprefix('fail: ')}"
-        click.echo(f"{name:<22} {'FAIL' if fails else 'PASS'}  ({detail})")
+            k, outcome = fails[0]
+            detail += f"; instance {k}: {outcome.detail}"
+        click.echo(f"{line:<22} {'FAIL' if fails else 'PASS'}  ({detail})")
         failed = failed or bool(fails)
     if failed:
         raise SystemExit(EXIT_CHECK_FAILED)
-
-
-def _check_oracles(game, samples: int, seed: int) -> str:
-    """Agreement of the three Shapley routes on one instance."""
-    n = len(game.players)
-    if n > MAX_ENUMERATION_PLAYERS:
-        return _too_many(n)
-    exact = shapley_enumeration(game).payoffs
-    closed = shapley_closed_form(game).payoffs
-    # enumeration reads each marginal off two correctly rounded table entries,
-    # each within half an ulp of v(N) (the last entry), so its payoffs may miss
-    # by about one ulp of v(N) whatever their own size; n of them bound that
-    rounding = n * math.ulp(float(game.coalition_table()[-1]))
-    margin = {pid: AGREEMENT_TOL * max(1.0, abs(exact[pid])) + rounding for pid in game.players}
-    for pid in game.players:
-        if abs(closed[pid] - exact[pid]) > margin[pid]:
-            return f"fail: closed form vs enumeration diverges for {pid}"
-    sampled = shapley_sampling(game, samples, seed)
-    for pid in game.players:
-        if not math.isfinite(sampled.stderr[pid]):
-            return f"fail: sampling stderr is not finite for {pid}"
-        off = abs(sampled.payoffs[pid] - exact[pid])
-        if off > SAMPLING_SIGMAS * sampled.stderr[pid] + margin[pid]:
-            return f"fail: sampling off by more than {SAMPLING_SIGMAS:g} standard errors for {pid}"
-    return "pass"
 
 
 @main.command()

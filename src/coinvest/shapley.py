@@ -257,8 +257,8 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     sqs = np.append(count * profit * profit, owner_sq)
     mean = sums / samples
     var = np.maximum(sqs / samples - mean * mean, 0.0)
-    if samples > 1:
-        var *= samples / (samples - 1)
+    # one order has no spread about its own mean, whatever the rounding says
+    var *= samples / (samples - 1) if samples > 1 else 0.0
     se = np.sqrt(var / samples)
     return ShapleyResult(
         payoffs={pid: float(mean[i] * unit) for i, pid in enumerate(players)},

@@ -4,13 +4,15 @@
 its ``WRAPPED`` table, plus ``coinvest.game.coalition_value``, for the length
 of a traced run. A rename in ``src`` would only show up when that run fails,
 so this reads the table from the file (parsed, not imported) and resolves
-every name on its home module. The workloads' configs must also stay
-inside the config's caps.
+every name on its home module. ``bench/run.py`` also reads
+``cli.shapley_closed_form`` and calls the click group's ``main()``. The
+workloads' configs must also stay inside the config's caps.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -46,6 +48,11 @@ def test_value_hook_and_commands_resolve():
     assert callable(importlib.import_module("coinvest.game").coalition_value)
     for command in (coinvest.cli.run, coinvest.cli.verify):
         assert callable(command.callback)
+    # bench/run.py unwraps cli.shapley_closed_form as the sampled payoffs'
+    # reference, and calls the group in-process through click's main()
+    assert callable(coinvest.cli.shapley_closed_form)
+    parameters = inspect.signature(coinvest.cli.main.main).parameters
+    assert {"args", "prog_name", "standalone_mode"} <= set(parameters)
 
 
 def test_every_workload_config_is_accepted(monkeypatch):

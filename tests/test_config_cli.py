@@ -17,6 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
+import coinvest.checks as checks_mod
 import coinvest.cli as cli_mod
 import coinvest.scenarios as scenarios_mod
 from coinvest import (
@@ -613,7 +614,7 @@ class TestCliRun:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampling started")
 
-        for module in (cli_mod, scenarios_mod):
+        for module in (checks_mod, scenarios_mod):
             monkeypatch.setattr(module, "shapley_sampling", no_sampling)
         cfg = json.dumps({"l_total_grid": [2e6], "samples": MAX_SAMPLES + 1})
         out = tmp_path / "s"
@@ -672,7 +673,7 @@ class TestCliRun:
             )
 
         # run decides supermodularity structurally
-        monkeypatch.setattr(cli_mod, "check_supermodularity_structural", broken_check)
+        monkeypatch.setattr(checks_mod, "check_supermodularity_structural", broken_check)
         out = tmp_path / "s"
         strict = CliRunner().invoke(main, ["run", SMALL_RUN, "--out", str(out), "--strict"])
         assert strict.exit_code == 2
@@ -714,7 +715,7 @@ class TestCliVerifyAndPresets:
                 counterexample=("SP1", frozenset(), frozenset({"NO"})),
             )
 
-        monkeypatch.setattr(cli_mod, "check_supermodularity", broken_check)
+        monkeypatch.setattr(checks_mod, "check_supermodularity", broken_check)
         result = CliRunner().invoke(
             main, ["verify", json.dumps({"l_total_grid": [2e6], "samples": 1000})]
         )
@@ -751,10 +752,10 @@ class TestCliVerifyAndPresets:
 
     def test_verify_fails_on_nonfinite_stderr(self, monkeypatch):
         def blind_sampler(game, samples, seed=0):
-            result = cli_mod.shapley_closed_form(game)
+            result = checks_mod.shapley_closed_form(game)
             return replace(result, stderr={pid: math.nan for pid in game.players})
 
-        monkeypatch.setattr(cli_mod, "shapley_sampling", blind_sampler)
+        monkeypatch.setattr(checks_mod, "shapley_sampling", blind_sampler)
         result = CliRunner().invoke(
             main, ["verify", json.dumps({"l_total_grid": [2e6], "samples": 100})]
         )
@@ -786,7 +787,7 @@ class TestCliVerifyAndPresets:
         assert result.output.count("PASS") == 4
 
     def test_verify_still_catches_a_closed_form_off_by_more_than_rounding(self, monkeypatch):
-        real = cli_mod.shapley_closed_form
+        real = checks_mod.shapley_closed_form
 
         def shifted(game):
             result = real(game)
@@ -795,7 +796,7 @@ class TestCliVerifyAndPresets:
             payoffs["a"] += 100 * len(game.players) * math.ulp(grand)
             return replace(result, payoffs=payoffs)
 
-        monkeypatch.setattr(cli_mod, "shapley_closed_form", shifted)
+        monkeypatch.setattr(checks_mod, "shapley_closed_form", shifted)
         result = run_cli("verify", self._spread_profits(1.5, 1e8))
         assert result.exit_code == 2
         assert "closed form vs enumeration diverges for a" in result.output
@@ -814,7 +815,7 @@ class TestCliVerifyAndPresets:
     def test_verify_names_both_verdicts_when_they_disagree(self, monkeypatch):
         cfg = json.dumps({"l_total_grid": [2e6, 3e6], "samples": 1000})
         monkeypatch.setattr(
-            cli_mod, "check_core_structural", lambda game, payoffs: CoreCheck(False, None)
+            checks_mod, "check_core_structural", lambda game, payoffs: CoreCheck(False, None)
         )
         result = CliRunner().invoke(main, ["verify", cfg])
         assert result.exit_code == 2
@@ -849,7 +850,7 @@ class TestCliVerifyAndPresets:
             (True, False),
             (False, False),
         }
-        assert summary["check_methods"] == cli_mod.RUN_CHECK_METHODS
+        assert summary["check_methods"] == checks_mod.RUN_METHODS
         assert set(summary["check_methods"].values()) == {"structural", "direct"}
         result = run_cli("verify", cfg)
         assert result.exit_code == 0, result.output
@@ -891,6 +892,20 @@ class TestCliVerifyAndPresets:
             loaded = set(proc.stderr.split())
             assert {"numpy", "coinvest.shapley"} <= loaded, args
             assert not {"numpy.random", "hashlib"} & loaded, args
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+        reason="reads /proc/self/task; OpenBLAS starts no worker on one CPU",
+    )
+    def test_numpy_runs_one_blas_thread_unless_told_otherwise(self):
+        # no command makes a BLAS call, and an idle OpenBLAS worker spins on the CPU
+        cfg = json.dumps({"l_total_grid": [2e6], "samples": 100})
+        unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        for env, threads in ((unset, 1), ({**unset, "OPENBLAS_NUM_THREADS": "2"}, 2)):
+            proc = _fresh_interpreter("-c", _COUNT_THREADS_AT_EXIT, "verify", cfg, env=env)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            counted = proc.stderr.split()[-1]
+            assert counted == str(threads), (env.get("OPENBLAS_NUM_THREADS"), proc.stderr)
 
     def test_sampled_payoffs_pass_strict_checks(self, tmp_path):
         # a sampled provider payoff lies in [0, m_i] and the owner takes the
@@ -995,16 +1010,27 @@ _LIST_MODULES_AT_EXIT = (
 )
 
 
-def _fresh_interpreter(*args):
-    """Run ``python ARGS`` in a new process; returns the completed process."""
+# runs ``python -m coinvest`` on the arguments that follow it, then prints
+# the number of threads the process holds on stderr
+_COUNT_THREADS_AT_EXIT = (
+    "import atexit, os, runpy, sys\n"
+    "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
+    "runpy.run_module('coinvest', run_name='__main__')\n"
+)
+
+
+def _fresh_interpreter(*args, env=None):
+    """Run ``python ARGS`` in a new process, in ``env`` (default: this
+    process's environment); returns the completed process."""
+    env = os.environ if env is None else env
     # the child imports the same package as this suite, installed or not
     src = str(Path(cli_mod.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    path = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**env, "PYTHONPATH": path},
     )
 
 

@@ -198,6 +198,16 @@ def test_matches_the_exact_mean_of_its_orders(rng):
             _assert_exact_mean(game, samples, seed=5)
 
 
+def test_one_order_has_zero_stderr(rng):
+    # one order has no spread about its own mean; the owner's plug-in variance
+    # is a difference of two rounded squares, which read ~2e-8 of the payoff
+    # on the 16-player game here
+    for n_players in range(2, 23):
+        game = random_game(rng, n_sps=n_players - 1)
+        stderr = shapley_sampling(game, 1, seed=n_players).stderr
+        assert set(stderr.values()) == {0.0}, (n_players, stderr)
+
+
 def test_memory_does_not_grow_with_samples(rng):
     # no (samples, n) key matrix and no per-order buffer: a million orders of
     # 8 players would need 64 MB of keys, and the owner's values 8 MB
