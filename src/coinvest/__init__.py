@@ -17,14 +17,11 @@ from .game import (
     MarketParams,
     ServiceProvider,
     coalition_value,
-    eval_utility,
     grand_allocation,
     optimal_allocation_single,
 )
 from .scenarios import (
-    SinusoidalLoadSpec,
     amortized_unit_price,
-    clamping_applied,
     run_sweep,
     scale_load,
     scenario_omega,
@@ -56,19 +53,16 @@ __all__ = [
     "RunConfig",
     "ServiceProvider",
     "ShapleyMethod",
-    "SinusoidalLoadSpec",
     "SupermodularityReport",
     "amortized_unit_price",
     "check_core",
     "check_core_structural",
     "check_supermodularity",
     "check_supermodularity_structural",
-    "clamping_applied",
     "classify_players",
     "classify_players_structural",
     "coalition_value",
     "config_to_dict",
-    "eval_utility",
     "grand_allocation",
     "optimal_allocation_single",
     "parse_config",

@@ -28,7 +28,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .checks import FAIL, PASS, PROPERTIES, RUN_METHODS, run_checks, verify_checks
+from .checks import FAIL, PASS, PROPERTIES, RUN_METHODS, SKIPPED, run_checks, verify_checks
 from .config import (
     MAX_SEED,
     ConfigError,
@@ -41,7 +41,6 @@ from .config import (
 from .game import MAX_ENUMERATION_PLAYERS, GameInstance, LoadProfile, ServiceProvider
 from .scenarios import (
     SweepRecord,
-    clamping_applied,
     run_sweep,
     scale_load,
     scenario_omega,
@@ -146,37 +145,33 @@ def _build_groups(cfg: RunConfig):
     """Instances to solve, grouped as (label, sweep_param, sweep_values, games)."""
     if cfg.scenario == "same-type":
         games = [
-            _build(f"market, load_spec, l_total_grid[{k}]", scenario_same_type,
-                   l, cfg.market, cfg.load_spec)
+            _build(f"market, l_total_grid[{k}]", scenario_same_type, l, cfg.market)
             for k, l in enumerate(cfg.l_total_grid)
         ]
         return [("same-type", "l_total", list(cfg.l_total_grid), games)]
     if cfg.scenario == "omega":
         games = [
-            _build(f"market, load_spec, l_total, omega_grid[{k}]", scenario_omega,
-                   w, cfg.l_total, cfg.market, cfg.load_spec)
+            _build(f"market, l_total, omega_grid[{k}]", scenario_omega,
+                   w, cfg.l_total, cfg.market)
             for k, w in enumerate(cfg.omega_grid)
         ]
         return [("omega", "omega", list(cfg.omega_grid), games)]
     if cfg.scenario == "price-sweep":
         groups = []
         for k, n in enumerate(cfg.n_sps):
-            games = _build(f"market, load_spec, l_total, n_sps[{k}], d_grid",
-                           scenario_price_sweep, n, cfg.d_grid, cfg.l_total, cfg.market,
-                           cfg.load_spec)
+            games = _build(f"market, l_total, n_sps[{k}], d_grid",
+                           scenario_price_sweep, n, cfg.d_grid, cfg.l_total, cfg.market)
             groups.append((f"price-sweep-n{n}", "d", list(cfg.d_grid), games))
         return groups
     # custom: one instance assembled from the explicit provider list
-    base = _build("load_spec", synth_load, cfg.load_spec, cfg.market.T)
+    base = synth_load(cfg.market.T)
     sps = []
     for k, spec in enumerate(cfg.custom_sps):
         if spec.loads is not None:
             load = _build(f"custom_sps[{k}].loads", LoadProfile, spec.loads)
-        elif base.total <= 0.0 and spec.daily_total > 0.0:
-            raise ConfigError(f"custom_sps[{k}]: load shape sums to zero; give explicit loads")
         else:
-            factor = 0.0 if spec.daily_total == 0.0 else spec.daily_total / base.total
-            load = _build(f"load_spec, custom_sps[{k}].daily_total", scale_load, base, factor)
+            load = _build(f"custom_sps[{k}].daily_total", scale_load, base,
+                          spec.daily_total / base.total)
         sps.append(ServiceProvider(spec.id, spec.beta, load))
     game = _build("custom_sps", GameInstance, cfg.market, tuple(sps))
     return [("custom", "index", [0.0], [game])]
@@ -282,7 +277,6 @@ def run(config, out_dir, strict, seed, method):
         "seed": cfg.seed,
         "strict": bool(strict),
         "config": config_to_dict(cfg),
-        "load_clamping_applied": clamping_applied(cfg.load_spec, cfg.market.T),
         "instances": len(records),
     }
     summary_doc = {
@@ -323,8 +317,10 @@ def verify(config):
     Properties: supermodularity of every instance, core membership of the
     Shapley payoffs, agreement of the three Shapley routes, and settlement
     balance. Up to the enumeration bound, the core and supermodularity are
-    decided both structurally and by brute force, and must agree. CONFIG is
-    a preset name, a JSON file path, or inline JSON.
+    decided both structurally and by brute force, and must agree. A property
+    skipped on some instances also gets a line on stderr, with the count and
+    the first such instance's reason. CONFIG is a preset name, a JSON file
+    path, or inline JSON.
     """
     cfg = _load_config(config)
     solved = _solve(replace(cfg, method=ShapleyMethod.CLOSED_FORM))
@@ -343,6 +339,11 @@ def verify(config):
             k, outcome = fails[0]
             detail += f"; instance {k}: {outcome.detail}"
         click.echo(f"{line:<22} {'FAIL' if fails else 'PASS'}  ({detail})")
+        skips = [(k, r) for k, r in enumerate(results) if r.verdict == SKIPPED]
+        if skips:
+            k, outcome = skips[0]
+            click.echo(f"{line}: skipped on {len(skips)}/{len(results)} instances; "
+                       f"instance {k}: {outcome.detail}", err=True)
         failed = failed or bool(fails)
     if failed:
         raise SystemExit(EXIT_CHECK_FAILED)

@@ -22,7 +22,6 @@ from .scenarios import (
     DEFAULT_L_TOTAL,
     DEFAULT_L_TOTAL_GRID,
     DEFAULT_OMEGA_GRID,
-    SinusoidalLoadSpec,
 )
 from .shapley import ShapleyMethod
 
@@ -54,8 +53,9 @@ class ConfigError(ValueError):
 class CustomProvider:
     """Provider description for the custom scenario.
 
-    Exactly one of ``daily_total`` (shaped by the run's load spec) or
-    explicit per-slot ``loads`` must be given.
+    Exactly one of ``daily_total`` (shaped by the built-in daily curve,
+    :func:`~coinvest.scenarios.synth_load`) or explicit per-slot ``loads``
+    must be given.
     """
 
     id: str
@@ -71,7 +71,6 @@ class RunConfig:
     scenario: str = "same-type"
     description: str = ""
     market: MarketParams = MarketParams()
-    load_spec: SinusoidalLoadSpec = SinusoidalLoadSpec()
     l_total: float = DEFAULT_L_TOTAL
     l_total_grid: tuple[float, ...] = DEFAULT_L_TOTAL_GRID
     omega_grid: tuple[float, ...] = DEFAULT_OMEGA_GRID
@@ -221,12 +220,6 @@ def config_from_dict(data: dict) -> RunConfig:
                  maximum=MAX_TIMESLOTS),
         xi=_field(raw, "xi", default.market.xi, _number, "market.", strict_min=0.0),
     )
-    raw = _object(data.get("load_spec", {}), "load_spec", SinusoidalLoadSpec)
-    load_spec = SinusoidalLoadSpec(
-        a0=_field(raw, "a0", default.load_spec.a0, _number, "load_spec."),
-        components=_field(raw, "components", default.load_spec.components, _components,
-                          "load_spec."),
-    )
 
     l_total = _field(data, "l_total", default.l_total, _number, minimum=0.0)
     l_total_grid = _field(data, "l_total_grid", default.l_total_grid, _number_list,
@@ -248,7 +241,6 @@ def config_from_dict(data: dict) -> RunConfig:
         scenario=scenario,
         description=description,
         market=market,
-        load_spec=load_spec,
         l_total=l_total,
         l_total_grid=l_total_grid,
         omega_grid=omega_grid,
@@ -261,17 +253,6 @@ def config_from_dict(data: dict) -> RunConfig:
                        maximum=MAX_SAMPLES),
         method=_field(data, "method", default.method, _method),
     )
-
-
-def _components(value, field: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"config field '{field}' must be a non-empty list")
-    pairs = []
-    for i, comp in enumerate(value):
-        if not isinstance(comp, list) or len(comp) != 2:
-            raise ConfigError(f"config field '{field}[{i}]' must be an [amplitude, offset] pair")
-        pairs.append(tuple(_number(c, f"{field}[{i}][{j}]") for j, c in enumerate(comp)))
-    return tuple(pairs)
 
 
 def _provider_counts(value, field: str) -> tuple[int, ...]:
@@ -330,8 +311,6 @@ def config_to_dict(config: RunConfig) -> dict:
     """
     data = _field_values(config)
     data["market"] = _field_values(config.market)
-    data["load_spec"] = _field_values(config.load_spec)
-    data["load_spec"]["components"] = [list(c) for c in config.load_spec.components]
     data["custom_sps"] = [
         {key: value for key, value in _field_values(sp).items() if value is not None}
         for sp in config.custom_sps

@@ -45,23 +45,6 @@ def _shown(value) -> str:
     return f"{text[:80]}... ({type(value).__name__}, {len(text)} characters in all)"
 
 
-def eval_utility(beta: float, xi: float, load: float, h: float) -> float:
-    """Money one provider earns in a single timeslot.
-
-    Returns ``beta * load * (1 - exp(-xi * h))``: zero without resources,
-    increasing and concave in ``h``, saturating at ``beta * load``.
-    """
-    if not (beta >= 0.0):
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
-    if not (xi > 0.0):
-        raise ValueError(f"xi must be > 0, got {xi!r}")
-    if not (load >= 0.0):
-        raise ValueError(f"load must be >= 0, got {load!r}")
-    if not (h >= 0.0):
-        raise ValueError(f"h must be >= 0, got {h!r}")
-    return beta * load * (1.0 - math.exp(-xi * h))
-
-
 @dataclass(frozen=True)
 class MarketParams:
     """Economic and temporal constants of one investment.
@@ -227,10 +210,6 @@ class GameInstance:
             object.__setattr__(self, "_coalition_table", cached)
         return cached
 
-    def value(self, coalition: Iterable[str]) -> float:
-        """Characteristic function, see :func:`coalition_value`."""
-        return coalition_value(self, coalition)
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -367,9 +346,9 @@ def grand_allocation(game: GameInstance) -> Allocation:
 def provider_revenue(sp: ServiceProvider, market: MarketParams, h: float) -> float:
     """Revenue a provider collects over the whole horizon at allocation ``h``.
 
-    Exact summation over the day's slots of :func:`eval_utility`'s products,
-    scaled by the number of days. The served share depends on ``h`` only, so
-    it is computed, and ``h`` checked, once per call.
+    Exact summation over the day's slots of ``beta * l_t * (1 - exp(-xi * h))``,
+    the money one slot earns, scaled by the number of days. The served share
+    depends on ``h`` only, so it is computed, and ``h`` checked, once per call.
     """
     if not (h >= 0.0):
         raise ValueError(f"h must be >= 0, got {h!r}")

@@ -47,57 +47,25 @@ DEFAULT_D_GRID = (
 DEFAULT_L_TOTAL = 1.0e6
 
 
-@dataclass(frozen=True)
-class SinusoidalLoadSpec:
-    """Daily load shape: a base level plus K sinusoidal harmonics.
+def synth_load(T: int) -> LoadProfile:
+    """The built-in daily load shape over T slots: a residential evening peak.
 
-    Over a day of T slots, slot t (1-based) carries
-    ``a0 + sum_k a_k * sin(2*k*pi*(t - t_k)/T)``, clamped at zero. T is the
-    market's, so one spec shapes a day of any length. The default shape is a
-    residential evening peak.
+    Slot t (1-based) carries ``1 + 0.45*sin(2*pi*(t - 66)/T) +
+    0.15*sin(4*pi*(t - 30)/T)``; T is the market's, so the shape fits a day
+    of any length. Every slot is at least 0.4, for every T up to the config's
+    slot cap, so nothing is ever clipped and the total is positive.
     """
-
-    a0: float = 1.0
-    components: tuple[tuple[float, float], ...] = ((0.45, 66.0), (0.15, 30.0))
-
-    def __post_init__(self):
-        comps = tuple((float(a), float(t0)) for a, t0 in self.components)
-        object.__setattr__(self, "components", comps)
-        if len(comps) < 1:
-            raise ValueError("at least one sinusoidal component is required")
-
-    def raw_profile(self, T: int) -> list[float]:
-        """The shape over T slots before clamping; may dip below zero.
-
-        Finite parameters can still overflow to inf or nan; that is left for
-        the callers' finite checks to report. The sine of an infinite
-        argument is nan here (``math.sin`` would raise), so a slot is never
-        an exception.
-        """
-        out = [float(self.a0)] * T
-        for k, (amp, offset) in enumerate(self.components, start=1):
-            w = 2.0 * k * math.pi
-            for i in range(T):
-                x = w * (i + 1.0 - offset) / T
-                out[i] += amp * (math.sin(x) if math.isfinite(x) else x - x)
-        return out
+    return LoadProfile(tuple(
+        1.0 + 0.45 * math.sin(2.0 * math.pi * (t - 66.0) / T)
+        + 0.15 * math.sin(4.0 * math.pi * (t - 30.0) / T)
+        for t in range(1, T + 1)
+    ))
 
 
-DEFAULT_LOAD_SPEC = SinusoidalLoadSpec()
-
-
-def synth_load(spec: SinusoidalLoadSpec, T: int) -> LoadProfile:
-    """Evaluate a sinusoidal spec over T slots into a nonnegative profile.
-
-    Negative slots and -0.0 become 0.0; nan is kept, for
-    :class:`~coinvest.game.LoadProfile` to refuse.
-    """
-    return LoadProfile(tuple(v if v > 0.0 or v != v else 0.0 for v in spec.raw_profile(T)))
-
-
-def clamping_applied(spec: SinusoidalLoadSpec, T: int) -> bool:
-    """Whether synthesizing this spec over T slots clips negative slots to zero."""
-    return any(v < 0.0 for v in spec.raw_profile(T))
+def clamping_applied(T: int) -> bool:
+    """Always False: :func:`synth_load` never dips below zero. Nothing calls
+    this; it goes once ``bench/spans.py`` drops it from its ``WRAPPED`` table."""
+    return False
 
 
 def scale_load(profile: LoadProfile, factor: float) -> LoadProfile:
@@ -112,18 +80,9 @@ def amortized_unit_price(market: MarketParams) -> float:
     return market.d / (market.D * market.T)
 
 
-def _shape_factor(base: LoadProfile, daily_total: float) -> float:
-    if daily_total == 0.0:
-        return 0.0
-    if base.total <= 0.0:
-        raise ValueError("load shape sums to zero; cannot scale it to a positive total")
-    return daily_total / base.total
-
-
 def scenario_same_type(
     l_total: float,
     market: MarketParams | None = None,
-    load_spec: SinusoidalLoadSpec = DEFAULT_LOAD_SPEC,
 ) -> GameInstance:
     """Two providers sharing one benefit factor, loads split 4:1.
 
@@ -131,14 +90,13 @@ def scenario_same_type(
     the same daily shape with the first carrying four fifths of ``l_total``.
     The scale factors are built so the per-slot 4:1 ratio is exact.
     """
-    return scenario_omega(0.5, l_total, market, load_spec)
+    return scenario_omega(0.5, l_total, market)
 
 
 def scenario_omega(
     omega: float,
     l_total: float,
     market: MarketParams | None = None,
-    load_spec: SinusoidalLoadSpec = DEFAULT_LOAD_SPEC,
 ) -> GameInstance:
     """The 4:1 pair with the joint benefit factor skewed towards the second.
 
@@ -151,8 +109,8 @@ def scenario_omega(
     if not (l_total >= 0.0 and math.isfinite(l_total)):
         raise ValueError(f"l_total must be finite and >= 0, got {l_total!r}")
     market = market or MarketParams()
-    base = synth_load(load_spec, market.T)
-    f2 = _shape_factor(base, l_total / 5.0)
+    base = synth_load(market.T)
+    f2 = l_total / 5.0 / base.total
     beta_total = 2.0 * amortized_unit_price(market)
     return GameInstance(
         market=market,
@@ -168,7 +126,6 @@ def scenario_price_sweep(
     d_values,
     l_total: float,
     market_base: MarketParams | None = None,
-    load_spec: SinusoidalLoadSpec = DEFAULT_LOAD_SPEC,
 ) -> list[GameInstance]:
     """N equal providers, one instance per capacity price.
 
@@ -184,8 +141,8 @@ def scenario_price_sweep(
     if not d_list:
         raise ValueError("d_values must not be empty")
     market_base = market_base or MarketParams()
-    base = synth_load(load_spec, market_base.T)
-    share = scale_load(base, _shape_factor(base, l_total / n_sps))
+    base = synth_load(market_base.T)
+    share = scale_load(base, l_total / n_sps / base.total)
     price = amortized_unit_price(market_base)
     sps = tuple(ServiceProvider(f"SP{k}", price, share) for k in range(1, n_sps + 1))
     return [GameInstance(market=replace(market_base, d=dv), sps=sps) for dv in d_list]

@@ -27,8 +27,8 @@ from coinvest import (
     LoadProfile,
     MarketParams,
     ServiceProvider,
-    SinusoidalLoadSpec,
     amortized_unit_price,
+    coalition_value,
     scale_load,
     synth_load,
 )
@@ -80,12 +80,20 @@ class TabularGame:
         return table
 
 
+def worth(game, coalition):
+    """v(coalition): a :class:`TabularGame`'s entry, a ``GameInstance``'s
+    :func:`~coinvest.game.coalition_value`."""
+    if isinstance(game, TabularGame):
+        return game.value(coalition)
+    return coalition_value(game, coalition)
+
+
 def marginal_contribution(game, player, coalition):
     """Value the player adds on joining: v(S + player) - v(S)."""
     members = frozenset(coalition)
     if player in members:
         raise ValueError(f"player {player!r} is already in the coalition")
-    return float(game.value(members | {player}) - game.value(members))
+    return float(worth(game, members | {player}) - worth(game, members))
 
 
 def bloated_game(n_players=21):
@@ -276,32 +284,32 @@ def grid_max_joint(game, steps=2000):
     return float(joint.max()), bound
 
 
-def numpy_raw_profile(spec, T):
-    """The load shape over T slots before clamping, evaluated with numpy
-    arrays: the reference for the pure-Python ``SinusoidalLoadSpec.raw_profile``."""
+def numpy_shape(a0, components, T):
+    """``a0 + sum_k a_k * sin(2*k*pi*(t - t_k)/T)`` over slots t = 1..T,
+    evaluated with numpy arrays, harmonic by harmonic."""
     t = np.arange(1, T + 1, dtype=float)
-    out = np.full(T, float(spec.a0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, (amp, offset) in enumerate(spec.components, start=1):
-            out += amp * np.sin(2.0 * k * math.pi * (t - offset) / T)
+    out = np.full(T, float(a0))
+    for k, (amp, offset) in enumerate(components, start=1):
+        out += amp * np.sin(2.0 * k * math.pi * (t - offset) / T)
     return out
 
 
-def numpy_synth_load(spec, T):
-    """Reference for ``synth_load``: the numpy shape clamped by ``np.maximum``."""
-    return LoadProfile(tuple(np.maximum(numpy_raw_profile(spec, T), 0.0)))
+def numpy_synth_load(T):
+    """Reference for ``synth_load``: the built-in curve, through numpy."""
+    return LoadProfile(tuple(numpy_shape(1.0, ((0.45, 66.0), (0.15, 30.0)), T).tolist()))
 
 
 def random_load(rng, market, total):
-    """A random sinusoidal daily shape rescaled to the requested total."""
-    spec = SinusoidalLoadSpec(
-        a0=float(rng.uniform(0.5, 2.0)),
-        components=(
+    """A random sinusoidal daily shape, clipped at zero, rescaled to the requested total."""
+    shape = numpy_shape(
+        float(rng.uniform(0.5, 2.0)),
+        (
             (float(rng.uniform(0.0, 0.6)), float(rng.uniform(0.0, market.T))),
             (float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, market.T))),
         ),
+        market.T,
     )
-    base = synth_load(spec, market.T)
+    base = LoadProfile(tuple(np.maximum(shape, 0.0).tolist()))
     return scale_load(base, total / base.total)
 
 
@@ -320,7 +328,7 @@ def random_game(rng, n_sps=None, market=None):
 
 def heterogeneous_game():
     """Seven providers with distinct rates and loads, one of them (SP03) idle."""
-    base = synth_load(SinusoidalLoadSpec(), MarketParams().T)
+    base = synth_load(MarketParams().T)
     sps = [
         ("SP01", 2.782702349577632e-06, 992293.889926531),
         ("SP02", 1.3779100235983496e-06, 1752513.8665936508),
@@ -372,14 +380,14 @@ def core_scan(game, payoffs, tol=1e-9):
     player order; the slack allowed is ``tol`` relative to the grand value.
     """
     players = tuple(game.players)
-    grand = game.value(frozenset(players))
+    grand = worth(game, frozenset(players))
     noise = tol * max(1.0, abs(grand))
     for coalition in coalitions_by_mask(players):
         paid = 0.0
         for p in players:
             if p in coalition:
                 paid += payoffs[p]
-        if paid - game.value(coalition) < -noise:
+        if paid - worth(game, coalition) < -noise:
             return False, coalition
     return abs(math.fsum(payoffs[p] for p in players) - grand) <= noise, None
 
@@ -390,9 +398,9 @@ def supermodularity_scan(game, tol=1e-9):
     players = tuple(game.players)
     for i in players:
         for larger in coalitions_by_mask(tuple(p for p in players if p != i)):
-            gain = game.value(larger | {i}) - game.value(larger)
+            gain = worth(game, larger | {i}) - worth(game, larger)
             for smaller in coalitions_by_mask(tuple(larger)):
-                if game.value(smaller | {i}) - game.value(smaller) > gain + tol:
+                if worth(game, smaller | {i}) - worth(game, smaller) > gain + tol:
                     return False
     return True
 
@@ -403,8 +411,8 @@ def classification_scan(game, tol=0.0):
     flags = {}
     for i in players:
         avoiding = coalitions_by_mask(tuple(p for p in players if p != i))
-        veto = all(abs(game.value(s)) <= tol for s in avoiding)
-        null = all(abs(game.value(s | {i}) - game.value(s)) <= tol for s in avoiding)
+        veto = all(abs(worth(game, s)) <= tol for s in avoiding)
+        null = all(abs(worth(game, s | {i}) - worth(game, s)) <= tol for s in avoiding)
         flags[i] = (veto, null)
     return flags
 

@@ -6,13 +6,16 @@ of a traced run. A rename in ``src`` would only show up when that run fails,
 so this reads the table from the file (parsed, not imported) and resolves
 every name on its home module. ``bench/run.py`` also reads
 ``cli.shapley_closed_form`` and calls the click group's ``main()``. The
-workloads' configs must also stay inside the config's caps.
+workloads' configs must also stay inside the config's caps, and their
+exact-method ``records.csv`` must match the digests in ``bench/reference.json``.
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -55,7 +58,7 @@ def test_value_hook_and_commands_resolve():
     assert {"args", "prog_name", "standalone_mode"} <= set(parameters)
 
 
-def test_every_workload_config_is_accepted(monkeypatch):
+def load_workloads(monkeypatch):
     # bench/workloads.py imports only the standard library; its dataclass
     # needs the module registered while it loads, and bench/ gets no bytecode
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -64,9 +67,35 @@ def test_every_workload_config_is_accepted(monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_workload_config_is_accepted(monkeypatch):
+    workloads = load_workloads(monkeypatch)
     for name in workloads.WORKLOADS:
         for seed in (0, 1, 7):
             jobs = workloads.make_jobs(name, seed, ROOT)
             assert jobs, name
             for job in jobs:
                 config_from_dict(job.config)
+
+
+def test_exact_records_match_the_reference_digests(monkeypatch, tmp_path):
+    # the bench fails a run whose records.csv moves by one bit; so does this
+    workloads = load_workloads(monkeypatch)
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text(encoding="utf-8"))
+    checked = []
+    for name in workloads.WORKLOADS:
+        for job in workloads.make_jobs(name, workloads.DEFAULT_SEED, ROOT):
+            if job.method not in ("closed", "enum"):
+                continue
+            out = tmp_path / name / job.name
+            coinvest.cli.main.main(
+                args=["run", job.inline, "--out", str(out), *job.run_args],
+                prog_name="coinvest",
+                standalone_mode=False,
+            )
+            digest = hashlib.sha256((out / "records.csv").read_bytes()).hexdigest()
+            assert digest == reference[job.reference_key]["sha256"], f"{name}/{job.name}"
+            checked.append(job.reference_key)
+    assert sorted(checked) == sorted(reference)

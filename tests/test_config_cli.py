@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -171,7 +170,6 @@ class TestParseConfig:
                     "n_sps": [2, 4],
                     "seed": 5,
                     "market": {"d": 0.08, "xi": 0.0005},
-                    "load_spec": {"a0": 2.0, "components": [[0.5, 10]]},
                     "custom_sps": [{"id": "Z", "beta": 1e-6, "loads": [1.0] * 96}],
                 }
             )
@@ -203,15 +201,6 @@ _fields = st.fixed_dictionaries(
         "description": st.text(max_size=10),
         "market": st.fixed_dictionaries(
             {}, optional={"d": _positive, "Y": st.integers(1, 30), "T": _slots, "xi": _positive}
-        ),
-        "load_spec": st.fixed_dictionaries(
-            {},
-            optional={
-                "a0": st.floats(-10.0, 10.0),
-                "components": _short_lists(
-                    st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=2)
-                ),
-            },
         ),
         "l_total": _floats,
         "l_total_grid": _short_lists(_floats),
@@ -294,7 +283,8 @@ class TestCliRun:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config"]["l_total_grid"] == [1e6, 2e6, 4e6]
         assert meta["seed"] == 0
-        assert meta["load_clamping_applied"] is False
+        assert "load_clamping_applied" not in meta
+        assert "load_spec" not in meta["config"]
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -483,16 +473,32 @@ class TestCliRun:
         assert str(info.value) == "config field 'description' must be a string, got [1.5, 2.5]"
 
     def test_load_spec_slot_mismatch_exits_1(self, tmp_path):
-        # the shape takes its slots from the market: 'T' is no key of the spec,
-        # even where it equals market.T
+        # the shape takes its slots from the market, and there is no load_spec
+        # to give it others, even where they equal market.T
         out = tmp_path / "t"
         for spec_slots in (24, 96):
             cfg = json.dumps({"load_spec": {"T": spec_slots}})
             for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
                 result = run_cli(*args)
                 assert result.exit_code == 1, args
-                assert "unknown key ['T'] in 'load_spec'" in result.output, result.output
+                assert "unknown key ['load_spec'] in the top-level config" in result.output
                 assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec", [{}, {"a0": 2.0}, {"components": [[0.5, 10]]}, {"a0": -5.0}, []]
+    )
+    def test_a_load_spec_exits_1(self, tmp_path, spec):
+        # the daily shape is built in: a load_spec, even an empty one, is an unknown key
+        cfg = json.dumps({"load_spec": spec})
+        out = tmp_path / "s"
+        for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
+            result = run_cli(*args)
+            assert result.exit_code == 1, args
+            assert result.output.startswith(
+                "Error: unknown key ['load_spec'] in the top-level config; allowed: ["
+            ), result.output
+            assert "Traceback" not in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -545,56 +551,35 @@ class TestCliRun:
             assert "Traceback" not in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "config, fields",
-        [
-            # every slot clamps to zero, so no shape scales to l_total
-            ({"load_spec": {"a0": -5.0}}, "load_spec, l_total_grid[0]"),
-            (
-                {
-                    "scenario": "custom",
-                    "load_spec": {"a0": 1e-300, "components": [[0.0, 0.0]]},
-                    "custom_sps": [{"id": "a", "beta": 1e-6, "daily_total": 1e300}],
-                },
-                "load_spec, custom_sps[0].daily_total",
-            ),
-            # some slots are positive before clamping, none after
-            (
-                {
-                    "scenario": "custom",
-                    "load_spec": {"a0": -5.0, "components": [[0.1, 0.0]]},
-                    "custom_sps": [{"id": "a", "beta": 1e-6, "daily_total": 1e6}],
-                },
-                "custom_sps[0]: load shape sums to zero",
-            ),
-        ],
-    )
-    def test_unscalable_load_shape_exits_1(self, tmp_path, config, fields):
-        cfg = json.dumps(config)
+    def test_zero_daily_total_gives_zero_rows(self, tmp_path):
+        cfg = json.dumps({
+            "scenario": "custom",
+            "custom_sps": [
+                {"id": "a", "beta": 2e-6, "daily_total": 0.0},
+                {"id": "b", "beta": 2e-6, "daily_total": 1e6},
+            ],
+        })
         out = tmp_path / "z"
-        for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
-            result = run_cli(*args)
-            assert result.exit_code == 1, args
-            assert fields in result.output, result.output
-        assert not out.exists()
-
-    def test_overflowing_load_spec_exits_1_without_a_warning(self, tmp_path):
-        # every parameter is finite, but the evaluated shape overflows
-        cfg = json.dumps({"load_spec": {"a0": 1e308, "components": [[1e308, 0]]}})
-        out = tmp_path / "w"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for args in (["run", cfg, "--out", str(out)], ["verify", cfg]):
-                result = run_cli(*args)
-                assert result.exit_code == 1, args
-                assert "load_spec" in result.output, result.output
-        assert not out.exists()
+        result = run_cli("run", cfg, "--out", str(out))
+        assert result.exit_code == 0, result.output
+        rows = {r["player_id"]: r for r in csv.DictReader((out / "records.csv").open())}
+        # signed zeros would print as -0
+        zeros = [rows["a"][key] for key in ("daily_load", "h_star", "r_hat", "shapley")]
+        assert zeros == ["0"] * 4
+        assert float(rows["b"]["daily_load"]) == pytest.approx(1e6, rel=1e-12)
 
     @pytest.mark.parametrize(
         "config, fields",
         [
             # every slot is finite, their sum is not
-            ({"load_spec": {"components": [[1e308, 0.0]]}}, "load_spec, l_total_grid[0]"),
+            (
+                {
+                    "scenario": "custom",
+                    "market": {"T": 24},
+                    "custom_sps": [{"id": "a", "daily_total": 1.7976931348623157e308}],
+                },
+                "custom_sps[0].daily_total",
+            ),
             (
                 {"scenario": "custom", "custom_sps": [{"id": "a", "loads": [1e307] * 96}]},
                 "custom_sps[0].loads",
@@ -824,6 +809,24 @@ class TestCliVerifyAndPresets:
             "'fail: blocked by efficiency' but brute-force verdict 'pass')"
         ) in result.output
         assert "supermodularity        PASS  (2/2 instances)" in result.output
+
+    def test_verify_names_skipped_checks_on_stderr(self):
+        # instance 0 has 21 players, past the enumeration bound; instance 1 has 3
+        cfg = json.dumps(
+            {"scenario": "price-sweep", "n_sps": [20, 2], "d_grid": [0.05], "samples": 500}
+        )
+        result = CliRunner().invoke(main, ["verify", cfg])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == (
+            "supermodularity        PASS  (2/2 instances)\n"
+            "core-membership        PASS  (2/2 instances)\n"
+            "oracle-triangle        PASS  (1/2 instances)\n"
+            "settlement-balance     PASS  (2/2 instances)\n"
+        )
+        assert result.stderr == (
+            "oracle-triangle: skipped on 1/2 instances; "
+            "instance 0: 21 players exceeds the enumeration bound\n"
+        )
 
     def test_run_decides_checks_past_the_enumeration_bound(self, tmp_path):
         cfg = json.dumps(
@@ -1072,9 +1075,6 @@ _BAD_FIELDS = {
     | st.fixed_dictionaries({"T": st.sampled_from([0, MAX_TIMESLOTS + 1])})
     | st.fixed_dictionaries({"xi": _nonfinite | st.just(-1.0) | _extreme})
     | st.just({"spread": 1}),
-    "load_spec": _junk
-    | st.fixed_dictionaries({"a0": _nonfinite | _extreme | st.just(-5.0)})
-    | st.fixed_dictionaries({"components": _junk | st.just([[1.0]]) | st.just([[1e308, 0.0]])}),
     "l_total": _junk | _nonfinite | _extreme | st.just(-1.0),
     "l_total_grid": _bad_list(_nonfinite | _extreme | st.just(-1.0)),
     "omega_grid": _bad_list(st.sampled_from([0.4, 1.1, math.nan])),
@@ -1119,17 +1119,6 @@ def _any_config(draw):
                 "xi": st.floats(1e-4, 1e-2),
             },
         ),
-        "load_spec": st.fixed_dictionaries(
-            {},
-            optional={
-                "a0": st.floats(0.5, 2.0),
-                "components": st.lists(
-                    st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2),
-                    min_size=1,
-                    max_size=2,
-                ),
-            },
-        ),
         "l_total": st.floats(0.0, 1e7),
         "l_total_grid": st.lists(st.floats(0.0, 1e7), min_size=1, max_size=3),
         "omega_grid": st.lists(st.floats(0.5, 1.0), min_size=1, max_size=3),
@@ -1150,7 +1139,7 @@ def _any_config(draw):
 
 # a message names a config field when it names one of these keys
 _CONFIG_FIELD = re.compile(
-    r"\b(scenario|description|market|load_spec|l_total|l_total_grid|omega_grid|d_grid"
+    r"\b(scenario|description|market|l_total|l_total_grid|omega_grid|d_grid"
     r"|n_sps|custom_sps|out_dir|seed|method|samples|bogus)\b"
 )
 _TEXT_COLUMNS = {"scenario", "sweep_param", "player_id"}

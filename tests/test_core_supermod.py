@@ -40,6 +40,7 @@ from conftest import (
     random_game,
     supermodularity_scan,
     veto_table_game,
+    worth,
 )
 
 
@@ -245,7 +246,7 @@ class TestLoopOracles:
         verdicts = set()
         for game in oracle_games():
             players = game.players
-            grand = game.value(frozenset(players))
+            grand = worth(game, frozenset(players))
             guess = dict(zip(players, rng.integers(-2, 6, size=len(players)).astype(float)))
             guess[players[-1]] += grand - sum(guess.values())
             for payoffs in (shapley_enumeration(game).payoffs, guess):

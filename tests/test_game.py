@@ -16,7 +16,6 @@ from coinvest import (
     ShapleyMethod,
     amortized_unit_price,
     coalition_value,
-    eval_utility,
     grand_allocation,
     optimal_allocation_single,
     run_sweep,
@@ -28,6 +27,14 @@ from conftest import golden_max_single, grid_max_joint, grid_max_single, random_
 
 def constant_profile(total, T=96):
     return LoadProfile((total / T,) * T)
+
+
+def eval_utility(beta, xi, load, h):
+    """Money one slot earns, ``beta * load * (1 - exp(-xi * h))``: the revenue of
+    a one-slot, one-year horizon per day. Each model type checks its own input."""
+    market = MarketParams(T=1, xi=xi)
+    sp = ServiceProvider("A", beta, LoadProfile((load,)))
+    return provider_revenue(sp, market, h) / market.D
 
 
 class TestEvalUtility:
@@ -305,7 +312,7 @@ class TestGrandAllocation:
 
 class TestProviderRevenue:
     def test_equals_the_exact_sum_of_slot_utilities(self, rng):
-        # eval_utility's product per slot, fsum over the day, D days: bit for bit
+        # each slot's product, fsum over the day, D days: bit for bit
         for _ in range(40):
             market = MarketParams(
                 d=float(rng.uniform(0.01, 0.1)),
@@ -317,9 +324,8 @@ class TestProviderRevenue:
             alloc = grand_allocation(game)
             for sp in game.sps:
                 for h in (0.0, alloc.h[sp.id], float(rng.uniform(0.0, 1e4)), 1e300):
-                    want = market.D * math.fsum(
-                        eval_utility(sp.beta, market.xi, load, h) for load in sp.load.values
-                    )
+                    served = 1.0 - math.exp(-market.xi * h)
+                    want = market.D * math.fsum(sp.beta * load * served for load in sp.load.values)
                     got = provider_revenue(sp, market, h)
                     assert math.copysign(1.0, got) == math.copysign(1.0, want)
                     assert got == want, (sp.id, h)

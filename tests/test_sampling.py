@@ -158,7 +158,9 @@ def test_instance_and_table_routes_agree(rng, n_players):
 @pytest.mark.parametrize("n_players", [2, 3, 8])
 def test_chunk_size_does_not_change_the_estimate(rng, monkeypatch, n_players):
     # against 2^15 keys per chunk: one order per chunk, and five orders with
-    # three keys left over
+    # three keys left over. Past 2^17 orders only the latter runs: one order
+    # per chunk is a Python loop per order, and ~26k chunks of five orders
+    # carry the compensated sum across chunks just as well
     game = random_game(rng, n_sps=n_players - 1)
     counts = _sample_counts(n_players)
     monkeypatch.setattr(shapley_mod, "_CHUNK_CELLS", 1 << 15)
@@ -166,6 +168,8 @@ def test_chunk_size_does_not_change_the_estimate(rng, monkeypatch, n_players):
     for cells in (n_players, 5 * n_players + 3):
         monkeypatch.setattr(shapley_mod, "_CHUNK_CELLS", cells)
         for samples, expected in zip(counts, reference):
+            if cells == n_players and samples > 1 << 17:
+                continue
             sampled = shapley_sampling(game, samples, seed=23)
             assert sampled.payoffs == expected.payoffs, (cells, samples)
             for pid in game.players:

@@ -12,9 +12,7 @@ from coinvest import (
     NO,
     MarketParams,
     ShapleyMethod,
-    SinusoidalLoadSpec,
     amortized_unit_price,
-    clamping_applied,
     coalition_value,
     grand_allocation,
     run_sweep,
@@ -24,80 +22,34 @@ from coinvest import (
     scenario_same_type,
     synth_load,
 )
-
+from coinvest.config import MAX_TIMESLOTS
 from coinvest.scenarios import DEFAULT_D_GRID
 
-from conftest import numpy_raw_profile, numpy_synth_load, random_game
+from conftest import numpy_synth_load, random_game
 
-# finite spec parameters, the huge ones overflowing the shape to inf or nan
-_param = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [0.0, -0.0, 5e-324, 1e150, -1e150, 1.7e308, -1.7e308]
-)
-_specs = st.builds(
-    SinusoidalLoadSpec,
-    a0=_param,
-    components=st.lists(st.tuples(_param, _param), min_size=1, max_size=3).map(tuple),
-)
 _T = MarketParams().T
 
 
 def _bits(values):
-    """Each float's bytes: equal lists are equal bit for bit, signs of 0 and nan included."""
+    """Each float's bytes: equal lists are equal bit for bit, signs of 0 included."""
     return [struct.pack("<d", v) for v in values]
 
 
-def _synthesized(make, spec, T):
-    """The slots' bits of ``make(spec, T)``, or the message of the ValueError it raises."""
-    try:
-        return _bits(make(spec, T).values)
-    except ValueError as exc:
-        return str(exc)
-
-
 class TestSynthLoad:
-    def test_zero_amplitudes_give_constant(self):
-        spec = SinusoidalLoadSpec(a0=3.0, components=((0.0, 0.0),))
-        profile = synth_load(spec, 10)
-        assert profile.values == (3.0,) * 10
-
-    def test_pure_sine_zeros_and_clamping(self):
-        spec = SinusoidalLoadSpec(a0=0.0, components=((1.0, 0.0),))
-        profile = synth_load(spec, 96)
-        # sin(2 pi t / 96): zero at t = 48 and t = 96, negative half clamped
-        assert profile.values[47] == pytest.approx(0.0, abs=1e-12)
-        assert profile.values[95] == pytest.approx(0.0, abs=1e-12)
-        assert all(v > 0.0 for v in profile.values[:47])
-        assert all(v == 0.0 for v in profile.values[48:])
-        assert clamping_applied(spec, 96)
-
     def test_default_shape_balances_over_the_day(self):
-        spec = SinusoidalLoadSpec()
-        profile = synth_load(spec, _T)
-        assert not clamping_applied(spec, _T)
-        # harmonics sum to zero over a full period, leaving a0 * T
-        assert profile.total == pytest.approx(spec.a0 * _T, rel=1e-6)
+        profile = synth_load(_T)
+        # harmonics sum to zero over a full period, leaving the base level 1 * T
+        assert profile.total == pytest.approx(_T, rel=1e-6)
 
-    def test_requires_a_component(self):
-        with pytest.raises(ValueError):
-            SinusoidalLoadSpec(components=())
-
-    @given(spec=_specs, T=st.integers(1, 130))
-    @example(spec=SinusoidalLoadSpec(), T=_T)
-    @example(spec=SinusoidalLoadSpec(a0=-0.0, components=((0.0, 0.0),)), T=17)
-    @example(spec=SinusoidalLoadSpec(a0=1e308, components=((1e308, 0.5), (-1e308, 1.0))), T=9)
-    def test_shape_matches_numpy_bit_for_bit(self, spec, T):
-        assert _bits(spec.raw_profile(T)) == _bits(numpy_raw_profile(spec, T).tolist())
-        assert clamping_applied(spec, T) is bool((numpy_raw_profile(spec, T) < 0.0).any())
-        assert _synthesized(synth_load, spec, T) == _synthesized(numpy_synth_load, spec, T)
-
-    def test_sine_of_an_infinite_argument_is_nan(self):
-        # 2*pi*(t + 1.7e308) overflows to inf: math.sin raises there, np.sin gives nan
-        spec = SinusoidalLoadSpec(a0=1.0, components=((1.0, -1.7e308),))
-        assert _bits(spec.raw_profile(4)) == _bits(numpy_raw_profile(spec, 4).tolist())
-        assert all(math.isnan(v) for v in spec.raw_profile(4))
-        message = _synthesized(synth_load, spec, 4)
-        assert message == _synthesized(numpy_synth_load, spec, 4)
-        assert message == "load at slot 0 must be finite and >= 0, got nan"
+    @given(T=st.integers(1, MAX_TIMESLOTS))
+    @example(T=1)
+    @example(T=_T)
+    @example(T=MAX_TIMESLOTS)
+    def test_shape_matches_numpy_bit_for_bit(self, T):
+        values = synth_load(T).values
+        assert _bits(values) == _bits(numpy_synth_load(T).values)
+        # 1 - 0.45 - 0.15: no slot is ever clipped, every total is positive
+        assert min(values) >= 0.4
 
     def test_default_price_grid_is_geometric(self):
         assert all(type(v) is float for v in DEFAULT_D_GRID)
@@ -106,21 +58,21 @@ class TestSynthLoad:
 
 class TestScaleLoad:
     def test_zero_factor(self):
-        profile = synth_load(SinusoidalLoadSpec(), _T)
+        profile = synth_load(_T)
         assert scale_load(profile, 0.0).values == (0.0,) * len(profile)
 
     def test_factor_four(self):
-        profile = synth_load(SinusoidalLoadSpec(), _T)
+        profile = synth_load(_T)
         scaled = scale_load(profile, 4.0)
         assert all(s == 4.0 * v for s, v in zip(scaled.values, profile.values))
 
     def test_identity(self):
-        profile = synth_load(SinusoidalLoadSpec(), _T)
+        profile = synth_load(_T)
         assert scale_load(profile, 1.0).values == profile.values
 
     def test_rejects_negative_factor(self):
         with pytest.raises(ValueError):
-            scale_load(synth_load(SinusoidalLoadSpec(), _T), -0.1)
+            scale_load(synth_load(_T), -0.1)
 
 
 class TestSameType:
@@ -141,6 +93,12 @@ class TestSameType:
         game = scenario_same_type(0.0, market)
         assert coalition_value(game, game.players) == 0.0
 
+    def test_zero_load_has_positive_zero_slots(self, market):
+        # 0 / total scales the shape to +0.0 on every slot, never to -0.0
+        for game in (scenario_same_type(0.0, market), scenario_omega(1.0, 0.0, market)):
+            for sp in game.sps:
+                assert _bits(sp.load.values) == _bits([0.0] * market.T)
+
     def test_capacity_grows_sublinearly(self, market):
         c1 = grand_allocation(scenario_same_type(2e6, market)).C
         c2 = grand_allocation(scenario_same_type(4e6, market)).C
@@ -153,7 +111,7 @@ class TestSameType:
     def test_spec_and_market_slots_must_agree(self):
         # the default shape is evaluated over the market's slots, whatever their number
         game = scenario_same_type(1e6, MarketParams(T=48))
-        base = synth_load(SinusoidalLoadSpec(), 48)
+        base = synth_load(48)
         for sp in game.sps:
             assert len(sp.load) == 48
             factor = sp.load.total / base.total

@@ -1,6 +1,7 @@
 """Up-front payment settlement: identities, signs, and error handling."""
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -117,7 +118,7 @@ def test_every_route_is_efficient_and_settles_the_bill(providers, samples, seed)
     players = game.players
     grand = coalition_value(game, players)
     # the loop oracle: every arrival order telescopes to v(N)
-    oracle = shapley_by_orderings(players, game.value)
+    oracle = shapley_by_orderings(players, partial(coalition_value, game))
     rounding = len(players) * math.ulp(grand)
     noise = STABILITY_TOL * max(1.0, abs(grand))
     routes = {

@@ -1,6 +1,7 @@
 """Exact Shapley routes, marginal contributions, and their cross-oracles."""
 
 import math
+from functools import partial
 
 import pytest
 
@@ -63,7 +64,7 @@ class TestEnumeration:
         for _ in range(5):
             game = random_game(rng, n_sps=int(rng.integers(1, 5)))
             result = shapley_enumeration(game)
-            oracle = shapley_by_orderings(game.players, game.value)
+            oracle = shapley_by_orderings(game.players, partial(coalition_value, game))
             for pid in game.players:
                 assert result.payoffs[pid] == pytest.approx(oracle[pid], rel=1e-9, abs=1e-12)
 
