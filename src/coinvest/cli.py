@@ -38,7 +38,7 @@ from .config import (
     parse_config,
     preset_names,
 )
-from .game import MAX_ENUMERATION_PLAYERS, GameInstance, LoadProfile, ServiceProvider
+from .game import GameInstance, LoadProfile, ServiceProvider
 from .scenarios import (
     SweepRecord,
     run_sweep,
@@ -115,17 +115,8 @@ def _solve(cfg: RunConfig) -> list[tuple[GameInstance, SweepRecord]]:
     the config fields it blames.
     """
     try:
-        groups = _build_groups(cfg)
-        if cfg.method is ShapleyMethod.SUBSET_ENUMERATION:
-            n = max(len(game.players) for *_, games in groups for game in games)
-            if n > MAX_ENUMERATION_PLAYERS:
-                raise ConfigError(
-                    f"config field 'method' (or --method) is 'enum', which enumerates at most "
-                    f"{MAX_ENUMERATION_PLAYERS} players, but an instance has {n}; "
-                    "use 'closed' or 'sample'"
-                )
         solved = []
-        for label, param, values, games in groups:
+        for label, param, values, games in _build_groups(cfg):
             records = run_sweep(
                 games,
                 scenario=label,

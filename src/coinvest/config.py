@@ -31,8 +31,8 @@ SCENARIOS = ("same-type", "omega", "price-sweep", "custom")
 #: refused before any work instead of running until it is killed.
 MAX_SAMPLES = 10**8
 #: Most providers per instance: each ``n_sps`` value and the length of
-#: ``custom_sps``. Past the 20-player enumeration bound only the closed form
-#: and sampling run, in time linear in the providers.
+#: ``custom_sps``. Both of ``run``'s methods take time linear in the
+#: providers; ``verify`` skips its brute-force oracle past the enumeration bound.
 MAX_PROVIDERS = 1000
 #: Most entries in one sweep list (``l_total_grid``, ``omega_grid``,
 #: ``d_grid``, ``n_sps``): each entry is one more instance to solve.
@@ -119,12 +119,17 @@ def _read_source(source: str | os.PathLike) -> tuple[str, str]:
         if not text.strip() or text.lstrip().startswith("{"):
             return text, "<inline config>"
         path = Path(text)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    shown = _shown(str(path))
     try:
+        # a path past the OS name limit makes even the stat raise
+        if not path.is_file():
+            raise ConfigError(f"config file not found: {shown}")
         return path.read_text(encoding="utf-8"), str(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except OSError as exc:
+        # strerror: the exception's own text repeats the whole path
+        raise ConfigError(f"cannot read config file {shown}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {shown}: {exc}") from exc
 
 
 def _reject_unknown(data: dict, schema, where: str) -> None:

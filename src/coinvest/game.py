@@ -152,7 +152,8 @@ class GameInstance:
                 raise ValueError(
                     f"provider {_shown(sp.id)} has {len(sp.load)} load slots, expected T={m.T}"
                 )
-        optima = self.standalone_optima()
+        optima = {sp.id: optimal_allocation_single(sp, m) for sp in sps}
+        object.__setattr__(self, "_optima", optima)
         for pid, opt in optima.items():
             if not (math.isfinite(opt.h_star) and math.isfinite(opt.value)):
                 raise ValueError(
@@ -176,12 +177,8 @@ class GameInstance:
         return tuple(sp.id for sp in self.sps) + (NO,)
 
     def standalone_optima(self) -> dict[str, SingleOptimum]:
-        """Per-provider optimum (h*, profit), computed once and cached."""
-        cached = self.__dict__.get("_optima")
-        if cached is None:
-            cached = {sp.id: optimal_allocation_single(sp, self.market) for sp in self.sps}
-            object.__setattr__(self, "_optima", cached)
-        return cached
+        """Per-provider optimum (h*, profit), computed once at construction."""
+        return self._optima
 
     def coalition_table(self) -> np.ndarray:
         """Value of every coalition, indexed by membership bitmask over :attr:`players`.

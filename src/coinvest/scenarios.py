@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .game import (
     NO,
@@ -22,7 +23,6 @@ from .game import (
 from .shapley import (
     ShapleyMethod,
     shapley_closed_form,
-    shapley_enumeration,
     shapley_sampling,
     settle,
 )
@@ -47,13 +47,16 @@ DEFAULT_D_GRID = (
 DEFAULT_L_TOTAL = 1.0e6
 
 
+@lru_cache(maxsize=1)
 def synth_load(T: int) -> LoadProfile:
     """The built-in daily load shape over T slots: a residential evening peak.
 
     Slot t (1-based) carries ``1 + 0.45*sin(2*pi*(t - 66)/T) +
     0.15*sin(4*pi*(t - 30)/T)``; T is the market's, so the shape fits a day
     of any length. Every slot is at least 0.4, for every T up to the config's
-    slot cap, so nothing is ever clipped and the total is positive.
+    slot cap, so nothing is ever clipped and the total is positive. The
+    profile of the last T is cached: it is immutable, and every instance of
+    a sweep scales the same one.
     """
     return LoadProfile(tuple(
         1.0 + 0.45 * math.sin(2.0 * math.pi * (t - 66.0) / T)
@@ -217,8 +220,6 @@ def _solve_one(game, scenario, sweep_param, sweep_value, method, samples, seed):
     v_grand = coalition_value(game, game.players)
     if method is ShapleyMethod.CLOSED_FORM:
         result = shapley_closed_form(game)
-    elif method is ShapleyMethod.SUBSET_ENUMERATION:
-        result = shapley_enumeration(game)
     elif method is ShapleyMethod.PERMUTATION_SAMPLING:
         result = shapley_sampling(game, samples, seed)
     else:

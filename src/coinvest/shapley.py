@@ -66,21 +66,21 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 class ShapleyMethod(str, Enum):
-    SUBSET_ENUMERATION = "enum"
+    """How ``run`` splits the payoffs; enumeration is only ``verify``'s oracle."""
+
     CLOSED_FORM = "closed"
     PERMUTATION_SAMPLING = "sample"
 
 
 @dataclass(frozen=True)
 class ShapleyResult:
-    """Payoff vector plus how it was obtained.
+    """Payoff vector of one Shapley route.
 
     ``stderr`` carries one standard error per player for the sampling method
     and is None for the exact methods.
     """
 
     payoffs: dict[str, float]
-    method: ShapleyMethod
     sample_count: int | None = None
     stderr: dict[str, float] | None = None
 
@@ -170,7 +170,7 @@ def shapley_enumeration(game) -> ShapleyResult:
         gain = np.subtract(joined, without, out=buffer.reshape(joined.shape))
         gain *= coef.reshape(gain.shape)
         payoffs[pid] = float(np.sum(gain))
-    return ShapleyResult(payoffs=payoffs, method=ShapleyMethod.SUBSET_ENUMERATION)
+    return ShapleyResult(payoffs=payoffs)
 
 
 def shapley_closed_form(game: GameInstance) -> ShapleyResult:
@@ -183,7 +183,7 @@ def shapley_closed_form(game: GameInstance) -> ShapleyResult:
     optima = game.standalone_optima()
     payoffs = {sp.id: optima[sp.id].value / 2.0 for sp in game.sps}
     payoffs[NO] = math.fsum(opt.value for opt in optima.values()) / 2.0
-    return ShapleyResult(payoffs=payoffs, method=ShapleyMethod.CLOSED_FORM)
+    return ShapleyResult(payoffs=payoffs)
 
 
 def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> ShapleyResult:
@@ -262,7 +262,6 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     se = np.sqrt(var / samples)
     return ShapleyResult(
         payoffs={pid: float(mean[i] * unit) for i, pid in enumerate(players)},
-        method=ShapleyMethod.PERMUTATION_SAMPLING,
         sample_count=int(samples),
         stderr={pid: float(se[i] * unit) for i, pid in enumerate(players)},
     )

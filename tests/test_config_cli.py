@@ -21,6 +21,7 @@ import coinvest.cli as cli_mod
 import coinvest.scenarios as scenarios_mod
 from coinvest import (
     ConfigError,
+    GameInstance,
     MarketParams,
     RunConfig,
     ShapleyMethod,
@@ -87,6 +88,8 @@ class TestParseConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("no-such-config.json")
+        with pytest.raises(ConfigError, match=r"not found: 'a/a/.*\.\.\. \(str, 203 characters in all\)$"):
+            parse_config("a/" * 100 + "b")
 
     def test_json_errors_carry_position(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -144,12 +147,16 @@ class TestParseConfig:
     def test_overrides_are_applied(self):
         cfg = parse_config(
             '{"scenario": "omega", "market": {"xi": 0.002}, '
-            '"omega_grid": [0.5, 0.75, 1.0], "method": "enum"}'
+            '"omega_grid": [0.5, 0.75, 1.0], "method": "sample"}'
         )
         assert cfg.scenario == "omega"
         assert cfg.market.xi == 0.002
         assert cfg.omega_grid == (0.5, 0.75, 1.0)
-        assert cfg.method is ShapleyMethod.SUBSET_ENUMERATION
+        assert cfg.method is ShapleyMethod.PERMUTATION_SAMPLING
+        with pytest.raises(ConfigError, match=re.escape(
+            "config field 'method' must be one of ['closed', 'sample'], got 'enum'"
+        )):
+            parse_config('{"method": "enum"}')
 
     def test_custom_scenario_needs_providers(self):
         with pytest.raises(ConfigError, match="custom_sps"):
@@ -209,7 +216,7 @@ _fields = st.fixed_dictionaries(
         "n_sps": st.integers(1, MAX_PROVIDERS) | _short_lists(st.integers(1, MAX_PROVIDERS)),
         "out_dir": st.text(max_size=10),
         "seed": st.integers(0, MAX_SEED),
-        "method": st.sampled_from(["enum", "closed", "sample"]),
+        "method": st.sampled_from(["closed", "sample"]),
         "samples": st.integers(1, MAX_SAMPLES),
     },
 )
@@ -321,10 +328,13 @@ class TestCliRun:
 
     def test_method_flag(self, tmp_path):
         out = tmp_path / "m"
-        result = run_cli("run", SMALL_RUN, "--out", str(out), "--method", "enum")
+        result = run_cli("run", SMALL_RUN, "--out", str(out), "--method", "sample")
         assert result.exit_code == 0
         meta = json.loads((out / "meta.json").read_text())
-        assert meta["config"]["method"] == "enum"
+        assert meta["config"]["method"] == "sample"
+        result = run_cli("run", SMALL_RUN, "--out", str(tmp_path / "e"), "--method", "enum")
+        assert result.exit_code == 1, result.output
+        assert not (tmp_path / "e").exists()
 
     def test_custom_scenario(self, tmp_path):
         cfg = json.dumps(
@@ -612,23 +622,54 @@ class TestCliRun:
             assert "samples" in result.output, result.output
         assert not out.exists()
 
-    def test_enum_past_the_bound_exits_1_before_solving(self, tmp_path, monkeypatch):
+    def test_enum_is_refused_before_solving(self, tmp_path, monkeypatch):
         def no_solving(*args, **kwargs):
             raise AssertionError("solving started")
 
         monkeypatch.setattr(cli_mod, "run_sweep", no_solving)
-        # the first group fits the enumeration bound, the second has 21 players
-        wide = {"scenario": "price-sweep", "n_sps": [3, 20], "d_grid": [0.05]}
+        small = {"l_total_grid": [2e6]}
         out = tmp_path / "e"
-        for args in (
-            ["run", json.dumps({**wide, "method": "enum"}), "--out", str(out)],
-            ["run", json.dumps(wide), "--out", str(out), "--method", "enum"],
+        for args, message in (
+            (["run", json.dumps({**small, "method": "enum"}), "--out", str(out)],
+             "config field 'method' must be one of ['closed', 'sample'], got 'enum'"),
+            (["run", json.dumps(small), "--out", str(out), "--method", "enum"],
+             "Invalid value for '--method': 'enum' is not one of 'closed', 'sample'."),
         ):
             result = run_cli(*args)
             assert result.exit_code == 1, args
-            assert "'method'" in result.output, result.output
-            assert "an instance has 21" in result.output, result.output
+            assert message in result.output, result.output
+            assert "Traceback" not in result.output, result.output
         assert not out.exists()
+
+    def test_run_never_builds_the_coalition_table(self, tmp_path, monkeypatch):
+        def no_table(game):
+            raise AssertionError("coalition table built")
+
+        monkeypatch.setattr(GameInstance, "coalition_table", no_table)
+        # 22 players, past the enumeration bound, no two profits alike
+        wide = json.dumps({
+            "scenario": "custom",
+            "samples": 2000,
+            "custom_sps": [
+                {"id": f"SP{k:02d}", "beta": 2e-6 * (1 + k / 21), "daily_total": 5e5 * (1 + k / 7)}
+                for k in range(21)
+            ],
+        })
+        for config in (*preset_names(), wide):
+            for method in ("closed", "sample"):
+                out = tmp_path / method
+                result = run_cli("run", config, "--out", str(out), "--method", method)
+                assert result.exit_code == 0, (config, method, result.output)
+
+    @pytest.mark.parametrize("config", ["a" * 300, "a/" * 3000], ids=["300", "6000"])
+    def test_an_overlong_config_argument_exits_1(self, config):
+        # past the OS name limit, where even the stat of the path raises
+        for command in ("run", "verify"):
+            result = run_cli(command, config)
+            assert result.exit_code == 1, result.output
+            assert "Traceback" not in result.output
+            assert result.output.count("\n") == 1 and len(result.output) < 200, result.output
+            assert result.output.startswith("Error: cannot read config file 'a"), result.output
 
     @pytest.mark.parametrize("data, field", OVER_CAP)
     def test_over_cap_exits_1_before_any_work(self, tmp_path, monkeypatch, data, field):
@@ -874,7 +915,6 @@ class TestCliVerifyAndPresets:
             (["run", "fig1", "--out", str(tmp_path / "fig1")], False),
             (["run", wide, "--out", str(tmp_path / "wide")], False),
             (["presets"], False),
-            (["run", "fig1", "--method", "enum", "--out", str(tmp_path / "enum")], True),
         ):
             proc = _fresh_interpreter("-c", _LIST_MODULES_AT_EXIT, *args)
             assert proc.returncode == 0, (args, proc.stderr)
@@ -1097,7 +1137,7 @@ _BAD_FIELDS = {
     ),
     "out_dir": st.none() | st.just([]),
     "seed": st.sampled_from([-1, MAX_SEED + 1, 2**64, 1.0]) | _junk,
-    "method": st.just("guess") | _junk,
+    "method": st.sampled_from(["guess", "enum"]) | _junk,
     "samples": st.sampled_from([0, MAX_SAMPLES + 1, 10.0]) | _junk,
     "bogus": st.integers(),
 }
@@ -1128,7 +1168,7 @@ def _any_config(draw):
             lambda sps: [{"id": f"SP{k}", **sp} for k, sp in enumerate(sps)]
         ),
         "seed": st.integers(0, MAX_SEED),
-        "method": st.sampled_from(["enum", "closed", "sample"]),
+        "method": st.sampled_from(["closed", "sample"]),
         "samples": st.integers(1, 500),
     }
     data = {key: draw(valid[key]) for key in sorted(keys)}
@@ -1146,8 +1186,8 @@ _TEXT_COLUMNS = {"scenario", "sweep_param", "player_id"}
 
 
 # each command that solves through cli._solve: run with the config's own
-# method, run with each override that meets the instances there, and verify
-_INVOCATIONS = [["run"], ["run", "--method", "enum"], ["run", "--method", "sample"], ["verify"]]
+# method, run with the sampling override, and verify
+_INVOCATIONS = [["run"], ["run", "--method", "sample"], ["verify"]]
 
 
 @given(data=_any_config(), invocation=st.sampled_from(_INVOCATIONS))

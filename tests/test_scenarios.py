@@ -20,6 +20,7 @@ from coinvest import (
     scenario_omega,
     scenario_price_sweep,
     scenario_same_type,
+    shapley_enumeration,
     synth_load,
 )
 from coinvest.config import MAX_TIMESLOTS
@@ -50,6 +51,14 @@ class TestSynthLoad:
         assert _bits(values) == _bits(numpy_synth_load(T).values)
         # 1 - 0.45 - 0.15: no slot is ever clipped, every total is positive
         assert min(values) >= 0.4
+
+    def test_repeat_calls_return_the_same_profile(self):
+        first = synth_load(_T)
+        assert synth_load(_T) is first
+        other = synth_load(7)
+        assert synth_load(7) is other and len(other) == 7
+        # another T replaces the cached profile; the one rebuilt has the same bits
+        assert _bits(synth_load(_T).values) == _bits(first.values)
 
     def test_default_price_grid_is_geometric(self):
         assert all(type(v) is float for v in DEFAULT_D_GRID)
@@ -232,11 +241,11 @@ class TestRunSweep:
     def test_methods_agree(self, rng, market):
         game = scenario_same_type(2e6, market)
         [closed] = run_sweep([game], method=ShapleyMethod.CLOSED_FORM)
-        [enum] = run_sweep([game], method=ShapleyMethod.SUBSET_ENUMERATION)
+        enum = shapley_enumeration(game).payoffs
         [sampled] = run_sweep([game], method=ShapleyMethod.PERMUTATION_SAMPLING,
                               samples=50_000, seed=9)
-        for pc, pe, ps in zip(closed.players, enum.players, sampled.players):
-            assert pc.shapley == pytest.approx(pe.shapley, rel=1e-9)
+        for pc, ps in zip(closed.players, sampled.players):
+            assert pc.shapley == pytest.approx(enum[pc.player_id], rel=1e-9)
             assert ps.shapley == pytest.approx(pc.shapley, rel=0.05)
         [sampled_again] = run_sweep([game], method=ShapleyMethod.PERMUTATION_SAMPLING,
                                     samples=50_000, seed=9)
@@ -249,8 +258,11 @@ class TestRunSweep:
             run_sweep([scenario_same_type(1e6, market)], sweep_values=[1.0, 2.0])
 
     def test_errors_carry_the_instance_index(self, rng):
-        # the second instance is too large for enumeration, the first is fine
         games = [random_game(rng, n_sps=2), random_game(rng, n_sps=20)]
-        with pytest.raises(RuntimeError, match="instance 1"):
-            run_sweep(games, method=ShapleyMethod.SUBSET_ENUMERATION,
+        with pytest.raises(RuntimeError, match=r"instance 0 \(index=0\.0\): samples must be >= 1"):
+            run_sweep(games, method=ShapleyMethod.PERMUTATION_SAMPLING, samples=0,
                       sweep_values=[0.0, 1.0])
+        # instance k samples with seed + k: the second seed is out of range
+        with pytest.raises(RuntimeError, match=r"instance 1 \(index=1\.0\): seed must lie"):
+            run_sweep(games, method=ShapleyMethod.PERMUTATION_SAMPLING, samples=10,
+                      seed=2**64 - 1, sweep_values=[0.0, 1.0])
