@@ -22,7 +22,6 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -248,11 +247,11 @@ def run(config, out_dir, strict, seed, method):
     """
     cfg = _load_config(config)
     if out_dir is not None:
-        cfg = replace(cfg, out_dir=out_dir)
+        cfg = cfg._replace(out_dir=out_dir)
     if seed is not None:
-        cfg = replace(cfg, seed=seed)
+        cfg = cfg._replace(seed=seed)
     if method is not None:
-        cfg = replace(cfg, method=ShapleyMethod(method))
+        cfg = cfg._replace(method=ShapleyMethod(method))
     solved = _solve(cfg)
     records = [record for _, record in solved]
     checks = [run_checks(game, record) for game, record in solved]
@@ -314,7 +313,7 @@ def verify(config):
     path, or inline JSON.
     """
     cfg = _load_config(config)
-    solved = _solve(replace(cfg, method=ShapleyMethod.CLOSED_FORM))
+    solved = _solve(cfg._replace(method=ShapleyMethod.CLOSED_FORM))
     outcomes = [
         verify_checks(game, record, cfg.samples, cfg.seed + k)
         for k, (game, record) in enumerate(solved)

@@ -1,10 +1,11 @@
 """Run configuration: JSON parsing, validation, defaults and shipped presets.
 
 A configuration is a single JSON object; every key is optional and unknown
-keys are rejected. Its keys are the fields of :class:`RunConfig` and of the
-dataclasses it holds, and a missing key takes the field's default. The
-README documents the schema; :func:`config_to_dict` reads it back off the
-fields and round-trips losslessly through :func:`parse_config`.
+keys are rejected. Its keys are the fields of the named tuple
+:class:`RunConfig` and of the named tuples it holds, and a missing key takes
+the field's default. The README documents the schema; :func:`config_to_dict`
+reads it back off the fields and round-trips losslessly through
+:func:`parse_config`.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .game import MarketParams, _shown
 from .scenarios import (
@@ -49,8 +50,7 @@ class ConfigError(ValueError):
     """A run configuration could not be parsed or validated."""
 
 
-@dataclass(frozen=True)
-class CustomProvider:
+class CustomProvider(NamedTuple):
     """Provider description for the custom scenario.
 
     Exactly one of ``daily_total`` (shaped by the built-in daily curve,
@@ -64,8 +64,7 @@ class CustomProvider:
     loads: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved configuration of one CLI invocation."""
 
     scenario: str = "same-type"
@@ -124,7 +123,7 @@ def _read_source(source: str | os.PathLike) -> tuple[str, str]:
         # a path past the OS name limit makes even the stat raise
         if not path.is_file():
             raise ConfigError(f"config file not found: {shown}")
-        return path.read_text(encoding="utf-8"), str(path)
+        return path.read_text(encoding="utf-8"), shown
     except OSError as exc:
         # strerror: the exception's own text repeats the whole path
         raise ConfigError(f"cannot read config file {shown}: {exc.strerror or exc}") from exc
@@ -133,8 +132,8 @@ def _read_source(source: str | os.PathLike) -> tuple[str, str]:
 
 
 def _reject_unknown(data: dict, schema, where: str) -> None:
-    """Refuse any key of ``data`` that is not a field of the dataclass ``schema``."""
-    allowed = {f.name for f in fields(schema)}
+    """Refuse any key of ``data`` that is not a field of the named tuple ``schema``."""
+    allowed = set(schema._fields)
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(
@@ -311,7 +310,7 @@ def _custom_provider(entry, where: str) -> CustomProvider:
 def config_to_dict(config: RunConfig) -> dict:
     """Serialize a config back to the JSON schema; a fixpoint of parsing.
 
-    Every dataclass field is read by name; a custom provider drops the one of
+    Every named-tuple field is read by name; a custom provider drops the one of
     ``daily_total`` and ``loads`` it does not give.
     """
     data = _field_values(config)
@@ -325,16 +324,13 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 def _field_values(obj) -> dict:
-    """Each field of a dataclass by name, a tuple as the list JSON reads back.
+    """Each field of a named tuple by name, a plain tuple as the list JSON reads back.
 
-    Shallow on purpose: ``dataclasses.asdict`` copies tuples element by
-    element, which takes seconds on a config with 10^6 explicit load floats.
+    Shallow on purpose: a nested named tuple is left as it is, for the caller
+    to serialize.
     """
-    return {
-        f.name: list(value) if isinstance(value, tuple) else value
-        for f in fields(obj)
-        for value in (getattr(obj, f.name),)
-    }
+    return {key: list(value) if type(value) is tuple else value
+            for key, value in obj._asdict().items()}
 
 
 def preset_names() -> tuple[str, ...]:

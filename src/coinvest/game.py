@@ -18,8 +18,7 @@ Only the table needs numpy, which it imports when it is first built.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Iterable, Mapping, NamedTuple
 
 #: Player id of the network owner. It hosts capacity, serves no load itself.
@@ -45,8 +44,19 @@ def _shown(value) -> str:
     return f"{text[:80]}... ({type(value).__name__}, {len(text)} characters in all)"
 
 
-@dataclass(frozen=True)
-class MarketParams:
+class _Validated:
+    """Base of a named tuple that checks its fields in ``__new__``. Its ``_make``,
+    and so its ``_replace``, build through the class, so a copy is checked too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class MarketParams(_Validated,
+                   namedtuple("MarketParams", "d Y T xi", defaults=(0.05, 1, 96, 1e-3))):
     """Economic and temporal constants of one investment.
 
     d:  capacity price, dollars per millicore (CAPEX)
@@ -55,12 +65,10 @@ class MarketParams:
     xi: diminishing-return shape, per millicore; larger xi saturates sooner
     """
 
-    d: float = 0.05
-    Y: int = 1
-    T: int = 96
-    xi: float = 1e-3
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (isinstance(self.Y, int) and self.Y >= 1):
             raise ValueError(f"Y must be an integer >= 1, got {self.Y!r}")
         if not (isinstance(self.T, int) and self.T >= 1):
@@ -69,6 +77,7 @@ class MarketParams:
             raise ValueError(f"d must be a finite number > 0, got {self.d!r}")
         if not (self.xi > 0.0 and math.isfinite(self.xi)):
             raise ValueError(f"xi must be a finite number > 0, got {self.xi!r}")
+        return self
 
     @property
     def D(self) -> int:
@@ -76,44 +85,49 @@ class MarketParams:
         return DAYS_PER_YEAR * self.Y
 
 
-@dataclass(frozen=True)
 class LoadProfile:
-    """Expected number of requests per timeslot over one day."""
+    """Expected number of requests per timeslot over one day; its length is its
+    slot count, so it is no named tuple. Its two attributes are read-only."""
 
-    values: tuple[float, ...]
+    __slots__ = ("_values", "_total")
 
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+    def __init__(self, values):
+        vals = tuple(float(v) for v in values)
         for slot, v in enumerate(vals):
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ValueError(f"load at slot {slot} must be finite and >= 0, got {v!r}")
         try:
-            total = math.fsum(vals)
+            self._total = math.fsum(vals)
         except OverflowError:
             raise ValueError("the daily load total overflows a float") from None
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_total", total)
+        self._values = vals
+
+    values = property(lambda self: self._values, doc="Requests per slot, as floats.")
+    total = property(lambda self: self._total, doc="Daily total, summed once when made.")
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._values)
 
-    @property
-    def total(self) -> float:
-        """Daily request total, summed once when the profile is made."""
-        return self._total
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        return f"LoadProfile(values={self._values!r})"
 
 
-@dataclass(frozen=True)
-class ServiceProvider:
+class ServiceProvider(_Validated, namedtuple("ServiceProvider", "id beta load")):
     """One provider: a benefit factor (dollars per served request) and its load."""
 
-    id: str
-    beta: float
-    load: LoadProfile
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
+        return self
 
 
 class SingleOptimum(NamedTuple):
@@ -123,21 +137,17 @@ class SingleOptimum(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class GameInstance:
+class GameInstance(_Validated, namedtuple("GameInstance", "market sps")):
     """The full game: market constants plus an ordered list of providers.
 
     The owner is implicit; it appears in :attr:`players` under the id ``NO``
     with zero load and zero benefit factor. Instances are immutable, so all
-    derived quantities may be evaluated concurrently.
+    derived quantities may be evaluated concurrently. Each caches its
+    standalone optima and coalition table, so it is not slotted.
     """
 
-    market: MarketParams
-    sps: tuple[ServiceProvider, ...]
-
-    def __post_init__(self):
-        sps = tuple(self.sps)
-        object.__setattr__(self, "sps", sps)
+    def __new__(cls, market: MarketParams, sps):
+        sps = tuple(sps)
         if len(sps) < 1:
             raise ValueError("a game needs at least one service provider")
         ids = [sp.id for sp in sps]
@@ -146,14 +156,12 @@ class GameInstance:
             raise ValueError(f"provider ids must be unique, got {_shown(repeated)} more than once")
         if NO in ids:
             raise ValueError(f"provider id {NO!r} is reserved for the network owner")
-        m = self.market
         for sp in sps:
-            if len(sp.load) != m.T:
+            if len(sp.load) != market.T:
                 raise ValueError(
-                    f"provider {_shown(sp.id)} has {len(sp.load)} load slots, expected T={m.T}"
+                    f"provider {_shown(sp.id)} has {len(sp.load)} load slots, expected T={market.T}"
                 )
-        optima = {sp.id: optimal_allocation_single(sp, m) for sp in sps}
-        object.__setattr__(self, "_optima", optima)
+        optima = {sp.id: optimal_allocation_single(sp, market) for sp in sps}
         for pid, opt in optima.items():
             if not (math.isfinite(opt.h_star) and math.isfinite(opt.value)):
                 raise ValueError(
@@ -170,6 +178,9 @@ class GameInstance:
                 f"providers {_shown(ids)}: their standalone profits sum to more than the "
                 "largest finite float"
             )
+        self = super().__new__(cls, market, sps)
+        self._optima = optima
+        return self
 
     @property
     def players(self) -> tuple[str, ...]:
@@ -189,7 +200,7 @@ class GameInstance:
         bit-identical to :func:`coalition_value`; the owner is the last
         player, so the high bit, and every coalition without it is worth 0.
         """
-        cached = self.__dict__.get("_coalition_table")
+        cached = getattr(self, "_coalition_table", None)
         if cached is None:
             import numpy as np
 
@@ -204,20 +215,18 @@ class GameInstance:
             cached = np.zeros(2 * sums.size)
             cached[sums.size:] = sums
             cached.flags.writeable = False
-            object.__setattr__(self, "_coalition_table", cached)
+            self._coalition_table = cached
         return cached
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Resource split of the grand coalition: per-player millicores and the total."""
 
     h: dict[str, float]
     C: float
 
 
-@dataclass(frozen=True)
-class Settlement:
+class Settlement(NamedTuple):
     """Per-player money triple closing the investment: revenue, payment, payoff.
 
     ``payoff[i] == revenue[i] - payment[i]`` for every player, and payments sum

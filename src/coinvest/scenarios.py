@@ -9,8 +9,8 @@ skewed between them, and N equal providers facing a range of capacity prices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from .game import (
     NO,
@@ -148,11 +148,10 @@ def scenario_price_sweep(
     share = scale_load(base, l_total / n_sps / base.total)
     price = amortized_unit_price(market_base)
     sps = tuple(ServiceProvider(f"SP{k}", price, share) for k in range(1, n_sps + 1))
-    return [GameInstance(market=replace(market_base, d=dv), sps=sps) for dv in d_list]
+    return [GameInstance(market=market_base._replace(d=dv), sps=sps) for dv in d_list]
 
 
-@dataclass(frozen=True)
-class PlayerRecord:
+class PlayerRecord(NamedTuple):
     """One player's slice of a solved instance."""
 
     player_id: str
@@ -165,8 +164,7 @@ class PlayerRecord:
     payoff: float
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One solved instance: allocation, value, and per-player outcomes."""
 
     scenario: str

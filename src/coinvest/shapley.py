@@ -28,7 +28,6 @@ needs the closed form and the structural checks never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -72,8 +71,7 @@ class ShapleyMethod(str, Enum):
     PERMUTATION_SAMPLING = "sample"
 
 
-@dataclass(frozen=True)
-class ShapleyResult:
+class ShapleyResult(NamedTuple):
     """Payoff vector of one Shapley route.
 
     ``stderr`` carries one standard error per player for the sampling method
@@ -85,8 +83,7 @@ class ShapleyResult:
     stderr: dict[str, float] | None = None
 
 
-@dataclass(frozen=True)
-class CoreCheck:
+class CoreCheck(NamedTuple):
     """Outcome of a core test.
 
     ``violating_coalition`` is a coalition that could do better on its own:
@@ -98,8 +95,7 @@ class CoreCheck:
     violating_coalition: Coalition | None = None
 
 
-@dataclass(frozen=True)
-class SupermodularityReport:
+class SupermodularityReport(NamedTuple):
     """Outcome of a supermodularity test.
 
     On failure, ``counterexample`` is a ``(player, smaller, larger)`` triple of

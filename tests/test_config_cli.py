@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -85,11 +84,18 @@ class TestParseConfig:
         assert parse_config(str(path)).seed == 9
         assert parse_config(path).seed == 9
 
-    def test_missing_file(self):
+    def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("no-such-config.json")
         with pytest.raises(ConfigError, match=r"not found: 'a/a/.*\.\.\. \(str, 203 characters in all\)$"):
             parse_config("a/" * 100 + "b")
+        # a long path of a file that holds bad JSON is shown cut the same way
+        path = tmp_path / ("d" * 100) / ("c" * 100 + ".json")
+        path.parent.mkdir()
+        path.write_text('{"seed": }')
+        with pytest.raises(ConfigError, match=r"characters in all\): invalid JSON at line 1") as err:
+            parse_config(str(path))
+        assert len(str(err.value)) < 200, str(err.value)
 
     def test_json_errors_carry_position(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -779,7 +785,7 @@ class TestCliVerifyAndPresets:
     def test_verify_fails_on_nonfinite_stderr(self, monkeypatch):
         def blind_sampler(game, samples, seed=0):
             result = checks_mod.shapley_closed_form(game)
-            return replace(result, stderr={pid: math.nan for pid in game.players})
+            return result._replace(stderr={pid: math.nan for pid in game.players})
 
         monkeypatch.setattr(checks_mod, "shapley_sampling", blind_sampler)
         result = CliRunner().invoke(
@@ -820,7 +826,7 @@ class TestCliVerifyAndPresets:
             grand = coalition_value(game, game.players)
             payoffs = dict(result.payoffs)
             payoffs["a"] += 100 * len(game.players) * math.ulp(grand)
-            return replace(result, payoffs=payoffs)
+            return result._replace(payoffs=payoffs)
 
         monkeypatch.setattr(checks_mod, "shapley_closed_form", shifted)
         result = run_cli("verify", self._spread_profits(1.5, 1e8))
@@ -921,6 +927,8 @@ class TestCliVerifyAndPresets:
             loaded = set(proc.stderr.split())
             assert "coinvest.shapley" in loaded, args
             assert ("numpy" in loaded) is numpy, args
+            # building dataclasses costs start-up time; the model is named tuples
+            assert "dataclasses" not in loaded, args
 
     def test_sampling_loads_neither_numpy_random_nor_hashlib(self, tmp_path):
         # numpy.random imports secrets, hmac and hashlib, which loads OpenSSL:
@@ -934,7 +942,7 @@ class TestCliVerifyAndPresets:
             assert proc.returncode == 0, (args, proc.stderr)
             loaded = set(proc.stderr.split())
             assert {"numpy", "coinvest.shapley"} <= loaded, args
-            assert not {"numpy.random", "hashlib"} & loaded, args
+            assert not {"numpy.random", "hashlib", "dataclasses"} & loaded, args
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,

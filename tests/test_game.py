@@ -12,6 +12,7 @@ from coinvest import (
     GameInstance,
     LoadProfile,
     MarketParams,
+    RunConfig,
     ServiceProvider,
     ShapleyMethod,
     amortized_unit_price,
@@ -19,6 +20,7 @@ from coinvest import (
     grand_allocation,
     optimal_allocation_single,
     run_sweep,
+    shapley_closed_form,
 )
 from coinvest.game import provider_revenue
 
@@ -100,6 +102,19 @@ class TestDomainTypes:
         assert len(profile) == 3
         with pytest.raises(ValueError, match="total overflows"):
             LoadProfile((1e308, 1e308))
+
+    def test_model_objects_are_immutable(self, market):
+        # every operation is a pure function of its inputs, so nothing may change them
+        load = constant_profile(1e6)
+        game = GameInstance(market, (ServiceProvider("A", 1e-6, load),))
+        [record] = run_sweep([game])
+        for obj, name in (
+            (market, "d"), (load, "values"), (load, "total"), (game.sps[0], "beta"),
+            (game, "sps"), (RunConfig(), "seed"), (record, "v_grand"),
+            (shapley_closed_form(game), "payoffs"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
 
     def test_provider_rejects_negative_beta(self):
         with pytest.raises(ValueError):

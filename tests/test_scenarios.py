@@ -184,6 +184,12 @@ class TestPriceSweep:
         with pytest.raises(ValueError):
             scenario_price_sweep(0, [0.05], 1e6, market)
 
+    @pytest.mark.parametrize("d", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_bad_price(self, market, d):
+        # each instance's market is a copy of the base one, validated like a new one
+        with pytest.raises(ValueError, match="^d must be"):
+            scenario_price_sweep(2, [d], 1e6, market)
+
 
 class TestRunSweep:
     def test_records_are_internally_consistent(self, market):
