@@ -16,6 +16,7 @@ from .game import (
     LoadProfile,
     MarketParams,
     ServiceProvider,
+    coalition_table,
     coalition_value,
     grand_allocation,
     optimal_allocation_single,
@@ -61,6 +62,7 @@ __all__ = [
     "check_supermodularity_structural",
     "classify_players",
     "classify_players_structural",
+    "coalition_table",
     "coalition_value",
     "config_to_dict",
     "grand_allocation",

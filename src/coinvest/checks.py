@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .game import MAX_ENUMERATION_PLAYERS, GameInstance
+from .game import MAX_ENUMERATION_PLAYERS, CoalitionTable, GameInstance, coalition_table
 from .scenarios import SweepRecord
 from .shapley import (
     AGREEMENT_TOL,
@@ -67,15 +67,16 @@ def verify_checks(game, record, samples: int, seed: int) -> dict[str, Outcome]:
     """``run``'s checks plus the oracle triangle. Within the enumeration bound,
     the core and supermodularity are also decided by brute force over all 2^n
     coalitions, and fail unless both verdicts agree; beyond it the oracle
-    triangle is skipped."""
+    triangle is skipped. Their one coalition table is dropped on return."""
     checks = run_checks(game, record)
     n = len(game.players)
     if n > MAX_ENUMERATION_PLAYERS:
         checks["oracle_triangle"] = Outcome(SKIPPED, f"{n} players exceeds the enumeration bound")
         return checks
+    table = coalition_table(game)
     for name, brute_force in (
-        ("core", _core(check_core(game, {p.player_id: p.payoff for p in record.players}))),
-        ("supermodularity", _supermodularity(check_supermodularity(game))),
+        ("core", _core(check_core(table, {p.player_id: p.payoff for p in record.players}))),
+        ("supermodularity", _supermodularity(check_supermodularity(table))),
     ):
         structural = checks[name]
         if (structural.verdict == PASS) != (brute_force.verdict == PASS):
@@ -83,7 +84,7 @@ def verify_checks(game, record, samples: int, seed: int) -> dict[str, Outcome]:
                 FAIL, f"structural verdict '{structural}' but brute-force verdict '{brute_force}'"
             )
         checks[name] = brute_force
-    checks["oracle_triangle"] = _oracles(game, samples, seed)
+    checks["oracle_triangle"] = _oracles(game, table, samples, seed)
     return checks
 
 
@@ -120,14 +121,14 @@ def _settlement(game: GameInstance, record: SweepRecord) -> Outcome:
     return Outcome(PASS)
 
 
-def _oracles(game: GameInstance, samples: int, seed: int) -> Outcome:
-    """Agreement of the three Shapley routes on one instance."""
-    exact = shapley_enumeration(game).payoffs
+def _oracles(game: GameInstance, table: CoalitionTable, samples: int, seed: int) -> Outcome:
+    """Agreement of the three Shapley routes on one instance and its coalition table."""
+    exact = shapley_enumeration(table).payoffs
     closed = shapley_closed_form(game).payoffs
     # enumeration reads each marginal off two correctly rounded table entries,
     # each within half an ulp of v(N) (the last entry), so its payoffs may miss
     # by about one ulp of v(N) whatever their own size; n of them bound that
-    rounding = len(game.players) * math.ulp(float(game.coalition_table()[-1]))
+    rounding = len(game.players) * math.ulp(float(table.values[-1]))
     margin = {pid: AGREEMENT_TOL * max(1.0, abs(exact[pid])) + rounding for pid in game.players}
     for pid in game.players:
         if abs(closed[pid] - exact[pid]) > margin[pid]:

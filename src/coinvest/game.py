@@ -11,8 +11,8 @@ Because the objective decomposes per provider, a coalition's value is the sum
 of each member provider's standalone optimum, which is what makes the rest of
 the analysis (payoff division, stability checks) tractable. Summing those
 optima is decided here only: :func:`coalition_value` for one coalition,
-:meth:`GameInstance.coalition_table` for all 2^n of them, bit-identically.
-Only the table needs numpy, which it imports when it is first built.
+:func:`coalition_table` for all 2^n of them, bit-identically, as a value
+nothing caches. Only the table needs numpy, which it imports when it is built.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class GameInstance(_Validated, namedtuple("GameInstance", "market sps")):
     The owner is implicit; it appears in :attr:`players` under the id ``NO``
     with zero load and zero benefit factor. Instances are immutable, so all
     derived quantities may be evaluated concurrently. Each caches its
-    standalone optima and coalition table, so it is not slotted.
+    standalone optima, so it is not slotted.
     """
 
     def __new__(cls, market: MarketParams, sps):
@@ -191,32 +191,12 @@ class GameInstance(_Validated, namedtuple("GameInstance", "market sps")):
         """Per-provider optimum (h*, profit), computed once at construction."""
         return self._optima
 
-    def coalition_table(self) -> np.ndarray:
-        """Value of every coalition, indexed by membership bitmask over :attr:`players`.
 
-        Built once and cached read-only, so every exact route and check
-        shares one table. The subset sums of the providers' standalone
-        profits come from :func:`_fsum_subset_sums` in O(2^n) numpy passes,
-        bit-identical to :func:`coalition_value`; the owner is the last
-        player, so the high bit, and every coalition without it is worth 0.
-        """
-        cached = getattr(self, "_coalition_table", None)
-        if cached is None:
-            import numpy as np
+class CoalitionTable(NamedTuple):
+    """Every coalition's value, read-only, indexed by membership bitmask over ``players``."""
 
-            n = len(self.players)
-            if n > MAX_ENUMERATION_PLAYERS:
-                raise ValueError(
-                    f"{n} players exceeds the enumeration bound of {MAX_ENUMERATION_PLAYERS}; "
-                    "only shapley_sampling of a GameInstance runs beyond it"
-                )
-            optima = self.standalone_optima()
-            sums = _fsum_subset_sums([optima[sp.id].value for sp in self.sps])
-            cached = np.zeros(2 * sums.size)
-            cached[sums.size:] = sums
-            cached.flags.writeable = False
-            self._coalition_table = cached
-        return cached
+    players: tuple[str, ...]
+    values: np.ndarray
 
 
 class Allocation(NamedTuple):
@@ -267,11 +247,39 @@ def coalition_value(game: GameInstance, coalition: Iterable[str]) -> float:
     members = frozenset(coalition)
     unknown = members.difference(game.players)
     if unknown:
-        raise ValueError(f"coalition references unknown players: {sorted(unknown)!r}")
+        raise ValueError(f"coalition references unknown players: {_shown(sorted(unknown))}")
     if NO not in members:
         return 0.0
     optima = game.standalone_optima()
     return math.fsum(optima[pid].value for pid in members if pid != NO)
+
+
+def coalition_table(game: GameInstance) -> CoalitionTable:
+    """Every coalition's value in ``game``. The owner is the last player: entries with its
+    (high) bit set are the providers' profit subset sums from :func:`_fsum_subset_sums`,
+    bit-identical to :func:`coalition_value`, and the rest are 0."""
+    import numpy as np
+
+    players = game.players
+    if len(players) > MAX_ENUMERATION_PLAYERS:
+        raise ValueError(
+            f"{len(players)} players exceeds the enumeration bound of {MAX_ENUMERATION_PLAYERS}; "
+            "only shapley_sampling of a GameInstance runs beyond it"
+        )
+    optima = game.standalone_optima()
+    sums = _fsum_subset_sums([optima[sp.id].value for sp in game.sps])
+    values = np.zeros(2 * sums.size)
+    values[sums.size:] = sums
+    values.flags.writeable = False
+    return CoalitionTable(players, values)
+
+
+def _payoff_floats(players, payoffs: PayoffVector) -> dict[str, float]:
+    """Each player's payoff as a float; the ValueError for missing ones names the first."""
+    missing = [p for p in players if p not in payoffs]
+    if missing:
+        raise ValueError(f"payoff vector is missing players {_shown(missing)}")
+    return {p: float(payoffs[p]) for p in players}
 
 
 def _two_sum(a, b, s=None, spare=None, err=None):

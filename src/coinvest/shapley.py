@@ -10,12 +10,11 @@ providers' standalone profits: the game is convex (Shapley 1971, "Cores of
 convex games"), so every verdict can be read off the profits. They need a
 full :class:`~coinvest.game.GameInstance` and run on instances of any size.
 
-Enumeration and the brute-force checks only need an object with a
-``players`` tuple and a ``coalition_table()`` method returning the value of
-every coalition, indexed by membership bitmask over ``players``.
-:meth:`~coinvest.game.GameInstance.coalition_table` builds and caches that
-table once per instance, so every exact route and check shares it, and it is
-bounded by :data:`~coinvest.game.MAX_ENUMERATION_PLAYERS`. The closed form,
+Enumeration and the brute-force checks read a
+:class:`~coinvest.game.CoalitionTable`, which their caller builds once with
+:func:`~coinvest.game.coalition_table` (at most
+:data:`~coinvest.game.MAX_ENUMERATION_PLAYERS` players) and passes to every
+exact route and check it runs. The closed form,
 sampling and the settlement need a full :class:`~coinvest.game.GameInstance`;
 sampling reads only the providers' standalone profits, so it runs beyond the
 bound. The checks' tolerances are the ``*_TOL`` and ``SAMPLING_SIGMAS``
@@ -34,9 +33,11 @@ from typing import NamedTuple
 from .game import (
     NO,
     Coalition,
+    CoalitionTable,
     GameInstance,
     PayoffVector,
     Settlement,
+    _payoff_floats,
     coalition_value,
     grand_allocation,
     provider_revenue,
@@ -143,7 +144,7 @@ def _subset_sums(x) -> np.ndarray:
     return sums
 
 
-def shapley_enumeration(game) -> ShapleyResult:
+def shapley_enumeration(table: CoalitionTable) -> ShapleyResult:
     """Exact Shapley payoffs by weighted subset enumeration.
 
     For each player, sums ``|S|! * (n-|S|-1)! / n!`` times its marginal
@@ -151,9 +152,8 @@ def shapley_enumeration(game) -> ShapleyResult:
     """
     import numpy as np
 
-    players = tuple(game.players)
+    players, values = table
     n = len(players)
-    table = game.coalition_table()
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
     # raveled, the coalitions avoiding any one player list the other players'
@@ -162,7 +162,7 @@ def shapley_enumeration(game) -> ShapleyResult:
     buffer = np.empty_like(coef)
     payoffs = {}
     for i, pid in enumerate(players):
-        without, joined = _split(table, i)
+        without, joined = _split(values, i)
         gain = np.subtract(joined, without, out=buffer.reshape(joined.shape))
         gain *= coef.reshape(gain.shape)
         payoffs[pid] = float(np.sum(gain))
@@ -282,25 +282,21 @@ def _unit(values: np.ndarray) -> float:
     return math.ldexp(1.0, math.frexp(float(abs(values).max(initial=0.0)))[1] - 1)
 
 
-def check_core(game, payoffs: PayoffVector) -> CoreCheck:
+def check_core(table: CoalitionTable, payoffs: PayoffVector) -> CoreCheck:
     """Exhaustively test whether a payoff vector sits in the core.
 
     Every coalition must collectively receive at least its own value and the
     payoffs must exactly exhaust the grand value; both tests allow a float
     noise of ``STABILITY_TOL`` relative to the grand value.
     """
-    players = tuple(game.players)
-    missing = [p for p in players if p not in payoffs]
-    if missing:
-        raise ValueError(f"payoff vector is missing players {missing!r}")
     import numpy as np
 
-    x = [float(payoffs[p]) for p in players]
-    table = game.coalition_table()
-    grand = float(table[-1])
+    players, values = table
+    x = list(_payoff_floats(players, payoffs).values())
+    grand = float(values[-1])
     noise = STABILITY_TOL * max(1.0, abs(grand))
     gap = _subset_sums(x)
-    gap -= table
+    gap -= values
     blocked = np.flatnonzero(gap < -noise)
     return CoreCheck(
         in_core=blocked.size == 0 and abs(math.fsum(x) - grand) <= noise,
@@ -308,7 +304,7 @@ def check_core(game, payoffs: PayoffVector) -> CoreCheck:
     )
 
 
-def check_supermodularity(game) -> SupermodularityReport:
+def check_supermodularity(table: CoalitionTable) -> SupermodularityReport:
     """Test that marginal contributions grow with the coalition.
 
     Checks the local condition ``v(S+i) - v(S) <= v(S+i+j) - v(S+j) + noise``
@@ -319,18 +315,17 @@ def check_supermodularity(game) -> SupermodularityReport:
     """
     import numpy as np
 
-    players = tuple(game.players)
-    table = game.coalition_table()
-    noise = STABILITY_TOL * max(1.0, abs(float(table[-1])))
+    players, values = table
+    noise = STABILITY_TOL * max(1.0, abs(float(values[-1])))
     for j, pid in enumerate(players):
-        without, joined = _split(table, j)
+        without, joined = _split(values, j)
         gain = joined - without
         for i in range(j):
             # v(S+j) - v(S) against v(S+i+j) - v(S+i), S avoiding i and j
             before, after = _split(gain, i)
             shrunk = np.flatnonzero(after - before < -noise)
             if shrunk.size:
-                masks = _split(_split(np.arange(table.size), j)[0], i)[0]
+                masks = _split(_split(np.arange(values.size), j)[0], i)[0]
                 smaller = _mask_coalition(int(masks.ravel()[shrunk[0]]), players)
                 return SupermodularityReport(
                     holds=False, counterexample=(pid, smaller, smaller | {players[i]})
@@ -338,7 +333,7 @@ def check_supermodularity(game) -> SupermodularityReport:
     return SupermodularityReport(holds=True, counterexample=None)
 
 
-def classify_players(game) -> dict[str, PlayerFlags]:
+def classify_players(table: CoalitionTable) -> dict[str, PlayerFlags]:
     """Flag veto players and null players.
 
     A veto player makes every coalition without it worth exactly 0; a null
@@ -347,10 +342,10 @@ def classify_players(game) -> dict[str, PlayerFlags]:
     """
     import numpy as np
 
-    table = game.coalition_table()
+    players, values = table
     flags = {}
-    for i, pid in enumerate(game.players):
-        without, joined = _split(table, i)
+    for i, pid in enumerate(players):
+        without, joined = _split(values, i)
         flags[pid] = PlayerFlags(
             veto=not np.any(without),
             null=not np.any(joined != without),
@@ -375,11 +370,7 @@ def check_core_structural(game: GameInstance, payoffs: PayoffVector) -> CoreChec
     :func:`check_core`, so the verdicts agree. On failure the coalition named
     is the one with the least slack.
     """
-    players = game.players
-    missing = [p for p in players if p not in payoffs]
-    if missing:
-        raise ValueError(f"payoff vector is missing players {missing!r}")
-    x = {p: float(payoffs[p]) for p in players}
+    x = _payoff_floats(game.players, payoffs)
     profits = _profits(game)
     grand = math.fsum(profits)
     noise = STABILITY_TOL * max(1.0, abs(grand))
@@ -444,11 +435,9 @@ def settle(game: GameInstance, payoffs: PayoffVector) -> Settlement:
     revenue (always the owner) are paid rather than paying.
     """
     players = game.players
-    missing = [p for p in players if p not in payoffs]
-    if missing:
-        raise ValueError(f"payoff vector is missing players {missing!r}")
+    payoff = _payoff_floats(players, payoffs)
     grand = coalition_value(game, players)
-    total = math.fsum(float(payoffs[p]) for p in players)
+    total = math.fsum(payoff.values())
     if abs(total - grand) > SETTLE_TOL * max(1.0, abs(grand)):
         raise ValueError(
             f"payoffs sum to {total!r} but the grand coalition is worth {grand!r}"
@@ -456,6 +445,5 @@ def settle(game: GameInstance, payoffs: PayoffVector) -> Settlement:
     alloc = grand_allocation(game)
     revenue = {sp.id: provider_revenue(sp, game.market, alloc.h[sp.id]) for sp in game.sps}
     revenue[NO] = 0.0
-    payoff = {p: float(payoffs[p]) for p in players}
     payment = {p: revenue[p] - payoff[p] for p in players}
     return Settlement(revenue=revenue, payment=payment, payoff=payoff, allocation=alloc)

@@ -10,8 +10,9 @@ synthesized load shape by numpy's vectorized sine.
 
 :class:`TabularGame` gives the exact routes and checks hand-built games,
 including ones the coinvestment model can never produce (e.g. non-convex
-fixtures): like a ``GameInstance`` it has ``players`` and
-``coalition_table()``, plus ``value(coalition)`` for the loop oracles.
+fixtures): its ``table`` is a :class:`~coinvest.game.CoalitionTable`, the
+type ``coalition_table`` makes of a ``GameInstance``, and its
+``value(coalition)`` serves the loop oracles.
 """
 
 import itertools
@@ -28,10 +29,12 @@ from coinvest import (
     MarketParams,
     ServiceProvider,
     amortized_unit_price,
+    coalition_table,
     coalition_value,
     scale_load,
     synth_load,
 )
+from coinvest.game import CoalitionTable
 
 # Property tests draw the same examples on every run, and a slow example
 # (a 2^n table) is not a failure.
@@ -70,14 +73,12 @@ class TabularGame:
             raise KeyError(f"no value for coalition {sorted(members)!r}")
         return self._default
 
-    def coalition_table(self):
-        """Every coalition's value in bitmask order, built once by a plain loop."""
-        table = self.__dict__.get("_coalition_table")
-        if table is None:
-            table = np.array([self.value(c) for c in coalitions_by_mask(self.players)])
-            table.flags.writeable = False
-            self._coalition_table = table
-        return table
+    @property
+    def table(self):
+        """Every coalition's value in bitmask order, built by a plain loop."""
+        values = np.array([self.value(c) for c in coalitions_by_mask(self.players)])
+        values.flags.writeable = False
+        return CoalitionTable(self.players, values)
 
 
 def worth(game, coalition):
@@ -139,7 +140,7 @@ def sampling_by_table(game, samples, seed):
     """
     players = tuple(game.players)
     keys = splitmix_keys(seed, samples, len(players))
-    table = game.coalition_table()
+    table = coalition_table(game).values
     order = np.argsort(keys, axis=1)
     masks = np.bitwise_or.accumulate(np.left_shift(1, order), axis=1)
     gains = np.diff(table[masks], axis=1, prepend=table[0])

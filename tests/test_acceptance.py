@@ -19,6 +19,7 @@ from coinvest import (
     MarketParams,
     check_core,
     check_supermodularity,
+    coalition_table,
     coalition_value,
     grand_allocation,
     optimal_allocation_single,
@@ -50,7 +51,7 @@ def test_equal_split_between_owner_and_providers():
     """Criterion 1: the owner's Shapley payoff is half the grand value."""
     start = time.perf_counter()
     for game in make_instances(200, seed=101):
-        payoffs = shapley_enumeration(game).payoffs
+        payoffs = shapley_enumeration(coalition_table(game)).payoffs
         grand = coalition_value(game, game.players)
         provider_total = math.fsum(v for p, v in payoffs.items() if p != NO)
         assert rel_close(payoffs[NO], grand / 2.0, 1e-9)
@@ -65,12 +66,12 @@ def test_shapley_oracle_triangle():
     start = time.perf_counter()
     instances = make_instances(200, seed=101)
     for game in instances:
-        exact = shapley_enumeration(game).payoffs
+        exact = shapley_enumeration(coalition_table(game)).payoffs
         closed = shapley_closed_form(game).payoffs
         for pid in game.players:
             assert rel_close(closed[pid], exact[pid], 1e-9)
     for k, game in enumerate(instances[::8]):  # 25 sampled spot checks
-        exact = shapley_enumeration(game).payoffs
+        exact = shapley_enumeration(coalition_table(game)).payoffs
         sampled = shapley_sampling(game, 100_000, seed=500 + k)
         for pid in game.players:
             margin = 3.0 * sampled.stderr[pid] + 1e-9 * max(1.0, abs(exact[pid]))
@@ -84,9 +85,9 @@ def test_convexity_verified_and_fixture_rejected():
     """Criterion 3: supermodularity holds for generated games, fails for the fixture."""
     start = time.perf_counter()
     for game in make_instances(100, seed=202, max_sps=4):
-        report = check_supermodularity(game)
+        report = check_supermodularity(coalition_table(game))
         assert report.holds, report.counterexample
-    bad = check_supermodularity(nonconvex_fixture())
+    bad = check_supermodularity(nonconvex_fixture().table)
     assert not bad.holds and bad.counterexample is not None
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -97,7 +98,7 @@ def test_shapley_payoffs_pass_the_core():
     """Criterion 4: exhaustive core check accepts the Shapley payoffs."""
     start = time.perf_counter()
     for game in make_instances(100, seed=303):
-        result = check_core(game, shapley_enumeration(game).payoffs)
+        result = check_core(coalition_table(game), shapley_enumeration(coalition_table(game)).payoffs)
         assert result.in_core, result.violating_coalition
     elapsed = time.perf_counter() - start
     print(f"criterion 4 (core membership, 100 instances): PASS ({elapsed:.2f}s)")

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 import coinvest.checks as checks_mod
 import coinvest.cli as cli_mod
+import coinvest.game
 import coinvest.scenarios as scenarios_mod
 from coinvest import (
     ConfigError,
-    GameInstance,
     MarketParams,
     RunConfig,
     ShapleyMethod,
@@ -648,10 +648,10 @@ class TestCliRun:
         assert not out.exists()
 
     def test_run_never_builds_the_coalition_table(self, tmp_path, monkeypatch):
-        def no_table(game):
+        def no_table(x):
             raise AssertionError("coalition table built")
 
-        monkeypatch.setattr(GameInstance, "coalition_table", no_table)
+        monkeypatch.setattr(coinvest.game, "_fsum_subset_sums", no_table)
         # 22 players, past the enumeration bound, no two profits alike
         wide = json.dumps({
             "scenario": "custom",

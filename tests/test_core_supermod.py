@@ -22,10 +22,13 @@ from coinvest import (
     check_supermodularity_structural,
     classify_players,
     classify_players_structural,
+    coalition_table,
     coalition_value,
+    run_sweep,
     shapley_closed_form,
     shapley_enumeration,
 )
+from coinvest.checks import verify_checks
 from coinvest.game import SingleOptimum
 from coinvest.shapley import STABILITY_TOL
 
@@ -89,8 +92,8 @@ def oracle_games():
 class TestCore:
     def test_shapley_payoffs_are_in_the_core(self, rng):
         for _ in range(30):
-            game = random_game(rng)
-            result = check_core(game, shapley_enumeration(game).payoffs)
+            table = coalition_table(random_game(rng))
+            result = check_core(table, shapley_enumeration(table).payoffs)
             assert result.in_core, result.violating_coalition
 
     def test_lopsided_vector_is_blocked(self, market):
@@ -102,7 +105,7 @@ class TestCore:
         grand = coalition_value(game, game.players)
         assert grand > 0.0
         payoffs = {"A": grand, "B": 0.0, NO: 0.0}
-        result = check_core(game, payoffs)
+        result = check_core(coalition_table(game), payoffs)
         assert not result.in_core
         blocked = result.violating_coalition
         assert blocked is not None
@@ -111,29 +114,29 @@ class TestCore:
 
     def test_zero_game_zero_vector(self, market):
         game = GameInstance(market, (ServiceProvider("A", 0.0, LoadProfile((1.0,) * market.T)),))
-        assert check_core(game, {"A": 0.0, NO: 0.0}).in_core
+        assert check_core(coalition_table(game), {"A": 0.0, NO: 0.0}).in_core
 
     def test_efficiency_is_required(self, rng):
         game = random_game(rng, n_sps=2)
         payoffs = dict(shapley_closed_form(game).payoffs)
         payoffs[NO] += 1.0  # over-distributes: rational everywhere but inefficient
-        result = check_core(game, payoffs)
+        result = check_core(coalition_table(game), payoffs)
         assert not result.in_core
         assert result.violating_coalition is None
 
     def test_missing_player_rejected(self, rng):
         game = random_game(rng, n_sps=2)
         with pytest.raises(ValueError):
-            check_core(game, {"SP1": 0.0, NO: 0.0})
+            check_core(coalition_table(game), {"SP1": 0.0, NO: 0.0})
 
     def test_slack_map(self, rng):
         # payoff minus value: zero on the empty and the grand coalition, never negative
         game = random_game(rng, n_sps=2)
         payoffs = shapley_closed_form(game).payoffs
-        assert check_core(game, payoffs).in_core
+        assert check_core(coalition_table(game), payoffs).in_core
         slack = {
             c: math.fsum(payoffs[p] for p in c) - v
-            for c, v in zip(coalitions_by_mask(game.players), game.coalition_table())
+            for c, v in zip(coalitions_by_mask(game.players), coalition_table(game).values)
         }
         assert slack[frozenset()] == 0.0
         assert len(slack) == 2 ** len(game.players)
@@ -143,7 +146,7 @@ class TestCore:
     def test_player_bound(self):
         bloated = bloated_game()
         with pytest.raises(ValueError, match="enumeration bound"):
-            check_core(bloated, {p: 0.0 for p in bloated.players})
+            check_core(coalition_table(bloated), {p: 0.0 for p in bloated.players})
 
     def test_rounding_shortfall_is_not_blocked(self):
         # Estimated payoffs may sum to the grand value only up to rounding;
@@ -155,7 +158,7 @@ class TestCore:
         payoffs[NO] -= 1.2e-9
         grand = coalition_value(game, game.players)
         assert 1e-9 < grand - math.fsum(payoffs.values()) < 1e-9 * grand
-        assert check_core(game, payoffs).in_core
+        assert check_core(coalition_table(game), payoffs).in_core
 
     def test_relative_violation_is_blocked(self):
         game = heterogeneous_game()
@@ -164,7 +167,7 @@ class TestCore:
         moved = payoffs["SP01"] + 1e-6 * grand
         payoffs["SP01"] -= moved
         payoffs[NO] += moved
-        result = check_core(game, payoffs)
+        result = check_core(coalition_table(game), payoffs)
         assert not result.in_core
         assert result.violating_coalition == frozenset({"SP01"})
 
@@ -173,12 +176,12 @@ class TestSupermodularity:
     def test_holds_on_random_instances(self, rng):
         for _ in range(30):
             game = random_game(rng, n_sps=int(rng.integers(1, 5)))
-            report = check_supermodularity(game)
+            report = check_supermodularity(coalition_table(game))
             assert report.holds, report.counterexample
 
     def test_rejects_nonconvex_fixture(self):
         game = nonconvex_fixture()
-        report = check_supermodularity(game)
+        report = check_supermodularity(game.table)
         assert not report.holds
         pid, smaller, larger = report.counterexample
         assert smaller <= larger
@@ -190,31 +193,31 @@ class TestSupermodularity:
 
     def test_zero_game_holds(self, market):
         game = GameInstance(market, (ServiceProvider("A", 0.0, LoadProfile((1.0,) * market.T)),))
-        assert check_supermodularity(game).holds
+        assert check_supermodularity(coalition_table(game)).holds
 
     def test_hand_built_veto_game_holds(self):
-        assert check_supermodularity(veto_table_game({"SP1": 3.0, "SP2": 1.0})).holds
+        assert check_supermodularity(veto_table_game({"SP1": 3.0, "SP2": 1.0}).table).holds
 
     def test_tolerance_scales_with_grand_value(self):
         # at v(N) ~ 2e12 a shortfall of 1 is rounding, one of 1e4 is not
         for shortfall, holds in ((1.0, True), (1e4, False)):
             values = {("A",): 1e12, ("B",): 1e12, ("A", "B"): 2e12 - shortfall}
-            report = check_supermodularity(TabularGame(("A", "B"), values))
+            report = check_supermodularity(TabularGame(("A", "B"), values).table)
             assert report.holds is holds
 
     def test_player_bound(self):
         with pytest.raises(ValueError, match="enumeration bound"):
-            check_supermodularity(bloated_game())
+            check_supermodularity(coalition_table(bloated_game()))
 
     def test_accepts_thirteen_players(self):
         game = TabularGame(tuple(f"P{i}" for i in range(13)), {}, default=0.0)
-        assert check_supermodularity(game).holds
+        assert check_supermodularity(game.table).holds
 
 
 class TestClassification:
     def test_owner_is_veto(self, rng):
         game = random_game(rng, n_sps=3)
-        flags = classify_players(game)
+        flags = classify_players(coalition_table(game))
         assert flags[NO].veto
 
     def test_idle_provider_is_null(self, market):
@@ -227,7 +230,7 @@ class TestClassification:
                 ServiceProvider("C", 4e-6, load),
             ),
         )
-        flags = classify_players(game)
+        flags = classify_players(coalition_table(game))
         assert flags["B"].null and not flags["B"].veto
         # A is productive but not essential: the game thrives without it via C
         assert not flags["A"].null and not flags["A"].veto
@@ -235,7 +238,7 @@ class TestClassification:
 
     def test_degenerate_game_flags_owner_both_ways(self, market):
         game = GameInstance(market, (ServiceProvider("A", 0.0, LoadProfile((1.0,) * market.T)),))
-        flags = classify_players(game)
+        flags = classify_players(coalition_table(game))
         assert flags[NO].veto and flags[NO].null
         assert flags["A"].veto and flags["A"].null
 
@@ -249,8 +252,8 @@ class TestLoopOracles:
             grand = worth(game, frozenset(players))
             guess = dict(zip(players, rng.integers(-2, 6, size=len(players)).astype(float)))
             guess[players[-1]] += grand - sum(guess.values())
-            for payoffs in (shapley_enumeration(game).payoffs, guess):
-                result = check_core(game, payoffs)
+            for payoffs in (shapley_enumeration(game.table).payoffs, guess):
+                result = check_core(game.table, payoffs)
                 expected = core_scan(game, payoffs)
                 assert (result.in_core, result.violating_coalition) == expected
                 verdicts.add(result.in_core)
@@ -259,7 +262,7 @@ class TestLoopOracles:
     def test_supermodularity_matches_scan(self):
         verdicts = set()
         for game in oracle_games():
-            report = check_supermodularity(game)
+            report = check_supermodularity(game.table)
             assert report.holds == supermodularity_scan(game)
             verdicts.add(report.holds)
             if not report.holds:
@@ -272,7 +275,7 @@ class TestLoopOracles:
 
     def test_classification_matches_scan(self):
         for game in oracle_games():
-            assert classify_players(game) == classification_scan(game)
+            assert classify_players(game.table) == classification_scan(game)
 
     def test_one_table_serves_every_check(self, monkeypatch, rng):
         build = coinvest.game._fsum_subset_sums
@@ -283,12 +286,14 @@ class TestLoopOracles:
             return build(x)
 
         monkeypatch.setattr(coinvest.game, "_fsum_subset_sums", counting)
-        game = random_game(rng, n_sps=3)
-        payoffs = shapley_enumeration(game).payoffs
-        assert check_core(game, payoffs).in_core
-        assert check_supermodularity(game).holds
-        assert classify_players(game)[NO].veto
-        assert builds == [3]
+        # within the bound verify's brute force and oracles read one table;
+        # past it they are skipped and no table is built
+        for game, want in ((random_game(rng, n_sps=3), [3]), (bloated_game(), [])):
+            builds.clear()
+            [record] = run_sweep([game])
+            checks = verify_checks(game, record, samples=200, seed=0)
+            assert builds == want
+            assert checks["oracle_triangle"].verdict == ("pass" if want else "skipped")
 
 
 # one timeslot a day; a provider with beta * L above d / (D * xi) is active
@@ -351,7 +356,8 @@ def test_structural_brute_force_and_loop_verdicts_agree(case):
     noise = STABILITY_TOL * max(1.0, coalition_value(game, game.players))
 
     structural = check_core_structural(game, payoffs)
-    brute = check_core(game, payoffs)
+    table = coalition_table(game)
+    brute = check_core(table, payoffs)
     assert structural.in_core == brute.in_core == core_scan(game, payoffs)[0]
     assert structural.in_core is (kind in ("shapley", "inside"))
     blocking = structural.violating_coalition
@@ -361,11 +367,11 @@ def test_structural_brute_force_and_loop_verdicts_agree(case):
         assert paid - coalition_value(game, blocking) < -noise
 
     assert check_supermodularity_structural(game).holds
-    assert check_supermodularity(game).holds
+    assert check_supermodularity(table).holds
     assert supermodularity_scan(game, tol=noise)
 
     flags = classify_players_structural(game)
-    assert flags == classify_players(game) == classification_scan(game)
+    assert flags == classify_players(table) == classification_scan(game)
 
 
 class ProfitsOnly:
@@ -383,7 +389,8 @@ class ProfitsOnly:
 
 def test_structural_checks_match_brute_force_on_negative_profits():
     profits = {"SP1": 3.0, "SP2": -1.0, "SP3": 0.0, "SP4": -2.0}
-    stand_in, table = ProfitsOnly(profits), veto_table_game(profits)
+    stand_in, tabular = ProfitsOnly(profits), veto_table_game(profits)
+    table = tabular.table
     report = check_supermodularity_structural(stand_in)
     assert not report.holds
     assert report == check_supermodularity(table)
@@ -397,7 +404,7 @@ def test_structural_checks_match_brute_force_on_negative_profits():
         structural = check_core_structural(stand_in, payoffs)
         assert structural.in_core == check_core(table, payoffs).in_core
         if structural.violating_coalition is not None:
-            worth = table.value(structural.violating_coalition)
+            worth = tabular.value(structural.violating_coalition)
             assert math.fsum(payoffs[p] for p in structural.violating_coalition) < worth
 
 
@@ -413,4 +420,4 @@ def test_structural_core_names_the_weakest_coalition():
     result = check_core_structural(game, payoffs)
     assert not result.in_core
     assert result.violating_coalition == frozenset({"SP02"})
-    assert check_core(game, payoffs).violating_coalition == frozenset({"SP02"})
+    assert check_core(coalition_table(game), payoffs).violating_coalition == frozenset({"SP02"})

@@ -21,6 +21,7 @@ from coinvest import (
     amortized_unit_price,
     check_core,
     check_core_structural,
+    coalition_table,
     coalition_value,
     shapley_closed_form,
     shapley_enumeration,
@@ -56,7 +57,7 @@ def test_seed_changes_the_estimate(rng):
 
 def test_within_three_stderr_of_enumeration(rng):
     game = random_game(rng, n_sps=3)
-    exact = shapley_enumeration(game).payoffs
+    exact = shapley_enumeration(coalition_table(game)).payoffs
     sampled = shapley_sampling(game, 100_000, seed=7)
     for pid in game.players:
         margin = 3.0 * sampled.stderr[pid] + 1e-9 * max(1.0, abs(exact[pid]))
@@ -331,4 +332,4 @@ def test_sampled_payoffs_are_bounded_and_efficient(providers, seed, samples):
     # sampled payoffs lie in the core, up to rounding (at most 9 players here,
     # so brute force is cheap)
     assert check_core_structural(game, sampled.payoffs).in_core
-    assert check_core(game, sampled.payoffs).in_core
+    assert check_core(coalition_table(game), sampled.payoffs).in_core

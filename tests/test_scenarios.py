@@ -13,6 +13,7 @@ from coinvest import (
     MarketParams,
     ShapleyMethod,
     amortized_unit_price,
+    coalition_table,
     coalition_value,
     grand_allocation,
     run_sweep,
@@ -247,7 +248,7 @@ class TestRunSweep:
     def test_methods_agree(self, rng, market):
         game = scenario_same_type(2e6, market)
         [closed] = run_sweep([game], method=ShapleyMethod.CLOSED_FORM)
-        enum = shapley_enumeration(game).payoffs
+        enum = shapley_enumeration(coalition_table(game)).payoffs
         [sampled] = run_sweep([game], method=ShapleyMethod.PERMUTATION_SAMPLING,
                               samples=50_000, seed=9)
         for pc, ps in zip(closed.players, sampled.players):

@@ -14,9 +14,13 @@ from coinvest import (
     MarketParams,
     ServiceProvider,
     amortized_unit_price,
+    check_core,
+    check_core_structural,
+    coalition_table,
     coalition_value,
     grand_allocation,
     optimal_allocation_single,
+    scenario_price_sweep,
     settle,
     shapley_closed_form,
     shapley_enumeration,
@@ -89,6 +93,25 @@ def test_rejects_missing_players(rng):
         settle(game, {NO: 0.0})
 
 
+def test_missing_and_unknown_player_errors_stay_short(market):
+    # 1000 providers with no payoff, and an id of 5000 characters
+    wide = scenario_price_sweep(1000, [market.d], 1e6)[0]
+    long_id = "L" * 5000
+    load = LoadProfile([1.0] * market.T)
+    narrow = GameInstance(market, (ServiceProvider(long_id, 1e-6, load),))
+    for call, first in (
+        (lambda: settle(wide, {}), "['SP1', "),
+        (lambda: check_core_structural(wide, {}), "['SP1', "),
+        (lambda: check_core(coalition_table(narrow), {NO: 0.0}), "['LLLL"),
+        (lambda: coalition_value(wide, [NO, long_id]), "['LLLL"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            call()
+        message = str(raised.value)
+        assert len(message) < 200, len(message)
+        assert first in message, message
+
+
 _MARKET = MarketParams()
 _PRICE = amortized_unit_price(_MARKET)
 
@@ -123,7 +146,7 @@ def test_every_route_is_efficient_and_settles_the_bill(providers, samples, seed)
     noise = STABILITY_TOL * max(1.0, abs(grand))
     routes = {
         "closed": shapley_closed_form(game).payoffs,
-        "enum": shapley_enumeration(game).payoffs,
+        "enum": shapley_enumeration(coalition_table(game)).payoffs,
         "sample": shapley_sampling(game, samples, seed).payoffs,
     }
     assert abs(math.fsum(oracle.values()) - grand) <= noise

@@ -12,6 +12,7 @@ from coinvest import (
     MarketParams,
     ServiceProvider,
     amortized_unit_price,
+    coalition_table,
     coalition_value,
     shapley_closed_form,
     shapley_enumeration,
@@ -48,13 +49,13 @@ class TestMarginalContribution:
 class TestEnumeration:
     def test_single_provider_half_split(self):
         game = veto_table_game({"SP1": 10.0})
-        result = shapley_enumeration(game)
+        result = shapley_enumeration(game.table)
         # two orderings: the second player to arrive collects the whole 10
         assert result.payoffs == {"SP1": 5.0, NO: 5.0}
 
     def test_two_providers_hand_case(self):
         game = veto_table_game({"SP1": 10.0, "SP2": 30.0})
-        result = shapley_enumeration(game)
+        result = shapley_enumeration(game.table)
         oracle = shapley_by_orderings(game.players, game.value)
         for pid, expected in {"SP1": 5.0, "SP2": 15.0, NO: 20.0}.items():
             assert result.payoffs[pid] == pytest.approx(expected, rel=1e-12)
@@ -63,7 +64,7 @@ class TestEnumeration:
     def test_matches_ordering_oracle_on_instances(self, rng):
         for _ in range(5):
             game = random_game(rng, n_sps=int(rng.integers(1, 5)))
-            result = shapley_enumeration(game)
+            result = shapley_enumeration(coalition_table(game))
             oracle = shapley_by_orderings(game.players, partial(coalition_value, game))
             for pid in game.players:
                 assert result.payoffs[pid] == pytest.approx(oracle[pid], rel=1e-9, abs=1e-12)
@@ -73,18 +74,18 @@ class TestEnumeration:
             ServiceProvider("SP3", 0.0, LoadProfile((100.0,) * market.T)),
         )
         game = GameInstance(market, sps)
-        assert shapley_enumeration(game).payoffs["SP3"] == 0.0
+        assert shapley_enumeration(coalition_table(game)).payoffs["SP3"] == 0.0
 
     def test_owner_gets_half_of_everything(self, rng):
         for _ in range(10):
             game = random_game(rng)
-            result = shapley_enumeration(game)
+            result = shapley_enumeration(coalition_table(game))
             grand = coalition_value(game, game.players)
             assert abs(result.payoffs[NO] - grand / 2.0) <= 1e-9 * max(1.0, grand)
 
     def test_player_bound(self):
         with pytest.raises(ValueError, match="sampling"):
-            shapley_enumeration(bloated_game())
+            shapley_enumeration(coalition_table(bloated_game()))
 
 
 class TestClosedForm:
@@ -92,7 +93,7 @@ class TestClosedForm:
         for _ in range(30):
             game = random_game(rng)
             closed = shapley_closed_form(game).payoffs
-            exact = shapley_enumeration(game).payoffs
+            exact = shapley_enumeration(coalition_table(game)).payoffs
             for pid in game.players:
                 assert abs(closed[pid] - exact[pid]) <= 1e-9 * max(1.0, abs(exact[pid]))
 
@@ -118,13 +119,13 @@ class TestClosedForm:
         game = GameInstance(
             market, (ServiceProvider("A", beta, load), ServiceProvider("B", beta, load))
         )
-        for result in (shapley_closed_form(game), shapley_enumeration(game)):
+        for result in (shapley_closed_form(game), shapley_enumeration(coalition_table(game))):
             assert result.payoffs["A"] == pytest.approx(result.payoffs["B"], rel=1e-12)
 
     def test_efficiency(self, rng):
         for _ in range(10):
             game = random_game(rng)
             grand = coalition_value(game, game.players)
-            for result in (shapley_closed_form(game), shapley_enumeration(game)):
+            for result in (shapley_closed_form(game), shapley_enumeration(coalition_table(game))):
                 total = math.fsum(result.payoffs.values())
                 assert abs(total - grand) <= 1e-9 * max(1.0, grand)

@@ -1,11 +1,13 @@
 """The numpy build of a coinvestment game's coalition table against fsum,
-and the memory the exact layer spends on top of it."""
+and the memory the exact layer and ``verify`` spend on top of it."""
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,11 +18,14 @@ from coinvest import (
     MarketParams,
     ServiceProvider,
     check_core,
+    coalition_table,
     coalition_value,
     shapley_closed_form,
     shapley_enumeration,
 )
+from coinvest.cli import main
 from coinvest.game import _fsum_subset_sums
+from coinvest.scenarios import DEFAULT_D_GRID
 
 from conftest import bloated_game, coalitions_by_mask, random_game
 
@@ -69,7 +74,7 @@ def games(draw):
 @settings(max_examples=150)
 @given(game=games())
 def test_table_is_bit_identical_to_fsum(game):
-    assert_bit_identical(game.coalition_table(), fsum_table(game))
+    assert_bit_identical(coalition_table(game).values, fsum_table(game))
 
 
 def test_rounding_tie_matches_fsum():
@@ -96,17 +101,17 @@ def test_game_table_makes_no_value_calls(monkeypatch):
             for k in range(6)
         ),
     )
-    table = game.coalition_table()
+    table = coalition_table(game)
     assert calls == []
-    assert not table.flags.writeable
-    assert game.coalition_table() is table
+    assert table.players == game.players
+    assert not table.values.flags.writeable
     monkeypatch.undo()
-    assert_bit_identical(table, fsum_table(game))
+    assert_bit_identical(table.values, fsum_table(game))
 
 
 def test_game_table_is_bounded_like_enumeration():
     with pytest.raises(ValueError, match="enumeration bound"):
-        bloated_game().coalition_table()
+        coalition_table(bloated_game())
 
 
 def _traced_peak(step):
@@ -120,14 +125,39 @@ def _traced_peak(step):
 
 def test_exact_layer_memory_stays_near_the_table(rng):
     # the build keeps hi, lo and slack (half the table each) and two reused
-    # scratch rows (a quarter each); the checks on the cached table allocate
+    # scratch rows (a quarter each); the checks on a built table allocate
     # about one table's worth of their own
     game = random_game(rng, n_sps=15)
     payoffs = shapley_closed_form(game).payoffs
-    build = _traced_peak(game.coalition_table)
-    table = game.coalition_table().nbytes
-    core = _traced_peak(lambda: check_core(game, payoffs))
-    enum = _traced_peak(lambda: shapley_enumeration(game))
-    assert build <= 2.5 * table, build / table
-    assert core <= 1.25 * table, core / table
-    assert enum <= 1.5 * table, enum / table
+    build = _traced_peak(lambda: coalition_table(game))
+    table = coalition_table(game)
+    size = table.values.nbytes
+    core = _traced_peak(lambda: check_core(table, payoffs))
+    enum = _traced_peak(lambda: shapley_enumeration(table))
+    assert build <= 2.5 * size, build / size
+    assert core <= 1.25 * size, core / size
+    assert enum <= 1.5 * size, enum / size
+
+
+def _verify_peak(n_sps, prices):
+    config = json.dumps(
+        {"scenario": "price-sweep", "n_sps": [n_sps], "d_grid": prices, "samples": 200}
+    )
+    tracemalloc.start()
+    try:
+        result = CliRunner().invoke(main, ["verify", config], catch_exceptions=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    return peak
+
+
+def test_verify_holds_one_table_at_a_time():
+    # a 17-player table is 1 MiB: verify of eight instances may peak above
+    # verify of two by less than that only if no table outlives its instance
+    _verify_peak(2, list(DEFAULT_D_GRID[:2]))  # imports and first-call caches
+    two = _verify_peak(16, list(DEFAULT_D_GRID[:2]))
+    eight = _verify_peak(16, list(DEFAULT_D_GRID[:8]))
+    table = (1 << 17) * 8
+    assert eight - two < table, (two, eight)
