@@ -17,7 +17,9 @@ Exit codes: 0 success, 1 validation error (a bad config or a usage error),
 
 from __future__ import annotations
 
+import atexit
 import csv
+import gc
 import io
 import json
 import os
@@ -94,6 +96,11 @@ def main():
     # no command makes a BLAS call, yet OpenBLAS starts a worker per core as
     # numpy loads, which spins on the CPU; a thread count the user set still wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # the collections at interpreter exit walk every module object, which the
+    # OS reclaims anyway; frozen objects are skipped. Once per process: the
+    # group runs again for every in-process invocation
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
 
 
 def _load_config(config_arg: str) -> RunConfig:

@@ -341,7 +341,10 @@ def preset_names() -> tuple[str, ...]:
 
 def load_preset(name: str) -> str:
     """Return the JSON text of a shipped preset."""
+    # a name that is not listed never reaches the filesystem: it could be a
+    # relative path out of the preset directory, or too long for a file name
+    names = preset_names()
+    if name not in names:
+        raise ConfigError(f"unknown preset {_shown(name)}; available: {list(names)!r}")
     path = resources.files("coinvest").joinpath("presets").joinpath(f"{name}.json")
-    if not path.is_file():
-        raise ConfigError(f"unknown preset {name!r}; available: {list(preset_names())!r}")
     return path.read_text(encoding="utf-8")

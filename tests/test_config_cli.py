@@ -256,6 +256,21 @@ class TestPresets:
         with pytest.raises(ConfigError, match="unknown preset"):
             load_preset("fig9")
 
+    @pytest.mark.parametrize(
+        "name, shown",
+        [
+            pytest.param("x" * 300, "'" + "x" * 79 + "... (str, 302 characters in all)",
+                         id="too-long-for-a-file-name"),
+            pytest.param("../presets/fig1", "'../presets/fig1'", id="relative-path"),
+        ],
+    )
+    def test_preset_outside_the_list_is_unknown(self, name, shown):
+        with pytest.raises(ConfigError) as info:
+            load_preset(name)
+        assert str(info.value) == (
+            f"unknown preset {shown}; available: {list(preset_names())!r}"
+        )
+
 
 def run_cli(*args):
     return CliRunner().invoke(main, list(args), catch_exceptions=False)
@@ -1006,6 +1021,75 @@ class TestUsageErrors:
         assert proc.stdout
 
 
+class TestFreshProcess:
+    """A fresh ``python -m coinvest`` against the same command run in-process:
+    the exit path (atexit hooks, stdio flushing, exit code) loses nothing."""
+
+    def test_run_writes_the_in_process_bytes(self, tmp_path):
+        # meta.json records the output directory, so both runs write to one
+        out = tmp_path / "out"
+        proc = _fresh_interpreter("-m", "coinvest", "run", "fig6", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        fresh = out.rename(tmp_path / "fresh")
+        result = run_cli("run", "fig6", "--out", str(out))
+        assert result.exit_code == 0, result.output
+        assert proc.stdout == result.stdout == f"wrote 60 records to {out / 'records.csv'}\n"
+        assert proc.stderr == result.stderr == ""
+        for name in ("records.csv", "summary.json", "meta.json"):
+            assert (fresh / name).read_bytes() == (out / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "config, code, stdout, stderr",
+        [
+            pytest.param(
+                "fig1",
+                0,
+                "supermodularity        PASS  (10/10 instances)\n"
+                "core-membership        PASS  (10/10 instances)\n"
+                "oracle-triangle        PASS  (10/10 instances)\n"
+                "settlement-balance     PASS  (10/10 instances)\n",
+                "",
+                id="fig1",
+            ),
+            pytest.param(
+                # instance 0 is past the enumeration bound; one sampled order
+                # gives instance 1 a zero stderr, which FAILs the triangle
+                json.dumps(
+                    {"scenario": "price-sweep", "n_sps": [20, 2], "d_grid": [0.05], "samples": 1}
+                ),
+                2,
+                "supermodularity        PASS  (2/2 instances)\n"
+                "core-membership        PASS  (2/2 instances)\n"
+                "oracle-triangle        FAIL  (0/2 instances; instance 1: sampling off by more "
+                "than 4 standard errors for SP1)\n"
+                "settlement-balance     PASS  (2/2 instances)\n",
+                "oracle-triangle: skipped on 1/2 instances; "
+                "instance 0: 21 players exceeds the enumeration bound\n",
+                id="one-order-fails",
+            ),
+        ],
+    )
+    def test_verify_prints_the_in_process_lines(self, config, code, stdout, stderr):
+        proc = _fresh_interpreter("-m", "coinvest", "verify", config)
+        result = CliRunner().invoke(main, ["verify", config])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+        assert (result.exit_code, result.stdout, result.stderr) == (code, stdout, stderr)
+
+    def test_the_collector_is_frozen_at_exit(self, tmp_path):
+        # the final collections skip frozen objects, which the OS reclaims anyway
+        proc = _fresh_interpreter(
+            "-c", _FREEZE_COUNT_AT_EXIT, "run", "fig1", "--out", str(tmp_path / "fig1")
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr.split()[-1]) > 0, proc.stderr
+
+    def test_in_process_invocations_leave_one_freeze_hook(self):
+        proc = _fresh_interpreter("-c", _FREEZE_CALLS_AFTER_THREE_INVOCATIONS)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("fig1") == 3, proc.stdout
+        assert proc.stderr == "1\n"
+
+
 # one sampled order gives a zero plug-in stderr, so verify FAILs the oracle triangle
 _ONE_ORDER = json.dumps({"l_total_grid": [2e6], "samples": 1})
 _COMMAND = st.sampled_from(["run", "verify"]) | st.sampled_from(
@@ -1052,21 +1136,35 @@ def test_any_argv_exits_with_a_documented_code(argv):
         assert "FAIL" in result.output or "check failed" in result.output, (argv, result.output)
 
 
-# runs ``python -m coinvest`` on the arguments that follow it, then lists
-# every module it imported on stderr
-_LIST_MODULES_AT_EXIT = (
-    "import atexit, runpy, sys\n"
-    "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
-    "runpy.run_module('coinvest', run_name='__main__')\n"
-)
+def _coinvest_then_print(expression: str) -> str:
+    """A ``python -c`` script that runs ``python -m coinvest`` on the arguments
+    that follow it, then prints ``expression`` on stderr from an atexit hook
+    registered before coinvest loads, so it runs after coinvest's own hooks."""
+    return (
+        "import atexit, gc, os, runpy, sys\n"
+        f"atexit.register(lambda: print({expression}, file=sys.stderr))\n"
+        "runpy.run_module('coinvest', run_name='__main__')\n"
+    )
 
 
-# runs ``python -m coinvest`` on the arguments that follow it, then prints
-# the number of threads the process holds on stderr
-_COUNT_THREADS_AT_EXIT = (
-    "import atexit, os, runpy, sys\n"
-    "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
-    "runpy.run_module('coinvest', run_name='__main__')\n"
+# every module the command imported
+_LIST_MODULES_AT_EXIT = _coinvest_then_print("*sorted(sys.modules)")
+# the number of threads the process holds
+_COUNT_THREADS_AT_EXIT = _coinvest_then_print("len(os.listdir('/proc/self/task'))")
+# the number of objects frozen out of the collector
+_FREEZE_COUNT_AT_EXIT = _coinvest_then_print("gc.get_freeze_count()")
+
+
+# counts gc.freeze calls, invokes ``coinvest presets`` in-process three times,
+# then prints on stderr how often gc.freeze ran at exit
+_FREEZE_CALLS_AFTER_THREE_INVOCATIONS = (
+    "import atexit, gc, sys\n"
+    "calls, freeze = [], gc.freeze\n"
+    "gc.freeze = lambda: calls.append(freeze())\n"
+    "atexit.register(lambda: print(len(calls), file=sys.stderr))\n"
+    "from coinvest.cli import main\n"
+    "for _ in range(3):\n"
+    "    main.main(['presets'], prog_name='coinvest', standalone_mode=False)\n"
 )
 
 
