@@ -23,10 +23,11 @@ import gc
 import io
 import json
 import os
+import sys
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
-
-import click
+from typing import NamedTuple
 
 from . import __version__
 from .checks import FAIL, PASS, PROPERTIES, RUN_METHODS, SKIPPED, run_checks, verify_checks
@@ -61,46 +62,115 @@ EXIT_VALIDATION = 1
 EXIT_CHECK_FAILED = 2
 EXIT_IO = 3
 
-
-class _Group(click.Group):
-    """A click group whose usage errors (a missing or malformed argument, an
-    unknown option or command) exit 1 like any other validation error:
-    click's own 2 would read as a failed property check."""
-
-    def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as exc:
-            exc.exit_code = EXIT_VALIDATION
-            raise
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            exc.exit_code = EXIT_VALIDATION
-            raise
+_METHODS = tuple(m.value for m in ShapleyMethod)
 
 
-class _Seed(click.IntRange):
-    """An integer range that names itself an integer, so a non-number reads
-    ``'abc' is not a valid integer`` rather than "integer range"."""
-
-    name = "integer"
+class _Failure(Exception):
+    """A config the program refuses: ``main`` prints ``Error: <message>`` and exits 1."""
 
 
-@click.group(cls=_Group)
-@click.version_option(version=__version__, prog_name="coinvest")
-def main():
-    """Plan a capacity coinvestment: solve it, split the payoff, settle the bill."""
+class _Option(NamedTuple):
+    """A command's option. Without a ``metavar`` it is a flag; with one it
+    takes a value, which ``convert``, if given, checks and converts, raising
+    ValueError with the reason it refuses."""
+
+    flag: str
+    keyword: str
+    help: str
+    metavar: str | None = None
+    convert: Callable[[str], object] | None = None
+
+
+class _Command:
+    """A subcommand: ``main`` passes the parsed command line to ``callback``
+    as keywords. It reads ``callback`` at each call, so a wrapper set on it
+    is what runs."""
+
+    def __init__(self, callback, takes_config: bool, options: tuple[_Option, ...]):
+        self.name = callback.__name__
+        self.callback = callback
+        self.help = callback.__doc__ or ""
+        self.takes_config = takes_config
+        self.options = options
+
+
+def _command(*options: _Option, takes_config: bool = True):
+    """Make the decorated function a subcommand that takes ``options`` and,
+    unless ``takes_config`` is false, a CONFIG argument."""
+    return lambda callback: _Command(callback, takes_config, options)
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid integer.") from None
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"{seed} is not in the range 0<=x<={MAX_SEED}.")
+    return seed
+
+
+def _method(text: str) -> str:
+    if text not in _METHODS:
+        raise ValueError(f"{text!r} is not one of {', '.join(map(repr, _METHODS))}.")
+    return text
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run one command line, ``args`` (default ``sys.argv[1:]``).
+
+    Returns when the command succeeds or help or the version is shown.
+    Anything else prints its error on stderr and raises ``SystemExit`` with
+    the exit code; a closed stdout exits 1 quietly. ``prog_name`` (default
+    ``coinvest``) is the name usage and help show. With ``standalone_mode``,
+    an interrupt prints ``Aborted!`` and exits 1; without it, the
+    ``KeyboardInterrupt`` reaches the caller.
+    """
+    # imported here, so that importing this module compiles no parser code
+    from ._cmdline import UsageError, parse
+
     # no command makes a BLAS call, yet OpenBLAS starts a worker per core as
     # numpy loads, which spins on the CPU; a thread count the user set still wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # the collections at interpreter exit walk every module object, which the
-    # OS reclaims anyway; frozen objects are skipped. Once per process: the
-    # group runs again for every in-process invocation
+    # OS reclaims anyway; frozen objects are skipped. Once per process: main
+    # runs again for every in-process invocation
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
+    try:
+        command, keywords = parse(sys.argv[1:] if args is None else list(args),
+                                  prog_name or "coinvest", (presets, run, verify))
+        if command is None:  # --help or --version: keywords is the text to show
+            _echo(keywords)
+        else:
+            command.callback(**keywords)
+        return
+    except UsageError as exc:
+        _echo(str(exc), err=True)
+    except _Failure as exc:
+        _echo(f"Error: {exc}", err=True)
+    except KeyboardInterrupt:
+        if not standalone_mode:
+            raise
+        _echo("\nAborted!", err=True)
+    except BrokenPipeError:
+        # the reader went away (coinvest presets | head -1): exit 1 without a
+        # traceback, with stdout on devnull so that the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(EXIT_VALIDATION)
+
+
+# the installed script and python -m coinvest call main(); bench/run.py and
+# the tests call main.main(args=..., prog_name=..., standalone_mode=...)
+main.main = main
+
+
+def _echo(text: str, err: bool = False) -> None:
+    """Write one line in one write and flush it, so stdout and stderr lines
+    keep their order when both go to one file."""
+    stream = sys.stderr if err else sys.stdout
+    stream.write(f"{text}\n")
+    stream.flush()
 
 
 def _load_config(config_arg: str) -> RunConfig:
@@ -110,7 +180,7 @@ def _load_config(config_arg: str) -> RunConfig:
             return parse_config(load_preset(config_arg))
         return parse_config(config_arg)
     except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise _Failure(str(exc)) from exc
 
 
 def _solve(cfg: RunConfig) -> list[tuple[GameInstance, SweepRecord]]:
@@ -134,7 +204,7 @@ def _solve(cfg: RunConfig) -> list[tuple[GameInstance, SweepRecord]]:
             )
             solved.extend(zip(games, records))
     except (ValueError, RuntimeError) as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise _Failure(str(exc)) from exc
     return solved
 
 
@@ -240,13 +310,14 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-@main.command()
-@click.argument("config")
-@click.option("--out", "out_dir", default=None, help="Output directory (overrides the config).")
-@click.option("--strict", is_flag=True, help="Exit nonzero if any property check fails.")
-@click.option("--seed", type=_Seed(0, MAX_SEED), help="Random seed (overrides the config).")
-@click.option("--method", type=click.Choice([m.value for m in ShapleyMethod]),
-              help="Shapley method (overrides the config).")
+@_command(
+    _Option("--out", "out_dir", "Output directory (overrides the config).", "TEXT"),
+    _Option("--strict", "strict", "Exit nonzero if any property check fails."),
+    _Option("--seed", "seed", f"Random seed (overrides the config).  [0<=x<={MAX_SEED}]",
+            "INTEGER", _seed),
+    _Option("--method", "method", "Shapley method (overrides the config).",
+            f"[{'|'.join(_METHODS)}]", _method),
+)
 def run(config, out_dir, strict, seed, method):
     """Solve the configured scenario and write records.csv, summary.json, meta.json.
 
@@ -288,26 +359,25 @@ def run(config, out_dir, strict, seed, method):
         for name, doc in (("summary.json", summary_doc), ("meta.json", meta)):
             outputs[name] = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise click.ClickException(f"refusing to write outputs: {exc}") from exc
+        raise _Failure(f"refusing to write outputs: {exc}") from exc
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in outputs.items():
             _atomic_write(out / name, text)
     except OSError as exc:
-        click.echo(f"error: cannot write outputs to {out}: {exc}", err=True)
+        _echo(f"error: cannot write outputs to {out}: {exc}", err=True)
         raise SystemExit(EXIT_IO) from exc
 
-    click.echo(f"wrote {len(records)} records to {out / 'records.csv'}")
+    _echo(f"wrote {len(records)} records to {out / 'records.csv'}")
     if failures:
         for index, name, outcome in failures:
-            click.echo(f"check failed on instance {index}: {name}: {outcome}", err=True)
+            _echo(f"check failed on instance {index}: {name}: {outcome}", err=True)
         if strict:
             raise SystemExit(EXIT_CHECK_FAILED)
 
 
-@main.command()
-@click.argument("config")
+@_command()
 def verify(config):
     """Run the property suite on the configured instances and report pass/fail.
 
@@ -335,23 +405,23 @@ def verify(config):
         if fails:
             k, outcome = fails[0]
             detail += f"; instance {k}: {outcome.detail}"
-        click.echo(f"{line:<22} {'FAIL' if fails else 'PASS'}  ({detail})")
+        _echo(f"{line:<22} {'FAIL' if fails else 'PASS'}  ({detail})")
         skips = [(k, r) for k, r in enumerate(results) if r.verdict == SKIPPED]
         if skips:
             k, outcome = skips[0]
-            click.echo(f"{line}: skipped on {len(skips)}/{len(results)} instances; "
+            _echo(f"{line}: skipped on {len(skips)}/{len(results)} instances; "
                        f"instance {k}: {outcome.detail}", err=True)
         failed = failed or bool(fails)
     if failed:
         raise SystemExit(EXIT_CHECK_FAILED)
 
 
-@main.command()
+@_command(takes_config=False)
 def presets():
     """List the configuration presets shipped with the package."""
     for name in preset_names():
         cfg = parse_config(load_preset(name))
-        click.echo(f"{name:<8} {cfg.scenario:<12} {cfg.description}")
+        _echo(f"{name:<8} {cfg.scenario:<12} {cfg.description}")
 
 
 if __name__ == "__main__":

@@ -13,11 +13,19 @@ including ones the coinvestment model can never produce (e.g. non-convex
 fixtures): its ``table`` is a :class:`~coinvest.game.CoalitionTable`, the
 type ``coalition_table`` makes of a ``GameInstance``, and its
 ``value(coalition)`` serves the loop oracles.
+
+:func:`invoke_cli` runs a ``coinvest`` command line in-process and returns
+its exit code and output.
 """
 
+import io
 import itertools
 import math
+import os
+import tempfile
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,6 +42,7 @@ from coinvest import (
     scale_load,
     synth_load,
 )
+from coinvest.cli import main
 from coinvest.game import CoalitionTable
 
 # Property tests draw the same examples on every run, and a slow example
@@ -416,6 +425,59 @@ def classification_scan(game, tol=0.0):
         null = all(abs(worth(game, s | {i}) - worth(game, s)) <= tol for s in avoiding)
         flags[i] = (veto, null)
     return flags
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str
+    """stdout and stderr together, in the order they were written"""
+    exception: SystemExit | None
+    """the ``SystemExit`` the command raised, unless it exited 0"""
+
+
+class _Transcribed(io.StringIO):
+    """A captured stream that also appends what it is given to ``transcript``."""
+
+    def __init__(self, transcript: list):
+        super().__init__()
+        self.transcript = transcript
+
+    def write(self, text):
+        self.transcript.append(text)
+        return super().write(text)
+
+
+def invoke_cli(args) -> CliResult:
+    """Run ``coinvest ARGS`` in-process, with stdout and stderr captured.
+
+    The exit code is 0 when ``main`` returns and the code of the
+    ``SystemExit`` it raises otherwise. Any other exception propagates.
+    """
+    transcript = []
+    out, err = _Transcribed(transcript), _Transcribed(transcript)
+    exception = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(list(args), prog_name="coinvest")
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = 0 if exc.code is None else exc.code
+            exception = exc if exit_code else None
+    return CliResult(exit_code, out.getvalue(), err.getvalue(), "".join(transcript), exception)
+
+
+@contextmanager
+def isolated_filesystem():
+    """Run the body in a new, empty working directory, removed afterwards."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield tmp
+        finally:
+            os.chdir(cwd)
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from coinvest import (
     NO,
@@ -31,10 +30,9 @@ from coinvest import (
     shapley_enumeration,
     shapley_sampling,
 )
-from coinvest.cli import main
 from coinvest.scenarios import DEFAULT_D_GRID, DEFAULT_L_TOTAL_GRID, DEFAULT_OMEGA_GRID
 
-from conftest import grid_max_joint, grid_max_single, random_game
+from conftest import grid_max_joint, grid_max_single, invoke_cli, random_game
 from test_core_supermod import nonconvex_fixture
 
 
@@ -231,11 +229,10 @@ def test_cli_runs_are_deterministic(tmp_path):
     """Criterion 10: identical config and seed give byte-identical records.csv."""
     start = time.perf_counter()
     config = json.dumps({"l_total_grid": [1e6, 2e6, 4e6], "seed": 12})
-    runner = CliRunner()
     paths = []
     for name in ("first", "second"):
         out = tmp_path / name
-        result = runner.invoke(main, ["run", config, "--out", str(out)])
+        result = invoke_cli(["run", config, "--out", str(out)])
         assert result.exit_code == 0, result.output
         paths.append(out / "records.csv")
     assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -11,7 +11,6 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,6 +19,7 @@ import coinvest.cli as cli_mod
 import coinvest.game
 import coinvest.scenarios as scenarios_mod
 from coinvest import (
+    __version__,
     ConfigError,
     MarketParams,
     RunConfig,
@@ -31,7 +31,7 @@ from coinvest import (
     scenario_price_sweep,
     shapley_sampling,
 )
-from coinvest.cli import CSV_COLUMNS, main
+from coinvest.cli import CSV_COLUMNS
 from coinvest.shapley import CoreCheck
 from coinvest.config import (
     MAX_GRID_POINTS,
@@ -43,6 +43,8 @@ from coinvest.config import (
     load_preset,
     preset_names,
 )
+
+from conftest import invoke_cli, isolated_filesystem
 
 _SHAPED = {"id": "A", "beta": 2e-6, "daily_total": 5e5}
 
@@ -273,7 +275,7 @@ class TestPresets:
 
 
 def run_cli(*args):
-    return CliRunner().invoke(main, list(args), catch_exceptions=False)
+    return invoke_cli(args)
 
 
 SMALL_RUN = json.dumps({"l_total_grid": [1e6, 2e6, 4e6]})
@@ -374,8 +376,18 @@ class TestCliRun:
             rows = list(csv.DictReader(handle))
         assert [r["player_id"] for r in rows] == ["video", "ar", "NO"]
 
+    def test_values_may_look_like_options(self):
+        # an option's value is the next argument, and -- ends the options
+        with isolated_filesystem():
+            result = invoke_cli(["run", SMALL_RUN, "--out", "--strict", "--seed", "-0"])
+            assert result.exit_code == 0, result.output
+            assert json.loads(Path("--strict", "meta.json").read_text())["strict"] is False
+        result = invoke_cli(["run", "--", "--bogus"])
+        assert result.exit_code == 1
+        assert "Error: config file not found: '--bogus'" in result.output
+
     def test_validation_error_exits_1(self, tmp_path):
-        result = CliRunner().invoke(main, ["run", '{"market": {"d": -1}}'])
+        result = invoke_cli(["run", '{"market": {"d": -1}}'])
         assert result.exit_code == 1
         assert "market.d" in result.output
 
@@ -709,7 +721,7 @@ class TestCliRun:
     def test_io_error_exits_3(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        result = CliRunner().invoke(main, ["run", SMALL_RUN, "--out", str(blocker)])
+        result = invoke_cli(["run", SMALL_RUN, "--out", str(blocker)])
         assert result.exit_code == 3
 
     def test_strict_flags_injected_check_failure(self, tmp_path, monkeypatch):
@@ -722,10 +734,10 @@ class TestCliRun:
         # run decides supermodularity structurally
         monkeypatch.setattr(checks_mod, "check_supermodularity_structural", broken_check)
         out = tmp_path / "s"
-        strict = CliRunner().invoke(main, ["run", SMALL_RUN, "--out", str(out), "--strict"])
+        strict = invoke_cli(["run", SMALL_RUN, "--out", str(out), "--strict"])
         assert strict.exit_code == 2
         assert "supermodularity" in strict.output
-        relaxed = CliRunner().invoke(main, ["run", SMALL_RUN, "--out", str(out)])
+        relaxed = invoke_cli(["run", SMALL_RUN, "--out", str(out)])
         assert relaxed.exit_code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert not summary["all_checks_passed"]
@@ -763,9 +775,7 @@ class TestCliVerifyAndPresets:
             )
 
         monkeypatch.setattr(checks_mod, "check_supermodularity", broken_check)
-        result = CliRunner().invoke(
-            main, ["verify", json.dumps({"l_total_grid": [2e6], "samples": 1000})]
-        )
+        result = invoke_cli(["verify", json.dumps({"l_total_grid": [2e6], "samples": 1000})])
         assert result.exit_code == 2
         assert "FAIL" in result.output
 
@@ -803,9 +813,7 @@ class TestCliVerifyAndPresets:
             return result._replace(stderr={pid: math.nan for pid in game.players})
 
         monkeypatch.setattr(checks_mod, "shapley_sampling", blind_sampler)
-        result = CliRunner().invoke(
-            main, ["verify", json.dumps({"l_total_grid": [2e6], "samples": 100})]
-        )
+        result = invoke_cli(["verify", json.dumps({"l_total_grid": [2e6], "samples": 100})])
         assert result.exit_code == 2
         assert "oracle-triangle        FAIL" in result.output
         assert "stderr is not finite" in result.output
@@ -864,7 +872,7 @@ class TestCliVerifyAndPresets:
         monkeypatch.setattr(
             checks_mod, "check_core_structural", lambda game, payoffs: CoreCheck(False, None)
         )
-        result = CliRunner().invoke(main, ["verify", cfg])
+        result = invoke_cli(["verify", cfg])
         assert result.exit_code == 2
         assert (
             "core-membership        FAIL  (0/2 instances; instance 0: structural verdict "
@@ -877,7 +885,7 @@ class TestCliVerifyAndPresets:
         cfg = json.dumps(
             {"scenario": "price-sweep", "n_sps": [20, 2], "d_grid": [0.05], "samples": 500}
         )
-        result = CliRunner().invoke(main, ["verify", cfg])
+        result = invoke_cli(["verify", cfg])
         assert result.exit_code == 0, result.output
         assert result.stdout == (
             "supermodularity        PASS  (2/2 instances)\n"
@@ -944,6 +952,8 @@ class TestCliVerifyAndPresets:
             assert ("numpy" in loaded) is numpy, args
             # building dataclasses costs start-up time; the model is named tuples
             assert "dataclasses" not in loaded, args
+            # the command line is parsed by argparse, in the standard library
+            assert not _click_modules(loaded), args
 
     def test_sampling_loads_neither_numpy_random_nor_hashlib(self, tmp_path):
         # numpy.random imports secrets, hmac and hashlib, which loads OpenSSL:
@@ -958,6 +968,7 @@ class TestCliVerifyAndPresets:
             loaded = set(proc.stderr.split())
             assert {"numpy", "coinvest.shapley"} <= loaded, args
             assert not {"numpy.random", "hashlib", "dataclasses"} & loaded, args
+            assert not _click_modules(loaded), args
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
@@ -996,6 +1007,19 @@ class TestUsageErrors:
             pytest.param(["bogus"], "'bogus'", id="unknown-command"),
             pytest.param(["run", "fig1", "--seed", "abc"], "'--seed'", id="seed-not-an-integer"),
             pytest.param(["run", "fig1", "--method", "xx"], "'--method'", id="unknown-method"),
+            # argparse would take an option's prefix for the option
+            pytest.param(["run", "fig1", "--meth", "sample"], "'--meth'", id="option-prefix"),
+            pytest.param(
+                ["run", "fig1", "--seed", "-1"],
+                f"Invalid value for '--seed': -1 is not in the range 0<=x<={MAX_SEED}.\n",
+                id="seed-below-range",
+            ),
+            pytest.param(
+                ["run", "fig1", "--seed", str(MAX_SEED + 1)],
+                f"Invalid value for '--seed': {MAX_SEED + 1} is not in the range "
+                f"0<=x<={MAX_SEED}.\n",
+                id="seed-above-range",
+            ),
         ],
     )
     def test_usage_error_exits_1(self, args, named):
@@ -1014,11 +1038,52 @@ class TestUsageErrors:
         assert "--seed INTEGER " in proc.stdout and "RANGE" not in proc.stdout
         assert f"[0<=x<={MAX_SEED}]" in proc.stdout
 
-    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["run", "--help"]])
-    def test_help_and_version_exit_0(self, args):
+    @pytest.mark.parametrize(
+        "args, shown",
+        [
+            pytest.param(
+                ["--help"],
+                [
+                    "presets List the configuration presets shipped with the package.",
+                    "run Solve the configured scenario and write records.csv,",
+                    "verify Run the property suite on the configured instances and report",
+                ],
+                id="args0",
+            ),
+            pytest.param(["--version"], [], id="args1"),
+            pytest.param(
+                ["run", "--help"],
+                [
+                    "--out TEXT ",
+                    "--strict ",
+                    "--seed INTEGER ",
+                    f"[0<=x<={MAX_SEED}]",
+                    "--method [closed|sample]",
+                    "CONFIG is a preset name, a JSON file path, or inline JSON.",
+                ],
+                id="args2",
+            ),
+            pytest.param(
+                ["verify", "--help"],
+                [
+                    "Properties: supermodularity of every instance, core membership of the "
+                    "Shapley payoffs, agreement of the three Shapley routes, and settlement "
+                    "balance."
+                ],
+                id="args3",
+            ),
+        ],
+    )
+    def test_help_and_version_exit_0(self, args, shown):
         proc = _fresh_interpreter("-m", "coinvest", *args)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
+        if args == ["--version"]:
+            assert proc.stdout == f"coinvest, version {__version__}\n"
+        # help text may wrap anywhere
+        words = " ".join(proc.stdout.split())
+        for text in shown:
+            assert text in words, (text, proc.stdout)
 
 
 class TestFreshProcess:
@@ -1071,7 +1136,7 @@ class TestFreshProcess:
     )
     def test_verify_prints_the_in_process_lines(self, config, code, stdout, stderr):
         proc = _fresh_interpreter("-m", "coinvest", "verify", config)
-        result = CliRunner().invoke(main, ["verify", config])
+        result = invoke_cli(["verify", config])
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
         assert (result.exit_code, result.stdout, result.stderr) == (code, stdout, stderr)
 
@@ -1083,6 +1148,19 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stderr.split()[-1]) > 0, proc.stderr
 
+    def test_a_closed_stdout_exits_1_quietly(self):
+        src = str(Path(cli_mod.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coinvest", "presets"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.close()  # before the child can write its first line
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), stderr) == (1, b"")
+
     def test_in_process_invocations_leave_one_freeze_hook(self):
         proc = _fresh_interpreter("-c", _FREEZE_CALLS_AFTER_THREE_INVOCATIONS)
         assert proc.returncode == 0, proc.stderr
@@ -1092,6 +1170,62 @@ class TestFreshProcess:
 
 # one sampled order gives a zero plug-in stderr, so verify FAILs the oracle triangle
 _ONE_ORDER = json.dumps({"l_total_grid": [2e6], "samples": 1})
+
+
+class TestInProcessHooks:
+    """The surface bench/run.py and bench/spans.py use in-process: they call
+    ``main.main(args=..., prog_name=..., standalone_mode=False)`` and wrap
+    ``run.callback`` and ``verify.callback``."""
+
+    @pytest.mark.parametrize("name", ["run", "verify"])
+    def test_main_calls_the_callback_set_on_the_command(self, name, tmp_path):
+        command = getattr(cli_mod, name)
+        original = command.callback
+        calls = []
+
+        def wrapper(**keywords):
+            calls.append(keywords)
+            return original(**keywords)
+
+        config = json.dumps({"l_total_grid": [2e6], "samples": 200})
+        args = [name, config] + (["--out", str(tmp_path)] if name == "run" else [])
+        command.callback = wrapper
+        try:
+            assert cli_mod.main.main(args=args, prog_name="coinvest", standalone_mode=False) is None
+        finally:
+            command.callback = original
+        assert [keywords["config"] for keywords in calls] == [config]
+
+    @pytest.mark.parametrize(
+        "args, code, named",
+        [
+            pytest.param(["verify", _ONE_ORDER], 2, "oracle-triangle        FAIL",
+                         id="verify-fails"),
+            pytest.param(["run", "fig1", "--bogus"], 1, "No such option '--bogus'.",
+                         id="usage-error"),
+            pytest.param(["run", '{"bogus": 1}'], 1, "Error: ", id="config-error"),
+        ],
+    )
+    def test_failures_raise_system_exit(self, args, code, named, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_mod.main.main(args=args, prog_name="coinvest", standalone_mode=False)
+        assert info.value.code == code
+        captured = capsys.readouterr()
+        assert named in captured.out + captured.err
+
+    def test_an_interrupt_exits_1_only_standalone(self, monkeypatch, capsys):
+        def interrupted(**keywords):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod.presets, "callback", interrupted)
+        with pytest.raises(SystemExit) as info:
+            cli_mod.main.main(args=["presets"])
+        assert info.value.code == 1
+        assert capsys.readouterr().err == "\nAborted!\n"
+        with pytest.raises(KeyboardInterrupt):
+            cli_mod.main.main(args=["presets"], standalone_mode=False)
+
+
 _COMMAND = st.sampled_from(["run", "verify"]) | st.sampled_from(
     ["presets", "bogus", "--help", "--version", ""]
 )
@@ -1124,9 +1258,8 @@ def _argv(draw):
 
 @given(argv=_argv())
 def test_any_argv_exits_with_a_documented_code(argv):
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        result = runner.invoke(main, argv)
+    with isolated_filesystem():
+        result = invoke_cli(argv)
     assert result.exit_code in (0, 1, 2, 3), (argv, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         argv, result.exc_info
@@ -1134,6 +1267,10 @@ def test_any_argv_exits_with_a_documented_code(argv):
     assert "Traceback" not in result.output, argv
     if result.exit_code == 2:
         assert "FAIL" in result.output or "check failed" in result.output, (argv, result.output)
+
+
+def _click_modules(loaded: set[str]) -> set[str]:
+    return {name for name in loaded if name == "click" or name.startswith("click.")}
 
 
 def _coinvest_then_print(expression: str) -> str:

@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,11 +22,10 @@ from coinvest import (
     shapley_closed_form,
     shapley_enumeration,
 )
-from coinvest.cli import main
 from coinvest.game import _fsum_subset_sums
 from coinvest.scenarios import DEFAULT_D_GRID
 
-from conftest import bloated_game, coalitions_by_mask, random_game
+from conftest import bloated_game, coalitions_by_mask, invoke_cli, random_game
 
 _MARKET = MarketParams()
 
@@ -145,7 +143,7 @@ def _verify_peak(n_sps, prices):
     )
     tracemalloc.start()
     try:
-        result = CliRunner().invoke(main, ["verify", config], catch_exceptions=False)
+        result = invoke_cli(["verify", config])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
