@@ -996,6 +996,152 @@ class TestCliVerifyAndPresets:
         assert {i["checks"]["core"] for i in summary["instances"]} == {"pass"}
 
 
+_TOP_HELP = """\
+Usage: coinvest [OPTIONS] COMMAND [ARGS]...
+
+  Plan a capacity coinvestment: solve it, split the payoff, settle the bill.
+
+Options:
+  --version  Show the version and exit.
+  --help     Show this message and exit.
+
+Commands:
+  presets  List the configuration presets shipped with the package.
+  run      Solve the configured scenario and write records.csv, summary.json, meta.json.
+  verify   Run the property suite on the configured instances and report pass/fail.
+"""
+
+_RUN_HELP = """\
+Usage: coinvest run [OPTIONS] CONFIG
+
+  Solve the configured scenario and write records.csv, summary.json, meta.json.
+
+  CONFIG is a preset name, a JSON file path, or inline JSON.
+
+Options:
+  --out TEXT            Output directory (overrides the config).
+  --strict              Exit nonzero if any property check fails.
+  --seed INTEGER        Random seed (overrides the config).
+                        [0<=x<=9223372036854775807]
+  --method [closed|sample]
+                        Shapley method (overrides the config).
+  --help                Show this message and exit.
+"""
+
+_VERIFY_HELP = """\
+Usage: coinvest verify [OPTIONS] CONFIG
+
+  Run the property suite on the configured instances and report pass/fail.
+
+  Properties: supermodularity of every instance, core membership of the
+  Shapley payoffs, agreement of the three Shapley routes, and settlement
+  balance. Up to the enumeration bound, the core and supermodularity are
+  decided both structurally and by brute force, and must agree. A property
+  skipped on some instances also gets a line on stderr, with the count and
+  the first such instance's reason. CONFIG is a preset name, a JSON file
+  path, or inline JSON.
+
+Options:
+  --help  Show this message and exit.
+"""
+
+_PRESETS_HELP = """\
+Usage: coinvest presets [OPTIONS]
+
+  List the configuration presets shipped with the package.
+
+Options:
+  --help  Show this message and exit.
+"""
+
+
+def _refused(usage: str, message: str) -> str:
+    """The stderr of a usage error: ``usage`` starts with the program name."""
+    prog = usage.partition(" [")[0]
+    return f"Usage: {usage}\nTry '{prog} --help' for help.\n\nError: {message}\n"
+
+
+_TOP = "coinvest [OPTIONS] COMMAND [ARGS]..."
+_RUN = "coinvest run [OPTIONS] CONFIG"
+
+# (argv, exit code, stdout, stderr) of a fresh ``python -m coinvest`` in an
+# empty directory with COLUMNS=80, byte for byte
+TRANSCRIPTS = [
+    pytest.param([], 1, "", _TOP_HELP, id="bare"),
+    pytest.param(["--help"], 0, _TOP_HELP, "", id="help"),
+    pytest.param(["run", "--help"], 0, _RUN_HELP, "", id="run-help"),
+    pytest.param(["verify", "--help"], 0, _VERIFY_HELP, "", id="verify-help"),
+    pytest.param(["presets", "--help"], 0, _PRESETS_HELP, "", id="presets-help"),
+    pytest.param(["--version"], 0, f"coinvest, version {__version__}\n", "", id="version"),
+    pytest.param(["--version=1"], 1, "",
+                 _refused(_TOP, "Option '--version' does not take a value."), id="version=1"),
+    pytest.param(["--help=1"], 1, "",
+                 _refused(_TOP, "Option '--help' does not take a value."), id="help=1"),
+    pytest.param(["--bogus"], 1, "", _refused(_TOP, "No such option '--bogus'."), id="top-bogus"),
+    pytest.param(["--version", "--bogus"], 1, "", _refused(_TOP, "No such option '--bogus'."),
+                 id="version-then-bogus"),
+    pytest.param(["run", "fig1", "--bogus"], 1, "", _refused(_RUN, "No such option '--bogus'."),
+                 id="run-bogus"),
+    pytest.param(["bogus"], 1, "", _refused(_TOP, "No such command 'bogus'."), id="bogus"),
+    pytest.param(["bogus", "--help"], 1, "", _refused(_TOP, "No such command 'bogus'."),
+                 id="bogus-help"),
+    pytest.param(["--help", "bogus"], 0, _TOP_HELP, "", id="help-bogus"),
+    pytest.param(["--", "--"], 1, "", _refused(_TOP, "No such command '--'."), id="dashes"),
+    pytest.param(["-", "x"], 1, "", _refused(_TOP, "No such command '-'."), id="dash"),
+    pytest.param(["run", "fig1", "--meth", "sample"], 1, "",
+                 _refused(_RUN, "No such option '--meth'."), id="option-prefix"),
+    pytest.param(["run", "--version"], 1, "", _refused(_RUN, "No such option '--version'."),
+                 id="run-version"),
+    pytest.param(["run"], 1, "", _refused(_RUN, "Missing argument 'CONFIG'."), id="run"),
+    pytest.param(["verify"], 1, "",
+                 _refused("coinvest verify [OPTIONS] CONFIG", "Missing argument 'CONFIG'."),
+                 id="verify"),
+    pytest.param(["run", "fig1", "extra"], 1, "",
+                 _refused(_RUN, "Got unexpected extra argument (extra)"), id="extra"),
+    pytest.param(["presets", "x", "y"], 1, "",
+                 _refused("coinvest presets [OPTIONS]", "Got unexpected extra arguments (x y)"),
+                 id="presets-extras"),
+    pytest.param(["run", "fig1", "--out"], 1, "",
+                 _refused(_RUN, "Option '--out' requires an argument."), id="out-no-value"),
+    pytest.param(["run", "fig1", "--strict=1"], 1, "",
+                 _refused(_RUN, "Option '--strict' does not take a value."), id="strict=1"),
+    pytest.param(["run", "fig1", "--seed", "abc"], 1, "",
+                 _refused(_RUN, "Invalid value for '--seed': 'abc' is not a valid integer."),
+                 id="seed-abc"),
+    pytest.param(["run", "fig1", "--seed", "-1"], 1, "",
+                 _refused(_RUN, "Invalid value for '--seed': -1 is not in the range "
+                                "0<=x<=9223372036854775807."), id="seed-negative"),
+    pytest.param(["run", "fig1", "--method", "xx"], 1, "",
+                 _refused(_RUN, "Invalid value for '--method': 'xx' is not one of "
+                                "'closed', 'sample'."), id="method-xx"),
+    # values are checked in the order run lists its options, before CONFIG
+    pytest.param(["run", "--method", "xx", "--seed", "abc"], 1, "",
+                 _refused(_RUN, "Invalid value for '--seed': 'abc' is not a valid integer."),
+                 id="method-xx-seed-abc"),
+    pytest.param(["run", "--seed", "abc"], 1, "",
+                 _refused(_RUN, "Invalid value for '--seed': 'abc' is not a valid integer."),
+                 id="seed-abc-no-config"),
+    pytest.param(["run", "--", "fig1"], 0, "wrote 10 records to out/records.csv\n", "",
+                 id="dashes-config"),
+    pytest.param(["run", "fig1", "--", "--strict"], 1, "",
+                 _refused(_RUN, "Got unexpected extra argument (--strict)"), id="dashes-extra"),
+    pytest.param(["run", "fig1", "--out="], 0, "wrote 10 records to records.csv\n", "",
+                 id="out="),
+    pytest.param(["run", "fig1", "--out", "-x", "--strict", "--method=closed"], 0,
+                 "wrote 10 records to -x/records.csv\n", "", id="out-dash-x"),
+    # the last value given wins, and only it is checked
+    pytest.param(["run", "fig1", "--seed", "abc", "--seed", "7", "--out", "o"], 0,
+                 "wrote 10 records to o/records.csv\n", "", id="seed-repeated"),
+    pytest.param(["run", "fig1", "--seed", "abc", "--help"], 0, _RUN_HELP, "",
+                 id="help-wins-over-a-bad-value"),
+    pytest.param(["run", "--help", "--bogus"], 1, "", _refused(_RUN, "No such option '--bogus'."),
+                 id="unknown-option-wins-over-help"),
+    pytest.param(["run", "--help", "--strict=1"], 1, "",
+                 _refused(_RUN, "Option '--strict' does not take a value."),
+                 id="flag-value-wins-over-help"),
+]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "args, named",
@@ -1084,6 +1230,13 @@ class TestUsageErrors:
         words = " ".join(proc.stdout.split())
         for text in shown:
             assert text in words, (text, proc.stdout)
+
+    @pytest.mark.parametrize("args, code, stdout, stderr", TRANSCRIPTS)
+    def test_output_bytes_are_pinned(self, tmp_path, args, code, stdout, stderr):
+        # argparse wraps help to the terminal width, which COLUMNS sets
+        env = {**os.environ, "COLUMNS": "80"}
+        proc = _fresh_interpreter("-m", "coinvest", *args, env=env, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
 
 
 class TestFreshProcess:
@@ -1305,9 +1458,9 @@ _FREEZE_CALLS_AFTER_THREE_INVOCATIONS = (
 )
 
 
-def _fresh_interpreter(*args, env=None):
+def _fresh_interpreter(*args, env=None, cwd=None):
     """Run ``python ARGS`` in a new process, in ``env`` (default: this
-    process's environment); returns the completed process."""
+    process's environment) and in ``cwd``; returns the completed process."""
     env = os.environ if env is None else env
     # the child imports the same package as this suite, installed or not
     src = str(Path(cli_mod.__file__).parents[1])
@@ -1317,6 +1470,7 @@ def _fresh_interpreter(*args, env=None):
         capture_output=True,
         text=True,
         env={**env, "PYTHONPATH": path},
+        cwd=cwd,
     )
 
 
