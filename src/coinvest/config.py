@@ -122,6 +122,8 @@ def _read_source(source: str | os.PathLike) -> tuple[str, str]:
     try:
         # a path past the OS name limit makes even the stat raise
         if not path.is_file():
+            if path.exists():  # a directory, a device or a pipe
+                raise ConfigError(f"config path is not a regular file: {shown}")
             raise ConfigError(f"config file not found: {shown}")
         return path.read_text(encoding="utf-8"), shown
     except OSError as exc:
