@@ -69,6 +69,12 @@ class _Failure(Exception):
     """A config the program refuses: ``main`` prints ``Error: <message>`` and exits 1."""
 
 
+class _UsageError(Exception):
+    """A malformed command line, or none: ``main`` prints the text, which is
+    the usage, where to find help and ``Error: <what is wrong>``, or for a
+    bare ``coinvest`` the help, on stderr and exits 1."""
+
+
 class _Option(NamedTuple):
     """A command's option. Without a ``metavar`` it is a flag; with one it
     takes a value, which ``convert``, if given, checks and converts, raising
@@ -116,6 +122,129 @@ def _method(text: str) -> str:
     return text
 
 
+_VERSION = _Option("--version", "version", "Show the version and exit.")
+_HELP = _Option("--help", "help", "Show this message and exit.")
+
+
+def _read(args: list[str], options, interspersed: bool = True, takes_first: bool = True):
+    """Read ``options`` off ``args``, left to right.
+
+    Returns three things. First, the value given for each option's keyword:
+    ``True`` for a flag, and the last value given wins; keys are in the order
+    first given. Then the arguments that are not options, and what is wrong
+    with the options, or None.
+
+    A value-taking option takes the next argument, whatever it looks like
+    (``--out -x``), or the text after ``=``. ``--`` ends the options; so does
+    the first argument that is not one, unless ``interspersed``. An unknown
+    option is what is wrong, and ends the reading. Failing that, it is the
+    first flag given a value, or the option left without one.
+
+    ``takes_first`` says that the level reads the first argument that is not
+    an option (the command, or CONFIG). As argparse did, that argument takes
+    the ``--`` right beside it; anywhere else, the ``--`` is kept among the
+    arguments.
+    """
+    by_flag = {option.flag: option for option in options}
+    values, line, wrong = {}, [], None
+    after_first = False  # the previous argument is line[0]
+    rest = iter(args)
+    for arg in rest:
+        if arg == "--":
+            if not (takes_first and (not line or after_first)):
+                line.append(arg)
+            line += rest
+            break
+        if not arg.startswith("-") or arg == "-":
+            line.append(arg)
+            if not interspersed:
+                line += rest
+                break
+            after_first = len(line) == 1
+            continue
+        after_first = False
+        option = by_flag.get(arg)
+        if option is not None and option.metavar is not None:
+            values[option.keyword] = next(rest, None)
+            if values[option.keyword] is None:
+                wrong = wrong or f"Option {arg!r} requires an argument."
+            continue
+        flag, equals, value = arg.partition("=")
+        option = by_flag.get(flag)
+        if option is None:
+            return values, line, f"No such option {arg!r}."
+        if option.metavar is not None:
+            values[option.keyword] = value
+        elif equals:
+            wrong = wrong or f"Option {flag!r} does not take a value."
+        else:
+            values[option.keyword] = True
+    return values, line, wrong
+
+
+def _parse(argv: list[str], prog: str, commands):
+    """What ``argv`` asks for: ``(command, keywords)`` to run
+    ``command.callback(**keywords)``, or ``(None, text)`` to print ``text``
+    for ``--help`` or ``--version``; a malformed command line raises
+    :class:`_UsageError`. ``commands`` are the subcommands; ``prog`` is the
+    program name that usage and help show.
+
+    The command line reads ``[OPTIONS] COMMAND [ARGS]...`` (see :func:`_read`):
+
+    - at either level, ``--help`` (and ``--version`` before the command) wins
+      over a bad value or a missing argument, but not over an unknown or
+      malformed option;
+    - a command checks its option values in the order it lists them, then
+      that CONFIG is given, then that nothing is left over.
+    """
+
+    def text(options, command=None, message=None):
+        # argparse renders help and usage errors, so a valid command line
+        # never loads it
+        from ._cmdline import render
+
+        return render(prog, options, command, commands, message)
+
+    top = (_VERSION, _HELP)
+    given, line, wrong = _read(argv, top, interspersed=False)
+    if wrong:
+        raise _UsageError(text(top, message=wrong))
+    if given:  # the first of --version and --help given wins
+        if next(iter(given)) == "version":
+            return None, f"coinvest, version {__version__}"
+        return None, text(top)
+    if not line:
+        raise _UsageError(text(top, message="Missing command." if argv else None))
+    command = {command.name: command for command in commands}.get(line[0])
+    if command is None:
+        raise _UsageError(text(top, message=f"No such command {line[0]!r}."))
+
+    options = (*command.options, _HELP)
+    given, line, wrong = _read(line[1:], options, takes_first=command.takes_config)
+    if wrong:
+        raise _UsageError(text(options, command, wrong))
+    if "help" in given:
+        return None, text(options, command)
+    keywords = {}
+    for option in command.options:
+        value = given.get(option.keyword, False if option.metavar is None else None)
+        if value is not None and option.convert is not None:
+            try:
+                value = option.convert(value)
+            except ValueError as exc:
+                message = f"Invalid value for {option.flag!r}: {exc}"
+                raise _UsageError(text(options, command, message)) from None
+        keywords[option.keyword] = value
+    if command.takes_config:
+        if not line:
+            raise _UsageError(text(options, command, "Missing argument 'CONFIG'."))
+        keywords["config"] = line.pop(0)
+    if line:
+        message = f"Got unexpected extra argument{'s' if len(line) > 1 else ''} ({' '.join(line)})"
+        raise _UsageError(text(options, command, message))
+    return command, keywords
+
+
 def main(args=None, prog_name=None, standalone_mode=True):
     """Run one command line, ``args`` (default ``sys.argv[1:]``).
 
@@ -126,9 +255,6 @@ def main(args=None, prog_name=None, standalone_mode=True):
     an interrupt prints ``Aborted!`` and exits 1; without it, the
     ``KeyboardInterrupt`` reaches the caller.
     """
-    # imported here, so that importing this module compiles no parser code
-    from ._cmdline import UsageError, parse
-
     # no command makes a BLAS call, yet OpenBLAS starts a worker per core as
     # numpy loads, which spins on the CPU; a thread count the user set still wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -138,14 +264,14 @@ def main(args=None, prog_name=None, standalone_mode=True):
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
     try:
-        command, keywords = parse(sys.argv[1:] if args is None else list(args),
-                                  prog_name or "coinvest", (presets, run, verify))
+        command, keywords = _parse(sys.argv[1:] if args is None else list(args),
+                                   prog_name or "coinvest", (presets, run, verify))
         if command is None:  # --help or --version: keywords is the text to show
             _echo(keywords)
         else:
             command.callback(**keywords)
         return
-    except UsageError as exc:
+    except _UsageError as exc:
         _echo(str(exc), err=True)
     except _Failure as exc:
         _echo(f"Error: {exc}", err=True)
