@@ -86,6 +86,15 @@ class TestParseConfig:
         assert parse_config(str(path)).seed == 9
         assert parse_config(path).seed == 9
 
+    def test_directory_is_not_a_config_file(self, tmp_path):
+        shown = repr(str(tmp_path))
+        refused = f"^config path is not a regular file: {re.escape(shown)}$"
+        with pytest.raises(ConfigError, match=refused):
+            parse_config(str(tmp_path))
+        result = invoke_cli(["run", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: config path is not a regular file: {shown}\n"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("no-such-config.json")
@@ -931,7 +940,7 @@ class TestCliVerifyAndPresets:
         assert "core-membership        PASS  (1/1 instances)" in result.output
         assert "oracle-triangle        PASS  (0/1 instances)" in result.output
 
-    def test_numpy_is_loaded_only_where_it_is_used(self, tmp_path):
+    def test_numpy_is_loaded_only_where_it_is_used(self, tmp_path, bare_modules):
         wide = json.dumps(
             {
                 "scenario": "custom",
@@ -952,10 +961,11 @@ class TestCliVerifyAndPresets:
             assert ("numpy" in loaded) is numpy, args
             # building dataclasses costs start-up time; the model is named tuples
             assert "dataclasses" not in loaded, args
-            # the command line is parsed by argparse, in the standard library
             assert not _click_modules(loaded), args
+            # argparse only renders help and usage errors
+            assert not (_PARSER_MODULES & loaded) - bare_modules, args
 
-    def test_sampling_loads_neither_numpy_random_nor_hashlib(self, tmp_path):
+    def test_sampling_loads_neither_numpy_random_nor_hashlib(self, tmp_path, bare_modules):
         # numpy.random imports secrets, hmac and hashlib, which loads OpenSSL:
         # ~6 MB of resident memory in every process that samples
         one_instance = json.dumps({"l_total_grid": [2e6], "samples": 5000})
@@ -969,6 +979,14 @@ class TestCliVerifyAndPresets:
             assert {"numpy", "coinvest.shapley"} <= loaded, args
             assert not {"numpy.random", "hashlib", "dataclasses"} & loaded, args
             assert not _click_modules(loaded), args
+            assert not (_PARSER_MODULES & loaded) - bare_modules, args
+
+    def test_help_loads_the_renderer(self):
+        # the other side of the two tests above: help is rendered by argparse
+        proc = _fresh_interpreter("-c", _LIST_MODULES_AT_EXIT, "run", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("Usage: coinvest run [OPTIONS] CONFIG\n"), proc.stdout
+        assert _PARSER_MODULES <= set(proc.stderr.split())
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
@@ -1129,6 +1147,12 @@ TRANSCRIPTS = [
                  id="out="),
     pytest.param(["run", "fig1", "--out", "-x", "--strict", "--method=closed"], 0,
                  "wrote 10 records to -x/records.csv\n", "", id="out-dash-x"),
+    # a value of "--" is a value too
+    pytest.param(["run", "fig1", "--out=--"], 0, "wrote 10 records to --/records.csv\n", "",
+                 id="out=--"),
+    pytest.param(["run", "fig1", "--seed", "--"], 1, "",
+                 _refused(_RUN, "Invalid value for '--seed': '--' is not a valid integer."),
+                 id="seed-dashes"),
     # the last value given wins, and only it is checked
     pytest.param(["run", "fig1", "--seed", "abc", "--seed", "7", "--out", "o"], 0,
                  "wrote 10 records to o/records.csv\n", "", id="seed-repeated"),
@@ -1424,6 +1448,19 @@ def test_any_argv_exits_with_a_documented_code(argv):
 
 def _click_modules(loaded: set[str]) -> set[str]:
     return {name for name in loaded if name == "click" or name.startswith("click.")}
+
+
+# the modules that render help and usage errors; argparse imports gettext,
+# and gettext locale, while it builds a parser
+_PARSER_MODULES = {"argparse", "gettext", "locale", "coinvest._cmdline"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    """The modules a bare interpreter has loaded when it exits."""
+    proc = _fresh_interpreter("-c", "import sys; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
 
 
 def _coinvest_then_print(expression: str) -> str:
