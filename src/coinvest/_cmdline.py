@@ -30,7 +30,8 @@ def render(prog: str, options, command=None, commands=(), message: str | None = 
         usage, doc = "[OPTIONS] COMMAND [ARGS]...", SUMMARY
         listing = ["Commands:"]
         for each in commands:
-            listing.append(f"  {each.name:<8} {each.help.partition(chr(10))[0]}")
+            first_line = each.help.partition("\n")[0]
+            listing.append(f"  {each.name:<8} {first_line}")
         epilog = "\n".join(listing)
     else:
         prog = f"{prog} {command.name}"

@@ -5,7 +5,8 @@ its ``WRAPPED`` table, plus ``coinvest.game.coalition_value``, for the length
 of a traced run. A rename in ``src`` would only show up when that run fails,
 so this reads the table from the file (parsed, not imported) and resolves
 every name on its home module. ``bench/run.py`` also reads
-``cli.shapley_closed_form`` and calls the click group's ``main()``. The
+``cli.shapley_closed_form`` and runs the CLI in-process through
+``cli.main.main(args=, prog_name=, standalone_mode=)``. The
 workloads' configs must also stay inside the config's caps, and their
 exact-method ``records.csv`` must match the digests in ``bench/reference.json``.
 """
@@ -52,7 +53,7 @@ def test_value_hook_and_commands_resolve():
     for command in (coinvest.cli.run, coinvest.cli.verify):
         assert callable(command.callback)
     # bench/run.py unwraps cli.shapley_closed_form as the sampled payoffs'
-    # reference, and calls the group in-process through click's main()
+    # reference, and runs the CLI in-process through cli.main.main(...)
     assert callable(coinvest.cli.shapley_closed_form)
     parameters = inspect.signature(coinvest.cli.main.main).parameters
     assert {"args", "prog_name", "standalone_mode"} <= set(parameters)
