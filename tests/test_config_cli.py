@@ -1091,6 +1091,8 @@ TRANSCRIPTS = [
     pytest.param(["verify", "--help"], 0, _VERIFY_HELP, "", id="verify-help"),
     pytest.param(["presets", "--help"], 0, _PRESETS_HELP, "", id="presets-help"),
     pytest.param(["--version"], 0, f"coinvest, version {__version__}\n", "", id="version"),
+    # the first of --help and --version given wins
+    pytest.param(["--help", "--version"], 0, _TOP_HELP, "", id="help-version"),
     pytest.param(["--version=1"], 1, "",
                  _refused(_TOP, "Option '--version' does not take a value."), id="version=1"),
     pytest.param(["--help=1"], 1, "",
@@ -1143,6 +1145,12 @@ TRANSCRIPTS = [
                  id="dashes-config"),
     pytest.param(["run", "fig1", "--", "--strict"], 1, "",
                  _refused(_RUN, "Got unexpected extra argument (--strict)"), id="dashes-extra"),
+    # the "--" goes with CONFIG only right beside it, as argparse read it
+    pytest.param(["run", "fig1", "--strict", "--", "x"], 1, "",
+                 _refused(_RUN, "Got unexpected extra arguments (-- x)"), id="dashes-apart"),
+    pytest.param(["presets", "--"], 1, "",
+                 _refused("coinvest presets [OPTIONS]", "Got unexpected extra argument (--)"),
+                 id="presets-dashes"),
     pytest.param(["run", "fig1", "--out="], 0, "wrote 10 records to records.csv\n", "",
                  id="out="),
     pytest.param(["run", "fig1", "--out", "-x", "--strict", "--method=closed"], 0,
@@ -1160,6 +1168,11 @@ TRANSCRIPTS = [
                  id="help-wins-over-a-bad-value"),
     pytest.param(["run", "--help", "--bogus"], 1, "", _refused(_RUN, "No such option '--bogus'."),
                  id="unknown-option-wins-over-help"),
+    pytest.param(["run", "fig1", "--strict=1", "--bogus"], 1, "",
+                 _refused(_RUN, "No such option '--bogus'."), id="unknown-wins-over-flag-value"),
+    pytest.param(["run", "fig1", "--strict=1", "--help=1"], 1, "",
+                 _refused(_RUN, "Option '--strict' does not take a value."),
+                 id="first-flag-value"),
     pytest.param(["run", "--help", "--strict=1"], 1, "",
                  _refused(_RUN, "Option '--strict' does not take a value."),
                  id="flag-value-wins-over-help"),
