@@ -1,6 +1,7 @@
 """Configuration parsing and the command-line pipeline."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -750,6 +751,71 @@ class TestCliRun:
         assert relaxed.exit_code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert not summary["all_checks_passed"]
+
+
+_PINNED_CUSTOM = json.dumps({
+    "scenario": "custom",
+    "market": {"T": 4},
+    "custom_sps": [
+        {"id": "A", "beta": 2e-6, "loads": [3.0e4, 1.0e4, 0.0, 2.5e4]},
+        {"id": "B", "beta": 0.0, "loads": [1.0e4, 1.0e4, 1.0e4, 1.0e4]},
+        {"id": "C", "beta": 3e-6, "daily_total": 5.0e4},
+    ],
+})
+
+
+@pytest.mark.parametrize(
+    "args, digests",
+    [
+        pytest.param(
+            ["fig1"],
+            ("bc31a25bb1b89f6f10c620a13229d8b7de1698fae5f89c372458b6d5151eb9f3",
+             "8c2420242b36db8f9f2f4540215eff49ee972218ffabac136891a59382a63dac",
+             "3b93d3d42eaf39f32e6d07f2e8c69f5624a669eab576b41775d77600e36e9c84"),
+            id="fig1",
+        ),
+        pytest.param(
+            ["fig6"],
+            ("9cf7d9a55e4901c7e6b0319be45966c88da3f5388baa0fe83a3af65943d47351",
+             "ddc888d9bf8302067e1c45dad0ff7a988781348ffcf2bec8210898393d508c89",
+             "e8914e7fc077411502b0c582744863e2f4ef0233884b4e631220c664c53c05b2"),
+            id="fig6",
+        ),
+        pytest.param(
+            ["fig1", "--method", "sample", "--seed", "3"],
+            ("48a179390c84ef9a3f7df4dc49f781c388ddff5450b6fa29276f1698d4ecdd97",
+             "2361222f58daebdfa79bb01d3fdd11c27e9c0505bc6bad7232eb0cf65d6d2f8a",
+             "85e689e953b6a6001509c2b0a2e4d529d01a0adb0d940c79834848426670a389"),
+            id="fig1-sample-seed3",
+        ),
+        pytest.param(
+            # explicit loads, and null providers: B has beta 0, A too little
+            [_PINNED_CUSTOM],
+            ("69f3089f482f1230eb0bb9de7185b48af65a9298d2736c384ade759c33f93b96",
+             "7b32c8996529736627d7e221ec894c18112e5576ebbd86943dc738f898bb1bcf",
+             "fc7af420866a5dbd3bcac022890a822b9897e01e94ca3f0f7efe9206a088147b"),
+            id="custom-null-providers",
+        ),
+        pytest.param(
+            ['{"l_total_grid": [0.0, 1e308]}'],
+            ("44bd595a1485fe42ef2e78255c7b0f822604b7d8374a72e21b792a10d7f7355f",
+             "225b380a9874e6050318f0504f7bddcb74e05c614beb4867ab6cea741bab6867",
+             "18bfa25f4bf4a25182fb061139110bff388015c0fc0e254bce0de355d0a83b31"),
+            id="zero-and-huge-load",
+        ),
+    ],
+)
+def test_run_writes_the_pinned_bytes(args, digests):
+    """Every byte of the three output files, by sha256. meta.json records the
+    output directory, so each run writes to ``out`` in a fresh directory."""
+    with isolated_filesystem():
+        result = run_cli("run", *args, "--out", "out")
+        assert result.exit_code == 0, result.output
+        written = tuple(
+            hashlib.sha256(Path("out", name).read_bytes()).hexdigest()
+            for name in ("records.csv", "summary.json", "meta.json")
+        )
+    assert written == digests
 
 
 class TestCliVerifyAndPresets:
