@@ -53,9 +53,11 @@ class Outcome(NamedTuple):
         return f"{self.verdict}: {self.detail}" if self.detail else self.verdict
 
 
-def run_checks(game: GameInstance, record: SweepRecord) -> dict[str, Outcome]:
-    """The core, supermodularity and settlement checks ``run`` writes to summary.json."""
-    payoffs = {p.player_id: p.payoff for p in record.players}
+def run_checks(game: GameInstance, record: SweepRecord, payoffs=None) -> dict[str, Outcome]:
+    """The core, supermodularity and settlement checks ``run`` writes to
+    summary.json. ``payoffs`` is the record's payoff vector, if already read."""
+    if payoffs is None:
+        payoffs = {p.player_id: p.payoff for p in record.players}
     return {
         "core": _core(check_core_structural(game, payoffs)),
         "supermodularity": _supermodularity(check_supermodularity_structural(game)),
@@ -68,14 +70,15 @@ def verify_checks(game, record, samples: int, seed: int) -> dict[str, Outcome]:
     the core and supermodularity are also decided by brute force over all 2^n
     coalitions, and fail unless both verdicts agree; beyond it the oracle
     triangle is skipped. Their one coalition table is dropped on return."""
-    checks = run_checks(game, record)
+    payoffs = {p.player_id: p.payoff for p in record.players}
+    checks = run_checks(game, record, payoffs)
     n = len(game.players)
     if n > MAX_ENUMERATION_PLAYERS:
         checks["oracle_triangle"] = Outcome(SKIPPED, f"{n} players exceeds the enumeration bound")
         return checks
     table = coalition_table(game)
     for name, brute_force in (
-        ("core", _core(check_core(table, {p.player_id: p.payoff for p in record.players}))),
+        ("core", _core(check_core(table, payoffs))),
         ("supermodularity", _supermodularity(check_supermodularity(table))),
     ):
         structural = checks[name]

@@ -26,6 +26,7 @@ import os
 import sys
 import tempfile
 from collections.abc import Callable
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,6 +43,7 @@ from .config import (
 )
 from .game import GameInstance, LoadProfile, ServiceProvider
 from .scenarios import (
+    PlayerRecord,
     SweepRecord,
     run_sweep,
     scale_load,
@@ -50,8 +52,9 @@ from .scenarios import (
     scenario_same_type,
     synth_load,
 )
+from .shapley import PlayerFlags, ShapleyMethod, classify_players_structural
 # shapley_closed_form is not called here: bench/run.py reads it off this module
-from .shapley import ShapleyMethod, classify_players_structural, shapley_closed_form  # noqa: F401
+from .shapley import shapley_closed_form  # noqa: F401
 
 CSV_COLUMNS = (
     "scenario", "sweep_param", "sweep_value", "player_id", "beta", "daily_load",
@@ -379,48 +382,39 @@ def _build(fields: str, make, *args):
         raise ConfigError(f"{fields}: {exc}") from exc
 
 
-def _summarize(game: GameInstance, record, checks) -> dict:
+def _summarize(game: GameInstance, record: SweepRecord, checks) -> dict:
+    """One instance's summary.json block: the record's fields, with each
+    player's fields and flags, but its id, keyed by that id."""
     flags = classify_players_structural(game)
-    players = {
-        p.player_id: {
-            "beta": p.beta,
-            "daily_load": p.daily_load,
-            "h_star": p.h_star,
-            "r_hat": p.r_hat,
-            "shapley": p.shapley,
-            "payment": p.payment,
-            "payoff": p.payoff,
-            "veto": flags[p.player_id].veto,
-            "null": flags[p.player_id].null,
-        }
-        for p in record.players
-    }
+    keys = (*PlayerRecord._fields, *PlayerFlags._fields)
+    players = {}
+    for player in record.players:
+        block = dict(zip(keys, player + flags[player.player_id]))
+        players[block.pop("player_id")] = block
     return {
-        "scenario": record.scenario,
-        "sweep_param": record.sweep_param,
-        "sweep_value": record.sweep_value,
-        "v_grand": record.v_grand,
-        "c_star": record.c_star,
+        **record._asdict(),
         "players": players,
         "checks": {name: str(outcome) for name, outcome in checks.items()},
     }
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _cells(record) -> list:
+    # strings as they are, numbers with 17 significant digits; no column
+    # picks an instance's players, so that tuple stays as it is
+    return [v if isinstance(v, (str, tuple)) else f"{v:.17g}" for v in record]
 
 
 def _records_csv_text(records) -> str:
+    """records.csv: a row per instance and player. Each of ``CSV_COLUMNS``
+    is the player's or the instance's field of that name in lower case."""
+    fields = (*PlayerRecord._fields, *SweepRecord._fields)
+    pick = itemgetter(*(fields.index(column.lower()) for column in CSV_COLUMNS))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
-        for p in rec.players:
-            writer.writerow([
-                rec.scenario, rec.sweep_param, _fmt(rec.sweep_value), p.player_id,
-                *map(_fmt, (p.beta, p.daily_load, p.h_star, rec.c_star, p.r_hat, p.shapley,
-                            p.payment, p.payoff, rec.v_grand)),
-            ])
+        shared = _cells(rec)
+        writer.writerows(pick(_cells(p) + shared) for p in rec.players)
     return buf.getvalue()
 
 

@@ -152,7 +152,10 @@ def scenario_price_sweep(
 
 
 class PlayerRecord(NamedTuple):
-    """One player's slice of a solved instance."""
+    """One player's slice of a solved instance; the owner's has 0 beta,
+    daily_load, h_star and r_hat. The fields are records.csv columns and, but
+    ``player_id``, keys of the player's summary.json block, beside the
+    ``veto`` and ``null`` flags."""
 
     player_id: str
     beta: float
@@ -165,7 +168,9 @@ class PlayerRecord(NamedTuple):
 
 
 class SweepRecord(NamedTuple):
-    """One solved instance: allocation, value, and per-player outcomes."""
+    """One solved instance: allocation, value, and per-player outcomes. The
+    fields are keys of the instance's summary.json block, beside ``checks``,
+    and but ``players`` records.csv columns (``c_star`` spelled ``C_star``)."""
 
     scenario: str
     sweep_param: str
@@ -224,29 +229,21 @@ def _solve_one(game, scenario, sweep_param, sweep_value, method, samples, seed):
         raise ValueError(f"unknown Shapley method {method!r}")
     settlement = settle(game, result.payoffs)
     alloc = settlement.allocation
+    # the settlement holds the owner's h and revenue as 0, like its beta and load
     rows = tuple(
         PlayerRecord(
-            player_id=sp.id,
-            beta=sp.beta,
-            daily_load=sp.load.total,
-            h_star=alloc.h[sp.id],
-            r_hat=settlement.revenue[sp.id],
-            shapley=result.payoffs[sp.id],
-            payment=settlement.payment[sp.id],
-            payoff=settlement.payoff[sp.id],
+            player_id=pid,
+            beta=beta,
+            daily_load=daily_load,
+            h_star=alloc.h[pid],
+            r_hat=settlement.revenue[pid],
+            shapley=result.payoffs[pid],
+            payment=settlement.payment[pid],
+            payoff=settlement.payoff[pid],
         )
-        for sp in game.sps
-    ) + (
-        PlayerRecord(
-            player_id=NO,
-            beta=0.0,
-            daily_load=0.0,
-            h_star=0.0,
-            r_hat=0.0,
-            shapley=result.payoffs[NO],
-            payment=settlement.payment[NO],
-            payoff=settlement.payoff[NO],
-        ),
+        for pid, beta, daily_load in (
+            *((sp.id, sp.beta, sp.load.total) for sp in game.sps), (NO, 0.0, 0.0)
+        )
     )
     return SweepRecord(
         scenario=scenario,
