@@ -24,7 +24,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from collections.abc import Callable
 from operator import itemgetter
 from pathlib import Path
@@ -419,7 +418,10 @@ def _records_csv_text(records) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write ``text`` to ``path`` through a new file beside it, created with
+    the mode ``open`` gives, 0o666 less the umask (``mkstemp`` gives 0o600)."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

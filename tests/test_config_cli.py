@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -734,6 +735,17 @@ class TestCliRun:
         result = invoke_cli(["run", SMALL_RUN, "--out", str(blocker)])
         assert result.exit_code == 3
 
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "out"
+        result = invoke_cli(["run", SMALL_RUN, "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "refused" in result.stderr
+        assert list(out.iterdir()) == []
+
     def test_strict_flags_injected_check_failure(self, tmp_path, monkeypatch):
         def broken_check(game, **kwargs):
             return SupermodularityReport(
@@ -1346,6 +1358,16 @@ class TestFreshProcess:
     """A fresh ``python -m coinvest`` against the same command run in-process:
     the exit path (atexit hooks, stdio flushing, exit code) loses nothing."""
 
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, umask, mode):
+        # 0o666 less the umask, where a file made by mkstemp would be 0o600
+        proc = _fresh_interpreter("-m", "coinvest", "run", "fig1", "--out", "out",
+                                  cwd=tmp_path, umask=umask)
+        assert proc.returncode == 0, proc.stderr
+        modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in (tmp_path / "out").iterdir()}
+        assert modes == dict.fromkeys(("records.csv", "summary.json", "meta.json"), mode)
+
     def test_run_writes_the_in_process_bytes(self, tmp_path):
         # meta.json records the output directory, so both runs write to one
         out = tmp_path / "out"
@@ -1574,9 +1596,10 @@ _FREEZE_CALLS_AFTER_THREE_INVOCATIONS = (
 )
 
 
-def _fresh_interpreter(*args, env=None, cwd=None):
+def _fresh_interpreter(*args, env=None, cwd=None, umask=-1):
     """Run ``python ARGS`` in a new process, in ``env`` (default: this
-    process's environment) and in ``cwd``; returns the completed process."""
+    process's environment) and in ``cwd``, under ``umask`` if it is not -1;
+    returns the completed process."""
     env = os.environ if env is None else env
     # the child imports the same package as this suite, installed or not
     src = str(Path(cli_mod.__file__).parents[1])
@@ -1587,6 +1610,7 @@ def _fresh_interpreter(*args, env=None, cwd=None):
         text=True,
         env={**env, "PYTHONPATH": path},
         cwd=cwd,
+        umask=umask,
     )
 
 
