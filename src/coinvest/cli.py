@@ -328,7 +328,7 @@ def _solve(cfg: RunConfig) -> list[tuple[GameInstance, SweepRecord]]:
                 sweep_values=values,
                 method=cfg.method,
                 samples=cfg.samples,
-                seed=cfg.seed + len(solved),
+                seed=cfg.seed,
             )
             solved.extend(zip(games, records))
     except (ValueError, RuntimeError) as exc:
@@ -417,18 +417,30 @@ def _records_csv_text(records) -> str:
     return buf.getvalue()
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a new file beside it, created with
-    the mode ``open`` gives, 0o666 less the umask (``mkstemp`` gives 0o600)."""
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+def _write_outputs(out: Path, outputs: dict[str, str]) -> None:
+    """Write each ``outputs`` text to the file of its name in ``out``.
+
+    Every text goes to a new file beside its target first, created with the
+    mode ``open`` gives, 0o666 less the umask (``mkstemp`` gives 0o600). Only
+    once all are written is each renamed over its target, so a failed write
+    leaves the previous files as they were; on any failure every temporary
+    file made is removed.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    made = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for name in outputs:
+            tmp = out / f"{name}.{os.urandom(8).hex()}.tmp"
+            fd = os.open(tmp, flags, 0o666)
+            made.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(outputs[name])
+        for tmp, name in zip(made, outputs):
+            os.replace(tmp, out / name)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in made:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -485,8 +497,7 @@ def run(config, out_dir, strict, seed, method):
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, text in outputs.items():
-            _atomic_write(out / name, text)
+        _write_outputs(out, outputs)
     except OSError as exc:
         _echo(f"error: cannot write outputs to {out}: {exc}", err=True)
         raise SystemExit(EXIT_IO) from exc
@@ -513,10 +524,7 @@ def verify(config):
     """
     cfg = _load_config(config)
     solved = _solve(cfg._replace(method=ShapleyMethod.CLOSED_FORM))
-    outcomes = [
-        verify_checks(game, record, cfg.samples, cfg.seed + k)
-        for k, (game, record) in enumerate(solved)
-    ]
+    outcomes = [verify_checks(game, record, cfg.samples, cfg.seed) for game, record in solved]
     failed = False
     for key, line, _ in PROPERTIES:
         if line is None:

@@ -38,8 +38,9 @@ MAX_PROVIDERS = 1000
 #: Most entries in one sweep list (``l_total_grid``, ``omega_grid``,
 #: ``d_grid``, ``n_sps``): each entry is one more instance to solve.
 MAX_GRID_POINTS = 1000
-#: Largest base seed. Instance k samples with ``seed + k``, and the sampler
-#: takes seeds below 2^64, so every instance keeps a seed of its own.
+#: Largest seed. Every instance of a config samples with the config's seed,
+#: and the sampler takes any seed below 2^64; the cap stays at the range
+#: ``run --seed`` has always taken.
 MAX_SEED = 2**63 - 1
 #: Most timeslots per day (``market.T``, each custom ``loads``): every
 #: provider's load profile and optimum are this long.

@@ -193,9 +193,10 @@ def run_sweep(
     """Solve every instance end to end and emit one record per instance.
 
     Each record holds the grand allocation, the grand value, and the Shapley
-    payoffs with their settlement. Sampling derives one seed per instance
-    from ``seed`` so records are reproducible regardless of how the list is
-    chunked. Output order always equals input order.
+    payoffs with their settlement. Every instance samples with ``seed``, so
+    instances of one player count share their arrival orders (common random
+    numbers across the sweep), which the sampler draws once. Output order
+    always equals input order.
     """
     instances = list(instances)
     if not instances:
@@ -212,7 +213,7 @@ def run_sweep(
     for k, (game, sval) in enumerate(zip(instances, sweep_values)):
         try:
             records.append(
-                _solve_one(game, scenario, sweep_param, float(sval), method, samples, seed + k)
+                _solve_one(game, scenario, sweep_param, float(sval), method, samples, seed)
             )
         except Exception as exc:
             raise RuntimeError(f"instance {k} ({sweep_param}={sval!r}): {exc}") from exc

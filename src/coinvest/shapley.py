@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .game import (
@@ -75,8 +76,9 @@ class ShapleyMethod(str, Enum):
 class ShapleyResult(NamedTuple):
     """Payoff vector of one Shapley route.
 
-    ``stderr`` carries one standard error per player for the sampling method
-    and is None for the exact methods.
+    ``stderr`` carries, for the sampling method, each player's exact standard
+    error of the estimate under uniform random orders (not one estimated from
+    the orders drawn), and is None for the exact methods.
     """
 
     payoffs: dict[str, float]
@@ -188,16 +190,24 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     Averages each player's marginal contribution over ``samples`` uniformly
     random permutations (Castro, Gomez & Tejada 2009). No coalition value is
     read: a provider adds its standalone profit m_i exactly when the owner
-    arrived before it, so its sum is m_i times a count of orders. The owner
-    adds the m_j of the providers before it, so its sum is read off the same
-    counts, and only its sum of squares is built order by order. Unbiased,
-    deterministic for a fixed seed on any core count (no BLAS call), and the
-    estimates sum to the grand value up to rounding (each permutation
-    telescopes). Reports one standard error per player.
+    arrived before it, so its sum is m_i times a count of orders, and the
+    owner adds the m_j of the providers before it, so its sum is read off the
+    same counts (:func:`_order_counts`). Unbiased, deterministic for a fixed
+    seed on any core count (no BLAS call), and the estimates sum to the grand
+    value up to rounding (each permutation telescopes).
+
+    Reports each estimate's exact standard error under uniform orders. A
+    provider's marginal is m_i or 0 with probability 1/2 each, so its
+    standard error is m_i / (2 sqrt(samples)). The owner's marginal is the
+    sum of m_j over the providers before it: each comes first with
+    probability 1/2 and any two with 1/3, so its variance is
+    sum(m^2)/6 + (sum m)^2/12 per order.
 
     Player k's arrival key in order r is ``mix64(mix64(seed) + (r*n + k + 1)
     * gamma)`` modulo 2^64: SplitMix64 (Steele, Lea & Flood 2014) indexed by
-    (order, player), so ``seed`` must lie in [0, 2^64).
+    (order, player), so ``seed`` must lie in [0, 2^64). The orders depend
+    only on the player count, ``samples`` and ``seed``, so games of one size
+    sampled with one seed share them.
     """
     import numpy as np
 
@@ -206,19 +216,41 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
     players = tuple(game.players)
-    n = len(players)
     profit = np.array(_profits(game))
     # in units of a power of two near the largest m_i (exact), so that the
-    # owner's squared values stay finite whenever they are
+    # owner's squared profits stay finite whenever the profits are
     unit = _unit(profit)
     profit /= unit
+    count = _order_counts(len(players), samples, seed)
+    # the owner adds m_j in each of the samples - count[j] orders where
+    # provider j came first
+    owner_sum = math.fsum(profit * (samples - count))
+    mean = np.append(count * profit, owner_sum) / samples
+    owner_var = math.fsum(profit * profit) / 6.0 + math.fsum(profit) ** 2 / 12.0
+    se = np.append(profit / 2.0, math.sqrt(owner_var)) / math.sqrt(samples)
+    return ShapleyResult(
+        payoffs={pid: float(mean[i] * unit) for i, pid in enumerate(players)},
+        sample_count=int(samples),
+        stderr={pid: float(se[i] * unit) for i, pid in enumerate(players)},
+    )
+
+
+@lru_cache(maxsize=1)
+def _order_counts(n: int, samples: int, seed: int) -> np.ndarray:
+    """Per provider, the number of the ``samples`` orders of ``n`` players,
+    drawn from ``seed``, in which the owner (the last player) arrived first.
+
+    Read-only, and cached with one entry: the instances of a config come
+    group by group, each group of one player count, and all sample with the
+    config's seed, so the orders are drawn once per group.
+    """
+    import numpy as np
+
     state = int(_mix64(np.array([seed], dtype=np.uint64))[0])
-    count = np.zeros(n - 1)  # per provider: orders where the owner arrived first
-    owner_sq = lost = 0.0
+    count = np.zeros(n - 1, dtype=np.int64)
     # keys are computed a chunk of orders at a time into reused buffers, so
-    # the working set is 0.6-0.8 MB for any n and does not grow with samples;
-    # each key is a hash of its own index, so the chunk size does not change
-    # which orders a seed draws
+    # the working set does not grow with samples; each key is a hash of its
+    # own index, so the chunk size does not change which orders a seed draws
     chunk = max(1, min(samples, _CHUNK_CELLS // n))
     # player k's counter in the chunk's order i, less the state, is
     # (start*n + k + 1)*gamma + i*n*gamma modulo 2^64: a column per player
@@ -227,7 +259,6 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     row = np.arange(0, chunk * n, n, dtype=np.uint64) * _GAMMA
     keys = np.empty((n, chunk), dtype=np.uint64)
     before = np.empty((n - 1, chunk), dtype=bool)
-    owner = np.empty(chunk)
     for start in range(0, samples, chunk):
         c = min(chunk, samples - start)
         # keys[k, i] is player k's arrival time in order start + i; the owner
@@ -237,30 +268,10 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
         _mix64(t)
         b = before[:, :c]
         np.less_equal(t[:-1], t[-1:], out=b)
-        # no BLAS, so no bit depends on the core count: an exact uint32 count
-        # (faster than count_nonzero's intp), then each order's owner value
+        # an exact uint32 count, faster than count_nonzero's intp
         count += c - np.add.reduce(b, axis=1, dtype=np.uint32)
-        o = np.einsum("k,ki->i", profit, b, out=owner[:c])
-        # compensated (Kahan 1965), so the rounding does not grow with the
-        # number of chunks
-        sq = np.einsum("i,i", o, o) - lost
-        lost = ((owner_sq + sq) - owner_sq) - sq
-        owner_sq += sq
-    # the owner adds m_j in each of the samples - count[j] orders where
-    # provider j came first
-    owner_sum = math.fsum(profit * (samples - count))
-    sums = np.append(count * profit, owner_sum)
-    sqs = np.append(count * profit * profit, owner_sq)
-    mean = sums / samples
-    var = np.maximum(sqs / samples - mean * mean, 0.0)
-    # one order has no spread about its own mean, whatever the rounding says
-    var *= samples / (samples - 1) if samples > 1 else 0.0
-    se = np.sqrt(var / samples)
-    return ShapleyResult(
-        payoffs={pid: float(mean[i] * unit) for i, pid in enumerate(players)},
-        sample_count=int(samples),
-        stderr={pid: float(se[i] * unit) for i, pid in enumerate(players)},
-    )
+    count.flags.writeable = False
+    return count
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ re-derived by averaging over every arrival order, single-provider optima by
 dense grid search or golden-section search over the raw objective, the core,
 supermodularity and classification checks by plain loops over coalitions,
 sampled payoffs by walking each arrival order through the coalition
-table or by exact rational arithmetic over the same arrival orders, and the
-synthesized load shape by numpy's vectorized sine.
+table or by exact rational arithmetic over the same arrival orders, their
+standard errors by enumerating every set of players ahead of each player,
+and the synthesized load shape by numpy's vectorized sine.
 
 :class:`TabularGame` gives the exact routes and checks hand-built games,
 including ones the coinvestment model can never produce (e.g. non-convex
@@ -141,7 +142,7 @@ def splitmix_keys(seed, samples, n):
 
 
 def sampling_by_table(game, samples, seed):
-    """Reference sampler: (payoffs, stderr) from every arrival order at once.
+    """Reference sampler: the payoffs, from every arrival order at once.
 
     Draws the :func:`splitmix_keys` arrival keys that the production sampler
     draws, sorts each row into an arrival order and reads every player's
@@ -155,9 +156,36 @@ def sampling_by_table(game, samples, seed):
     gains = np.diff(table[masks], axis=1, prepend=table[0])
     marginals = np.empty(keys.shape)
     np.put_along_axis(marginals, order, gains, axis=1)
-    mean = marginals.mean(axis=0)
-    se = marginals.std(axis=0, ddof=1) / math.sqrt(samples)
-    return dict(zip(players, mean.tolist())), dict(zip(players, se.tolist()))
+    return dict(zip(players, marginals.mean(axis=0).tolist()))
+
+
+def sampling_exact_stderr(game, samples):
+    """Exact standard error of each player's mean marginal contribution over
+    ``samples`` independent, uniformly random arrival orders.
+
+    In one order a player adds v(T + i) - v(T), where T, the set of players
+    ahead of it, is any set of the others with probability
+    |T|!(n-1-|T|)!/n!. Every such T is enumerated over the coalition table;
+    the variance is the weighted mean squared deviation from the weighted
+    mean, and the estimate's is that over ``samples``.
+    """
+    players = tuple(game.players)
+    n = len(players)
+    values = coalition_table(game).values
+    weight = np.array([
+        math.factorial(k) * math.factorial(n - 1 - k) / math.factorial(n) for k in range(n)
+    ])
+    masks = np.arange(1 << n)
+    size = np.array([bin(mask).count("1") for mask in range(1 << n)])
+    stderr = {}
+    for i, pid in enumerate(players):
+        ahead = masks[masks >> i & 1 == 0]
+        gain = values[ahead | 1 << i] - values[ahead]
+        w = weight[size[ahead]]
+        mean = math.fsum(w * gain)
+        var = math.fsum(w * (gain - mean) ** 2)
+        stderr[pid] = math.sqrt(var / samples)
+    return stderr
 
 
 def sampling_exact_mean(game, samples, seed):

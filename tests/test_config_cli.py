@@ -1,6 +1,7 @@
 """Configuration parsing and the command-line pipeline."""
 
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -291,6 +292,33 @@ def run_cli(*args):
 
 SMALL_RUN = json.dumps({"l_total_grid": [1e6, 2e6, 4e6]})
 
+# the 17-player game bench/workloads.py's custom_game(57, 17, 5000) builds,
+# pinned by its seed: SP11's sampled payoff sits 4.1 standard errors from the
+# exact one by chance, so verify FAILs the oracle triangle
+_OFF_BY_CHANCE = json.dumps({
+    "scenario": "custom",
+    "seed": 57,
+    "samples": 5000,
+    "custom_sps": [
+        {"id": "SP01", "beta": 2.7380909522299e-06, "daily_total": 14314.461844257015},
+        {"id": "SP02", "beta": 9.263574189251987e-07, "daily_total": 1316246.4301109957},
+        {"id": "SP03", "beta": 1.5971751086486968e-06, "daily_total": 1788499.3465983893},
+        {"id": "SP04", "beta": 2.742421668202394e-06, "daily_total": 1338968.999006865},
+        {"id": "SP05", "beta": 9.839159357635808e-07, "daily_total": 938262.5267896665},
+        {"id": "SP06", "beta": 2.630631310569378e-06, "daily_total": 1123496.0466582363},
+        {"id": "SP07", "beta": 2.7132424627571846e-06, "daily_total": 1754968.1766937862},
+        {"id": "SP08", "beta": 8.112306886810897e-07, "daily_total": 1640482.5250228795},
+        {"id": "SP09", "beta": 8.884251080143991e-07, "daily_total": 833723.3388668014},
+        {"id": "SP10", "beta": 2.6668175270039025e-06, "daily_total": 1060477.0680043288},
+        {"id": "SP11", "beta": 2.6091953168674696e-06, "daily_total": 790310.8213484129},
+        {"id": "SP12", "beta": 1.3635133287826447e-06, "daily_total": 1644827.4473806282},
+        {"id": "SP13", "beta": 1.955307422561788e-06, "daily_total": 512603.69870125875},
+        {"id": "SP14", "beta": 2.1286602455104243e-06, "daily_total": 594897.0717831276},
+        {"id": "SP15", "beta": 1.99772879590163e-06, "daily_total": 1019291.534276574},
+        {"id": "SP16", "beta": 2.6248181710934097e-06, "daily_total": 800874.0841450872},
+    ],
+})
+
 
 class TestCliRun:
     def test_writes_consistent_outputs(self, tmp_path):
@@ -416,7 +444,7 @@ class TestCliRun:
         assert not (tmp_path / "n").exists()
 
     def test_seed_option_is_bounded(self, tmp_path):
-        # the last of three instances samples with seed 2^63 + 1
+        # every one of the three instances samples with seed 2^63 - 1
         out = tmp_path / "m"
         top = run_cli("run", SMALL_RUN, "--out", str(out), "--method", "sample",
                       "--seed", str(MAX_SEED))
@@ -577,8 +605,9 @@ class TestCliRun:
             assert (named or str(path)) in result.output, result.output
         assert not out.exists()
 
-    def test_sampling_seeds_run_on_across_price_sweep_groups(self, tmp_path):
-        # two groups of one identical game each: instance k samples with seed + k
+    def test_sampling_seed_is_shared_across_price_sweep_groups(self, tmp_path):
+        # two groups of one identical game each: every instance samples with
+        # the config's seed, so both draw the same orders and get one estimate
         data = {"scenario": "price-sweep", "n_sps": [2, 2], "d_grid": [0.05],
                 "method": "sample", "samples": 200, "seed": 7}
         out = tmp_path / "g"
@@ -586,9 +615,11 @@ class TestCliRun:
         assert result.exit_code == 0, result.output
         summary = json.loads((out / "summary.json").read_text())
         game = scenario_price_sweep(2, [0.05], RunConfig().l_total)[0]
-        for k, instance in enumerate(summary["instances"]):
-            expected = shapley_sampling(game, 200, 7 + k).payoffs
-            assert {pid: p["shapley"] for pid, p in instance["players"].items()} == expected
+        expected = shapley_sampling(game, 200, 7).payoffs
+        assert [
+            {pid: p["shapley"] for pid, p in instance["players"].items()}
+            for instance in summary["instances"]
+        ] == [expected, expected]
 
     @pytest.mark.parametrize(
         "scenario, field",
@@ -746,6 +777,42 @@ class TestCliRun:
         assert "refused" in result.stderr
         assert list(out.iterdir()) == []
 
+    def test_a_full_disk_leaves_the_previous_outputs(self, tmp_path, monkeypatch):
+        # every output is written before any replaces its target, so a disk
+        # that fills on the second file leaves the last run's three files
+        out = tmp_path / "out"
+        assert invoke_cli(["run", "fig1", "--out", str(out)]).exit_code == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        opened = []
+        fdopen = os.fdopen
+
+        class Full:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def filling(fd, *args, **kwargs):
+            handle = fdopen(fd, *args, **kwargs)
+            opened.append(handle)
+            return Full(handle) if len(opened) == 2 else handle
+
+        monkeypatch.setattr(os, "fdopen", filling)
+        result = invoke_cli(["run", "fig6", "--out", str(out)])
+        monkeypatch.undo()
+        assert result.exit_code == 3, result.output
+        assert os.strerror(errno.ENOSPC) in result.stderr
+        assert len(opened) == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert sorted(before) == ["meta.json", "records.csv", "summary.json"]
+
     def test_strict_flags_injected_check_failure(self, tmp_path, monkeypatch):
         def broken_check(game, **kwargs):
             return SupermodularityReport(
@@ -795,8 +862,8 @@ _PINNED_CUSTOM = json.dumps({
         ),
         pytest.param(
             ["fig1", "--method", "sample", "--seed", "3"],
-            ("48a179390c84ef9a3f7df4dc49f781c388ddff5450b6fa29276f1698d4ecdd97",
-             "2361222f58daebdfa79bb01d3fdd11c27e9c0505bc6bad7232eb0cf65d6d2f8a",
+            ("78d856dec5d388c9f70b0172990a79a37ff8fea581ed8f97705476d248f1c8da",
+             "2261ca554ae8509ae9aa051c5a0b27435ab5a3d010e7bec729bf2c6c8b27686f",
              "85e689e953b6a6001509c2b0a2e4d529d01a0adb0d940c79834848426670a389"),
             id="fig1-sample-seed3",
         ),
@@ -830,6 +897,20 @@ def test_run_writes_the_pinned_bytes(args, digests):
     assert written == digests
 
 
+def test_the_first_sampled_instance_keeps_its_rows():
+    """The header and instance 0's rows of ``fig1 --method sample --seed 3``,
+    by sha256, as pinned before every instance sampled with the config's seed
+    (instance k then sampled with seed + k, so instance 0 with the seed too).
+    Later instances changed only their shapley, payment and payoff cells."""
+    with isolated_filesystem():
+        result = run_cli("run", "fig1", "--method", "sample", "--seed", "3", "--out", "out")
+        assert result.exit_code == 0, result.output
+        lines = Path("out", "records.csv").read_bytes().splitlines(keepends=True)
+    assert hashlib.sha256(b"".join(lines[:4])).hexdigest() == (
+        "4957e996ed68b70dc6029a4519b56658e9a67a547ed64b2a47ca1f4fe425a8a7"
+    )
+
+
 class TestCliVerifyAndPresets:
     def test_verify_reports_four_properties(self):
         result = run_cli(
@@ -846,6 +927,14 @@ class TestCliVerifyAndPresets:
             {"scenario": "price-sweep", "n_sps": [7], "d_grid": [0.05], "samples": 5000}
         )
         result = run_cli("verify", cfg)
+        assert result.exit_code == 0, result.output
+        assert result.output.count("PASS") == 4
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 5])
+    def test_verify_passes_at_a_handful_of_orders(self, samples):
+        # the standard errors are exact, so a few orders give wide ones, never
+        # zero: below 6 orders no estimate can be more than 4 of them off
+        result = run_cli("verify", json.dumps({"samples": samples}))
         assert result.exit_code == 0, result.output
         assert result.output.count("PASS") == 4
 
@@ -1395,20 +1484,15 @@ class TestFreshProcess:
                 id="fig1",
             ),
             pytest.param(
-                # instance 0 is past the enumeration bound; one sampled order
-                # gives instance 1 a zero stderr, which FAILs the triangle
-                json.dumps(
-                    {"scenario": "price-sweep", "n_sps": [20, 2], "d_grid": [0.05], "samples": 1}
-                ),
+                _OFF_BY_CHANCE,
                 2,
-                "supermodularity        PASS  (2/2 instances)\n"
-                "core-membership        PASS  (2/2 instances)\n"
-                "oracle-triangle        FAIL  (0/2 instances; instance 1: sampling off by more "
-                "than 4 standard errors for SP1)\n"
-                "settlement-balance     PASS  (2/2 instances)\n",
-                "oracle-triangle: skipped on 1/2 instances; "
-                "instance 0: 21 players exceeds the enumeration bound\n",
-                id="one-order-fails",
+                "supermodularity        PASS  (1/1 instances)\n"
+                "core-membership        PASS  (1/1 instances)\n"
+                "oracle-triangle        FAIL  (0/1 instances; instance 0: sampling off by more "
+                "than 4 standard errors for SP11)\n"
+                "settlement-balance     PASS  (1/1 instances)\n",
+                "",
+                id="off-by-chance-fails",
             ),
         ],
     )
@@ -1446,10 +1530,6 @@ class TestFreshProcess:
         assert proc.stderr == "1\n"
 
 
-# one sampled order gives a zero plug-in stderr, so verify FAILs the oracle triangle
-_ONE_ORDER = json.dumps({"l_total_grid": [2e6], "samples": 1})
-
-
 class TestInProcessHooks:
     """The surface bench/run.py and bench/spans.py use in-process: they call
     ``main.main(args=..., prog_name=..., standalone_mode=False)`` and wrap
@@ -1477,7 +1557,7 @@ class TestInProcessHooks:
     @pytest.mark.parametrize(
         "args, code, named",
         [
-            pytest.param(["verify", _ONE_ORDER], 2, "oracle-triangle        FAIL",
+            pytest.param(["verify", _OFF_BY_CHANCE], 2, "oracle-triangle        FAIL",
                          id="verify-fails"),
             pytest.param(["run", "fig1", "--bogus"], 1, "No such option '--bogus'.",
                          id="usage-error"),
@@ -1508,7 +1588,7 @@ _COMMAND = st.sampled_from(["run", "verify"]) | st.sampled_from(
     ["presets", "bogus", "--help", "--version", ""]
 )
 _CONFIG = st.sampled_from(
-    ["fig2", json.dumps({"l_total_grid": [2e6], "samples": 200}), _ONE_ORDER,
+    ["fig2", json.dumps({"l_total_grid": [2e6], "samples": 200}), _OFF_BY_CHANCE,
      '{"bogus": 1}', "no-such.json"]
 )
 _OPTION = st.sampled_from(["--out", "--strict", "--seed", "--method"]) | st.sampled_from(
@@ -1739,7 +1819,8 @@ def test_any_config_runs_finite_or_exits_1_naming_a_field(data, invocation):
             assert not os.listdir(out)
             return
         if command == "verify":
-            # e.g. "samples": 1 gives a zero stderr, which FAILs the oracle triangle
+            # a sampled payoff more than 4 standard errors off by chance FAILs
+            # the oracle triangle
             assert result.exit_code in (0, 2), result.output
             assert ("FAIL" in result.output) == (result.exit_code == 2), result.output
             return

@@ -34,6 +34,7 @@ from conftest import (
     random_game,
     sampling_by_table,
     sampling_exact_mean,
+    sampling_exact_stderr,
     splitmix64_mix,
     splitmix_keys,
 )
@@ -131,6 +132,16 @@ def test_owner_z_scores_look_standard_normal_across_seeds():
     assert abs(lag1) <= 0.2, lag1
 
 
+def _table_rounding(game, samples):
+    """What the table's rounding may add to an exact standard error: each
+    marginal the oracle reads is a difference of two table entries, each
+    within half an ulp of v(N), so one of a provider whose m_i is ~1e-6 of
+    v(N) is off by ~1e-11 of itself. n ulps bound that, as in the oracle
+    triangle's margin."""
+    grand = coalition_value(game, game.players)
+    return len(game.players) * math.ulp(grand) / math.sqrt(samples)
+
+
 def _chunk_rows(n_players):
     """Orders the sampler draws per reused key buffer at this player count."""
     return shapley_mod._CHUNK_CELLS // n_players
@@ -147,13 +158,17 @@ def _sample_counts(n_players):
 @pytest.mark.parametrize("n_players", [3, 8, 12, 2, 7])
 def test_instance_and_table_routes_agree(rng, n_players):
     # the same arrival keys walked through the coalition table
+    # and the standard errors against the exact variance under uniform orders
     game = random_game(rng, n_sps=n_players - 1)
     for samples in _sample_counts(n_players):
         direct = shapley_sampling(game, samples, seed=13)
-        payoffs, stderr = sampling_by_table(game, samples, seed=13)
+        payoffs = sampling_by_table(game, samples, seed=13)
+        stderr = sampling_exact_stderr(game, samples)
         for pid in game.players:
             assert direct.payoffs[pid] == pytest.approx(payoffs[pid], rel=1e-9, abs=1e-9)
-            assert direct.stderr[pid] == pytest.approx(stderr[pid], rel=1e-9, abs=1e-9)
+            assert direct.stderr[pid] == pytest.approx(
+                stderr[pid], rel=1e-12, abs=_table_rounding(game, samples)
+            )
 
 
 @pytest.mark.parametrize("n_players", [2, 3, 8])
@@ -161,22 +176,25 @@ def test_chunk_size_does_not_change_the_estimate(rng, monkeypatch, n_players):
     # against 2^15 keys per chunk: one order per chunk, and five orders with
     # three keys left over. Past 2^17 orders only the latter runs: one order
     # per chunk is a Python loop per order, and ~26k chunks of five orders
-    # carry the compensated sum across chunks just as well
+    # carry the count across chunks just as well. The cache is cleared before
+    # every draw, so each compares fresh counts, not a cache hit
     game = random_game(rng, n_sps=n_players - 1)
     counts = _sample_counts(n_players)
     monkeypatch.setattr(shapley_mod, "_CHUNK_CELLS", 1 << 15)
-    reference = [shapley_sampling(game, samples, seed=23) for samples in counts]
+
+    def fresh(samples):
+        shapley_mod._order_counts.cache_clear()
+        return shapley_sampling(game, samples, seed=23)
+
+    reference = [fresh(samples) for samples in counts]
     for cells in (n_players, 5 * n_players + 3):
         monkeypatch.setattr(shapley_mod, "_CHUNK_CELLS", cells)
         for samples, expected in zip(counts, reference):
             if cells == n_players and samples > 1 << 17:
                 continue
-            sampled = shapley_sampling(game, samples, seed=23)
+            sampled = fresh(samples)
             assert sampled.payoffs == expected.payoffs, (cells, samples)
-            for pid in game.players:
-                assert sampled.stderr[pid] == pytest.approx(
-                    expected.stderr[pid], rel=1e-12, abs=0.0
-                ), (cells, samples, pid)
+            assert sampled.stderr == expected.stderr, (cells, samples)
 
 
 def _assert_exact_mean(game, samples, seed):
@@ -203,20 +221,25 @@ def test_matches_the_exact_mean_of_its_orders(rng):
             _assert_exact_mean(game, samples, seed=5)
 
 
-def test_one_order_has_zero_stderr(rng):
-    # one order has no spread about its own mean; the owner's plug-in variance
-    # is a difference of two rounded squares, which read ~2e-8 of the payoff
-    # on the 16-player game here
-    for n_players in range(2, 23):
+@pytest.mark.parametrize("samples", [1, 7, 10**5])
+def test_stderr_is_the_exact_one_whatever_the_orders(rng, samples):
+    # the standard errors are the estimator's under uniform orders, not ones
+    # read off the orders drawn, so even one order has a positive one
+    for n_players in range(2, 13):
         game = random_game(rng, n_sps=n_players - 1)
-        stderr = shapley_sampling(game, 1, seed=n_players).stderr
-        assert set(stderr.values()) == {0.0}, (n_players, stderr)
+        stderr = shapley_sampling(game, samples, seed=n_players).stderr
+        exact = sampling_exact_stderr(game, samples)
+        rounding = _table_rounding(game, samples)
+        for pid in game.players:
+            assert stderr[pid] == pytest.approx(exact[pid], rel=1e-12, abs=rounding), pid
+        assert stderr[NO] > 0.0
 
 
 def test_memory_does_not_grow_with_samples(rng):
     # no (samples, n) key matrix and no per-order buffer: a million orders of
-    # 8 players would need 64 MB of keys, and the owner's values 8 MB
+    # 8 players would need 64 MB of keys
     game = random_game(rng, n_sps=7)
+    shapley_mod._order_counts.cache_clear()  # a cache hit would draw nothing
     tracemalloc.start()
     try:
         shapley_sampling(game, 10**6, seed=3)
@@ -229,12 +252,14 @@ def test_memory_does_not_grow_with_samples(rng):
 # prints the 2- and 3-player estimates at 10^5 orders, to every digit
 _PRINT_ESTIMATES = """
 from coinvest import GameInstance, LoadProfile, MarketParams, ServiceProvider, shapley_sampling
+from coinvest.shapley import _order_counts
 market = MarketParams()
 for betas in ((2.8e-06,), (2.8e-06, 1.4e-06)):
     sps = tuple(
         ServiceProvider(f"SP{k}", beta, LoadProfile([1e4 * (k + 1)] * market.T))
         for k, beta in enumerate(betas)
     )
+    _order_counts.cache_clear()  # each estimate is a fresh draw
     result = shapley_sampling(GameInstance(market, sps), 10**5, seed=7)
     print(repr(result.payoffs), repr(result.stderr))
 """
@@ -254,6 +279,35 @@ def test_bits_do_not_depend_on_the_thread_count():
         assert child.returncode == 0, child.stderr
         printed.add(child.stdout)
     assert len(printed) == 1, printed
+
+
+def test_cached_counts_are_read_only():
+    counts = shapley_mod._order_counts(5, 100, 1)
+    assert not counts.flags.writeable
+    with pytest.raises(ValueError):
+        counts[0] = 0
+
+
+def test_a_repeated_draw_reads_the_cache(rng, monkeypatch):
+    # instances of one player count sampled with one seed draw their orders
+    # once: the second game's estimate mixes no key
+    calls = []
+    mix64 = shapley_mod._mix64
+
+    def counted(z):
+        calls.append(z.size)
+        return mix64(z)
+
+    monkeypatch.setattr(shapley_mod, "_mix64", counted)
+    shapley_mod._order_counts.cache_clear()
+    first, second = random_game(rng, n_sps=4), random_game(rng, n_sps=4)
+    shapley_sampling(first, 5000, seed=9)
+    drawn = len(calls)
+    assert drawn > 0
+    shapley_sampling(second, 5000, seed=9)
+    assert len(calls) == drawn
+    shapley_sampling(second, 5000, seed=10)
+    assert len(calls) > drawn
 
 
 def test_instance_route_runs_past_the_enumeration_bound(rng):

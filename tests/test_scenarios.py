@@ -22,6 +22,7 @@ from coinvest import (
     scenario_price_sweep,
     scenario_same_type,
     shapley_enumeration,
+    shapley_sampling,
     synth_load,
 )
 from coinvest.config import MAX_TIMESLOTS
@@ -269,7 +270,13 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match=r"instance 0 \(index=0\.0\): samples must be >= 1"):
             run_sweep(games, method=ShapleyMethod.PERMUTATION_SAMPLING, samples=0,
                       sweep_values=[0.0, 1.0])
-        # instance k samples with seed + k: the second seed is out of range
-        with pytest.raises(RuntimeError, match=r"instance 1 \(index=1\.0\): seed must lie"):
+        # every instance samples with the one seed: out of range, the first
+        # instance refuses it; at the top of the range, every instance takes it
+        with pytest.raises(RuntimeError, match=r"instance 0 \(index=0\.0\): seed must lie"):
             run_sweep(games, method=ShapleyMethod.PERMUTATION_SAMPLING, samples=10,
-                      seed=2**64 - 1, sweep_values=[0.0, 1.0])
+                      seed=2**64, sweep_values=[0.0, 1.0])
+        records = run_sweep(games, method=ShapleyMethod.PERMUTATION_SAMPLING, samples=10,
+                            seed=2**64 - 1, sweep_values=[0.0, 1.0])
+        for game, record in zip(games, records):
+            expected = shapley_sampling(game, 10, 2**64 - 1).payoffs
+            assert {p.player_id: p.shapley for p in record.players} == expected
