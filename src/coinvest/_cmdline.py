@@ -1,24 +1,20 @@
-"""Help and usage errors of :func:`coinvest.cli.main`, rendered by ``argparse``.
+"""Help and usage errors of :func:`coinvest.cli.main`, laid out from its rows.
 
 ``coinvest.cli`` reads the command line itself. It imports this module only
 to show text: the help, for ``--help`` or on stderr for a bare ``coinvest``,
 and a usage error's usage line, where to find help and ``Error: <what is
-wrong>``. So a valid command line compiles none of this module and loads
-neither ``argparse`` nor the ``gettext`` and ``locale`` modules that argparse
-imports while it builds a parser. argparse still wraps the help to the
-terminal's width.
+wrong>``. So a valid command line compiles none of this module. The layout
+is argparse's, byte for byte at every terminal width: only the options' help
+is wrapped, to the terminal's width less 2.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
+import shutil
+import textwrap
 
 SUMMARY = "Plan a capacity coinvestment: solve it, split the payoff, settle the bill."
-
-
-class _HelpFormatter(argparse.RawDescriptionHelpFormatter):
-    def add_usage(self, usage, actions, groups, prefix="Usage: "):
-        super().add_usage(usage, actions, groups, prefix)
 
 
 def render(prog: str, options, command=None, commands=(), message: str | None = None) -> str:
@@ -36,21 +32,26 @@ def render(prog: str, options, command=None, commands=(), message: str | None = 
     else:
         prog = f"{prog} {command.name}"
         usage = "[OPTIONS] CONFIG" if command.takes_config else "[OPTIONS]"
-        doc, epilog = command.help, None
-    parser = argparse.ArgumentParser(
-        prog=prog,
-        usage=f"%(prog)s {usage}",
-        description="\n".join(f"  {line.strip()}".rstrip() for line in doc.strip().splitlines()),
-        epilog=epilog,
-        formatter_class=_HelpFormatter,
-        add_help=False,
-    )
-    group = parser.add_argument_group("Options")
-    for option in options:
-        if option.metavar is None:
-            group.add_argument(option.flag, action="store_true", help=option.help)
+        doc, epilog = command.help, ""
+    usage = f"Usage: {prog} {usage}"
+    if message is not None:
+        return f"{usage}\nTry '{prog} --help' for help.\n\nError: {message}"
+
+    width = shutil.get_terminal_size().columns - 2
+    invocations = [o.flag if o.metavar is None else f"{o.flag} {o.metavar}" for o in options]
+    # each option's help starts in this column; an invocation that leaves
+    # less than two spaces before it goes on a line of its own
+    column = min(max(map(len, invocations)) + 4, 24, max(width - 20, 4))
+    lines = ["Options:"]
+    for invocation, option in zip(invocations, options):
+        text = re.sub(r"\s+", " ", option.help, flags=re.ASCII).strip()
+        wrapped = textwrap.wrap(text, max(width - column, 11))
+        if len(invocation) <= column - 4:
+            lines.append(f"  {invocation:<{column - 4}}  {wrapped.pop(0)}")
         else:
-            group.add_argument(option.flag, metavar=option.metavar, help=option.help)
-    if message is None:
-        return parser.format_help().rstrip("\n")
-    return f"{parser.format_usage()}Try '{prog} --help' for help.\n\nError: {message}"
+            lines.append(f"  {invocation}")
+        lines += [" " * column + line for line in wrapped]
+    description = "\n".join(f"  {line.strip()}".rstrip() for line in doc.strip().splitlines())
+    text = f"{usage}\n\n{description}\n\n\n" + "\n".join(lines) + f"\n\n{epilog}"
+    # every run of blank lines cut to one
+    return re.sub(r"\n\n\n+", "\n\n", text).strip("\n")

@@ -68,13 +68,10 @@ _METHODS = tuple(m.value for m in ShapleyMethod)
 
 
 class _Failure(Exception):
-    """A config the program refuses: ``main`` prints ``Error: <message>`` and exits 1."""
-
-
-class _UsageError(Exception):
-    """A malformed command line, or none: ``main`` prints the text, which is
-    the usage, where to find help and ``Error: <what is wrong>``, or for a
-    bare ``coinvest`` the help, on stderr and exits 1."""
+    """What the program refuses: ``main`` prints the text on stderr as it is
+    and exits 1. For a config, the text is ``Error: <what is wrong>``; for a
+    malformed command line, the usage, where to find help and that line; for
+    a bare ``coinvest``, the help."""
 
 
 class _Option(NamedTuple):
@@ -188,7 +185,7 @@ def _parse(argv: list[str], prog: str, commands):
     """What ``argv`` asks for: ``(command, keywords)`` to run
     ``command.callback(**keywords)``, or ``(None, text)`` to print ``text``
     for ``--help`` or ``--version``; a malformed command line raises
-    :class:`_UsageError`. ``commands`` are the subcommands; ``prog`` is the
+    :class:`_Failure`. ``commands`` are the subcommands; ``prog`` is the
     program name that usage and help show.
 
     The command line reads ``[OPTIONS] COMMAND [ARGS]...`` (see :func:`_read`):
@@ -201,8 +198,7 @@ def _parse(argv: list[str], prog: str, commands):
     """
 
     def text(options, command=None, message=None):
-        # argparse renders help and usage errors, so a valid command line
-        # never loads it
+        # a valid command line never compiles the renderer
         from ._cmdline import render
 
         return render(prog, options, command, commands, message)
@@ -210,21 +206,21 @@ def _parse(argv: list[str], prog: str, commands):
     top = (_VERSION, _HELP)
     given, line, wrong = _read(argv, top, interspersed=False)
     if wrong:
-        raise _UsageError(text(top, message=wrong))
+        raise _Failure(text(top, message=wrong))
     if given:  # the first of --version and --help given wins
         if next(iter(given)) == "version":
             return None, f"coinvest, version {__version__}"
         return None, text(top)
     if not line:
-        raise _UsageError(text(top, message="Missing command." if argv else None))
+        raise _Failure(text(top, message="Missing command." if argv else None))
     command = {command.name: command for command in commands}.get(line[0])
     if command is None:
-        raise _UsageError(text(top, message=f"No such command {line[0]!r}."))
+        raise _Failure(text(top, message=f"No such command {line[0]!r}."))
 
     options = (*command.options, _HELP)
     given, line, wrong = _read(line[1:], options, takes_first=command.takes_config)
     if wrong:
-        raise _UsageError(text(options, command, wrong))
+        raise _Failure(text(options, command, wrong))
     if "help" in given:
         return None, text(options, command)
     keywords = {}
@@ -235,15 +231,15 @@ def _parse(argv: list[str], prog: str, commands):
                 value = option.convert(value)
             except ValueError as exc:
                 message = f"Invalid value for {option.flag!r}: {exc}"
-                raise _UsageError(text(options, command, message)) from None
+                raise _Failure(text(options, command, message)) from None
         keywords[option.keyword] = value
     if command.takes_config:
         if not line:
-            raise _UsageError(text(options, command, "Missing argument 'CONFIG'."))
+            raise _Failure(text(options, command, "Missing argument 'CONFIG'."))
         keywords["config"] = line.pop(0)
     if line:
         message = f"Got unexpected extra argument{'s' if len(line) > 1 else ''} ({' '.join(line)})"
-        raise _UsageError(text(options, command, message))
+        raise _Failure(text(options, command, message))
     return command, keywords
 
 
@@ -273,10 +269,8 @@ def main(args=None, prog_name=None, standalone_mode=True):
         else:
             command.callback(**keywords)
         return
-    except _UsageError as exc:
-        _echo(str(exc), err=True)
     except _Failure as exc:
-        _echo(f"Error: {exc}", err=True)
+        _echo(str(exc), err=True)
     except KeyboardInterrupt:
         if not standalone_mode:
             raise
@@ -308,7 +302,7 @@ def _load_config(config_arg: str) -> RunConfig:
             return parse_config(load_preset(config_arg))
         return parse_config(config_arg)
     except ConfigError as exc:
-        raise _Failure(str(exc)) from exc
+        raise _Failure(f"Error: {exc}") from exc
 
 
 def _solve(cfg: RunConfig) -> list[tuple[GameInstance, SweepRecord]]:
@@ -332,7 +326,7 @@ def _solve(cfg: RunConfig) -> list[tuple[GameInstance, SweepRecord]]:
             )
             solved.extend(zip(games, records))
     except (ValueError, RuntimeError) as exc:
-        raise _Failure(str(exc)) from exc
+        raise _Failure(f"Error: {exc}") from exc
     return solved
 
 
@@ -493,7 +487,7 @@ def run(config, out_dir, strict, seed, method):
         for name, doc in (("summary.json", summary_doc), ("meta.json", meta)):
             outputs[name] = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise _Failure(f"refusing to write outputs: {exc}") from exc
+        raise _Failure(f"Error: refusing to write outputs: {exc}") from exc
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -1129,7 +1129,7 @@ class TestCliVerifyAndPresets:
             # building dataclasses costs start-up time; the model is named tuples
             assert "dataclasses" not in loaded, args
             assert not _click_modules(loaded), args
-            # argparse only renders help and usage errors
+            # only help and usage errors are rendered
             assert not (_PARSER_MODULES & loaded) - bare_modules, args
 
     def test_sampling_loads_neither_numpy_random_nor_hashlib(self, tmp_path, bare_modules):
@@ -1148,12 +1148,16 @@ class TestCliVerifyAndPresets:
             assert not _click_modules(loaded), args
             assert not (_PARSER_MODULES & loaded) - bare_modules, args
 
-    def test_help_loads_the_renderer(self):
-        # the other side of the two tests above: help is rendered by argparse
-        proc = _fresh_interpreter("-c", _LIST_MODULES_AT_EXIT, "run", "--help")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("Usage: coinvest run [OPTIONS] CONFIG\n"), proc.stdout
-        assert _PARSER_MODULES <= set(proc.stderr.split())
+    def test_help_loads_the_renderer(self, bare_modules):
+        # the other side of the two tests above: help and usage errors load
+        # the renderer, which lays the text out from the option rows itself
+        for args, code in ((["run", "--help"], 0), ([], 1), (["run", "fig1", "--bogus"], 1)):
+            proc = _fresh_interpreter("-c", _LIST_MODULES_AT_EXIT, *args)
+            assert proc.returncode == code, (args, proc.stderr)
+            assert "Usage: coinvest" in proc.stdout + proc.stderr, (args, proc.stderr)
+            loaded = set(proc.stderr.split())
+            assert "coinvest._cmdline" in loaded, args
+            assert not ({"argparse", "gettext", "locale"} & loaded) - bare_modules, args
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
@@ -1437,7 +1441,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("args, code, stdout, stderr", TRANSCRIPTS)
     def test_output_bytes_are_pinned(self, tmp_path, args, code, stdout, stderr):
-        # argparse wraps help to the terminal width, which COLUMNS sets
+        # help is wrapped to the terminal width, which COLUMNS sets
         env = {**os.environ, "COLUMNS": "80"}
         proc = _fresh_interpreter("-m", "coinvest", *args, env=env, cwd=tmp_path)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
@@ -1631,8 +1635,9 @@ def _click_modules(loaded: set[str]) -> set[str]:
     return {name for name in loaded if name == "click" or name.startswith("click.")}
 
 
-# the modules that render help and usage errors; argparse imports gettext,
-# and gettext locale, while it builds a parser
+# the help renderer, which a valid command line never loads, and the modules
+# an argparse parser loads (argparse imports gettext, and gettext locale),
+# which no command line loads
 _PARSER_MODULES = {"argparse", "gettext", "locale", "coinvest._cmdline"}
 
 
