@@ -7,8 +7,8 @@ flags, check outcomes and the method behind them) and ``meta.json`` (the
 fully resolved config, tool version and seed). ``coinvest verify`` solves
 the same instances the way ``run --method closed`` does, runs the property
 suite (:mod:`coinvest.checks`) on them and prints one pass/fail line per
-property. ``coinvest presets`` lists the shipped configurations. With the
-closed-form method, ``run`` decides its checks structurally and never loads
+property. ``coinvest presets`` lists the shipped configurations. ``run``
+decides its checks structurally and, under either method, never loads
 numpy.
 
 Exit codes: 0 success, 1 validation error (a bad config or a usage error),

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
+from random import Random
 from typing import NamedTuple
 
 from .game import (
@@ -60,10 +61,9 @@ SETTLE_TERMS_TOL = 1e-9
 #: hundreds of estimates per run, where a 3-sigma cut trips spuriously.
 SAMPLING_SIGMAS = 4.0
 
-# arrival keys the sampler draws per reused buffer (256 KiB of uint64)
-_CHUNK_CELLS = 1 << 15
-# SplitMix64's increment, the golden ratio in 64-bit fixed point
-_GAMMA = 0x9E3779B97F4A7C15
+# orders per block of the arrival-key stream: each block draws its own
+# streams, so a block's planes are c-bit ints of at most 8 KiB
+_BLOCK = 1 << 16
 
 
 class ShapleyMethod(str, Enum):
@@ -193,8 +193,8 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     arrived before it, so its sum is m_i times a count of orders, and the
     owner adds the m_j of the providers before it, so its sum is read off the
     same counts (:func:`_order_counts`). Unbiased, deterministic for a fixed
-    seed on any core count (no BLAS call), and the estimates sum to the grand
-    value up to rounding (each permutation telescopes).
+    seed on any platform, and the estimates sum to the grand value up to
+    rounding (each permutation telescopes).
 
     Reports each estimate's exact standard error under uniform orders. A
     provider's marginal is m_i or 0 with probability 1/2 each, so its
@@ -203,94 +203,83 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     probability 1/2 and any two with 1/3, so its variance is
     sum(m^2)/6 + (sum m)^2/12 per order.
 
-    Player k's arrival key in order r is ``mix64(mix64(seed) + (r*n + k + 1)
-    * gamma)`` modulo 2^64: SplitMix64 (Steele, Lea & Flood 2014) indexed by
-    (order, player), so ``seed`` must lie in [0, 2^64). The orders depend
-    only on the player count, ``samples`` and ``seed``, so games of one size
-    sampled with one seed share them.
+    The orders depend only on the player count, ``samples`` and ``seed``, so
+    games of one size sampled with one seed share them; ``seed`` must lie in
+    [0, 2^64) and ``samples`` in [1, 2^48], which keeps the streams of
+    :func:`_order_counts` distinct.
     """
-    import numpy as np
-
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    if not 1 <= samples <= _BLOCK << 32:
+        raise ValueError(f"samples must be >= 1 and <= 2**48, got {samples!r}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
     players = tuple(game.players)
-    profit = np.array(_profits(game))
     # in units of a power of two near the largest m_i (exact), so that the
     # owner's squared profits stay finite whenever the profits are
-    unit = _unit(profit)
-    profit /= unit
+    profits = _profits(game)
+    unit = _unit(profits)
+    profit = [m / unit for m in profits]
     count = _order_counts(len(players), samples, seed)
     # the owner adds m_j in each of the samples - count[j] orders where
     # provider j came first
-    owner_sum = math.fsum(profit * (samples - count))
-    mean = np.append(count * profit, owner_sum) / samples
-    owner_var = math.fsum(profit * profit) / 6.0 + math.fsum(profit) ** 2 / 12.0
-    se = np.append(profit / 2.0, math.sqrt(owner_var)) / math.sqrt(samples)
+    owner_sum = math.fsum(m * (samples - c) for m, c in zip(profit, count))
+    mean = [c * m / samples for m, c in zip(profit, count)] + [owner_sum / samples]
+    owner_var = math.fsum(m * m for m in profit) / 6.0 + math.fsum(profit) ** 2 / 12.0
+    root = math.sqrt(samples)
+    se = [m / 2.0 / root for m in profit] + [math.sqrt(owner_var) / root]
     return ShapleyResult(
-        payoffs={pid: float(mean[i] * unit) for i, pid in enumerate(players)},
+        payoffs={pid: mean[i] * unit for i, pid in enumerate(players)},
         sample_count=int(samples),
-        stderr={pid: float(se[i] * unit) for i, pid in enumerate(players)},
+        stderr={pid: se[i] * unit for i, pid in enumerate(players)},
     )
 
 
 @lru_cache(maxsize=1)
-def _order_counts(n: int, samples: int, seed: int) -> np.ndarray:
+def _order_counts(n: int, samples: int, seed: int) -> tuple[int, ...]:
     """Per provider, the number of the ``samples`` orders of ``n`` players,
     drawn from ``seed``, in which the owner (the last player) arrived first.
 
-    Read-only, and cached with one entry: the instances of a config come
-    group by group, each group of one player count, and all sample with the
-    config's seed, so the orders are drawn once per group.
+    Each player's arrival time in an order is an infinite-precision binary
+    fraction. The orders come in blocks of ``_BLOCK``; in block q, player k's
+    stream is ``Random((k << 96) | (q << 64) | seed)``, an MT19937 generator
+    seeded by an injective packing, so no two players of a block share one.
+    Plane b of a player is the stream's b-th ``getrandbits(c)`` for a block
+    of c orders: bit i is bit b (0 the most significant) of its time in the
+    block's order i. A provider's times are compared with the owner's a plane
+    at a time, across all c orders at once, with ``lt`` holding the orders
+    where the owner is known to come first and ``eq`` those still tied;
+    planes are drawn until no order is tied, so the comparison is exact and
+    no order ends in a tie. The owner's planes are drawn once per block and
+    reused by every provider, so the working set is one block of them.
+
+    Cached with one entry: the instances of a config come group by group,
+    each group of one player count, and all sample with the config's seed,
+    so the orders are drawn once per group.
     """
-    import numpy as np
-
-    state = int(_mix64(np.array([seed], dtype=np.uint64))[0])
-    count = np.zeros(n - 1, dtype=np.int64)
-    # keys are computed a chunk of orders at a time into reused buffers, so
-    # the working set does not grow with samples; each key is a hash of its
-    # own index, so the chunk size does not change which orders a seed draws
-    chunk = max(1, min(samples, _CHUNK_CELLS // n))
-    # player k's counter in the chunk's order i, less the state, is
-    # (start*n + k + 1)*gamma + i*n*gamma modulo 2^64: a column per player
-    # plus a row per order, added by broadcasting
-    column = np.arange(1, n + 1, dtype=np.uint64)[:, None] * _GAMMA
-    row = np.arange(0, chunk * n, n, dtype=np.uint64) * _GAMMA
-    keys = np.empty((n, chunk), dtype=np.uint64)
-    before = np.empty((n - 1, chunk), dtype=bool)
-    for start in range(0, samples, chunk):
-        c = min(chunk, samples - start)
-        # keys[k, i] is player k's arrival time in order start + i; the owner
-        # is last
-        t = keys[:, :c]
-        np.add(column + np.uint64((state + start * n * _GAMMA) % (1 << 64)), row[:c], out=t)
-        _mix64(t)
-        b = before[:, :c]
-        np.less_equal(t[:-1], t[-1:], out=b)
-        # an exact uint32 count, faster than count_nonzero's intp
-        count += c - np.add.reduce(b, axis=1, dtype=np.uint32)
-    count.flags.writeable = False
-    return count
+    owner = n - 1
+    count = [0] * owner
+    for q, start in enumerate(range(0, samples, _BLOCK)):
+        c = min(_BLOCK, samples - start)
+        owner_bits = Random(owner << 96 | q << 64 | seed).getrandbits
+        owner_planes = []
+        for k in range(owner):
+            bits = Random(k << 96 | q << 64 | seed).getrandbits
+            lt, eq = 0, (1 << c) - 1
+            b = 0
+            while eq:
+                if b == len(owner_planes):
+                    owner_planes.append(owner_bits(c))
+                p = bits(c)
+                d = eq & (owner_planes[b] ^ p)
+                lt |= d & p
+                eq ^= d
+                b += 1
+            count[k] += lt.bit_count()
+    return tuple(count)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output function, in place on a uint64 array, which it returns.
-
-    A bijection of 64-bit words; applied to a counter stepped by ``_GAMMA``
-    it is the SplitMix64 generator (Steele, Lea & Flood 2014).
-    """
-    z ^= z >> 30
-    z *= 0xBF58476D1CE4E5B9
-    z ^= z >> 27
-    z *= 0x94D049BB133111EB
-    z ^= z >> 31
-    return z
-
-
-def _unit(values: np.ndarray) -> float:
+def _unit(values: list[float]) -> float:
     """The largest power of two not above the largest |value| (any, if all are 0)."""
-    return math.ldexp(1.0, math.frexp(float(abs(values).max(initial=0.0)))[1] - 1)
+    return math.ldexp(1.0, math.frexp(max(map(abs, values), default=0.0))[1] - 1)
 
 
 def check_core(table: CoalitionTable, payoffs: PayoffVector) -> CoreCheck:

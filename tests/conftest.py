@@ -23,6 +23,7 @@ import io
 import itertools
 import math
 import os
+import random
 import tempfile
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -118,38 +119,43 @@ def bloated_game(n_players=21):
     return GameInstance(market, sps)
 
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+# the sampler's stream: orders come in blocks of 2^16, and in block q player k
+# draws from its own MT19937 generator, seeded with (k << 96) | (q << 64) | seed
+_STREAM_BLOCK = 1 << 16
+_KEY_BITS = 64
 
 
-def splitmix64_mix(z):
-    """SplitMix64's output function on a Python int below 2^64 or a uint64 array."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def mt19937_keys(seed, samples, n):
+    """The (samples, n) uint64 arrival keys: the first 64 bits of each
+    player's arrival time in each order ``shapley_sampling`` draws.
 
-
-def splitmix_keys(seed, samples, n):
-    """The (samples, n) uint64 arrival keys ``shapley_sampling`` draws.
-
-    Key (r, k) is output r*n + k + 1 of a SplitMix64 stream started at
-    state ``mix(seed)``: the stream's counter steps by gamma, and each
-    output is the mix of the counter.
+    Player k's b-th ``getrandbits(c)`` in a block of c orders holds, in bit
+    i, bit b of its time in the block's order i, bit 0 the most significant.
+    All 64 planes are drawn, so two keys tie only if two times agree in 64
+    bits (probability 2^-64 per pair), which no test here meets.
     """
-    state = np.uint64(splitmix64_mix(seed))
-    index = np.arange(1, samples * n + 1, dtype=np.uint64)
-    return splitmix64_mix(index * np.uint64(_GOLDEN_GAMMA) + state).reshape(samples, n)
+    keys = np.zeros((n, samples), dtype=np.uint64)
+    for q, start in enumerate(range(0, samples, _STREAM_BLOCK)):
+        c = min(_STREAM_BLOCK, samples - start)
+        for k in range(n):
+            stream = random.Random(k << 96 | q << 64 | seed)
+            key = keys[k, start:start + c]
+            for b in range(_KEY_BITS):
+                plane = stream.getrandbits(c).to_bytes((c + 7) // 8, "little")
+                bits = np.unpackbits(np.frombuffer(plane, dtype=np.uint8), count=c, bitorder="little")
+                key |= bits.astype(np.uint64) << np.uint64(_KEY_BITS - 1 - b)
+    return keys.T
 
 
 def sampling_by_table(game, samples, seed):
     """Reference sampler: the payoffs, from every arrival order at once.
 
-    Draws the :func:`splitmix_keys` arrival keys that the production sampler
-    draws, sorts each row into an arrival order and reads every player's
+    Draws the :func:`mt19937_keys` arrival keys of the orders the production
+    sampler draws, sorts each row into an arrival order and reads every player's
     marginal contribution off the coalition table.
     """
     players = tuple(game.players)
-    keys = splitmix_keys(seed, samples, len(players))
+    keys = mt19937_keys(seed, samples, len(players))
     table = coalition_table(game).values
     order = np.argsort(keys, axis=1)
     masks = np.bitwise_or.accumulate(np.left_shift(1, order), axis=1)
@@ -192,15 +198,15 @@ def sampling_exact_mean(game, samples, seed):
     """Exact rational mean of every player's marginal contribution over the
     arrival orders that ``shapley_sampling`` draws for ``samples`` and ``seed``.
 
-    The keys are :func:`splitmix_keys`: each depends only on the seed, the
-    order and the player, so the production sampler's chunks yield the
-    same ones. A provider's mean is m_i times the fraction of orders in
+    The keys are :func:`mt19937_keys`, all 64 planes of them, so the orders
+    are found without the production sampler's plane-by-plane comparison. A
+    provider's mean is m_i times the fraction of orders in
     which the owner arrived first; the owner's is the average of the summed
     profits of the providers before it, grouped by the set of providers that
     came first.
     """
     players = tuple(game.players)
-    keys = splitmix_keys(seed, samples, len(players))
+    keys = mt19937_keys(seed, samples, len(players))
     optima = game.standalone_optima()
     profit = [Fraction(optima[sp.id].value) for sp in game.sps]
     before = keys[:, :-1] <= keys[:, -1:]

@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -59,6 +60,25 @@ def test_equal_split_between_owner_and_providers():
     print(f"criterion 1 (equal split, 200 instances): PASS ({elapsed:.2f}s)")
 
 
+# one 3-sigma check's false-alarm probability: the sampled spot checks
+# together keep it
+_SPOT_CHECK_ALPHA = math.erfc(3.0 / math.sqrt(2.0))
+
+
+def _chi2_sf(x, dof):
+    """P(chi2(dof) > x): the regularized upper gamma Q(dof/2, x/2), by
+    Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1) from Q(1/2, y) = erfc(sqrt(y))
+    or Q(1, y) = e^-y."""
+    y = x / 2.0
+    if y <= 0.0:
+        return 1.0
+    q, a = (math.erfc(math.sqrt(y)), 0.5) if dof % 2 else (math.exp(-y), 1.0)
+    while a < dof / 2:
+        q += math.exp(a * math.log(y) - y - math.lgamma(a + 1))
+        a += 1
+    return q
+
+
 def test_shapley_oracle_triangle():
     """Criterion 2: enumeration, closed form and sampling agree."""
     start = time.perf_counter()
@@ -68,15 +88,38 @@ def test_shapley_oracle_triangle():
         closed = shapley_closed_form(game).payoffs
         for pid in game.players:
             assert rel_close(closed[pid], exact[pid], 1e-9)
-    for k, game in enumerate(instances[::8]):  # 25 sampled spot checks
+    spot = instances[::8]  # 25 sampled spot checks
+    gated = sum(len(game.players) for game in spot)
+    # Sidak: each estimate is gated so that all of them pass with probability
+    # 1 - alpha under any correct order source (4.25 sigma for 127)
+    sigmas = NormalDist().inv_cdf(1 - (1 - (1 - _SPOT_CHECK_ALPHA) ** (1 / gated)) / 2)
+    # a small bias shared by every estimate shows in the sum of squares
+    # before it shows in the largest one. Providers' z-scores are correlated
+    # 1/3 (the owner comes before both of two providers in 1/3 of the orders)
+    # and the owner's is a sum of theirs, so the sum of squares is not
+    # chi2(gated); each instance's p non-null providers are whitened, with the
+    # inverse correlation (3/2)(I - J/(p + 2)), into a chi2(p) term
+    chi2, dof = 0.0, 0
+    for k, game in enumerate(spot):
         exact = shapley_enumeration(coalition_table(game)).payoffs
         sampled = shapley_sampling(game, 100_000, seed=500 + k)
         for pid in game.players:
-            margin = 3.0 * sampled.stderr[pid] + 1e-9 * max(1.0, abs(exact[pid]))
-            assert abs(sampled.payoffs[pid] - exact[pid]) <= margin
+            margin = sigmas * sampled.stderr[pid] + 1e-9 * max(1.0, abs(exact[pid]))
+            assert abs(sampled.payoffs[pid] - exact[pid]) <= margin, pid
+        z = [
+            (sampled.payoffs[sp.id] - exact[sp.id]) / sampled.stderr[sp.id]
+            for sp in game.sps
+            if sampled.stderr[sp.id] > 0.0
+        ]
+        chi2 += 1.5 * (math.fsum(x * x for x in z) - math.fsum(z) ** 2 / (len(z) + 2))
+        dof += len(z)
+    assert _chi2_sf(chi2, dof) >= _SPOT_CHECK_ALPHA, (chi2, dof)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    print(f"criterion 2 (oracle triangle, 200 + 25 instances): PASS ({elapsed:.2f}s)")
+    print(
+        f"criterion 2 (oracle triangle, 200 + 25 instances, {gated} estimates at "
+        f"{sigmas:.2f} sigma, chi2 {chi2:.1f} on {dof}): PASS ({elapsed:.2f}s)"
+    )
 
 
 def test_convexity_verified_and_fixture_rejected():

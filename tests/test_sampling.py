@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -31,12 +32,11 @@ from coinvest import shapley as shapley_mod
 
 from conftest import (
     heterogeneous_game,
+    mt19937_keys,
     random_game,
     sampling_by_table,
     sampling_exact_mean,
     sampling_exact_stderr,
-    splitmix64_mix,
-    splitmix_keys,
 )
 
 
@@ -100,19 +100,32 @@ def test_rejects_seeds_outside_64_bits(rng):
     assert shapley_sampling(game, 10, 2**64 - 1).sample_count == 10
 
 
-# the first outputs of a SplitMix64 generator whose state starts at 0
-# (Steele, Lea & Flood 2014); a seed of 0 mixes to the state 0
-_SPLITMIX_STATE0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+# mt19937ar.c's published first outputs for init_by_array({0x123, 0x234,
+# 0x345, 0x456}) (Matsumoto & Nishimura 1998). random.Random splits an int
+# seed into 32-bit words from the least significant up, so this int is that
+# key, packed as the sampler packs (player, block, seed)
+_MT19937AR_KEY = 0x456 << 96 | 0x345 << 64 | 0x234 << 32 | 0x123
+_MT19937AR = (1067595299, 955945823, 477289528)
 
 
-def test_splitmix_keys_match_the_published_stream():
-    gamma = 0x9E3779B97F4A7C15
-    counters = [j * gamma % 2**64 for j in (1, 2, 3)]
-    assert [splitmix64_mix(c) for c in counters] == list(_SPLITMIX_STATE0)
-    assert splitmix64_mix(0) == 0
-    assert splitmix_keys(0, 1, 3).tolist() == [list(_SPLITMIX_STATE0)]
-    mixed = shapley_mod._mix64(np.array(counters, dtype=np.uint64))
-    assert mixed.tolist() == list(_SPLITMIX_STATE0)
+def test_mt19937_stream_matches_the_published_one():
+    stream = random.Random(_MT19937AR_KEY)
+    assert [stream.getrandbits(32) for _ in range(3)] == list(_MT19937AR)
+    # a wider plane holds the outputs from its least significant bit up
+    plane = random.Random(_MT19937AR_KEY).getrandbits(96)
+    assert plane == _MT19937AR[2] << 64 | _MT19937AR[1] << 32 | _MT19937AR[0]
+    assert shapley_mod.Random is random.Random
+
+
+def test_owner_trails_two_providers_one_time_in_three():
+    # the owner comes before both of two providers in 1/3 of the orders, so
+    # the indicators that it came first (each 1/2) have correlation
+    # (1/3 - 1/4) / (1/4) = 1/3, and so do the two providers' counts; over
+    # 1500 seeds the sample correlation has standard error
+    # (1 - 1/9) / sqrt(1500) = 0.023
+    counts = np.array([shapley_mod._order_counts(3, 1000, seed) for seed in range(1500)])
+    correlation = np.corrcoef(counts.T)[0, 1]
+    assert abs(correlation - 1 / 3) <= 0.1, correlation
 
 
 def test_owner_z_scores_look_standard_normal_across_seeds():
@@ -142,25 +155,21 @@ def _table_rounding(game, samples):
     return len(game.players) * math.ulp(grand) / math.sqrt(samples)
 
 
-def _chunk_rows(n_players):
-    """Orders the sampler draws per reused key buffer at this player count."""
-    return shapley_mod._CHUNK_CELLS // n_players
+# the stream's block: each block of orders draws its own streams
+_BLOCK = 1 << 16
+
+# a sample count inside one block, either side of a block's end, one a block
+# exactly, and one that ends part-way into a third block
+_BLOCK_COUNTS = (3000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
 
 
-# a sample count inside one chunk, one either side of a chunk boundary, and
-# one past 2^17 that spans many chunks and ends part-way into its last
-def _sample_counts(n_players):
-    rows = _chunk_rows(n_players)
-    return (3000, rows - 1, rows + 1, (1 << 17) + 3)
-
-
-# 2^15 keys are no whole number of 3- or 7-player orders; 2 is the smallest game
+# 2 is the smallest game
 @pytest.mark.parametrize("n_players", [3, 8, 12, 2, 7])
 def test_instance_and_table_routes_agree(rng, n_players):
     # the same arrival keys walked through the coalition table
     # and the standard errors against the exact variance under uniform orders
     game = random_game(rng, n_sps=n_players - 1)
-    for samples in _sample_counts(n_players):
+    for samples in _BLOCK_COUNTS:
         direct = shapley_sampling(game, samples, seed=13)
         payoffs = sampling_by_table(game, samples, seed=13)
         stderr = sampling_exact_stderr(game, samples)
@@ -172,29 +181,15 @@ def test_instance_and_table_routes_agree(rng, n_players):
 
 
 @pytest.mark.parametrize("n_players", [2, 3, 8])
-def test_chunk_size_does_not_change_the_estimate(rng, monkeypatch, n_players):
-    # against 2^15 keys per chunk: one order per chunk, and five orders with
-    # three keys left over. Past 2^17 orders only the latter runs: one order
-    # per chunk is a Python loop per order, and ~26k chunks of five orders
-    # carry the count across chunks just as well. The cache is cleared before
-    # every draw, so each compares fresh counts, not a cache hit
-    game = random_game(rng, n_sps=n_players - 1)
-    counts = _sample_counts(n_players)
-    monkeypatch.setattr(shapley_mod, "_CHUNK_CELLS", 1 << 15)
-
-    def fresh(samples):
+def test_block_boundaries_match_the_reference(n_players):
+    # every count, to the order, against the reference's 64-bit keys; the
+    # cache is cleared before every draw, so each compares a fresh one
+    for samples in _BLOCK_COUNTS:
         shapley_mod._order_counts.cache_clear()
-        return shapley_sampling(game, samples, seed=23)
-
-    reference = [fresh(samples) for samples in counts]
-    for cells in (n_players, 5 * n_players + 3):
-        monkeypatch.setattr(shapley_mod, "_CHUNK_CELLS", cells)
-        for samples, expected in zip(counts, reference):
-            if cells == n_players and samples > 1 << 17:
-                continue
-            sampled = fresh(samples)
-            assert sampled.payoffs == expected.payoffs, (cells, samples)
-            assert sampled.stderr == expected.stderr, (cells, samples)
+        counts = shapley_mod._order_counts(n_players, samples, 23)
+        keys = mt19937_keys(23, samples, n_players)
+        expected = np.count_nonzero(keys[:, :-1] > keys[:, -1:], axis=0)
+        assert counts == tuple(expected.tolist()), samples
 
 
 def _assert_exact_mean(game, samples, seed):
@@ -208,16 +203,16 @@ def _assert_exact_mean(game, samples, seed):
 
 
 def test_matches_the_exact_mean_of_its_orders(rng):
-    # 200 000 orders span several chunks of keys
+    # 200 000 orders span four blocks
     game = heterogeneous_game()
-    for samples in _sample_counts(len(game.players))[1:] + (200_000,):
+    for samples in _BLOCK_COUNTS[1:] + (200_000,):
         _assert_exact_mean(game, samples, seed=11)
     for n_players in (2, 3, 7, 22):
         game = random_game(rng, n_sps=n_players - 1)
-        counts = _sample_counts(n_players)[1:]
         # the oracle visits every distinct set of providers before the owner:
-        # past a few chunks of 22-player orders that is too slow for tier-1
-        for samples in counts if n_players < 22 else counts[:2]:
+        # at 22 players nearly every order has its own, and a block of them
+        # is too slow for tier-1
+        for samples in _BLOCK_COUNTS[1:] if n_players < 22 else _BLOCK_COUNTS[:1]:
             _assert_exact_mean(game, samples, seed=5)
 
 
@@ -236,17 +231,22 @@ def test_stderr_is_the_exact_one_whatever_the_orders(rng, samples):
 
 
 def test_memory_does_not_grow_with_samples(rng):
-    # no (samples, n) key matrix and no per-order buffer: a million orders of
-    # 8 players would need 64 MB of keys
-    game = random_game(rng, n_sps=7)
-    shapley_mod._order_counts.cache_clear()  # a cache hit would draw nothing
-    tracemalloc.start()
-    try:
-        shapley_sampling(game, 10**6, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.8e6, peak
+    # the working set is one block's planes, 8 KiB each: the owner's, one per
+    # bit of the block's longest tie, and a few ints of the comparison. Over
+    # 21 providers x 2^16 orders a tie outlasts 32 planes with probability
+    # below 21 * 2^16 * 2^-32 = 3.2e-4, so 32 owner planes and 10 more ints
+    # bound it; a million orders of 22 players as 64-bit keys would be 176 MB
+    bound = (32 + 10) * (_BLOCK // 8)
+    for n_players in (8, 22):
+        game = random_game(rng, n_sps=n_players - 1)
+        shapley_mod._order_counts.cache_clear()  # a cache hit would draw nothing
+        tracemalloc.start()
+        try:
+            shapley_sampling(game, 10**6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (n_players, peak)
 
 
 # prints the 2- and 3-player estimates at 10^5 orders, to every digit
@@ -283,22 +283,22 @@ def test_bits_do_not_depend_on_the_thread_count():
 
 def test_cached_counts_are_read_only():
     counts = shapley_mod._order_counts(5, 100, 1)
-    assert not counts.flags.writeable
-    with pytest.raises(ValueError):
+    assert isinstance(counts, tuple) and len(counts) == 4
+    with pytest.raises(TypeError):
         counts[0] = 0
 
 
 def test_a_repeated_draw_reads_the_cache(rng, monkeypatch):
     # instances of one player count sampled with one seed draw their orders
-    # once: the second game's estimate mixes no key
+    # once: the second game's estimate starts no stream
     calls = []
-    mix64 = shapley_mod._mix64
 
-    def counted(z):
-        calls.append(z.size)
-        return mix64(z)
+    class Counted(random.Random):
+        def __init__(self, key):
+            calls.append(key)
+            super().__init__(key)
 
-    monkeypatch.setattr(shapley_mod, "_mix64", counted)
+    monkeypatch.setattr(shapley_mod, "Random", Counted)
     shapley_mod._order_counts.cache_clear()
     first, second = random_game(rng, n_sps=4), random_game(rng, n_sps=4)
     shapley_sampling(first, 5000, seed=9)
