@@ -65,18 +65,20 @@ def run_checks(game: GameInstance, record: SweepRecord, payoffs=None) -> dict[st
     }
 
 
-def verify_checks(game, record, samples: int, seed: int) -> dict[str, Outcome]:
+def verify_checks(game, record, samples: int, seed: int,
+                  array: bool = True) -> dict[str, Outcome]:
     """``run``'s checks plus the oracle triangle. Within the enumeration bound,
     the core and supermodularity are also decided by brute force over all 2^n
     coalitions, and fail unless both verdicts agree; beyond it the oracle
-    triangle is skipped. Their one coalition table is dropped on return."""
+    triangle is skipped. Their one coalition table, built as an ndarray if
+    ``array`` and as a tuple otherwise, is dropped on return."""
     payoffs = {p.player_id: p.payoff for p in record.players}
     checks = run_checks(game, record, payoffs)
     n = len(game.players)
     if n > MAX_ENUMERATION_PLAYERS:
         checks["oracle_triangle"] = Outcome(SKIPPED, f"{n} players exceeds the enumeration bound")
         return checks
-    table = coalition_table(game)
+    table = coalition_table(game, array)
     for name, brute_force in (
         ("core", _core(check_core(table, payoffs))),
         ("supermodularity", _supermodularity(check_supermodularity(table))),

@@ -9,7 +9,8 @@ the same instances the way ``run --method closed`` does, runs the property
 suite (:mod:`coinvest.checks`) on them and prints one pass/fail line per
 property. ``coinvest presets`` lists the shipped configurations. ``run``
 decides its checks structurally and, under either method, never loads
-numpy.
+numpy. Nor does ``verify`` of a config whose brute-force checks are small
+(:data:`LIST_TABLE_BUDGET`): it reads its coalition tables as tuples.
 
 Exit codes: 0 success, 1 validation error (a bad config or a usage error),
 2 property-check failure (under ``--strict`` or from ``verify``), 3 I/O error.
@@ -40,7 +41,7 @@ from .config import (
     parse_config,
     preset_names,
 )
-from .game import GameInstance, LoadProfile, ServiceProvider
+from .game import MAX_ENUMERATION_PLAYERS, GameInstance, LoadProfile, ServiceProvider
 from .scenarios import (
     PlayerRecord,
     SweepRecord,
@@ -59,6 +60,16 @@ CSV_COLUMNS = (
     "scenario", "sweep_param", "sweep_value", "player_id", "beta", "daily_load",
     "h_star", "C_star", "r_hat", "shapley", "payment", "payoff", "v_grand",
 )
+
+#: The most exact work, the sum of n^2 * 2^n over a config's instances of at
+#: most MAX_ENUMERATION_PLAYERS players, that ``verify`` checks on tuple
+#: tables, without numpy; past it the tables are ndarrays and numpy loads.
+#: The list forms cost ~15-20 ns per unit of that work from n = 12 up and
+#: numpy's import ~65 ms (one BLAS thread, 2-vCPU x86-64), so this spends
+#: about one import on lists. Per instance, lists lose from n = 8 on (n = 12:
+#: 10.6 against 0.8 ms), so the rule is per config: a sweep of many
+#: mid-sized instances pays numpy's import once and wins it back.
+LIST_TABLE_BUDGET = 4_000_000
 
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILED = 2
@@ -518,7 +529,11 @@ def verify(config):
     """
     cfg = _load_config(config)
     solved = _solve(cfg._replace(method=ShapleyMethod.CLOSED_FORM))
-    outcomes = [verify_checks(game, record, cfg.samples, cfg.seed) for game, record in solved]
+    sizes = [len(game.players) for game, _ in solved]
+    work = sum(n * n << n for n in sizes if n <= MAX_ENUMERATION_PLAYERS)
+    array = work > LIST_TABLE_BUDGET
+    outcomes = [verify_checks(game, record, cfg.samples, cfg.seed, array)
+                for game, record in solved]
     failed = False
     for key, line, _ in PROPERTIES:
         if line is None:

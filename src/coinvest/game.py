@@ -193,10 +193,11 @@ class GameInstance(_Validated, namedtuple("GameInstance", "market sps")):
 
 
 class CoalitionTable(NamedTuple):
-    """Every coalition's value, read-only, indexed by membership bitmask over ``players``."""
+    """Every coalition's value, read-only, indexed by membership bitmask over
+    ``players``: a tuple of floats or a read-only ndarray."""
 
     players: tuple[str, ...]
-    values: np.ndarray
+    values: tuple[float, ...] | np.ndarray
 
 
 class Allocation(NamedTuple):
@@ -254,12 +255,16 @@ def coalition_value(game: GameInstance, coalition: Iterable[str]) -> float:
     return math.fsum(optima[pid].value for pid in members if pid != NO)
 
 
-def coalition_table(game: GameInstance) -> CoalitionTable:
+def coalition_table(game: GameInstance, array: bool = True) -> CoalitionTable:
     """Every coalition's value in ``game``. The owner is the last player: entries with its
-    (high) bit set are the providers' profit subset sums from :func:`_fsum_subset_sums`,
-    bit-identical to :func:`coalition_value`, and the rest are 0."""
-    import numpy as np
+    (high) bit set are the providers' profit subset sums, bit-identical to
+    :func:`coalition_value`, and the rest are 0.
 
+    With ``array``, the values are a read-only ndarray, summed in numpy passes by
+    :func:`_fsum_subset_sums`; without it, a tuple of floats, summed in Python
+    integers by :func:`_exact_subset_sums`, which needs no numpy but costs more
+    per entry. Both builds give the same floats.
+    """
     players = game.players
     if len(players) > MAX_ENUMERATION_PLAYERS:
         raise ValueError(
@@ -267,7 +272,13 @@ def coalition_table(game: GameInstance) -> CoalitionTable:
             "only shapley_sampling of a GameInstance runs beyond it"
         )
     optima = game.standalone_optima()
-    sums = _fsum_subset_sums([optima[sp.id].value for sp in game.sps])
+    profits = [optima[sp.id].value for sp in game.sps]
+    if not array:
+        sums = _exact_subset_sums(profits)
+        return CoalitionTable(players, (0.0,) * len(sums) + tuple(sums))
+    import numpy as np
+
+    sums = _fsum_subset_sums(profits)
     values = np.zeros(2 * sums.size)
     values[sums.size:] = sums
     values.flags.writeable = False
@@ -280,6 +291,26 @@ def _payoff_floats(players, payoffs: PayoffVector) -> dict[str, float]:
     if missing:
         raise ValueError(f"payoff vector is missing players {_shown(missing)}")
     return {p: float(payoffs[p]) for p in players}
+
+
+def _exact_subset_sums(x) -> list[float]:
+    """``math.fsum`` of the finite ``x`` over every coalition, indexed by bitmask,
+    without numpy.
+
+    Every finite float is an integer multiple of 2^-1074, and the x_k are all
+    multiples of ``1 / scale``, the largest of their power-of-two denominators.
+    So the sums are taken exactly in integers, by doubling (``t <- [t, t +
+    x_k]``, so bit k is term k), and each is divided by ``scale`` once. That
+    division is correctly rounded, so each entry is the correctly rounded
+    exact sum, which is what ``fsum`` returns.
+    """
+    ratios = [float(v).as_integer_ratio() for v in x]
+    scale = max((q for _, q in ratios), default=1)
+    sums = [0]
+    for p, q in ratios:
+        term = p * (scale // q)
+        sums += [s + term for s in sums]
+    return [s / scale for s in sums]
 
 
 def _two_sum(a, b, s=None, spare=None, err=None):

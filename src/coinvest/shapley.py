@@ -20,8 +20,13 @@ sampling reads only the providers' standalone profits, so it runs beyond the
 bound. The checks' tolerances are the ``*_TOL`` and ``SAMPLING_SIGMAS``
 constants below.
 
-numpy is imported inside the functions that use it, so a process that only
-needs the closed form and the structural checks never loads it.
+Each exact route and check has one body, written over a few array primitives
+(``_split``, ``_difference``, ``_first_below``, ``_subset_sums`` and the
+like). Each primitive has a list form, for a table whose values are a tuple,
+and an ndarray form, which imports numpy; both do the same float operations
+in the same order, so the verdicts and counterexamples agree. Only
+enumeration sums differently: with ``fsum`` on lists. So a process that
+reads no ndarray table never loads numpy.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
+from itertools import chain, compress, cycle
+from operator import mul, sub
 from random import Random
 from typing import NamedTuple
 
@@ -118,24 +125,69 @@ def _mask_coalition(mask: int, players: tuple[str, ...]) -> Coalition:
     return frozenset(players[i] for i in range(len(players)) if mask >> i & 1)
 
 
-def _split(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+def _listed(values) -> bool:
+    """Whether ``values`` take the list forms of the primitives (a tuple or a
+    list) rather than the ndarray forms."""
+    return isinstance(values, (tuple, list))
+
+
+def _split(values, i: int):
     """Entries of a bitmask-indexed array for every S avoiding player i, and for S + i.
 
-    Both are shaped (bits above i, bits below i), so raveling either lists S
-    in ascending bitmask order.
+    Each lists S in ascending bitmask order: a list's halves are lists, an
+    ndarray's are views shaped (bits above i, bits below i), raveled in that
+    order.
     """
-    halves = values.reshape(-1, 2, 1 << i)
+    h = 1 << i
+    if _listed(values):
+        # runs of h entries alternate between the halves: the fastest way to
+        # copy them out depends on h
+        if h == 1:
+            return values[0::2], values[1::2]
+        if h < 32:
+            low = (True,) * h + (False,) * h
+            return list(compress(values, cycle(low))), list(compress(values, cycle(low[::-1])))
+        blocks = range(0, len(values), 2 * h)
+        return (list(chain.from_iterable(values[k:k + h] for k in blocks)),
+                list(chain.from_iterable(values[k + h:k + 2 * h] for k in blocks)))
+    halves = values.reshape(-1, 2, h)
     return halves[:, 0], halves[:, 1]
 
 
-def _subset_sums(x) -> np.ndarray:
-    """Sum of ``x`` over every coalition, indexed by bitmask.
+def _difference(a, b, in_place: bool = False):
+    """``a - b`` entrywise, in the form of ``a``; ``in_place`` writes it over ``a``."""
+    if not in_place:
+        return list(map(sub, a, b)) if _listed(a) else a - b
+    if _listed(a):
+        a[:] = map(sub, a, b)
+    else:
+        a -= b
+    return a
 
-    Built by doubling in place (``t[h:2h] = t[:h] + x_k``, so bit k is term
-    k), so each sum adds its terms in player order, exactly as a
-    left-to-right loop over the coalition's members would. The sums take the
-    dtype of ``x``.
+
+def _first_below(x, bound: float) -> int | None:
+    """Index of the first entry of ``x`` (an ndarray's raveled) below ``bound``, or None."""
+    if _listed(x):
+        if min(x, default=bound) >= bound:
+            return None
+        return next((k for k, v in enumerate(x) if v < bound), None)
+    below = (x < bound).ravel().nonzero()[0]
+    return int(below[0]) if below.size else None
+
+
+def _subset_sums(x, like):
+    """Sum of ``x`` over every coalition, indexed by bitmask: a list, or an
+    ndarray of the dtype of ``x`` if ``like`` is an ndarray.
+
+    Built by doubling (``t[h:2h] = t[:h] + x_k``, so bit k is term k), so
+    each sum adds its terms in player order, exactly as a left-to-right loop
+    over the coalition's members would.
     """
+    if _listed(like):
+        sums = [0]
+        for term in x:
+            sums += [s + term for s in sums]
+        return sums
     import numpy as np
 
     x = np.asarray(x)
@@ -146,28 +198,52 @@ def _subset_sums(x) -> np.ndarray:
     return sums
 
 
+def _take(items: list, index):
+    """``items[k]`` for each k of ``index``, in its form."""
+    if _listed(index):
+        return [items[k] for k in index]
+    import numpy as np
+
+    # with no terms, _subset_sums gives float zeros (np.asarray([]) is float)
+    return np.asarray(items)[np.asarray(index, dtype=np.intp)]
+
+
+def _weighted_sum(weight, x) -> float:
+    """Sum of ``weight * x``: on lists with ``fsum``; an ndarray ``x`` is
+    overwritten with the products, shaped like it, and summed by numpy."""
+    if _listed(x):
+        return math.fsum(map(mul, weight, x))
+    x *= weight.reshape(x.shape)
+    return float(x.sum())
+
+
+def _any(x) -> bool:
+    """Whether any entry of ``x`` is nonzero."""
+    return any(x) if _listed(x) else bool(x.any())
+
+
+def _with_zero_bit(mask: int, b: int) -> int:
+    """``mask`` with a 0 put in at bit ``b``, its bits from ``b`` up moved up one."""
+    return (mask >> b << b + 1) | (mask & (1 << b) - 1)
+
+
 def shapley_enumeration(table: CoalitionTable) -> ShapleyResult:
     """Exact Shapley payoffs by weighted subset enumeration.
 
     For each player, sums ``|S|! * (n-|S|-1)! / n!`` times its marginal
     contribution over every coalition S avoiding it.
     """
-    import numpy as np
-
     players, values = table
     n = len(players)
     fact = [math.factorial(k) for k in range(n + 1)]
-    weight = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
+    weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
     # raveled, the coalitions avoiding any one player list the other players'
     # subsets in bitmask order, so one array of weights serves every player
-    coef = weight[_subset_sums(np.ones(n - 1, dtype=np.intp))]
-    buffer = np.empty_like(coef)
+    coef = _take(weight, _subset_sums([1] * (n - 1), values))
     payoffs = {}
     for i, pid in enumerate(players):
         without, joined = _split(values, i)
-        gain = np.subtract(joined, without, out=buffer.reshape(joined.shape))
-        gain *= coef.reshape(gain.shape)
-        payoffs[pid] = float(np.sum(gain))
+        payoffs[pid] = _weighted_sum(coef, _difference(joined, without))
     return ShapleyResult(payoffs=payoffs)
 
 
@@ -289,18 +365,15 @@ def check_core(table: CoalitionTable, payoffs: PayoffVector) -> CoreCheck:
     payoffs must exactly exhaust the grand value; both tests allow a float
     noise of ``STABILITY_TOL`` relative to the grand value.
     """
-    import numpy as np
-
     players, values = table
     x = list(_payoff_floats(players, payoffs).values())
     grand = float(values[-1])
     noise = STABILITY_TOL * max(1.0, abs(grand))
-    gap = _subset_sums(x)
-    gap -= values
-    blocked = np.flatnonzero(gap < -noise)
+    gap = _difference(_subset_sums(x, values), values, in_place=True)
+    blocked = _first_below(gap, -noise)
     return CoreCheck(
-        in_core=blocked.size == 0 and abs(math.fsum(x) - grand) <= noise,
-        violating_coalition=_mask_coalition(int(blocked[0]), players) if blocked.size else None,
+        in_core=blocked is None and abs(math.fsum(x) - grand) <= noise,
+        violating_coalition=None if blocked is None else _mask_coalition(blocked, players),
     )
 
 
@@ -313,20 +386,19 @@ def check_supermodularity(table: CoalitionTable) -> SupermodularityReport:
     "Cores of convex games"). The noise is ``STABILITY_TOL`` relative to the
     grand value, as in :func:`check_core`.
     """
-    import numpy as np
-
     players, values = table
     noise = STABILITY_TOL * max(1.0, abs(float(values[-1])))
     for j, pid in enumerate(players):
         without, joined = _split(values, j)
-        gain = joined - without
+        gain = _difference(joined, without)
         for i in range(j):
             # v(S+j) - v(S) against v(S+i+j) - v(S+i), S avoiding i and j
             before, after = _split(gain, i)
-            shrunk = np.flatnonzero(after - before < -noise)
-            if shrunk.size:
-                masks = _split(_split(np.arange(values.size), j)[0], i)[0]
-                smaller = _mask_coalition(int(masks.ravel()[shrunk[0]]), players)
+            shrunk = _first_below(_difference(after, before), -noise)
+            if shrunk is not None:
+                # shrunk indexes the coalitions of the players but i and j
+                mask = _with_zero_bit(_with_zero_bit(shrunk, i), j)
+                smaller = _mask_coalition(mask, players)
                 return SupermodularityReport(
                     holds=False, counterexample=(pid, smaller, smaller | {players[i]})
                 )
@@ -340,15 +412,13 @@ def classify_players(table: CoalitionTable) -> dict[str, PlayerFlags]:
     player adds exactly 0 to every coalition. In a degenerate all-zero game a
     player can be both.
     """
-    import numpy as np
-
     players, values = table
     flags = {}
     for i, pid in enumerate(players):
         without, joined = _split(values, i)
         flags[pid] = PlayerFlags(
-            veto=not np.any(without),
-            null=not np.any(joined != without),
+            veto=not _any(without),
+            null=not _any(_difference(joined, without)),
         )
     return flags
 

@@ -11,8 +11,9 @@ and the synthesized load shape by numpy's vectorized sine.
 
 :class:`TabularGame` gives the exact routes and checks hand-built games,
 including ones the coinvestment model can never produce (e.g. non-convex
-fixtures): its ``table`` is a :class:`~coinvest.game.CoalitionTable`, the
-type ``coalition_table`` makes of a ``GameInstance``, and its
+fixtures): its ``table()`` is a :class:`~coinvest.game.CoalitionTable`, the
+type ``coalition_table`` makes of a ``GameInstance``, of either kind (a
+read-only ndarray or a tuple, as ``TABLE_KINDS`` names them), and its
 ``value(coalition)`` serves the loop oracles.
 
 :func:`invoke_cli` runs a ``coinvest`` command line in-process and returns
@@ -46,6 +47,10 @@ from coinvest import (
 )
 from coinvest.cli import main
 from coinvest.game import CoalitionTable
+
+#: The two kinds of coalition table, by the ``array`` argument of
+#: ``coalition_table`` that builds each.
+TABLE_KINDS = {"ndarray": True, "tuple": False}
 
 # Property tests draw the same examples on every run, and a slow example
 # (a 2^n table) is not a failure.
@@ -84,11 +89,13 @@ class TabularGame:
             raise KeyError(f"no value for coalition {sorted(members)!r}")
         return self._default
 
-    @property
-    def table(self):
-        """Every coalition's value in bitmask order, built by a plain loop."""
-        values = np.array([self.value(c) for c in coalitions_by_mask(self.players)])
-        values.flags.writeable = False
+    def table(self, array=True):
+        """Every coalition's value in bitmask order, built by a plain loop: a
+        read-only ndarray if ``array``, a tuple of floats otherwise."""
+        values = tuple(self.value(c) for c in coalitions_by_mask(self.players))
+        if array:
+            values = np.array(values)
+            values.flags.writeable = False
         return CoalitionTable(self.players, values)
 
 

@@ -128,7 +128,7 @@ def test_convexity_verified_and_fixture_rejected():
     for game in make_instances(100, seed=202, max_sps=4):
         report = check_supermodularity(coalition_table(game))
         assert report.holds, report.counterexample
-    bad = check_supermodularity(nonconvex_fixture().table)
+    bad = check_supermodularity(nonconvex_fixture().table())
     assert not bad.holds and bad.counterexample is not None
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

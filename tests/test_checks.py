@@ -15,7 +15,7 @@ from coinvest.checks import (
 )
 from coinvest.game import MAX_ENUMERATION_PLAYERS
 
-from conftest import random_game
+from conftest import TABLE_KINDS, random_game
 
 
 @pytest.mark.parametrize(
@@ -55,11 +55,14 @@ def test_checks_of_a_solved_instance(rng, n_players):
     # run reports failures in this order
     assert list(checks) == ["core", "supermodularity", "settlement_balance"]
     assert set(checks.values()) == {Outcome(PASS)}
-    checks = verify_checks(game, record, samples=2000, seed=3)
-    assert list(checks) == ["core", "supermodularity", "settlement_balance", "oracle_triangle"]
-    triangle = checks.pop("oracle_triangle")
-    assert set(checks.values()) == {Outcome(PASS)}
-    if n_players > MAX_ENUMERATION_PLAYERS:
-        assert triangle == Outcome(SKIPPED, f"{n_players} players exceeds the enumeration bound")
-    else:
-        assert triangle == Outcome(PASS)
+    for array in TABLE_KINDS.values():
+        checks = verify_checks(game, record, samples=2000, seed=3, array=array)
+        assert list(checks) == [
+            "core", "supermodularity", "settlement_balance", "oracle_triangle",
+        ]
+        triangle = checks.pop("oracle_triangle")
+        assert set(checks.values()) == {Outcome(PASS)}
+        if n_players > MAX_ENUMERATION_PLAYERS:
+            assert triangle == Outcome(SKIPPED, f"{n_players} players exceeds the enumeration bound")
+        else:
+            assert triangle == Outcome(PASS)

@@ -13,6 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -912,6 +913,17 @@ def test_the_first_sampled_instance_keeps_its_rows():
     )
 
 
+# 17 players: one instance is 17^2 * 2^17 ~ 3.8*10^7 units of exact work,
+# past verify's budget for tuple tables, so verify reads ndarrays and loads numpy
+_OVER_BUDGET = json.dumps({
+    "scenario": "custom",
+    "samples": 200,
+    "custom_sps": [
+        {"id": f"SP{k:02d}", "beta": 2e-6, "daily_total": 5e5 + 5e4 * k} for k in range(16)
+    ],
+})
+
+
 class TestCliVerifyAndPresets:
     def test_verify_reports_four_properties(self):
         result = run_cli(
@@ -1135,12 +1147,16 @@ class TestCliVerifyAndPresets:
 
     def test_sampled_run_loads_no_numpy_but_verify_does(self, tmp_path, bare_modules):
         # the sampler draws its orders with the standard library's MT19937, so
-        # a sampled run loads no numpy; verify loads it for the exact table,
-        # but never numpy.random, which imports secrets, hmac and hashlib
+        # a sampled run loads no numpy; verify loads it for the exact tables of
+        # a config past the budget for tuple tables, and for no preset, but
+        # never numpy.random, which imports secrets, hmac and hashlib
         # (OpenSSL: ~6 MB of resident memory)
+        assert 17**2 << 17 > cli_mod.LIST_TABLE_BUDGET
         one_instance = json.dumps({"l_total_grid": [2e6], "samples": 5000})
         for args, numpy in (
-            (["verify", "fig1"], True),
+            (["verify", "fig1"], False),
+            (["verify", "fig6"], False),
+            (["verify", _OVER_BUDGET], True),
             (["run", one_instance, "--method", "sample", "--out", str(tmp_path / "s")], False),
             (["run", "fig6", "--method", "sample", "--out", str(tmp_path / "fig6")], False),
         ):
@@ -1169,14 +1185,49 @@ class TestCliVerifyAndPresets:
         reason="reads /proc/self/task; OpenBLAS starts no worker on one CPU",
     )
     def test_numpy_runs_one_blas_thread_unless_told_otherwise(self):
-        # no command makes a BLAS call, and an idle OpenBLAS worker spins on the CPU
-        cfg = json.dumps({"l_total_grid": [2e6], "samples": 100})
+        # no command makes a BLAS call, and an idle OpenBLAS worker spins on
+        # the CPU; only a verify past the budget for tuple tables loads numpy
         unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         for env, threads in ((unset, 1), ({**unset, "OPENBLAS_NUM_THREADS": "2"}, 2)):
-            proc = _fresh_interpreter("-c", _COUNT_THREADS_AT_EXIT, "verify", cfg, env=env)
+            proc = _fresh_interpreter(
+                "-c", _COUNT_THREADS_AT_EXIT, "verify", _OVER_BUDGET, env=env
+            )
             assert proc.returncode == 0, proc.stdout + proc.stderr
             counted = proc.stderr.split()[-1]
             assert counted == str(threads), (env.get("OPENBLAS_NUM_THREADS"), proc.stderr)
+
+    def test_verify_reads_tuple_tables_up_to_the_budget(self, monkeypatch):
+        # a 10-player instance is 10^2 * 2^10 units of exact work: the sweep of
+        # the most prices within the budget reads tuples, one price more
+        # ndarrays, and forced onto the other kind, each prints the same lines
+        most = cli_mod.LIST_TABLE_BUDGET // (10**2 << 10)
+        build, kinds = checks_mod.coalition_table, []
+
+        def recording(game, array=True):
+            table = build(game, array)
+            kinds.append(type(table.values))
+            return table
+
+        monkeypatch.setattr(checks_mod, "coalition_table", recording)
+        for prices, kind, other, forcing in (
+            (most, tuple, np.ndarray, 0),
+            (most + 1, np.ndarray, tuple, 10**18),
+        ):
+            config = json.dumps({
+                "scenario": "price-sweep",
+                "n_sps": [9],
+                "d_grid": [0.005 * (k + 1) for k in range(prices)],
+                "samples": 200,
+            })
+            kinds.clear()
+            picked = run_cli("verify", config)
+            assert picked.exit_code == 0, picked.output
+            assert kinds == [kind] * prices
+            kinds.clear()
+            with monkeypatch.context() as forced:
+                forced.setattr(cli_mod, "LIST_TABLE_BUDGET", forcing)
+                assert run_cli("verify", config) == picked
+            assert kinds == [other] * prices
 
     def test_sampled_payoffs_pass_strict_checks(self, tmp_path):
         # a sampled provider payoff lies in [0, m_i] and the owner takes the

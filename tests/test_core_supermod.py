@@ -30,9 +30,10 @@ from coinvest import (
 )
 from coinvest.checks import verify_checks
 from coinvest.game import SingleOptimum
-from coinvest.shapley import STABILITY_TOL
+from coinvest.shapley import AGREEMENT_TOL, STABILITY_TOL
 
 from conftest import (
+    TABLE_KINDS,
     TabularGame,
     bloated_game,
     classification_scan,
@@ -87,6 +88,26 @@ def oracle_games():
     yield nonconvex_fixture()
     yield veto_table_game({"SP1": 3.0, "SP2": 1.0, "SP3": 0.0})
     yield from integer_games()
+
+
+def both_tables(game):
+    """The ndarray table and the tuple table of a ``TabularGame`` or a ``GameInstance``."""
+    if isinstance(game, TabularGame):
+        return [game.table(array) for array in TABLE_KINDS.values()]
+    return [coalition_table(game, array) for array in TABLE_KINDS.values()]
+
+
+def assert_enumerations_agree(tables):
+    """Enumeration on each table kind gives payoffs within the oracle triangle's
+    margin of each other: AGREEMENT_TOL relative, plus n ulps of v(N)."""
+    first, *rest = (shapley_enumeration(table).payoffs for table in tables)
+    players, values = tables[0]
+    rounding = len(players) * math.ulp(float(values[-1]))
+    for other in rest:
+        for pid in players:
+            margin = AGREEMENT_TOL * max(1.0, abs(first[pid])) + rounding
+            assert abs(other[pid] - first[pid]) <= margin, pid
+    return first
 
 
 class TestCore:
@@ -181,7 +202,8 @@ class TestSupermodularity:
 
     def test_rejects_nonconvex_fixture(self):
         game = nonconvex_fixture()
-        report = check_supermodularity(game.table)
+        report, listed = (check_supermodularity(table) for table in both_tables(game))
+        assert listed == report
         assert not report.holds
         pid, smaller, larger = report.counterexample
         assert smaller <= larger
@@ -196,13 +218,13 @@ class TestSupermodularity:
         assert check_supermodularity(coalition_table(game)).holds
 
     def test_hand_built_veto_game_holds(self):
-        assert check_supermodularity(veto_table_game({"SP1": 3.0, "SP2": 1.0}).table).holds
+        assert check_supermodularity(veto_table_game({"SP1": 3.0, "SP2": 1.0}).table()).holds
 
     def test_tolerance_scales_with_grand_value(self):
         # at v(N) ~ 2e12 a shortfall of 1 is rounding, one of 1e4 is not
         for shortfall, holds in ((1.0, True), (1e4, False)):
             values = {("A",): 1e12, ("B",): 1e12, ("A", "B"): 2e12 - shortfall}
-            report = check_supermodularity(TabularGame(("A", "B"), values).table)
+            report = check_supermodularity(TabularGame(("A", "B"), values).table())
             assert report.holds is holds
 
     def test_player_bound(self):
@@ -211,7 +233,7 @@ class TestSupermodularity:
 
     def test_accepts_thirteen_players(self):
         game = TabularGame(tuple(f"P{i}" for i in range(13)), {}, default=0.0)
-        assert check_supermodularity(game.table).holds
+        assert check_supermodularity(game.table()).holds
 
 
 class TestClassification:
@@ -252,17 +274,20 @@ class TestLoopOracles:
             grand = worth(game, frozenset(players))
             guess = dict(zip(players, rng.integers(-2, 6, size=len(players)).astype(float)))
             guess[players[-1]] += grand - sum(guess.values())
-            for payoffs in (shapley_enumeration(game.table).payoffs, guess):
-                result = check_core(game.table, payoffs)
+            tables = both_tables(game)
+            for payoffs in (assert_enumerations_agree(tables), guess):
                 expected = core_scan(game, payoffs)
-                assert (result.in_core, result.violating_coalition) == expected
+                for table in tables:
+                    result = check_core(table, payoffs)
+                    assert (result.in_core, result.violating_coalition) == expected
                 verdicts.add(result.in_core)
         assert verdicts == {True, False}
 
     def test_supermodularity_matches_scan(self):
         verdicts = set()
         for game in oracle_games():
-            report = check_supermodularity(game.table)
+            report, listed = (check_supermodularity(table) for table in both_tables(game))
+            assert listed == report
             assert report.holds == supermodularity_scan(game)
             verdicts.add(report.holds)
             if not report.holds:
@@ -275,25 +300,29 @@ class TestLoopOracles:
 
     def test_classification_matches_scan(self):
         for game in oracle_games():
-            assert classify_players(game.table) == classification_scan(game)
+            for table in both_tables(game):
+                assert classify_players(table) == classification_scan(game)
 
     def test_one_table_serves_every_check(self, monkeypatch, rng):
-        build = coinvest.game._fsum_subset_sums
         builds = []
+        for name in ("_fsum_subset_sums", "_exact_subset_sums"):
+            build = getattr(coinvest.game, name)
 
-        def counting(x):
-            builds.append(len(x))
-            return build(x)
+            def counting(x, name=name, build=build):
+                builds.append((name, len(x)))
+                return build(x)
 
-        monkeypatch.setattr(coinvest.game, "_fsum_subset_sums", counting)
-        # within the bound verify's brute force and oracles read one table;
-        # past it they are skipped and no table is built
-        for game, want in ((random_game(rng, n_sps=3), [3]), (bloated_game(), [])):
-            builds.clear()
+            monkeypatch.setattr(coinvest.game, name, counting)
+        # within the bound verify's brute force and oracles read one table, of
+        # the kind asked for; past it they are skipped and no table is built
+        for game in (random_game(rng, n_sps=3), bloated_game()):
             [record] = run_sweep([game])
-            checks = verify_checks(game, record, samples=200, seed=0)
-            assert builds == want
-            assert checks["oracle_triangle"].verdict == ("pass" if want else "skipped")
+            for array, name in ((True, "_fsum_subset_sums"), (False, "_exact_subset_sums")):
+                builds.clear()
+                checks = verify_checks(game, record, samples=200, seed=0, array=array)
+                want = [(name, 3)] if len(game.sps) == 3 else []
+                assert builds == want
+                assert checks["oracle_triangle"].verdict == ("pass" if want else "skipped")
 
 
 # one timeslot a day; a provider with beta * L above d / (D * xi) is active
@@ -356,8 +385,9 @@ def test_structural_brute_force_and_loop_verdicts_agree(case):
     noise = STABILITY_TOL * max(1.0, coalition_value(game, game.players))
 
     structural = check_core_structural(game, payoffs)
-    table = coalition_table(game)
-    brute = check_core(table, payoffs)
+    tables = both_tables(game)
+    brute, listed = (check_core(table, payoffs) for table in tables)
+    assert listed == brute
     assert structural.in_core == brute.in_core == core_scan(game, payoffs)[0]
     assert structural.in_core is (kind in ("shapley", "inside"))
     blocking = structural.violating_coalition
@@ -367,11 +397,14 @@ def test_structural_brute_force_and_loop_verdicts_agree(case):
         assert paid - coalition_value(game, blocking) < -noise
 
     assert check_supermodularity_structural(game).holds
-    assert check_supermodularity(table).holds
+    for table in tables:
+        assert check_supermodularity(table).holds
     assert supermodularity_scan(game, tol=noise)
 
     flags = classify_players_structural(game)
-    assert flags == classify_players(table) == classification_scan(game)
+    assert flags == classification_scan(game)
+    for table in tables:
+        assert classify_players(table) == flags
 
 
 class ProfitsOnly:
@@ -390,19 +423,22 @@ class ProfitsOnly:
 def test_structural_checks_match_brute_force_on_negative_profits():
     profits = {"SP1": 3.0, "SP2": -1.0, "SP3": 0.0, "SP4": -2.0}
     stand_in, tabular = ProfitsOnly(profits), veto_table_game(profits)
-    table = tabular.table
+    tables = both_tables(tabular)
     report = check_supermodularity_structural(stand_in)
     assert not report.holds
-    assert report == check_supermodularity(table)
     assert report.counterexample == (NO, frozenset(), frozenset({"SP2"}))
-    assert classify_players_structural(stand_in) == classify_players(table)
+    for table in tables:
+        assert report == check_supermodularity(table)
+        assert classify_players_structural(stand_in) == classify_players(table)
     for payoffs in (
         {"SP1": 1.0, "SP2": -1.0, "SP3": 0.0, "SP4": -2.0, NO: 2.0},
         {"SP1": 3.0, "SP2": -1.0, "SP3": 0.0, "SP4": -2.0, NO: 0.0},
         {"SP1": 4.0, "SP2": 0.0, "SP3": 0.0, "SP4": -2.0, NO: -2.0},
     ):
         structural = check_core_structural(stand_in, payoffs)
-        assert structural.in_core == check_core(table, payoffs).in_core
+        brute, listed = (check_core(table, payoffs) for table in tables)
+        assert listed == brute
+        assert structural.in_core == brute.in_core
         if structural.violating_coalition is not None:
             worth = tabular.value(structural.violating_coalition)
             assert math.fsum(payoffs[p] for p in structural.violating_coalition) < worth

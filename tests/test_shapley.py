@@ -19,6 +19,7 @@ from coinvest import (
 )
 
 from conftest import (
+    TABLE_KINDS,
     bloated_game,
     marginal_contribution,
     random_game,
@@ -49,25 +50,27 @@ class TestMarginalContribution:
 class TestEnumeration:
     def test_single_provider_half_split(self):
         game = veto_table_game({"SP1": 10.0})
-        result = shapley_enumeration(game.table)
+        result = shapley_enumeration(game.table())
         # two orderings: the second player to arrive collects the whole 10
         assert result.payoffs == {"SP1": 5.0, NO: 5.0}
 
     def test_two_providers_hand_case(self):
         game = veto_table_game({"SP1": 10.0, "SP2": 30.0})
-        result = shapley_enumeration(game.table)
         oracle = shapley_by_orderings(game.players, game.value)
-        for pid, expected in {"SP1": 5.0, "SP2": 15.0, NO: 20.0}.items():
-            assert result.payoffs[pid] == pytest.approx(expected, rel=1e-12)
-            assert result.payoffs[pid] == pytest.approx(oracle[pid], rel=1e-12)
+        for array in TABLE_KINDS.values():
+            result = shapley_enumeration(game.table(array))
+            for pid, expected in {"SP1": 5.0, "SP2": 15.0, NO: 20.0}.items():
+                assert result.payoffs[pid] == pytest.approx(expected, rel=1e-12)
+                assert result.payoffs[pid] == pytest.approx(oracle[pid], rel=1e-12)
 
     def test_matches_ordering_oracle_on_instances(self, rng):
         for _ in range(5):
             game = random_game(rng, n_sps=int(rng.integers(1, 5)))
-            result = shapley_enumeration(coalition_table(game))
             oracle = shapley_by_orderings(game.players, partial(coalition_value, game))
-            for pid in game.players:
-                assert result.payoffs[pid] == pytest.approx(oracle[pid], rel=1e-9, abs=1e-12)
+            for array in TABLE_KINDS.values():
+                result = shapley_enumeration(coalition_table(game, array))
+                for pid in game.players:
+                    assert result.payoffs[pid] == pytest.approx(oracle[pid], rel=1e-9, abs=1e-12)
 
     def test_null_provider_gets_nothing(self, rng, market):
         sps = random_game(rng, n_sps=2).sps + (

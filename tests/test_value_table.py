@@ -1,5 +1,6 @@
-"""The numpy build of a coinvestment game's coalition table against fsum,
-and the memory the exact layer and ``verify`` spend on top of it."""
+"""Both builds of a coinvestment game's coalition table, the ndarray and the
+tuple, against fsum, and the memory the exact layer and ``verify`` spend on
+top of the ndarray build."""
 
 import json
 import math
@@ -22,22 +23,32 @@ from coinvest import (
     shapley_closed_form,
     shapley_enumeration,
 )
-from coinvest.game import _fsum_subset_sums
+from coinvest.game import _exact_subset_sums, _fsum_subset_sums
 from coinvest.scenarios import DEFAULT_D_GRID
 
-from conftest import bloated_game, coalitions_by_mask, invoke_cli, random_game
+from conftest import TABLE_KINDS, bloated_game, coalitions_by_mask, invoke_cli, random_game
 
 _MARKET = MarketParams()
 
 
 def fsum_table(game):
     """Loop reference: ``coalition_value`` of every coalition, in bitmask order."""
-    return np.array([coalition_value(game, c) for c in coalitions_by_mask(game.players)])
+    return [coalition_value(game, c) for c in coalitions_by_mask(game.players)]
+
+
+def fsum_subset_sums(x):
+    """Loop reference: ``fsum`` of ``x`` over every coalition, in bitmask order."""
+    return [math.fsum(v for k, v in enumerate(x) if mask >> k & 1) for mask in range(1 << len(x))]
 
 
 def assert_bit_identical(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    """``got``, a 1-D float64 ndarray or a tuple or list of floats, holds the
+    floats of the list ``want``, bit for bit."""
+    if isinstance(got, np.ndarray):
+        assert got.shape == (len(want),) and got.dtype == np.float64
+        got = got.tolist()
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 # log10 of beta and of the daily total; None draws a null (beta 0) or idle provider
@@ -72,15 +83,39 @@ def games(draw):
 @settings(max_examples=150)
 @given(game=games())
 def test_table_is_bit_identical_to_fsum(game):
-    assert_bit_identical(coalition_table(game).values, fsum_table(game))
+    want = fsum_table(game)
+    tables = [coalition_table(game, array) for array in TABLE_KINDS.values()]
+    assert isinstance(tables[0].values, np.ndarray)
+    assert type(tables[1].values) is tuple
+    for table in tables:
+        assert table.players == game.players
+        assert_bit_identical(table.values, want)
+
+
+# finite profits of every binary exponent a float has, subnormals included
+_profits = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 2.0**-1022, allow_subnormal=True),
+    st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1074, 1000)),
+    st.floats(0.0, 1e6),
+)
+
+
+@settings(max_examples=300)
+@given(x=st.lists(_profits, min_size=1, max_size=11))
+def test_subset_sums_are_bit_identical_to_fsum(x):
+    want = fsum_subset_sums(x)
+    assert_bit_identical(_exact_subset_sums(x), want)
+    assert_bit_identical(_fsum_subset_sums(x), want)
 
 
 def test_rounding_tie_matches_fsum():
     # 1 + 2^-53 is a tie that rounds down; 2^-106 more tips it up
     x = [1.0, 2.0**-53, 2.0**-106]
-    want = [math.fsum(v for k, v in enumerate(x) if mask >> k & 1) for mask in range(8)]
+    want = fsum_subset_sums(x)
     assert want[-1] == 1.0 + 2.0**-52
-    assert_bit_identical(_fsum_subset_sums(x), np.array(want))
+    assert_bit_identical(_fsum_subset_sums(x), want)
+    assert_bit_identical(_exact_subset_sums(x), want)
 
 
 def test_game_table_makes_no_value_calls(monkeypatch):
@@ -99,17 +134,19 @@ def test_game_table_makes_no_value_calls(monkeypatch):
             for k in range(6)
         ),
     )
-    table = coalition_table(game)
+    tables = [coalition_table(game, array) for array in TABLE_KINDS.values()]
     assert calls == []
-    assert table.players == game.players
-    assert not table.values.flags.writeable
+    assert not tables[0].values.flags.writeable
     monkeypatch.undo()
-    assert_bit_identical(table.values, fsum_table(game))
+    for table in tables:
+        assert table.players == game.players
+        assert_bit_identical(table.values, fsum_table(game))
 
 
 def test_game_table_is_bounded_like_enumeration():
-    with pytest.raises(ValueError, match="enumeration bound"):
-        coalition_table(bloated_game())
+    for array in TABLE_KINDS.values():
+        with pytest.raises(ValueError, match="enumeration bound"):
+            coalition_table(bloated_game(), array)
 
 
 def _traced_peak(step):
@@ -127,8 +164,8 @@ def test_exact_layer_memory_stays_near_the_table(rng):
     # about one table's worth of their own
     game = random_game(rng, n_sps=15)
     payoffs = shapley_closed_form(game).payoffs
-    build = _traced_peak(lambda: coalition_table(game))
-    table = coalition_table(game)
+    build = _traced_peak(lambda: coalition_table(game, array=True))
+    table = coalition_table(game, array=True)
     size = table.values.nbytes
     core = _traced_peak(lambda: check_core(table, payoffs))
     enum = _traced_peak(lambda: shapley_enumeration(table))
@@ -153,8 +190,10 @@ def _verify_peak(n_sps, prices):
 
 def test_verify_holds_one_table_at_a_time():
     # a 17-player table is 1 MiB: verify of eight instances may peak above
-    # verify of two by less than that only if no table outlives its instance
-    _verify_peak(2, list(DEFAULT_D_GRID[:2]))  # imports and first-call caches
+    # verify of two by less than that only if no table outlives its instance.
+    # Both are past verify's budget for tuple tables, so both build ndarrays,
+    # as does the first call, which takes the imports and first-call caches
+    _verify_peak(16, list(DEFAULT_D_GRID[:1]))
     two = _verify_peak(16, list(DEFAULT_D_GRID[:2]))
     eight = _verify_peak(16, list(DEFAULT_D_GRID[:8]))
     table = (1 << 17) * 8
