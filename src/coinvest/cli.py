@@ -10,7 +10,8 @@ suite (:mod:`coinvest.checks`) on them and prints one pass/fail line per
 property. ``coinvest presets`` lists the shipped configurations. ``run``
 decides its checks structurally and, under either method, never loads
 numpy. Nor does ``verify`` of a config whose brute-force checks are small
-(:data:`LIST_TABLE_BUDGET`): it reads its coalition tables as tuples.
+(:data:`LIST_TABLE_BUDGET`), or of any config where numpy is not installed:
+it reads its coalition tables as tuples.
 
 Exit codes: 0 success, 1 validation error (a bad config or a usage error),
 2 property-check failure (under ``--strict`` or from ``verify``), 3 I/O error.
@@ -19,8 +20,8 @@ Exit codes: 0 success, 1 validation error (a bad config or a usage error),
 from __future__ import annotations
 
 import atexit
-import csv
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -63,12 +64,15 @@ CSV_COLUMNS = (
 
 #: The most exact work, the sum of n^2 * 2^n over a config's instances of at
 #: most MAX_ENUMERATION_PLAYERS players, that ``verify`` checks on tuple
-#: tables, without numpy; past it the tables are ndarrays and numpy loads.
-#: The list forms cost ~15-20 ns per unit of that work from n = 12 up and
-#: numpy's import ~65 ms (one BLAS thread, 2-vCPU x86-64), so this spends
-#: about one import on lists. Per instance, lists lose from n = 8 on (n = 12:
-#: 10.6 against 0.8 ms), so the rule is per config: a sweep of many
-#: mid-sized instances pays numpy's import once and wins it back.
+#: tables, without numpy; past it the tables are ndarrays, if numpy is
+#: installed. Per instance, lists lose from n = 8 on (n = 12: 3.3 against
+#: 0.4 ms; 2-vCPU x86-64), so the rule is per config: a sweep of many
+#: mid-sized instances pays numpy's import (~65 ms, one BLAS thread) once and
+#: wins it back. Brute-force supermodularity now costs n * 2^n on a game with
+#: a veto player, so lists cost ~5-9 ns per unit of this work from n = 10 up,
+#: and the budget spends about half an import on them. W keeps its n^2, so
+#: that a 17-player instance (~140 ms on lists) still reads ndarrays and no
+#: config changes kind until per-layer curves re-derive the crossover.
 LIST_TABLE_BUDGET = 4_000_000
 
 EXIT_VALIDATION = 1
@@ -411,6 +415,8 @@ def _cells(record) -> list:
 def _records_csv_text(records) -> str:
     """records.csv: a row per instance and player. Each of ``CSV_COLUMNS``
     is the player's or the instance's field of that name in lower case."""
+    import csv  # here, so that verify and presets never load it
+
     fields = (*PlayerRecord._fields, *SweepRecord._fields)
     pick = itemgetter(*(fields.index(column.lower()) for column in CSV_COLUMNS))
     buf = io.StringIO()
@@ -531,7 +537,8 @@ def verify(config):
     solved = _solve(cfg._replace(method=ShapleyMethod.CLOSED_FORM))
     sizes = [len(game.players) for game, _ in solved]
     work = sum(n * n << n for n in sizes if n <= MAX_ENUMERATION_PLAYERS)
-    array = work > LIST_TABLE_BUDGET
+    # past the budget, ndarray tables if numpy is installed; tuples without it
+    array = work > LIST_TABLE_BUDGET and importlib.util.find_spec("numpy") is not None
     outcomes = [verify_checks(game, record, cfg.samples, cfg.seed, array)
                 for game, record in solved]
     failed = False

@@ -22,11 +22,13 @@ constants below.
 
 Each exact route and check has one body, written over a few array primitives
 (``_split``, ``_difference``, ``_first_below``, ``_subset_sums`` and the
-like). Each primitive has a list form, for a table whose values are a tuple,
-and an ndarray form, which imports numpy; both do the same float operations
-in the same order, so the verdicts and counterexamples agree. Only
-enumeration sums differently: with ``fsum`` on lists. So a process that
-reads no ndarray table never loads numpy.
+like). Each primitive has a list form, for a table whose values are a
+tuple, and an ndarray form, which imports numpy; both do the same float
+operations in the same order, so the verdicts and counterexamples agree.
+Only enumeration sums differently: with ``fsum`` on lists. So a process that
+reads no ndarray table never loads numpy. Brute-force supermodularity and
+enumeration first look for a veto player, whose avoiding half of the table
+is all zeros, and where they can read only the other half.
 """
 
 from __future__ import annotations
@@ -222,28 +224,57 @@ def _any(x) -> bool:
     return any(x) if _listed(x) else bool(x.any())
 
 
+def _bounds(x) -> tuple[float, float]:
+    """The least and the greatest entry of ``x``."""
+    if _listed(x):
+        return min(x), max(x)
+    return float(x.min()), float(x.max())
+
+
 def _with_zero_bit(mask: int, b: int) -> int:
     """``mask`` with a 0 put in at bit ``b``, its bits from ``b`` up moved up one."""
     return (mask >> b << b + 1) | (mask & (1 << b) - 1)
+
+
+def _veto_half(table: CoalitionTable):
+    """``(k, half)``: the highest-index player k whose avoiding half of the
+    table is all exact zeros, and the other half, ``_split(values, k)[1]``,
+    indexed by the other players' coalitions; ``(None, None)`` if no player is
+    veto. A coinvestment game's owner is its last player and veto."""
+    players, values = table
+    for k in reversed(range(len(players))):
+        without, joined = _split(values, k)
+        if not _any(without):
+            return k, joined
+    return None, None
 
 
 def shapley_enumeration(table: CoalitionTable) -> ShapleyResult:
     """Exact Shapley payoffs by weighted subset enumeration.
 
     For each player, sums ``|S|! * (n-|S|-1)! / n!`` times its marginal
-    contribution over every coalition S avoiding it.
+    contribution over every coalition S avoiding it. If a player k is veto
+    (:func:`_veto_half`), every other player's marginal over the S avoiding k
+    is 0 - 0, so its sum runs over the S = T + k alone.
     """
     players, values = table
     n = len(players)
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
     # raveled, the coalitions avoiding any one player list the other players'
-    # subsets in bitmask order, so one array of weights serves every player
+    # subsets in bitmask order, so one array of weights serves every player;
+    # its upper half, weight[|T| + 1], serves the coalitions T + k
     coef = _take(weight, _subset_sums([1] * (n - 1), values))
+    upper = coef[len(coef) // 2:]
+    k, half = _veto_half(table)
     payoffs = {}
     for i, pid in enumerate(players):
-        without, joined = _split(values, i)
-        payoffs[pid] = _weighted_sum(coef, _difference(joined, without))
+        if k is None or i == k:
+            without, joined = _split(values, i)
+            payoffs[pid] = _weighted_sum(coef, _difference(joined, without))
+        else:
+            without, joined = _split(half, i - (i > k))
+            payoffs[pid] = _weighted_sum(upper, _difference(joined, without))
     return ShapleyResult(payoffs=payoffs)
 
 
@@ -385,9 +416,16 @@ def check_supermodularity(table: CoalitionTable) -> SupermodularityReport:
     is equivalent to the nested condition over all T subseteq S (Shapley 1971,
     "Cores of convex games"). The noise is ``STABILITY_TOL`` relative to the
     grand value, as in :func:`check_core`.
+
+    That pair scan is O(n^2 2^n). It runs only if the O(n 2^n) bound of
+    :func:`_certified_supermodular` proves nothing; on a coinvestment game,
+    whose entries are rounded sums, it always proves. So the verdict, and
+    the first counterexample, are the scan's.
     """
     players, values = table
     noise = STABILITY_TOL * max(1.0, abs(float(values[-1])))
+    if _certified_supermodular(table, noise):
+        return SupermodularityReport(holds=True, counterexample=None)
     for j, pid in enumerate(players):
         without, joined = _split(values, j)
         gain = _difference(joined, without)
@@ -403,6 +441,32 @@ def check_supermodularity(table: CoalitionTable) -> SupermodularityReport:
                     holds=False, counterexample=(pid, smaller, smaller | {players[i]})
                 )
     return SupermodularityReport(holds=True, counterexample=None)
+
+
+def _certified_supermodular(table: CoalitionTable, noise: float) -> bool:
+    """Whether every second difference :func:`check_supermodularity`'s pair
+    scan forms is at least ``-noise``, proven from bounds in O(n 2^n); False
+    when unproven, so the scan decides.
+
+    Let k be veto (:func:`_veto_half`) and, for each other player j, g_j the
+    gains v(T+k+j) - v(T+k), with least lo_j and greatest hi_j. A second
+    difference over S, i and j is 0 - 0 if S, i and j all avoid k; it is an
+    entry of g_j (or g_i) if i or j is k, since the subtrahends are 0 and
+    x - 0 == x; otherwise S = T + k, and it is fl(a - b) with a and b entries
+    of g_j, so at least fl(lo_j - hi_j), rounding being monotone. So it holds
+    if every lo_j and every fl(lo_j - hi_j) is at least ``-noise``. A NaN
+    entry, whose differences the scan never flags, either makes a bound NaN,
+    which proves nothing, or is skipped by ``min`` and ``max``.
+    """
+    k, half = _veto_half(table)
+    if k is None:
+        return False
+    for j in range(len(table.players) - 1):  # the players but k, as the half indexes them
+        without, joined = _split(half, j)
+        lo, hi = _bounds(_difference(joined, without))
+        if not (lo >= -noise and lo - hi >= -noise):
+            return False
+    return True
 
 
 def classify_players(table: CoalitionTable) -> dict[str, PlayerFlags]:

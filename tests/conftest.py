@@ -3,7 +3,8 @@
 The oracles deliberately avoid the production shortcuts: Shapley values are
 re-derived by averaging over every arrival order, single-provider optima by
 dense grid search or golden-section search over the raw objective, the core,
-supermodularity and classification checks by plain loops over coalitions,
+supermodularity and classification checks by plain loops over coalitions
+(supermodularity also pair by pair, in the brute-force check's order),
 sampled payoffs by walking each arrival order through the coalition
 table or by exact rational arithmetic over the same arrival orders, their
 standard errors by enumerating every set of players ahead of each player,
@@ -20,14 +21,17 @@ read-only ndarray or a tuple, as ``TABLE_KINDS`` names them), and its
 its exit code and output.
 """
 
+import importlib.util
 import io
 import itertools
 import math
 import os
 import random
+import sys
 import tempfile
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -228,6 +232,19 @@ def sampling_exact_mean(game, samples, seed):
     )
     mean[players[-1]] = Fraction(owner) / samples
     return mean
+
+
+def load_bench_workloads(monkeypatch):
+    """The benchmark's ``bench/workloads.py``, loaded for the length of a test."""
+    # it imports only the standard library; its dataclass needs the module
+    # registered while it loads, and bench/ gets no bytecode
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def shapley_by_orderings(players, value_fn):
@@ -454,6 +471,28 @@ def supermodularity_scan(game, tol=1e-9):
                 if worth(game, smaller | {i}) - worth(game, smaller) > gain + tol:
                     return False
     return True
+
+
+def pair_scan(game, tol=1e-9):
+    """Loop reference for ``check_supermodularity``: its first counterexample,
+    ``(player j, S, S + i)``, or None if there is none.
+
+    Visits j in player order, then each i before j, then each S avoiding both
+    in ascending bitmask order, and forms the second difference
+    ``(v(S+i+j) - v(S+i)) - (v(S+j) - v(S))`` in that order; the slack allowed
+    is ``tol`` relative to the grand value.
+    """
+    players = tuple(game.players)
+    noise = tol * max(1.0, abs(worth(game, frozenset(players))))
+    for j, pid in enumerate(players):
+        for i, other in enumerate(players[:j]):
+            for smaller in coalitions_by_mask(tuple(p for p in players if p not in (pid, other))):
+                larger = smaller | {other}
+                after = worth(game, larger | {pid}) - worth(game, larger)
+                before = worth(game, smaller | {pid}) - worth(game, smaller)
+                if after - before < -noise:
+                    return pid, smaller, larger
+    return None
 
 
 def classification_scan(game, tol=0.0):

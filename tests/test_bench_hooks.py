@@ -14,14 +14,14 @@ exact-method ``records.csv`` must match the digests in ``bench/reference.json``.
 import ast
 import hashlib
 import importlib
-import importlib.util
 import inspect
 import json
-import sys
 from pathlib import Path
 
 import coinvest.cli
 from coinvest.config import config_from_dict
+
+from conftest import load_bench_workloads
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -59,20 +59,8 @@ def test_value_hook_and_commands_resolve():
     assert {"args", "prog_name", "standalone_mode"} <= set(parameters)
 
 
-def load_workloads(monkeypatch):
-    # bench/workloads.py imports only the standard library; its dataclass
-    # needs the module registered while it loads, and bench/ gets no bytecode
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = ROOT / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 def test_every_workload_config_is_accepted(monkeypatch):
-    workloads = load_workloads(monkeypatch)
+    workloads = load_bench_workloads(monkeypatch)
     for name in workloads.WORKLOADS:
         for seed in (0, 1, 7):
             jobs = workloads.make_jobs(name, seed, ROOT)
@@ -83,7 +71,7 @@ def test_every_workload_config_is_accepted(monkeypatch):
 
 def test_exact_records_match_the_reference_digests(monkeypatch, tmp_path):
     # the bench fails a run whose records.csv moves by one bit; so does this
-    workloads = load_workloads(monkeypatch)
+    workloads = load_bench_workloads(monkeypatch)
     reference = json.loads((ROOT / "bench" / "reference.json").read_text(encoding="utf-8"))
     checked = []
     for name in workloads.WORKLOADS:

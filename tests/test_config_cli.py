@@ -1196,6 +1196,19 @@ class TestCliVerifyAndPresets:
             counted = proc.stderr.split()[-1]
             assert counted == str(threads), (env.get("OPENBLAS_NUM_THREADS"), proc.stderr)
 
+    def test_verify_past_the_budget_reads_tuples_without_numpy(self):
+        # past the budget verify reads ndarrays if numpy is installed and
+        # tuples if not, and prints the same lines either way
+        without_numpy = (
+            "import runpy, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "runpy.run_module('coinvest', run_name='__main__')\n"
+        )
+        bare = _fresh_interpreter("-c", without_numpy, "verify", _OVER_BUDGET)
+        assert bare.returncode == 0, bare.stderr
+        assert bare.stderr == ""
+        assert bare.stdout == _fresh_interpreter("-m", "coinvest", "verify", _OVER_BUDGET).stdout
+
     def test_verify_reads_tuple_tables_up_to_the_budget(self, monkeypatch):
         # a 10-player instance is 10^2 * 2^10 units of exact work: the sweep of
         # the most prices within the budget reads tuples, one price more

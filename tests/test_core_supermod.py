@@ -30,7 +30,12 @@ from coinvest import (
 )
 from coinvest.checks import verify_checks
 from coinvest.game import SingleOptimum
-from coinvest.shapley import AGREEMENT_TOL, STABILITY_TOL
+from coinvest.shapley import (
+    AGREEMENT_TOL,
+    STABILITY_TOL,
+    SupermodularityReport,
+    _certified_supermodular,
+)
 
 from conftest import (
     TABLE_KINDS,
@@ -41,6 +46,7 @@ from conftest import (
     core_scan,
     heterogeneous_game,
     marginal_contribution,
+    pair_scan,
     random_game,
     supermodularity_scan,
     veto_table_game,
@@ -234,6 +240,85 @@ class TestSupermodularity:
     def test_accepts_thirteen_players(self):
         game = TabularGame(tuple(f"P{i}" for i in range(13)), {}, default=0.0)
         assert check_supermodularity(game.table()).holds
+
+
+def perturbed_veto_games(count=120, seed=31):
+    """Veto games whose coalitions with the veto player are nudged.
+
+    Each starts from :func:`veto_table_game` (2-7 players) with the veto player
+    moved to a random position. Then it shifts a few coalitions holding it by
+    a scale from rounding noise to a real violation, adds |T|^2 (convex, but
+    not additive), subtracts c |T|^2 with 2c a share of the noise either side
+    of it (concave, so each second difference is -2c), puts a NaN or an
+    infinity in one entry, or is left as it is.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        providers = [f"SP{i}" for i in range(int(rng.integers(1, 7)))]
+        profits = rng.uniform(0.0, 10.0, size=len(providers)) * (rng.random(len(providers)) < 0.8)
+        base = veto_table_game(dict(zip(providers, profits.tolist())))
+        players = list(base.players)
+        players.insert(int(rng.integers(0, len(players))), players.pop())
+        values = {c: base.value(c) for c in coalitions_by_mask(players)}
+        holding = [c for c in values if NO in c]
+        kind = k % 5
+        if kind == 0:  # nudged by a scale from below the noise to above it
+            scale = float(rng.choice([1e-13, 1e-10, 1e-8, 1e-3, 1.0]))
+            for pick in rng.choice(len(holding), size=min(3, len(holding)), replace=False):
+                values[holding[pick]] += scale * float(rng.uniform(-1.0, 1.0))
+        elif kind == 1:
+            for c in holding:
+                values[c] += float(len(c) - 1) ** 2
+        elif kind == 2:
+            c = holding[int(rng.integers(0, len(holding)))]
+            values[c] = float(rng.choice([math.nan, math.inf, -math.inf]))
+        elif kind == 3:
+            noise = STABILITY_TOL * max(1.0, values[frozenset(players)])
+            share = float(rng.choice([0.4, 0.9, 1.1, 1.6]))
+            for c in holding:
+                values[c] -= share * noise / 2.0 * float(len(c) - 1) ** 2
+        yield TabularGame(players, values, default=None)
+
+
+def certificate_games():
+    """Tables for the supermodularity certificate: perturbed veto games, the
+    oracle fixtures, and edge cases without a veto player or with few players."""
+    yield from perturbed_veto_games()
+    yield from oracle_games()
+    for n in range(1, 6):
+        yield TabularGame([f"P{i}" for i in range(n)], {}, default=0.0)
+    yield TabularGame(["A"], {(): 1.0, ("A",): 3.0})  # no veto player
+    yield TabularGame(["A"], {("A",): -3.0})
+    yield TabularGame(["A", "B"], {("A",): 1.0, ("B",): 1.0, ("A", "B"): 1.0})
+    yield TabularGame(["A", "B"], {("A",): 1.0, ("A", "B"): 0.5})  # A is veto
+    yield TabularGame(["A", "B"], {("B",): 1.0, ("A", "B"): 4.0})  # B is veto
+    yield TabularGame(["A", "B", "C"], {("A",): 1.0, ("A", "B", "C"): 1.0})
+
+
+class TestSupermodularityCertificate:
+    def test_verdicts_and_counterexamples_match_the_pair_scan(self):
+        # check_supermodularity returns 'holds' off its certificate, or else
+        # scans the pairs: either way it reports what the loop oracle finds
+        # first, on both table kinds
+        paths = set()
+        for game in certificate_games():
+            expected = pair_scan(game)
+            for table in both_tables(game):
+                assert check_supermodularity(table) == SupermodularityReport(
+                    expected is None, expected
+                ), (game.players, table.values)
+                noise = STABILITY_TOL * max(1.0, abs(float(table.values[-1])))
+                paths.add((_certified_supermodular(table, noise), expected is None))
+        # some tables are proven; the others fall back to the scan, which
+        # finds some supermodular and some not; none is proven and fails
+        assert paths == {(True, True), (False, True), (False, False)}
+
+    def test_certifies_coinvestment_games(self, rng):
+        for _ in range(10):
+            game = random_game(rng)
+            noise = STABILITY_TOL * max(1.0, coalition_value(game, game.players))
+            for table in both_tables(game):
+                assert _certified_supermodular(table, noise)
 
 
 class TestClassification:

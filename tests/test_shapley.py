@@ -1,5 +1,7 @@
 """Exact Shapley routes, marginal contributions, and their cross-oracles."""
 
+import hashlib
+import json
 import math
 from functools import partial
 
@@ -17,10 +19,15 @@ from coinvest import (
     shapley_closed_form,
     shapley_enumeration,
 )
+from coinvest.cli import _build_groups
+from coinvest.config import load_preset, parse_config, preset_names
 
 from conftest import (
     TABLE_KINDS,
+    TabularGame,
     bloated_game,
+    coalitions_by_mask,
+    load_bench_workloads,
     marginal_contribution,
     random_game,
     shapley_by_orderings,
@@ -72,6 +79,27 @@ class TestEnumeration:
                 for pid in game.players:
                     assert result.payoffs[pid] == pytest.approx(oracle[pid], rel=1e-9, abs=1e-12)
 
+    def test_veto_player_anywhere(self):
+        # enumeration sums the other players' marginals over the veto player's
+        # half of the table, wherever that player sits; the ordering oracle
+        # reads every coalition. The values are convex, not additive
+        profits = {"SP1": 3.0, "SP2": 1.0, "SP3": 0.5, "SP4": 2.0}
+        base = veto_table_game(profits)
+        values = {
+            c: base.value(c) + (NO in c) * len(c) ** 2 for c in coalitions_by_mask(base.players)
+        }
+        for position in range(len(base.players)):
+            players = list(profits)
+            players.insert(position, NO)
+            game = TabularGame(players, values, default=None)
+            oracle = shapley_by_orderings(game.players, game.value)
+            for array in TABLE_KINDS.values():
+                result = shapley_enumeration(game.table(array))
+                for pid in game.players:
+                    assert result.payoffs[pid] == pytest.approx(oracle[pid], rel=1e-12), (
+                        position, pid
+                    )
+
     def test_null_provider_gets_nothing(self, rng, market):
         sps = random_game(rng, n_sps=2).sps + (
             ServiceProvider("SP3", 0.0, LoadProfile((100.0,) * market.T)),
@@ -89,6 +117,32 @@ class TestEnumeration:
     def test_player_bound(self):
         with pytest.raises(ValueError, match="sampling"):
             shapley_enumeration(coalition_table(bloated_game()))
+
+    def test_payoff_bits_are_pinned(self, monkeypatch):
+        # sha256 of every payoff's float.hex, per table kind, over the six
+        # presets' instances and 36 seeded games of 2 to 14 players; the
+        # ndarray sum and fsum round differently, so each kind has its digest
+        workloads = load_bench_workloads(monkeypatch)
+        configs = [parse_config(load_preset(name)) for name in preset_names()]
+        configs += [
+            parse_config(json.dumps(workloads.custom_game(seed, n, 5000)))
+            for seed in range(6)
+            for n in (2, 3, 5, 8, 12, 14)
+        ]
+        games = [game for cfg in configs for *_, group in _build_groups(cfg) for game in group]
+        assert len(games) == 157
+        digests = {}
+        for kind, array in TABLE_KINDS.items():
+            digest = hashlib.sha256()
+            for game in games:
+                payoffs = shapley_enumeration(coalition_table(game, array)).payoffs
+                for pid, payoff in payoffs.items():
+                    digest.update(f"{pid} {float.hex(payoff)}\n".encode())
+            digests[kind] = digest.hexdigest()
+        assert digests == {
+            "ndarray": "94a4b6242adf1a355ac3d0ababe736eb86b5b9385d5eebec95bbd34a7522d23e",
+            "tuple": "3340a067c8d840720a192d6eed2e24ab4b8d160d2b47daa0c2a5880e828e2a19",
+        }
 
 
 class TestClosedForm:
