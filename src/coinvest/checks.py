@@ -3,7 +3,11 @@
 The game is convex, so the Shapley payoffs lie in the core (Shapley 1971,
 "Cores of convex games"), and they settle the capacity bill d·C. Every check
 returns an :class:`Outcome`; :data:`PROPERTIES` names the checks, their
-``verify`` lines and how ``run`` decides each one.
+``verify`` lines and how ``run`` decides each one. ``run`` decides them
+structurally. ``verify`` also holds them against the brute force of
+:mod:`coinvest.oracle` and the sampler of :mod:`coinvest.sampling`, which
+it imports only for an instance within the enumeration bound, so that
+neither loads for a ``run``.
 """
 
 from __future__ import annotations
@@ -11,20 +15,16 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .game import MAX_ENUMERATION_PLAYERS, CoalitionTable, GameInstance, coalition_table
+from .game import MAX_ENUMERATION_PLAYERS, CoalitionTable, GameInstance
 from .scenarios import SweepRecord
 from .shapley import (
     AGREEMENT_TOL,
     SAMPLING_SIGMAS,
     SETTLE_TERMS_TOL,
     SETTLE_TOL,
-    check_core,
     check_core_structural,
-    check_supermodularity,
     check_supermodularity_structural,
     shapley_closed_form,
-    shapley_enumeration,
-    shapley_sampling,
 )
 
 PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
@@ -78,10 +78,12 @@ def verify_checks(game, record, samples: int, seed: int,
     if n > MAX_ENUMERATION_PLAYERS:
         checks["oracle_triangle"] = Outcome(SKIPPED, f"{n} players exceeds the enumeration bound")
         return checks
-    table = coalition_table(game, array)
+    from . import oracle  # here, so that run, and verify past the bound, never compile it
+
+    table = oracle.coalition_table(game, array)
     for name, brute_force in (
-        ("core", _core(check_core(table, payoffs))),
-        ("supermodularity", _supermodularity(check_supermodularity(table))),
+        ("core", _core(oracle.check_core(table, payoffs))),
+        ("supermodularity", _supermodularity(oracle.check_supermodularity(table))),
     ):
         structural = checks[name]
         if (structural.verdict == PASS) != (brute_force.verdict == PASS):
@@ -128,7 +130,9 @@ def _settlement(game: GameInstance, record: SweepRecord) -> Outcome:
 
 def _oracles(game: GameInstance, table: CoalitionTable, samples: int, seed: int) -> Outcome:
     """Agreement of the three Shapley routes on one instance and its coalition table."""
-    exact = shapley_enumeration(table).payoffs
+    from . import oracle, sampling
+
+    exact = oracle.shapley_enumeration(table).payoffs
     closed = shapley_closed_form(game).payoffs
     # enumeration reads each marginal off two correctly rounded table entries,
     # each within half an ulp of v(N) (the last entry), so its payoffs may miss
@@ -138,7 +142,7 @@ def _oracles(game: GameInstance, table: CoalitionTable, samples: int, seed: int)
     for pid in game.players:
         if abs(closed[pid] - exact[pid]) > margin[pid]:
             return Outcome(FAIL, f"closed form vs enumeration diverges for {pid}")
-    sampled = shapley_sampling(game, samples, seed)
+    sampled = sampling.shapley_sampling(game, samples, seed)
     for pid in game.players:
         if not math.isfinite(sampled.stderr[pid]):
             return Outcome(FAIL, f"sampling stderr is not finite for {pid}")

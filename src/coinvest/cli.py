@@ -13,6 +13,11 @@ numpy. Nor does ``verify`` of a config whose brute-force checks are small
 (:data:`LIST_TABLE_BUDGET`), or of any config where numpy is not installed:
 it reads its coalition tables as tuples.
 
+A closed ``run`` loads neither the exact oracle (:mod:`coinvest.oracle`)
+nor the sampler (:mod:`coinvest.sampling`); ``run --method sample`` loads
+the sampler, and ``verify`` loads both unless every instance is past the
+enumeration bound.
+
 Exit codes: 0 success, 1 validation error (a bad config or a usage error),
 2 property-check failure (under ``--strict`` or from ``verify``), 3 I/O error.
 """

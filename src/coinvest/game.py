@@ -10,15 +10,17 @@ capacity can be deployed and a coalition is worth exactly zero.
 Because the objective decomposes per provider, a coalition's value is the sum
 of each member provider's standalone optimum, which is what makes the rest of
 the analysis (payoff division, stability checks) tractable. Summing those
-optima is decided here only: :func:`coalition_value` for one coalition,
-:func:`coalition_table` for all 2^n of them, bit-identically, as a value
-nothing caches. Only the table needs numpy, which it imports when it is built.
+optima is decided here for one coalition, by :func:`coalition_value`; the
+table of all 2^n of them, which only ``verify`` reads, is built
+bit-identically by :func:`coinvest.oracle.coalition_table`, re-exported here
+lazily.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from importlib import import_module
 from typing import Iterable, Mapping, NamedTuple
 
 #: Player id of the network owner. It hosts capacity, serves no load itself.
@@ -34,6 +36,22 @@ Coalition = frozenset[str]
 
 #: Payoff vectors map every player id to money.
 PayoffVector = Mapping[str, float]
+
+
+def _moved(module: str, homes: Mapping[str, str]):
+    """A module ``__getattr__`` (PEP 562) for ``module``: each name in ``homes``
+    is read, at each access, off the coinvest module that ``homes`` maps it
+    to, which loads on first use; so it is the defining module's object."""
+
+    def __getattr__(name):
+        if name not in homes:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(import_module(f"{__package__}.{homes[name]}"), name)
+
+    return __getattr__
+
+
+__getattr__ = _moved(__name__, {"coalition_table": "oracle"})
 
 
 def _shown(value) -> str:
@@ -255,125 +273,12 @@ def coalition_value(game: GameInstance, coalition: Iterable[str]) -> float:
     return math.fsum(optima[pid].value for pid in members if pid != NO)
 
 
-def coalition_table(game: GameInstance, array: bool = True) -> CoalitionTable:
-    """Every coalition's value in ``game``. The owner is the last player: entries with its
-    (high) bit set are the providers' profit subset sums, bit-identical to
-    :func:`coalition_value`, and the rest are 0.
-
-    With ``array``, the values are a read-only ndarray, summed in numpy passes by
-    :func:`_fsum_subset_sums`; without it, a tuple of floats, summed in Python
-    integers by :func:`_exact_subset_sums`, which needs no numpy but costs more
-    per entry. Both builds give the same floats.
-    """
-    players = game.players
-    if len(players) > MAX_ENUMERATION_PLAYERS:
-        raise ValueError(
-            f"{len(players)} players exceeds the enumeration bound of {MAX_ENUMERATION_PLAYERS}; "
-            "only shapley_sampling of a GameInstance runs beyond it"
-        )
-    optima = game.standalone_optima()
-    profits = [optima[sp.id].value for sp in game.sps]
-    if not array:
-        sums = _exact_subset_sums(profits)
-        return CoalitionTable(players, (0.0,) * len(sums) + tuple(sums))
-    import numpy as np
-
-    sums = _fsum_subset_sums(profits)
-    values = np.zeros(2 * sums.size)
-    values[sums.size:] = sums
-    values.flags.writeable = False
-    return CoalitionTable(players, values)
-
-
 def _payoff_floats(players, payoffs: PayoffVector) -> dict[str, float]:
     """Each player's payoff as a float; the ValueError for missing ones names the first."""
     missing = [p for p in players if p not in payoffs]
     if missing:
         raise ValueError(f"payoff vector is missing players {_shown(missing)}")
     return {p: float(payoffs[p]) for p in players}
-
-
-def _exact_subset_sums(x) -> list[float]:
-    """``math.fsum`` of the finite ``x`` over every coalition, indexed by bitmask,
-    without numpy.
-
-    Every finite float is an integer multiple of 2^-1074, and the x_k are all
-    multiples of ``1 / scale``, the largest of their power-of-two denominators.
-    So the sums are taken exactly in integers, by doubling (``t <- [t, t +
-    x_k]``, so bit k is term k), and each is divided by ``scale`` once. That
-    division is correctly rounded, so each entry is the correctly rounded
-    exact sum, which is what ``fsum`` returns.
-    """
-    ratios = [float(v).as_integer_ratio() for v in x]
-    scale = max((q for _, q in ratios), default=1)
-    sums = [0]
-    for p, q in ratios:
-        term = p * (scale // q)
-        sums += [s + term for s in sums]
-    return [s / scale for s in sums]
-
-
-def _two_sum(a, b, s=None, spare=None, err=None):
-    """``(s, err)`` with ``s = fl(a + b)`` and ``s + err == a + b`` exactly (Knuth's TwoSum).
-
-    ``a`` is an array. Given arrays ``s``, ``spare`` and ``err`` (``err`` may
-    be ``b``), it writes into them through ``out=`` and allocates nothing.
-    """
-    import numpy as np
-
-    s = np.add(a, b, out=s)
-    bb = np.subtract(s, a, out=spare)
-    err = np.subtract(b, bb, out=err)
-    # a - (s - bb), overwriting bb once it is no longer needed
-    t = np.subtract(s, bb, out=spare)
-    t = np.subtract(a, t, out=spare)
-    return s, np.add(t, err, out=err)
-
-
-def _fsum_subset_sums(x) -> np.ndarray:
-    """``math.fsum`` of the finite ``x`` over every coalition, indexed by bitmask.
-
-    Built by doubling (``t <- [t, t + x_k]``, so bit k is term k), but
-    error-free: each sum is carried as ``hi + lo`` plus the rounding errors
-    of the ``lo`` additions, whose magnitudes add up in ``slack`` (Ogita,
-    Rump & Oishi 2005, "Accurate sum and dot product"). The rounded
-    ``hi + lo`` is the correctly rounded exact sum, which is what ``fsum``
-    returns, when ``slack`` is zero, or when the exact sum, known to within
-    ``slack``, lies strictly inside the rounding interval of ``hi + lo``.
-    Every other entry, and any that is not finite, is recomputed with
-    ``fsum``.
-
-    Each doubling step writes its TwoSums straight into the upper halves,
-    through two reused scratch rows of half the length of ``hi``, so no
-    temporary outgrows one of ``hi``, ``lo`` and ``slack``.
-    """
-    import numpy as np
-
-    x = [float(v) for v in x]
-    size = 1 << len(x)
-    hi, lo, slack = np.zeros(size), np.zeros(size), np.zeros(size)
-    scratch = np.empty((2, size // 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, term in enumerate(x):
-            h = 1 << k
-            spare, err = scratch[:, :h]
-            _two_sum(hi[:h], term, hi[h:2 * h], spare, err)
-            _, lost = _two_sum(lo[:h], err, lo[h:2 * h], spare, err)
-            np.add(slack[:h], np.abs(lost, out=lost), out=slack[h:2 * h])
-        # where slack is 0, hi + lo is the exact sum (on real games, everywhere)
-        rough = np.flatnonzero(slack)
-        sums, err = _two_sum(hi[rough], lo[rough])
-        # inflated to cover the rounding of slack's own additions (one per term)
-        bound = slack[rough] * (1.0 + 1e-10)
-        up = (np.nextafter(sums, np.inf) - sums) * 0.5
-        down = (sums - np.nextafter(sums, -np.inf)) * 0.5
-        inside = (err + bound < up) & (err - bound > -down)
-        sums = np.add(hi, lo, out=hi)
-    redo = ~np.isfinite(sums)
-    redo[rough[~inside]] = True
-    for mask in np.flatnonzero(redo).tolist():
-        sums[mask] = math.fsum(v for k, v in enumerate(x) if mask >> k & 1)
-    return sums
 
 
 def grand_allocation(game: GameInstance) -> Allocation:

@@ -1,0 +1,411 @@
+"""The exact oracle: every coalition's value, and the brute-force routes and
+checks that read them.
+
+:func:`coalition_table` sums the providers' standalone profits over all 2^n
+coalitions of a game (at most
+:data:`~coinvest.game.MAX_ENUMERATION_PLAYERS` players), bit-identically to
+:func:`~coinvest.game.coalition_value`. Its caller builds the table once and
+passes it to every route and check it runs: enumeration of the Shapley
+value, core membership, supermodularity and player classification, each a
+brute force over the table. ``coinvest verify`` holds them against the
+O(n) structural checks of :mod:`coinvest.shapley`; ``run`` never loads this
+module, nor does a ``verify`` whose instances are all past the bound.
+
+Each route and check has one body, written over a few array primitives
+(``_split``, ``_difference``, ``_first_below``, ``_subset_sums`` and the
+like). Each primitive has a list form, for a table whose values are a
+tuple, and an ndarray form, which imports numpy; both do the same float
+operations in the same order, so the verdicts and counterexamples agree.
+Only enumeration sums differently: with ``fsum`` on lists. So a process that
+reads no ndarray table never loads numpy. Brute-force supermodularity and
+enumeration first look for a veto player, whose avoiding half of the table
+is all zeros, and where they can read only the other half.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import chain, compress, cycle
+from operator import mul, sub
+
+from .game import (
+    MAX_ENUMERATION_PLAYERS,
+    Coalition,
+    CoalitionTable,
+    GameInstance,
+    PayoffVector,
+    _payoff_floats,
+)
+from .shapley import (
+    STABILITY_TOL,
+    CoreCheck,
+    PlayerFlags,
+    ShapleyResult,
+    SupermodularityReport,
+)
+
+
+def coalition_table(game: GameInstance, array: bool = True) -> CoalitionTable:
+    """Every coalition's value in ``game``. The owner is the last player: entries with its
+    (high) bit set are the providers' profit subset sums, bit-identical to
+    :func:`coalition_value`, and the rest are 0.
+
+    With ``array``, the values are a read-only ndarray, summed in numpy passes by
+    :func:`_fsum_subset_sums`; without it, a tuple of floats, summed in Python
+    integers by :func:`_exact_subset_sums`, which needs no numpy but costs more
+    per entry. Both builds give the same floats.
+    """
+    players = game.players
+    if len(players) > MAX_ENUMERATION_PLAYERS:
+        raise ValueError(
+            f"{len(players)} players exceeds the enumeration bound of {MAX_ENUMERATION_PLAYERS}; "
+            "only shapley_sampling of a GameInstance runs beyond it"
+        )
+    optima = game.standalone_optima()
+    profits = [optima[sp.id].value for sp in game.sps]
+    if not array:
+        sums = _exact_subset_sums(profits)
+        return CoalitionTable(players, (0.0,) * len(sums) + tuple(sums))
+    import numpy as np
+
+    sums = _fsum_subset_sums(profits)
+    values = np.zeros(2 * sums.size)
+    values[sums.size:] = sums
+    values.flags.writeable = False
+    return CoalitionTable(players, values)
+
+
+def _exact_subset_sums(x) -> list[float]:
+    """``math.fsum`` of the finite ``x`` over every coalition, indexed by bitmask,
+    without numpy.
+
+    Every finite float is an integer multiple of 2^-1074, and the x_k are all
+    multiples of ``1 / scale``, the largest of their power-of-two denominators.
+    So the sums are taken exactly in integers, by doubling (``t <- [t, t +
+    x_k]``, so bit k is term k), and each is divided by ``scale`` once. That
+    division is correctly rounded, so each entry is the correctly rounded
+    exact sum, which is what ``fsum`` returns.
+    """
+    ratios = [float(v).as_integer_ratio() for v in x]
+    scale = max((q for _, q in ratios), default=1)
+    sums = [0]
+    for p, q in ratios:
+        term = p * (scale // q)
+        sums += [s + term for s in sums]
+    return [s / scale for s in sums]
+
+
+def _two_sum(a, b, s=None, spare=None, err=None):
+    """``(s, err)`` with ``s = fl(a + b)`` and ``s + err == a + b`` exactly (Knuth's TwoSum).
+
+    ``a`` is an array. Given arrays ``s``, ``spare`` and ``err`` (``err`` may
+    be ``b``), it writes into them through ``out=`` and allocates nothing.
+    """
+    import numpy as np
+
+    s = np.add(a, b, out=s)
+    bb = np.subtract(s, a, out=spare)
+    err = np.subtract(b, bb, out=err)
+    # a - (s - bb), overwriting bb once it is no longer needed
+    t = np.subtract(s, bb, out=spare)
+    t = np.subtract(a, t, out=spare)
+    return s, np.add(t, err, out=err)
+
+
+def _fsum_subset_sums(x) -> np.ndarray:
+    """``math.fsum`` of the finite ``x`` over every coalition, indexed by bitmask.
+
+    Built by doubling (``t <- [t, t + x_k]``, so bit k is term k), but
+    error-free: each sum is carried as ``hi + lo`` plus the rounding errors
+    of the ``lo`` additions, whose magnitudes add up in ``slack`` (Ogita,
+    Rump & Oishi 2005, "Accurate sum and dot product"). The rounded
+    ``hi + lo`` is the correctly rounded exact sum, which is what ``fsum``
+    returns, when ``slack`` is zero, or when the exact sum, known to within
+    ``slack``, lies strictly inside the rounding interval of ``hi + lo``.
+    Every other entry, and any that is not finite, is recomputed with
+    ``fsum``.
+
+    Each doubling step writes its TwoSums straight into the upper halves,
+    through two reused scratch rows of half the length of ``hi``, so no
+    temporary outgrows one of ``hi``, ``lo`` and ``slack``.
+    """
+    import numpy as np
+
+    x = [float(v) for v in x]
+    size = 1 << len(x)
+    hi, lo, slack = np.zeros(size), np.zeros(size), np.zeros(size)
+    scratch = np.empty((2, size // 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, term in enumerate(x):
+            h = 1 << k
+            spare, err = scratch[:, :h]
+            _two_sum(hi[:h], term, hi[h:2 * h], spare, err)
+            _, lost = _two_sum(lo[:h], err, lo[h:2 * h], spare, err)
+            np.add(slack[:h], np.abs(lost, out=lost), out=slack[h:2 * h])
+        # where slack is 0, hi + lo is the exact sum (on real games, everywhere)
+        rough = np.flatnonzero(slack)
+        sums, err = _two_sum(hi[rough], lo[rough])
+        # inflated to cover the rounding of slack's own additions (one per term)
+        bound = slack[rough] * (1.0 + 1e-10)
+        up = (np.nextafter(sums, np.inf) - sums) * 0.5
+        down = (sums - np.nextafter(sums, -np.inf)) * 0.5
+        inside = (err + bound < up) & (err - bound > -down)
+        sums = np.add(hi, lo, out=hi)
+    redo = ~np.isfinite(sums)
+    redo[rough[~inside]] = True
+    for mask in np.flatnonzero(redo).tolist():
+        sums[mask] = math.fsum(v for k, v in enumerate(x) if mask >> k & 1)
+    return sums
+
+
+def _mask_coalition(mask: int, players: tuple[str, ...]) -> Coalition:
+    return frozenset(players[i] for i in range(len(players)) if mask >> i & 1)
+
+
+def _listed(values) -> bool:
+    """Whether ``values`` take the list forms of the primitives (a tuple or a
+    list) rather than the ndarray forms."""
+    return isinstance(values, (tuple, list))
+
+
+def _split(values, i: int):
+    """Entries of a bitmask-indexed array for every S avoiding player i, and for S + i.
+
+    Each lists S in ascending bitmask order: a list's halves are lists, an
+    ndarray's are views shaped (bits above i, bits below i), raveled in that
+    order.
+    """
+    h = 1 << i
+    if _listed(values):
+        # runs of h entries alternate between the halves: the fastest way to
+        # copy them out depends on h
+        if h == 1:
+            return values[0::2], values[1::2]
+        if h < 32:
+            low = (True,) * h + (False,) * h
+            return list(compress(values, cycle(low))), list(compress(values, cycle(low[::-1])))
+        blocks = range(0, len(values), 2 * h)
+        return (list(chain.from_iterable(values[k:k + h] for k in blocks)),
+                list(chain.from_iterable(values[k + h:k + 2 * h] for k in blocks)))
+    halves = values.reshape(-1, 2, h)
+    return halves[:, 0], halves[:, 1]
+
+
+def _difference(a, b, in_place: bool = False):
+    """``a - b`` entrywise, in the form of ``a``; ``in_place`` writes it over ``a``."""
+    if not in_place:
+        return list(map(sub, a, b)) if _listed(a) else a - b
+    if _listed(a):
+        a[:] = map(sub, a, b)
+    else:
+        a -= b
+    return a
+
+
+def _first_below(x, bound: float) -> int | None:
+    """Index of the first entry of ``x`` (an ndarray's raveled) below ``bound``, or None."""
+    if _listed(x):
+        if min(x, default=bound) >= bound:
+            return None
+        return next((k for k, v in enumerate(x) if v < bound), None)
+    below = (x < bound).ravel().nonzero()[0]
+    return int(below[0]) if below.size else None
+
+
+def _subset_sums(x, like):
+    """Sum of ``x`` over every coalition, indexed by bitmask: a list, or an
+    ndarray of the dtype of ``x`` if ``like`` is an ndarray.
+
+    Built by doubling (``t[h:2h] = t[:h] + x_k``, so bit k is term k), so
+    each sum adds its terms in player order, exactly as a left-to-right loop
+    over the coalition's members would.
+    """
+    if _listed(like):
+        sums = [0]
+        for term in x:
+            sums += [s + term for s in sums]
+        return sums
+    import numpy as np
+
+    x = np.asarray(x)
+    sums = np.zeros(1 << x.size, dtype=x.dtype)
+    for k, term in enumerate(x):
+        h = 1 << k
+        np.add(sums[:h], term, out=sums[h:2 * h])
+    return sums
+
+
+def _take(items: list, index):
+    """``items[k]`` for each k of ``index``, in its form."""
+    if _listed(index):
+        return [items[k] for k in index]
+    import numpy as np
+
+    # with no terms, _subset_sums gives float zeros (np.asarray([]) is float)
+    return np.asarray(items)[np.asarray(index, dtype=np.intp)]
+
+
+def _weighted_sum(weight, x) -> float:
+    """Sum of ``weight * x``: on lists with ``fsum``; an ndarray ``x`` is
+    overwritten with the products, shaped like it, and summed by numpy."""
+    if _listed(x):
+        return math.fsum(map(mul, weight, x))
+    x *= weight.reshape(x.shape)
+    return float(x.sum())
+
+
+def _any(x) -> bool:
+    """Whether any entry of ``x`` is nonzero."""
+    return any(x) if _listed(x) else bool(x.any())
+
+
+def _bounds(x) -> tuple[float, float]:
+    """The least and the greatest entry of ``x``."""
+    if _listed(x):
+        return min(x), max(x)
+    return float(x.min()), float(x.max())
+
+
+def _with_zero_bit(mask: int, b: int) -> int:
+    """``mask`` with a 0 put in at bit ``b``, its bits from ``b`` up moved up one."""
+    return (mask >> b << b + 1) | (mask & (1 << b) - 1)
+
+
+def _veto_half(table: CoalitionTable):
+    """``(k, half)``: the highest-index player k whose avoiding half of the
+    table is all exact zeros, and the other half, ``_split(values, k)[1]``,
+    indexed by the other players' coalitions; ``(None, None)`` if no player is
+    veto. A coinvestment game's owner is its last player and veto."""
+    players, values = table
+    for k in reversed(range(len(players))):
+        without, joined = _split(values, k)
+        if not _any(without):
+            return k, joined
+    return None, None
+
+
+def shapley_enumeration(table: CoalitionTable) -> ShapleyResult:
+    """Exact Shapley payoffs by weighted subset enumeration.
+
+    For each player, sums ``|S|! * (n-|S|-1)! / n!`` times its marginal
+    contribution over every coalition S avoiding it. If a player k is veto
+    (:func:`_veto_half`), every other player's marginal over the S avoiding k
+    is 0 - 0, so its sum runs over the S = T + k alone.
+    """
+    players, values = table
+    n = len(players)
+    fact = [math.factorial(k) for k in range(n + 1)]
+    weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
+    # raveled, the coalitions avoiding any one player list the other players'
+    # subsets in bitmask order, so one array of weights serves every player;
+    # its upper half, weight[|T| + 1], serves the coalitions T + k
+    coef = _take(weight, _subset_sums([1] * (n - 1), values))
+    upper = coef[len(coef) // 2:]
+    k, half = _veto_half(table)
+    payoffs = {}
+    for i, pid in enumerate(players):
+        if k is None or i == k:
+            without, joined = _split(values, i)
+            payoffs[pid] = _weighted_sum(coef, _difference(joined, without))
+        else:
+            without, joined = _split(half, i - (i > k))
+            payoffs[pid] = _weighted_sum(upper, _difference(joined, without))
+    return ShapleyResult(payoffs=payoffs)
+
+
+def check_core(table: CoalitionTable, payoffs: PayoffVector) -> CoreCheck:
+    """Exhaustively test whether a payoff vector sits in the core.
+
+    Every coalition must collectively receive at least its own value and the
+    payoffs must exactly exhaust the grand value; both tests allow a float
+    noise of ``STABILITY_TOL`` relative to the grand value.
+    """
+    players, values = table
+    x = list(_payoff_floats(players, payoffs).values())
+    grand = float(values[-1])
+    noise = STABILITY_TOL * max(1.0, abs(grand))
+    gap = _difference(_subset_sums(x, values), values, in_place=True)
+    blocked = _first_below(gap, -noise)
+    return CoreCheck(
+        in_core=blocked is None and abs(math.fsum(x) - grand) <= noise,
+        violating_coalition=None if blocked is None else _mask_coalition(blocked, players),
+    )
+
+
+def check_supermodularity(table: CoalitionTable) -> SupermodularityReport:
+    """Test that marginal contributions grow with the coalition.
+
+    Checks the local condition ``v(S+i) - v(S) <= v(S+i+j) - v(S+j) + noise``
+    for every pair of players i, j and every coalition S avoiding both, which
+    is equivalent to the nested condition over all T subseteq S (Shapley 1971,
+    "Cores of convex games"). The noise is ``STABILITY_TOL`` relative to the
+    grand value, as in :func:`check_core`.
+
+    That pair scan is O(n^2 2^n). It runs only if the O(n 2^n) bound of
+    :func:`_certified_supermodular` proves nothing; on a coinvestment game,
+    whose entries are rounded sums, it always proves. So the verdict, and
+    the first counterexample, are the scan's.
+    """
+    players, values = table
+    noise = STABILITY_TOL * max(1.0, abs(float(values[-1])))
+    if _certified_supermodular(table, noise):
+        return SupermodularityReport(holds=True, counterexample=None)
+    for j, pid in enumerate(players):
+        without, joined = _split(values, j)
+        gain = _difference(joined, without)
+        for i in range(j):
+            # v(S+j) - v(S) against v(S+i+j) - v(S+i), S avoiding i and j
+            before, after = _split(gain, i)
+            shrunk = _first_below(_difference(after, before), -noise)
+            if shrunk is not None:
+                # shrunk indexes the coalitions of the players but i and j
+                mask = _with_zero_bit(_with_zero_bit(shrunk, i), j)
+                smaller = _mask_coalition(mask, players)
+                return SupermodularityReport(
+                    holds=False, counterexample=(pid, smaller, smaller | {players[i]})
+                )
+    return SupermodularityReport(holds=True, counterexample=None)
+
+
+def _certified_supermodular(table: CoalitionTable, noise: float) -> bool:
+    """Whether every second difference :func:`check_supermodularity`'s pair
+    scan forms is at least ``-noise``, proven from bounds in O(n 2^n); False
+    when unproven, so the scan decides.
+
+    Let k be veto (:func:`_veto_half`) and, for each other player j, g_j the
+    gains v(T+k+j) - v(T+k), with least lo_j and greatest hi_j. A second
+    difference over S, i and j is 0 - 0 if S, i and j all avoid k; it is an
+    entry of g_j (or g_i) if i or j is k, since the subtrahends are 0 and
+    x - 0 == x; otherwise S = T + k, and it is fl(a - b) with a and b entries
+    of g_j, so at least fl(lo_j - hi_j), rounding being monotone. So it holds
+    if every lo_j and every fl(lo_j - hi_j) is at least ``-noise``. A NaN
+    entry, whose differences the scan never flags, either makes a bound NaN,
+    which proves nothing, or is skipped by ``min`` and ``max``.
+    """
+    k, half = _veto_half(table)
+    if k is None:
+        return False
+    for j in range(len(table.players) - 1):  # the players but k, as the half indexes them
+        without, joined = _split(half, j)
+        lo, hi = _bounds(_difference(joined, without))
+        if not (lo >= -noise and lo - hi >= -noise):
+            return False
+    return True
+
+
+def classify_players(table: CoalitionTable) -> dict[str, PlayerFlags]:
+    """Flag veto players and null players.
+
+    A veto player makes every coalition without it worth exactly 0; a null
+    player adds exactly 0 to every coalition. In a degenerate all-zero game a
+    player can be both.
+    """
+    players, values = table
+    flags = {}
+    for i, pid in enumerate(players):
+        without, joined = _split(values, i)
+        flags[pid] = PlayerFlags(
+            veto=not _any(without),
+            null=not _any(_difference(joined, without)),
+        )
+    return flags

@@ -20,12 +20,7 @@ from .game import (
     ServiceProvider,
     coalition_value,
 )
-from .shapley import (
-    ShapleyMethod,
-    shapley_closed_form,
-    shapley_sampling,
-    settle,
-)
+from .shapley import ShapleyMethod, settle, shapley_closed_form
 
 #: Default daily-total sweep for the load scenario, requests per day. Starts
 #: high enough that both providers are past their activation threshold, where
@@ -225,7 +220,9 @@ def _solve_one(game, scenario, sweep_param, sweep_value, method, samples, seed):
     if method is ShapleyMethod.CLOSED_FORM:
         result = shapley_closed_form(game)
     elif method is ShapleyMethod.PERMUTATION_SAMPLING:
-        result = shapley_sampling(game, samples, seed)
+        from . import sampling  # here, so that a closed run never compiles it
+
+        result = sampling.shapley_sampling(game, samples, seed)
     else:
         raise ValueError(f"unknown Shapley method {method!r}")
     settlement = settle(game, result.payoffs)

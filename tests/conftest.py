@@ -18,15 +18,17 @@ read-only ndarray or a tuple, as ``TABLE_KINDS`` names them), and its
 ``value(coalition)`` serves the loop oracles.
 
 :func:`invoke_cli` runs a ``coinvest`` command line in-process and returns
-its exit code and output.
+its exit code and output; :func:`fresh_interpreter` runs one in a new process.
 """
 
 import importlib.util
 import io
 import itertools
+import json
 import math
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -38,6 +40,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import coinvest
 from coinvest import (
     GameInstance,
     LoadProfile,
@@ -51,6 +54,16 @@ from coinvest import (
 )
 from coinvest.cli import main
 from coinvest.game import CoalitionTable
+
+# 17 players: one instance is 17^2 * 2^17 ~ 3.8*10^7 units of exact work,
+# past verify's budget for tuple tables, so verify reads ndarrays and loads numpy
+OVER_BUDGET = json.dumps({
+    "scenario": "custom",
+    "samples": 200,
+    "custom_sps": [
+        {"id": f"SP{k:02d}", "beta": 2e-6, "daily_total": 5e5 + 5e4 * k} for k in range(16)
+    ],
+})
 
 #: The two kinds of coalition table, by the ``array`` argument of
 #: ``coalition_table`` that builds each.
@@ -546,6 +559,24 @@ def invoke_cli(args) -> CliResult:
             exit_code = 0 if exc.code is None else exc.code
             exception = exc if exit_code else None
     return CliResult(exit_code, out.getvalue(), err.getvalue(), "".join(transcript), exception)
+
+
+def fresh_interpreter(*args, env=None, cwd=None, umask=-1):
+    """Run ``python ARGS`` in a new process, in ``env`` (default: this
+    process's environment) and in ``cwd``, under ``umask`` if it is not -1;
+    returns the completed process."""
+    env = os.environ if env is None else env
+    # the child imports the same package as this suite, installed or not
+    src = str(Path(coinvest.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": path},
+        cwd=cwd,
+        umask=umask,
+    )
 
 
 @contextmanager

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 import coinvest.checks as checks_mod
 import coinvest.cli as cli_mod
-import coinvest.game
-import coinvest.scenarios as scenarios_mod
+import coinvest.oracle as oracle_mod
+import coinvest.sampling as sampling_mod
 from coinvest import (
     __version__,
     ConfigError,
@@ -48,7 +48,7 @@ from coinvest.config import (
     preset_names,
 )
 
-from conftest import invoke_cli, isolated_filesystem
+from conftest import OVER_BUDGET, fresh_interpreter, invoke_cli, isolated_filesystem
 
 _SHAPED = {"id": "A", "beta": 2e-6, "daily_total": 5e5}
 
@@ -541,8 +541,8 @@ class TestCliRun:
     def test_game_error_stays_short(self, tmp_path, providers, named):
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"scenario": "custom", "custom_sps": providers}))
-        result = _fresh_interpreter("-m", "coinvest", "run", str(path),
-                                    "--out", str(tmp_path / "o"))
+        result = fresh_interpreter("-m", "coinvest", "run", str(path),
+                                   "--out", str(tmp_path / "o"))
         output = result.stdout + result.stderr
         assert result.returncode == 1, output
         assert "custom_sps" in output and named in output, output
@@ -686,8 +686,7 @@ class TestCliRun:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampling started")
 
-        for module in (checks_mod, scenarios_mod):
-            monkeypatch.setattr(module, "shapley_sampling", no_sampling)
+        monkeypatch.setattr(sampling_mod, "shapley_sampling", no_sampling)
         cfg = json.dumps({"l_total_grid": [2e6], "samples": MAX_SAMPLES + 1})
         out = tmp_path / "s"
         for args in (
@@ -722,7 +721,7 @@ class TestCliRun:
         def no_table(x):
             raise AssertionError("coalition table built")
 
-        monkeypatch.setattr(coinvest.game, "_fsum_subset_sums", no_table)
+        monkeypatch.setattr(oracle_mod, "_fsum_subset_sums", no_table)
         # 22 players, past the enumeration bound, no two profits alike
         wide = json.dumps({
             "scenario": "custom",
@@ -913,17 +912,6 @@ def test_the_first_sampled_instance_keeps_its_rows():
     )
 
 
-# 17 players: one instance is 17^2 * 2^17 ~ 3.8*10^7 units of exact work,
-# past verify's budget for tuple tables, so verify reads ndarrays and loads numpy
-_OVER_BUDGET = json.dumps({
-    "scenario": "custom",
-    "samples": 200,
-    "custom_sps": [
-        {"id": f"SP{k:02d}", "beta": 2e-6, "daily_total": 5e5 + 5e4 * k} for k in range(16)
-    ],
-})
-
-
 class TestCliVerifyAndPresets:
     def test_verify_reports_four_properties(self):
         result = run_cli(
@@ -963,7 +951,7 @@ class TestCliVerifyAndPresets:
                 counterexample=("SP1", frozenset(), frozenset({"NO"})),
             )
 
-        monkeypatch.setattr(checks_mod, "check_supermodularity", broken_check)
+        monkeypatch.setattr(oracle_mod, "check_supermodularity", broken_check)
         result = invoke_cli(["verify", json.dumps({"l_total_grid": [2e6], "samples": 1000})])
         assert result.exit_code == 2
         assert "FAIL" in result.output
@@ -1001,7 +989,7 @@ class TestCliVerifyAndPresets:
             result = checks_mod.shapley_closed_form(game)
             return result._replace(stderr={pid: math.nan for pid in game.players})
 
-        monkeypatch.setattr(checks_mod, "shapley_sampling", blind_sampler)
+        monkeypatch.setattr(sampling_mod, "shapley_sampling", blind_sampler)
         result = invoke_cli(["verify", json.dumps({"l_total_grid": [2e6], "samples": 100})])
         assert result.exit_code == 2
         assert "oracle-triangle        FAIL" in result.output
@@ -1052,7 +1040,7 @@ class TestCliVerifyAndPresets:
             assert name in result.output
 
     def test_module_entry_point(self, tmp_path):
-        proc = _fresh_interpreter("-m", "coinvest", "presets")
+        proc = fresh_interpreter("-m", "coinvest", "presets")
         assert proc.returncode == 0
         assert "fig1" in proc.stdout
 
@@ -1120,82 +1108,6 @@ class TestCliVerifyAndPresets:
         assert "core-membership        PASS  (1/1 instances)" in result.output
         assert "oracle-triangle        PASS  (0/1 instances)" in result.output
 
-    def test_numpy_is_loaded_only_where_it_is_used(self, tmp_path, bare_modules):
-        wide = json.dumps(
-            {
-                "scenario": "custom",
-                "custom_sps": [
-                    {"id": f"SP{k:02d}", "beta": 2e-6, "daily_total": 5e5} for k in range(20)
-                ],
-            }
-        )
-        for args, numpy in (
-            (["run", "fig1", "--out", str(tmp_path / "fig1")], False),
-            (["run", wide, "--out", str(tmp_path / "wide")], False),
-            (["presets"], False),
-        ):
-            proc = _fresh_interpreter("-c", _LIST_MODULES_AT_EXIT, *args)
-            assert proc.returncode == 0, (args, proc.stderr)
-            loaded = set(proc.stderr.split())
-            assert "coinvest.shapley" in loaded, args
-            assert ("numpy" in loaded) is numpy, args
-            # building dataclasses costs start-up time; the model is named tuples
-            assert "dataclasses" not in loaded, args
-            assert not _click_modules(loaded), args
-            # only help and usage errors are rendered
-            assert not (_PARSER_MODULES & loaded) - bare_modules, args
-
-    def test_sampled_run_loads_no_numpy_but_verify_does(self, tmp_path, bare_modules):
-        # the sampler draws its orders with the standard library's MT19937, so
-        # a sampled run loads no numpy; verify loads it for the exact tables of
-        # a config past the budget for tuple tables, and for no preset, but
-        # never numpy.random, which imports secrets, hmac and hashlib
-        # (OpenSSL: ~6 MB of resident memory)
-        assert 17**2 << 17 > cli_mod.LIST_TABLE_BUDGET
-        one_instance = json.dumps({"l_total_grid": [2e6], "samples": 5000})
-        for args, numpy in (
-            (["verify", "fig1"], False),
-            (["verify", "fig6"], False),
-            (["verify", _OVER_BUDGET], True),
-            (["run", one_instance, "--method", "sample", "--out", str(tmp_path / "s")], False),
-            (["run", "fig6", "--method", "sample", "--out", str(tmp_path / "fig6")], False),
-        ):
-            proc = _fresh_interpreter("-c", _LIST_MODULES_AT_EXIT, *args)
-            assert proc.returncode == 0, (args, proc.stderr)
-            loaded = set(proc.stderr.split())
-            assert "coinvest.shapley" in loaded, args
-            assert ("numpy" in loaded) is numpy, args
-            assert not {"numpy.random", "hashlib", "dataclasses"} & loaded, args
-            assert not _click_modules(loaded), args
-            assert not (_PARSER_MODULES & loaded) - bare_modules, args
-
-    def test_help_loads_the_renderer(self, bare_modules):
-        # the other side of the two tests above: help and usage errors load
-        # the renderer, which lays the text out from the option rows itself
-        for args, code in ((["run", "--help"], 0), ([], 1), (["run", "fig1", "--bogus"], 1)):
-            proc = _fresh_interpreter("-c", _LIST_MODULES_AT_EXIT, *args)
-            assert proc.returncode == code, (args, proc.stderr)
-            assert "Usage: coinvest" in proc.stdout + proc.stderr, (args, proc.stderr)
-            loaded = set(proc.stderr.split())
-            assert "coinvest._cmdline" in loaded, args
-            assert not ({"argparse", "gettext", "locale"} & loaded) - bare_modules, args
-
-    @pytest.mark.skipif(
-        not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
-        reason="reads /proc/self/task; OpenBLAS starts no worker on one CPU",
-    )
-    def test_numpy_runs_one_blas_thread_unless_told_otherwise(self):
-        # no command makes a BLAS call, and an idle OpenBLAS worker spins on
-        # the CPU; only a verify past the budget for tuple tables loads numpy
-        unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        for env, threads in ((unset, 1), ({**unset, "OPENBLAS_NUM_THREADS": "2"}, 2)):
-            proc = _fresh_interpreter(
-                "-c", _COUNT_THREADS_AT_EXIT, "verify", _OVER_BUDGET, env=env
-            )
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            counted = proc.stderr.split()[-1]
-            assert counted == str(threads), (env.get("OPENBLAS_NUM_THREADS"), proc.stderr)
-
     def test_verify_past_the_budget_reads_tuples_without_numpy(self):
         # past the budget verify reads ndarrays if numpy is installed and
         # tuples if not, and prints the same lines either way
@@ -1204,24 +1116,24 @@ class TestCliVerifyAndPresets:
             "sys.modules['numpy'] = None\n"
             "runpy.run_module('coinvest', run_name='__main__')\n"
         )
-        bare = _fresh_interpreter("-c", without_numpy, "verify", _OVER_BUDGET)
+        bare = fresh_interpreter("-c", without_numpy, "verify", OVER_BUDGET)
         assert bare.returncode == 0, bare.stderr
         assert bare.stderr == ""
-        assert bare.stdout == _fresh_interpreter("-m", "coinvest", "verify", _OVER_BUDGET).stdout
+        assert bare.stdout == fresh_interpreter("-m", "coinvest", "verify", OVER_BUDGET).stdout
 
     def test_verify_reads_tuple_tables_up_to_the_budget(self, monkeypatch):
         # a 10-player instance is 10^2 * 2^10 units of exact work: the sweep of
         # the most prices within the budget reads tuples, one price more
         # ndarrays, and forced onto the other kind, each prints the same lines
         most = cli_mod.LIST_TABLE_BUDGET // (10**2 << 10)
-        build, kinds = checks_mod.coalition_table, []
+        build, kinds = oracle_mod.coalition_table, []
 
         def recording(game, array=True):
             table = build(game, array)
             kinds.append(type(table.values))
             return table
 
-        monkeypatch.setattr(checks_mod, "coalition_table", recording)
+        monkeypatch.setattr(oracle_mod, "coalition_table", recording)
         for prices, kind, other, forcing in (
             (most, tuple, np.ndarray, 0),
             (most + 1, np.ndarray, tuple, 10**18),
@@ -1246,7 +1158,7 @@ class TestCliVerifyAndPresets:
         # a sampled provider payoff lies in [0, m_i] and the owner takes the
         # rest, so the estimates are always in the core
         out = tmp_path / "sample"
-        proc = _fresh_interpreter(
+        proc = fresh_interpreter(
             "-m", "coinvest", "run", "fig1", "--method", "sample", "--strict", "--out", str(out)
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -1447,16 +1359,16 @@ class TestUsageErrors:
     )
     def test_usage_error_exits_1(self, args, named):
         # exit 2 means a failed property check, so a usage error is a validation error
-        proc = _fresh_interpreter("-m", "coinvest", *args)
+        proc = fresh_interpreter("-m", "coinvest", *args)
         assert proc.returncode == 1, proc.stderr
         assert named in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
     def test_seed_is_named_an_integer(self):
         # the option takes one integer, so neither message nor help says "range"
-        proc = _fresh_interpreter("-m", "coinvest", "run", "fig1", "--seed", "abc")
+        proc = fresh_interpreter("-m", "coinvest", "run", "fig1", "--seed", "abc")
         assert proc.returncode == 1, proc.stderr
         assert "Invalid value for '--seed': 'abc' is not a valid integer.\n" in proc.stderr
-        proc = _fresh_interpreter("-m", "coinvest", "run", "--help")
+        proc = fresh_interpreter("-m", "coinvest", "run", "--help")
         assert proc.returncode == 0, proc.stderr
         assert "--seed INTEGER " in proc.stdout and "RANGE" not in proc.stdout
         assert f"[0<=x<={MAX_SEED}]" in proc.stdout
@@ -1498,7 +1410,7 @@ class TestUsageErrors:
         ],
     )
     def test_help_and_version_exit_0(self, args, shown):
-        proc = _fresh_interpreter("-m", "coinvest", *args)
+        proc = fresh_interpreter("-m", "coinvest", *args)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
         if args == ["--version"]:
@@ -1512,7 +1424,7 @@ class TestUsageErrors:
     def test_output_bytes_are_pinned(self, tmp_path, args, code, stdout, stderr):
         # help is wrapped to the terminal width, which COLUMNS sets
         env = {**os.environ, "COLUMNS": "80"}
-        proc = _fresh_interpreter("-m", "coinvest", *args, env=env, cwd=tmp_path)
+        proc = fresh_interpreter("-m", "coinvest", *args, env=env, cwd=tmp_path)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
 
 
@@ -1524,8 +1436,8 @@ class TestFreshProcess:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_outputs_get_the_mode_open_gives(self, tmp_path, umask, mode):
         # 0o666 less the umask, where a file made by mkstemp would be 0o600
-        proc = _fresh_interpreter("-m", "coinvest", "run", "fig1", "--out", "out",
-                                  cwd=tmp_path, umask=umask)
+        proc = fresh_interpreter("-m", "coinvest", "run", "fig1", "--out", "out",
+                                 cwd=tmp_path, umask=umask)
         assert proc.returncode == 0, proc.stderr
         modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in (tmp_path / "out").iterdir()}
         assert modes == dict.fromkeys(("records.csv", "summary.json", "meta.json"), mode)
@@ -1533,7 +1445,7 @@ class TestFreshProcess:
     def test_run_writes_the_in_process_bytes(self, tmp_path):
         # meta.json records the output directory, so both runs write to one
         out = tmp_path / "out"
-        proc = _fresh_interpreter("-m", "coinvest", "run", "fig6", "--out", str(out))
+        proc = fresh_interpreter("-m", "coinvest", "run", "fig6", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         fresh = out.rename(tmp_path / "fresh")
         result = run_cli("run", "fig6", "--out", str(out))
@@ -1570,18 +1482,10 @@ class TestFreshProcess:
         ],
     )
     def test_verify_prints_the_in_process_lines(self, config, code, stdout, stderr):
-        proc = _fresh_interpreter("-m", "coinvest", "verify", config)
+        proc = fresh_interpreter("-m", "coinvest", "verify", config)
         result = invoke_cli(["verify", config])
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
         assert (result.exit_code, result.stdout, result.stderr) == (code, stdout, stderr)
-
-    def test_the_collector_is_frozen_at_exit(self, tmp_path):
-        # the final collections skip frozen objects, which the OS reclaims anyway
-        proc = _fresh_interpreter(
-            "-c", _FREEZE_COUNT_AT_EXIT, "run", "fig1", "--out", str(tmp_path / "fig1")
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stderr.split()[-1]) > 0, proc.stderr
 
     def test_a_closed_stdout_exits_1_quietly(self):
         src = str(Path(cli_mod.__file__).parents[1])
@@ -1596,11 +1500,6 @@ class TestFreshProcess:
         proc.stderr.close()
         assert (proc.wait(), stderr) == (1, b"")
 
-    def test_in_process_invocations_leave_one_freeze_hook(self):
-        proc = _fresh_interpreter("-c", _FREEZE_CALLS_AFTER_THREE_INVOCATIONS)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("fig1") == 3, proc.stdout
-        assert proc.stderr == "1\n"
 
 
 class TestInProcessHooks:
@@ -1698,75 +1597,6 @@ def test_any_argv_exits_with_a_documented_code(argv):
     assert "Traceback" not in result.output, argv
     if result.exit_code == 2:
         assert "FAIL" in result.output or "check failed" in result.output, (argv, result.output)
-
-
-def _click_modules(loaded: set[str]) -> set[str]:
-    return {name for name in loaded if name == "click" or name.startswith("click.")}
-
-
-# the help renderer, which a valid command line never loads, and the modules
-# an argparse parser loads (argparse imports gettext, and gettext locale),
-# which no command line loads
-_PARSER_MODULES = {"argparse", "gettext", "locale", "coinvest._cmdline"}
-
-
-@pytest.fixture(scope="module")
-def bare_modules() -> set[str]:
-    """The modules a bare interpreter has loaded when it exits."""
-    proc = _fresh_interpreter("-c", "import sys; print(*sorted(sys.modules))")
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
-
-
-def _coinvest_then_print(expression: str) -> str:
-    """A ``python -c`` script that runs ``python -m coinvest`` on the arguments
-    that follow it, then prints ``expression`` on stderr from an atexit hook
-    registered before coinvest loads, so it runs after coinvest's own hooks."""
-    return (
-        "import atexit, gc, os, runpy, sys\n"
-        f"atexit.register(lambda: print({expression}, file=sys.stderr))\n"
-        "runpy.run_module('coinvest', run_name='__main__')\n"
-    )
-
-
-# every module the command imported
-_LIST_MODULES_AT_EXIT = _coinvest_then_print("*sorted(sys.modules)")
-# the number of threads the process holds
-_COUNT_THREADS_AT_EXIT = _coinvest_then_print("len(os.listdir('/proc/self/task'))")
-# the number of objects frozen out of the collector
-_FREEZE_COUNT_AT_EXIT = _coinvest_then_print("gc.get_freeze_count()")
-
-
-# counts gc.freeze calls, invokes ``coinvest presets`` in-process three times,
-# then prints on stderr how often gc.freeze ran at exit
-_FREEZE_CALLS_AFTER_THREE_INVOCATIONS = (
-    "import atexit, gc, sys\n"
-    "calls, freeze = [], gc.freeze\n"
-    "gc.freeze = lambda: calls.append(freeze())\n"
-    "atexit.register(lambda: print(len(calls), file=sys.stderr))\n"
-    "from coinvest.cli import main\n"
-    "for _ in range(3):\n"
-    "    main.main(['presets'], prog_name='coinvest', standalone_mode=False)\n"
-)
-
-
-def _fresh_interpreter(*args, env=None, cwd=None, umask=-1):
-    """Run ``python ARGS`` in a new process, in ``env`` (default: this
-    process's environment) and in ``cwd``, under ``umask`` if it is not -1;
-    returns the completed process."""
-    env = os.environ if env is None else env
-    # the child imports the same package as this suite, installed or not
-    src = str(Path(cli_mod.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**env, "PYTHONPATH": path},
-        cwd=cwd,
-        umask=umask,
-    )
-
 
 
 # values of the wrong type for every field that takes a number, list or object

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-import coinvest.game
+import coinvest.oracle
 from coinvest import (
     NO,
     GameInstance,
@@ -30,12 +30,8 @@ from coinvest import (
 )
 from coinvest.checks import verify_checks
 from coinvest.game import SingleOptimum
-from coinvest.shapley import (
-    AGREEMENT_TOL,
-    STABILITY_TOL,
-    SupermodularityReport,
-    _certified_supermodular,
-)
+from coinvest.oracle import _certified_supermodular
+from coinvest.shapley import AGREEMENT_TOL, STABILITY_TOL, SupermodularityReport
 
 from conftest import (
     TABLE_KINDS,
@@ -391,13 +387,13 @@ class TestLoopOracles:
     def test_one_table_serves_every_check(self, monkeypatch, rng):
         builds = []
         for name in ("_fsum_subset_sums", "_exact_subset_sums"):
-            build = getattr(coinvest.game, name)
+            build = getattr(coinvest.oracle, name)
 
             def counting(x, name=name, build=build):
                 builds.append((name, len(x)))
                 return build(x)
 
-            monkeypatch.setattr(coinvest.game, name, counting)
+            monkeypatch.setattr(coinvest.oracle, name, counting)
         # within the bound verify's brute force and oracles read one table, of
         # the kind asked for; past it they are skipped and no table is built
         for game in (random_game(rng, n_sps=3), bloated_game()):

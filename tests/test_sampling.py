@@ -28,7 +28,7 @@ from coinvest import (
     shapley_enumeration,
     shapley_sampling,
 )
-from coinvest import shapley as shapley_mod
+from coinvest import sampling as sampling_mod
 
 from conftest import (
     heterogeneous_game,
@@ -114,7 +114,7 @@ def test_mt19937_stream_matches_the_published_one():
     # a wider plane holds the outputs from its least significant bit up
     plane = random.Random(_MT19937AR_KEY).getrandbits(96)
     assert plane == _MT19937AR[2] << 64 | _MT19937AR[1] << 32 | _MT19937AR[0]
-    assert shapley_mod.Random is random.Random
+    assert sampling_mod.Random is random.Random
 
 
 def test_owner_trails_two_providers_one_time_in_three():
@@ -123,7 +123,7 @@ def test_owner_trails_two_providers_one_time_in_three():
     # (1/3 - 1/4) / (1/4) = 1/3, and so do the two providers' counts; over
     # 1500 seeds the sample correlation has standard error
     # (1 - 1/9) / sqrt(1500) = 0.023
-    counts = np.array([shapley_mod._order_counts(3, 1000, seed) for seed in range(1500)])
+    counts = np.array([sampling_mod._order_counts(3, 1000, seed) for seed in range(1500)])
     correlation = np.corrcoef(counts.T)[0, 1]
     assert abs(correlation - 1 / 3) <= 0.1, correlation
 
@@ -185,8 +185,8 @@ def test_block_boundaries_match_the_reference(n_players):
     # every count, to the order, against the reference's 64-bit keys; the
     # cache is cleared before every draw, so each compares a fresh one
     for samples in _BLOCK_COUNTS:
-        shapley_mod._order_counts.cache_clear()
-        counts = shapley_mod._order_counts(n_players, samples, 23)
+        sampling_mod._order_counts.cache_clear()
+        counts = sampling_mod._order_counts(n_players, samples, 23)
         keys = mt19937_keys(23, samples, n_players)
         expected = np.count_nonzero(keys[:, :-1] > keys[:, -1:], axis=0)
         assert counts == tuple(expected.tolist()), samples
@@ -239,7 +239,7 @@ def test_memory_does_not_grow_with_samples(rng):
     bound = (32 + 10) * (_BLOCK // 8)
     for n_players in (8, 22):
         game = random_game(rng, n_sps=n_players - 1)
-        shapley_mod._order_counts.cache_clear()  # a cache hit would draw nothing
+        sampling_mod._order_counts.cache_clear()  # a cache hit would draw nothing
         tracemalloc.start()
         try:
             shapley_sampling(game, 10**6, seed=3)
@@ -252,7 +252,7 @@ def test_memory_does_not_grow_with_samples(rng):
 # prints the 2- and 3-player estimates at 10^5 orders, to every digit
 _PRINT_ESTIMATES = """
 from coinvest import GameInstance, LoadProfile, MarketParams, ServiceProvider, shapley_sampling
-from coinvest.shapley import _order_counts
+from coinvest.sampling import _order_counts
 market = MarketParams()
 for betas in ((2.8e-06,), (2.8e-06, 1.4e-06)):
     sps = tuple(
@@ -268,7 +268,7 @@ for betas in ((2.8e-06,), (2.8e-06, 1.4e-06)):
 def test_bits_do_not_depend_on_the_thread_count():
     # a BLAS call may split its sum across threads; the sampler makes none,
     # so fresh processes allowed one or two BLAS threads print the same bits
-    src = str(Path(shapley_mod.__file__).parents[1])
+    src = str(Path(sampling_mod.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     printed = set()
     for threads in ("1", "2"):
@@ -282,7 +282,7 @@ def test_bits_do_not_depend_on_the_thread_count():
 
 
 def test_cached_counts_are_read_only():
-    counts = shapley_mod._order_counts(5, 100, 1)
+    counts = sampling_mod._order_counts(5, 100, 1)
     assert isinstance(counts, tuple) and len(counts) == 4
     with pytest.raises(TypeError):
         counts[0] = 0
@@ -298,8 +298,8 @@ def test_a_repeated_draw_reads_the_cache(rng, monkeypatch):
             calls.append(key)
             super().__init__(key)
 
-    monkeypatch.setattr(shapley_mod, "Random", Counted)
-    shapley_mod._order_counts.cache_clear()
+    monkeypatch.setattr(sampling_mod, "Random", Counted)
+    sampling_mod._order_counts.cache_clear()
     first, second = random_game(rng, n_sps=4), random_game(rng, n_sps=4)
     shapley_sampling(first, 5000, seed=9)
     drawn = len(calls)

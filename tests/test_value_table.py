@@ -23,7 +23,7 @@ from coinvest import (
     shapley_closed_form,
     shapley_enumeration,
 )
-from coinvest.game import _exact_subset_sums, _fsum_subset_sums
+from coinvest.oracle import _exact_subset_sums, _fsum_subset_sums
 from coinvest.scenarios import DEFAULT_D_GRID
 
 from conftest import TABLE_KINDS, bloated_game, coalitions_by_mask, invoke_cli, random_game
