@@ -7,11 +7,14 @@ flags, check outcomes and the method behind them) and ``meta.json`` (the
 fully resolved config, tool version and seed). ``coinvest verify`` solves
 the same instances the way ``run --method closed`` does, runs the property
 suite (:mod:`coinvest.checks`) on them and prints one pass/fail line per
-property. ``coinvest presets`` lists the shipped configurations. ``run``
-decides its checks structurally and, under either method, never loads
-numpy. Nor does ``verify`` of a config whose brute-force checks are small
-(:data:`LIST_TABLE_BUDGET`), or of any config where numpy is not installed:
-it reads its coalition tables as tuples.
+property. ``coinvest presets`` lists the shipped configurations.
+
+numpy is optional (the ``fast`` extra). ``run`` decides its checks
+structurally and, under either method, never loads it; nor does
+``presets``. ``verify`` reads its coalition tables as tuples unless its
+brute-force work is past :data:`LIST_TABLE_BUDGET`, and as ndarrays past it
+if numpy is installed. Without numpy, such a ``verify`` says so in one line
+on stderr and prints the same verdicts from tuple tables, only slower.
 
 A closed ``run`` loads neither the exact oracle (:mod:`coinvest.oracle`)
 nor the sampler (:mod:`coinvest.sampling`); ``run --method sample`` loads
@@ -67,18 +70,15 @@ CSV_COLUMNS = (
     "h_star", "C_star", "r_hat", "shapley", "payment", "payoff", "v_grand",
 )
 
-#: The most exact work, the sum of n^2 * 2^n over a config's instances of at
+#: The most exact work, the sum of n * 2^n over a config's instances of at
 #: most MAX_ENUMERATION_PLAYERS players, that ``verify`` checks on tuple
 #: tables, without numpy; past it the tables are ndarrays, if numpy is
-#: installed. Per instance, lists lose from n = 8 on (n = 12: 3.3 against
-#: 0.4 ms; 2-vCPU x86-64), so the rule is per config: a sweep of many
-#: mid-sized instances pays numpy's import (~65 ms, one BLAS thread) once and
-#: wins it back. Brute-force supermodularity now costs n * 2^n on a game with
-#: a veto player, so lists cost ~5-9 ns per unit of this work from n = 10 up,
-#: and the budget spends about half an import on them. W keeps its n^2, so
-#: that a 17-player instance (~140 ms on lists) still reads ndarrays and no
-#: config changes kind until per-layer curves re-derive the crossover.
-LIST_TABLE_BUDGET = 4_000_000
+#: installed. On a game with a veto player every check costs about n * 2^n
+#: table reads, ~70 ns per unit on tuples. The rule is per config, since a
+#: config pays numpy's import once, and the budget is the measured crossover
+#: of a fresh ``verify``: one 15-player instance (491 520 units) is faster on
+#: tuples, one 17-player instance (2 228 224) on ndarrays.
+LIST_TABLE_BUDGET = 1_000_000
 
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILED = 2
@@ -541,9 +541,15 @@ def verify(config):
     cfg = _load_config(config)
     solved = _solve(cfg._replace(method=ShapleyMethod.CLOSED_FORM))
     sizes = [len(game.players) for game, _ in solved]
-    work = sum(n * n << n for n in sizes if n <= MAX_ENUMERATION_PLAYERS)
-    # past the budget, ndarray tables if numpy is installed; tuples without it
-    array = work > LIST_TABLE_BUDGET and importlib.util.find_spec("numpy") is not None
+    work = sum(n << n for n in sizes if n <= MAX_ENUMERATION_PLAYERS)
+    array = False
+    if work > LIST_TABLE_BUDGET:
+        # past the budget, ndarray tables if numpy is installed; tuples without it
+        array = importlib.util.find_spec("numpy") is not None
+        if not array:
+            _echo(f"verify: {work} units of exact work, past the budget of "
+                  f"{LIST_TABLE_BUDGET}, run on tuple tables since numpy is not "
+                  "installed; pip install 'coinvest[fast]' runs them on ndarrays", err=True)
     outcomes = [verify_checks(game, record, cfg.samples, cfg.seed, array)
                 for game, record in solved]
     failed = False

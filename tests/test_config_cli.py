@@ -48,7 +48,15 @@ from coinvest.config import (
     preset_names,
 )
 
-from conftest import OVER_BUDGET, fresh_interpreter, invoke_cli, isolated_filesystem
+from cli_fuzz import CONFIG_FIELD, INVOCATIONS, TEXT_COLUMNS, any_configs, argvs, valid_configs
+from cli_pins import PINNED_OUTPUTS, TRANSCRIPTS
+from conftest import (
+    OFF_BY_CHANCE,
+    OVER_BUDGET,
+    fresh_interpreter,
+    invoke_cli,
+    isolated_filesystem,
+)
 
 _SHAPED = {"id": "A", "beta": 2e-6, "daily_total": 5e5}
 
@@ -207,52 +215,7 @@ class TestParseConfig:
         assert config_to_dict(echoed) == config_to_dict(cfg)
 
 
-_floats = st.floats(0.0, 1e12)
-_positive = st.floats(1e-9, 1e3)
-_slots = st.sampled_from([96, 24, MAX_TIMESLOTS])
-
-
-def _short_lists(elements):
-    return st.lists(elements, min_size=1, max_size=4)
-
-
-_custom_sp = st.tuples(
-    st.fixed_dictionaries({"id": st.text(max_size=5), "beta": _floats}),
-    st.fixed_dictionaries({"loads": _short_lists(_floats)})
-    | st.fixed_dictionaries({"daily_total": _floats}),
-).map(lambda parts: {**parts[0], **parts[1]})
-
-
-_fields = st.fixed_dictionaries(
-    {"scenario": st.sampled_from(["same-type", "omega", "price-sweep", "custom"])},
-    optional={
-        "description": st.text(max_size=10),
-        "market": st.fixed_dictionaries(
-            {}, optional={"d": _positive, "Y": st.integers(1, 30), "T": _slots, "xi": _positive}
-        ),
-        "l_total": _floats,
-        "l_total_grid": _short_lists(_floats),
-        "omega_grid": _short_lists(st.floats(0.5, 1.0)),
-        "d_grid": _short_lists(_positive),
-        "n_sps": st.integers(1, MAX_PROVIDERS) | _short_lists(st.integers(1, MAX_PROVIDERS)),
-        "out_dir": st.text(max_size=10),
-        "seed": st.integers(0, MAX_SEED),
-        "method": st.sampled_from(["closed", "sample"]),
-        "samples": st.integers(1, MAX_SAMPLES),
-    },
-)
-
-
-@st.composite
-def _configs(draw):
-    """A valid config: the custom scenario draws at least one provider."""
-    data = draw(_fields)
-    custom = data["scenario"] == "custom"
-    data["custom_sps"] = draw(st.lists(_custom_sp, min_size=int(custom), max_size=3))
-    return data
-
-
-@given(data=_configs())
+@given(data=valid_configs())
 def test_config_round_trip_is_a_fixpoint(data):
     cfg = config_from_dict(data)
     assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
@@ -292,35 +255,6 @@ def run_cli(*args):
 
 
 SMALL_RUN = json.dumps({"l_total_grid": [1e6, 2e6, 4e6]})
-
-# the 17-player game bench/workloads.py's custom_game(1348, 17, 5000) builds,
-# pinned by its seed, the first from 60 up whose verify fails: SP14's sampled
-# payoff sits 4.1 standard errors from the exact one by chance, so verify
-# FAILs the oracle triangle
-_OFF_BY_CHANCE = json.dumps({
-    "scenario": "custom",
-    "seed": 1348,
-    "samples": 5000,
-    "custom_sps": [
-        {"id": "SP01", "beta": 1.342141463051033e-06, "daily_total": 1614010.2934306879},
-        {"id": "SP02", "beta": 2.5346865585661956e-06, "daily_total": 1974179.3880365603},
-        {"id": "SP03", "beta": 2.075434187906432e-06, "daily_total": 503398.550356291},
-        {"id": "SP04", "beta": 1.531386425676052e-06, "daily_total": 849300.7587794237},
-        {"id": "SP05", "beta": 1.1389293085181364e-06, "daily_total": 1368260.1622956314},
-        {"id": "SP06", "beta": 1.7412852444619703e-06, "daily_total": 15166.092856971076},
-        {"id": "SP07", "beta": 2.321572269096224e-06, "daily_total": 1053342.1509875408},
-        {"id": "SP08", "beta": 2.3641076055967655e-06, "daily_total": 715198.4048901765},
-        {"id": "SP09", "beta": 7.375383487432858e-07, "daily_total": 1166765.893529469},
-        {"id": "SP10", "beta": 2.7316022551903622e-06, "daily_total": 791804.8494019834},
-        {"id": "SP11", "beta": 2.414297020528435e-06, "daily_total": 1578775.9359869095},
-        {"id": "SP12", "beta": 1.9943480690434493e-06, "daily_total": 1791498.6173734006},
-        {"id": "SP13", "beta": 1.4414949822076462e-06, "daily_total": 531971.9225089906},
-        {"id": "SP14", "beta": 7.203934979106557e-07, "daily_total": 931142.5393520064},
-        {"id": "SP15", "beta": 2.3918745122570993e-06, "daily_total": 584418.8494809372},
-        {"id": "SP16", "beta": 1.392238770082232e-06, "daily_total": 966393.0505572665},
-    ],
-})
-
 
 class TestCliRun:
     def test_writes_consistent_outputs(self, tmp_path):
@@ -833,58 +767,7 @@ class TestCliRun:
         assert not summary["all_checks_passed"]
 
 
-_PINNED_CUSTOM = json.dumps({
-    "scenario": "custom",
-    "market": {"T": 4},
-    "custom_sps": [
-        {"id": "A", "beta": 2e-6, "loads": [3.0e4, 1.0e4, 0.0, 2.5e4]},
-        {"id": "B", "beta": 0.0, "loads": [1.0e4, 1.0e4, 1.0e4, 1.0e4]},
-        {"id": "C", "beta": 3e-6, "daily_total": 5.0e4},
-    ],
-})
-
-
-@pytest.mark.parametrize(
-    "args, digests",
-    [
-        pytest.param(
-            ["fig1"],
-            ("bc31a25bb1b89f6f10c620a13229d8b7de1698fae5f89c372458b6d5151eb9f3",
-             "8c2420242b36db8f9f2f4540215eff49ee972218ffabac136891a59382a63dac",
-             "3b93d3d42eaf39f32e6d07f2e8c69f5624a669eab576b41775d77600e36e9c84"),
-            id="fig1",
-        ),
-        pytest.param(
-            ["fig6"],
-            ("9cf7d9a55e4901c7e6b0319be45966c88da3f5388baa0fe83a3af65943d47351",
-             "ddc888d9bf8302067e1c45dad0ff7a988781348ffcf2bec8210898393d508c89",
-             "e8914e7fc077411502b0c582744863e2f4ef0233884b4e631220c664c53c05b2"),
-            id="fig6",
-        ),
-        pytest.param(
-            ["fig1", "--method", "sample", "--seed", "3"],
-            ("bfa578f370dfebb7b3a202138d997e2974ab7565331bbf214d81ae744eb228cd",
-             "ce3787bcb657fc9c1eb1b0637418e73ca812bb080944aba39a6097f05c4cbb2d",
-             "85e689e953b6a6001509c2b0a2e4d529d01a0adb0d940c79834848426670a389"),
-            id="fig1-sample-seed3",
-        ),
-        pytest.param(
-            # explicit loads, and null providers: B has beta 0, A too little
-            [_PINNED_CUSTOM],
-            ("69f3089f482f1230eb0bb9de7185b48af65a9298d2736c384ade759c33f93b96",
-             "7b32c8996529736627d7e221ec894c18112e5576ebbd86943dc738f898bb1bcf",
-             "fc7af420866a5dbd3bcac022890a822b9897e01e94ca3f0f7efe9206a088147b"),
-            id="custom-null-providers",
-        ),
-        pytest.param(
-            ['{"l_total_grid": [0.0, 1e308]}'],
-            ("44bd595a1485fe42ef2e78255c7b0f822604b7d8374a72e21b792a10d7f7355f",
-             "225b380a9874e6050318f0504f7bddcb74e05c614beb4867ab6cea741bab6867",
-             "18bfa25f4bf4a25182fb061139110bff388015c0fc0e254bce0de355d0a83b31"),
-            id="zero-and-huge-load",
-        ),
-    ],
-)
+@pytest.mark.parametrize("args, digests", PINNED_OUTPUTS)
 def test_run_writes_the_pinned_bytes(args, digests):
     """Every byte of the three output files, by sha256. meta.json records the
     output directory, so each run writes to ``out`` in a fresh directory."""
@@ -1110,7 +993,8 @@ class TestCliVerifyAndPresets:
 
     def test_verify_past_the_budget_reads_tuples_without_numpy(self):
         # past the budget verify reads ndarrays if numpy is installed and
-        # tuples if not, and prints the same lines either way
+        # tuples if not, and prints the same lines either way; without numpy
+        # it also names the extra that installs it, on stderr
         without_numpy = (
             "import runpy, sys\n"
             "sys.modules['numpy'] = None\n"
@@ -1118,14 +1002,18 @@ class TestCliVerifyAndPresets:
         )
         bare = fresh_interpreter("-c", without_numpy, "verify", OVER_BUDGET)
         assert bare.returncode == 0, bare.stderr
-        assert bare.stderr == ""
+        assert bare.stderr == (
+            f"verify: {17 << 17} units of exact work, past the budget of "
+            f"{cli_mod.LIST_TABLE_BUDGET}, run on tuple tables since numpy is not "
+            "installed; pip install 'coinvest[fast]' runs them on ndarrays\n"
+        )
         assert bare.stdout == fresh_interpreter("-m", "coinvest", "verify", OVER_BUDGET).stdout
 
     def test_verify_reads_tuple_tables_up_to_the_budget(self, monkeypatch):
-        # a 10-player instance is 10^2 * 2^10 units of exact work: the sweep of
+        # a 10-player instance is 10 * 2^10 units of exact work: the sweep of
         # the most prices within the budget reads tuples, one price more
         # ndarrays, and forced onto the other kind, each prints the same lines
-        most = cli_mod.LIST_TABLE_BUDGET // (10**2 << 10)
+        most = cli_mod.LIST_TABLE_BUDGET // (10 << 10)
         build, kinds = oracle_mod.coalition_table, []
 
         def recording(game, array=True):
@@ -1164,171 +1052,6 @@ class TestCliVerifyAndPresets:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         summary = json.loads((out / "summary.json").read_text())
         assert {i["checks"]["core"] for i in summary["instances"]} == {"pass"}
-
-
-_TOP_HELP = """\
-Usage: coinvest [OPTIONS] COMMAND [ARGS]...
-
-  Plan a capacity coinvestment: solve it, split the payoff, settle the bill.
-
-Options:
-  --version  Show the version and exit.
-  --help     Show this message and exit.
-
-Commands:
-  presets  List the configuration presets shipped with the package.
-  run      Solve the configured scenario and write records.csv, summary.json, meta.json.
-  verify   Run the property suite on the configured instances and report pass/fail.
-"""
-
-_RUN_HELP = """\
-Usage: coinvest run [OPTIONS] CONFIG
-
-  Solve the configured scenario and write records.csv, summary.json, meta.json.
-
-  CONFIG is a preset name, a JSON file path, or inline JSON.
-
-Options:
-  --out TEXT            Output directory (overrides the config).
-  --strict              Exit nonzero if any property check fails.
-  --seed INTEGER        Random seed (overrides the config).
-                        [0<=x<=9223372036854775807]
-  --method [closed|sample]
-                        Shapley method (overrides the config).
-  --help                Show this message and exit.
-"""
-
-_VERIFY_HELP = """\
-Usage: coinvest verify [OPTIONS] CONFIG
-
-  Run the property suite on the configured instances and report pass/fail.
-
-  Properties: supermodularity of every instance, core membership of the
-  Shapley payoffs, agreement of the three Shapley routes, and settlement
-  balance. Up to the enumeration bound, the core and supermodularity are
-  decided both structurally and by brute force, and must agree. A property
-  skipped on some instances also gets a line on stderr, with the count and
-  the first such instance's reason. CONFIG is a preset name, a JSON file
-  path, or inline JSON.
-
-Options:
-  --help  Show this message and exit.
-"""
-
-_PRESETS_HELP = """\
-Usage: coinvest presets [OPTIONS]
-
-  List the configuration presets shipped with the package.
-
-Options:
-  --help  Show this message and exit.
-"""
-
-
-def _refused(usage: str, message: str) -> str:
-    """The stderr of a usage error: ``usage`` starts with the program name."""
-    prog = usage.partition(" [")[0]
-    return f"Usage: {usage}\nTry '{prog} --help' for help.\n\nError: {message}\n"
-
-
-_TOP = "coinvest [OPTIONS] COMMAND [ARGS]..."
-_RUN = "coinvest run [OPTIONS] CONFIG"
-
-# (argv, exit code, stdout, stderr) of a fresh ``python -m coinvest`` in an
-# empty directory with COLUMNS=80, byte for byte
-TRANSCRIPTS = [
-    pytest.param([], 1, "", _TOP_HELP, id="bare"),
-    pytest.param(["--help"], 0, _TOP_HELP, "", id="help"),
-    pytest.param(["run", "--help"], 0, _RUN_HELP, "", id="run-help"),
-    pytest.param(["verify", "--help"], 0, _VERIFY_HELP, "", id="verify-help"),
-    pytest.param(["presets", "--help"], 0, _PRESETS_HELP, "", id="presets-help"),
-    pytest.param(["--version"], 0, f"coinvest, version {__version__}\n", "", id="version"),
-    # the first of --help and --version given wins
-    pytest.param(["--help", "--version"], 0, _TOP_HELP, "", id="help-version"),
-    pytest.param(["--version=1"], 1, "",
-                 _refused(_TOP, "Option '--version' does not take a value."), id="version=1"),
-    pytest.param(["--help=1"], 1, "",
-                 _refused(_TOP, "Option '--help' does not take a value."), id="help=1"),
-    pytest.param(["--bogus"], 1, "", _refused(_TOP, "No such option '--bogus'."), id="top-bogus"),
-    pytest.param(["--version", "--bogus"], 1, "", _refused(_TOP, "No such option '--bogus'."),
-                 id="version-then-bogus"),
-    pytest.param(["run", "fig1", "--bogus"], 1, "", _refused(_RUN, "No such option '--bogus'."),
-                 id="run-bogus"),
-    pytest.param(["bogus"], 1, "", _refused(_TOP, "No such command 'bogus'."), id="bogus"),
-    pytest.param(["bogus", "--help"], 1, "", _refused(_TOP, "No such command 'bogus'."),
-                 id="bogus-help"),
-    pytest.param(["--help", "bogus"], 0, _TOP_HELP, "", id="help-bogus"),
-    pytest.param(["--", "--"], 1, "", _refused(_TOP, "No such command '--'."), id="dashes"),
-    pytest.param(["-", "x"], 1, "", _refused(_TOP, "No such command '-'."), id="dash"),
-    pytest.param(["run", "fig1", "--meth", "sample"], 1, "",
-                 _refused(_RUN, "No such option '--meth'."), id="option-prefix"),
-    pytest.param(["run", "--version"], 1, "", _refused(_RUN, "No such option '--version'."),
-                 id="run-version"),
-    pytest.param(["run"], 1, "", _refused(_RUN, "Missing argument 'CONFIG'."), id="run"),
-    pytest.param(["verify"], 1, "",
-                 _refused("coinvest verify [OPTIONS] CONFIG", "Missing argument 'CONFIG'."),
-                 id="verify"),
-    pytest.param(["run", "fig1", "extra"], 1, "",
-                 _refused(_RUN, "Got unexpected extra argument (extra)"), id="extra"),
-    pytest.param(["presets", "x", "y"], 1, "",
-                 _refused("coinvest presets [OPTIONS]", "Got unexpected extra arguments (x y)"),
-                 id="presets-extras"),
-    pytest.param(["run", "fig1", "--out"], 1, "",
-                 _refused(_RUN, "Option '--out' requires an argument."), id="out-no-value"),
-    pytest.param(["run", "fig1", "--strict=1"], 1, "",
-                 _refused(_RUN, "Option '--strict' does not take a value."), id="strict=1"),
-    pytest.param(["run", "fig1", "--seed", "abc"], 1, "",
-                 _refused(_RUN, "Invalid value for '--seed': 'abc' is not a valid integer."),
-                 id="seed-abc"),
-    pytest.param(["run", "fig1", "--seed", "-1"], 1, "",
-                 _refused(_RUN, "Invalid value for '--seed': -1 is not in the range "
-                                "0<=x<=9223372036854775807."), id="seed-negative"),
-    pytest.param(["run", "fig1", "--method", "xx"], 1, "",
-                 _refused(_RUN, "Invalid value for '--method': 'xx' is not one of "
-                                "'closed', 'sample'."), id="method-xx"),
-    # values are checked in the order run lists its options, before CONFIG
-    pytest.param(["run", "--method", "xx", "--seed", "abc"], 1, "",
-                 _refused(_RUN, "Invalid value for '--seed': 'abc' is not a valid integer."),
-                 id="method-xx-seed-abc"),
-    pytest.param(["run", "--seed", "abc"], 1, "",
-                 _refused(_RUN, "Invalid value for '--seed': 'abc' is not a valid integer."),
-                 id="seed-abc-no-config"),
-    pytest.param(["run", "--", "fig1"], 0, "wrote 10 records to out/records.csv\n", "",
-                 id="dashes-config"),
-    pytest.param(["run", "fig1", "--", "--strict"], 1, "",
-                 _refused(_RUN, "Got unexpected extra argument (--strict)"), id="dashes-extra"),
-    # the "--" goes with CONFIG only right beside it, as argparse read it
-    pytest.param(["run", "fig1", "--strict", "--", "x"], 1, "",
-                 _refused(_RUN, "Got unexpected extra arguments (-- x)"), id="dashes-apart"),
-    pytest.param(["presets", "--"], 1, "",
-                 _refused("coinvest presets [OPTIONS]", "Got unexpected extra argument (--)"),
-                 id="presets-dashes"),
-    pytest.param(["run", "fig1", "--out="], 0, "wrote 10 records to records.csv\n", "",
-                 id="out="),
-    pytest.param(["run", "fig1", "--out", "-x", "--strict", "--method=closed"], 0,
-                 "wrote 10 records to -x/records.csv\n", "", id="out-dash-x"),
-    # a value of "--" is a value too
-    pytest.param(["run", "fig1", "--out=--"], 0, "wrote 10 records to --/records.csv\n", "",
-                 id="out=--"),
-    pytest.param(["run", "fig1", "--seed", "--"], 1, "",
-                 _refused(_RUN, "Invalid value for '--seed': '--' is not a valid integer."),
-                 id="seed-dashes"),
-    # the last value given wins, and only it is checked
-    pytest.param(["run", "fig1", "--seed", "abc", "--seed", "7", "--out", "o"], 0,
-                 "wrote 10 records to o/records.csv\n", "", id="seed-repeated"),
-    pytest.param(["run", "fig1", "--seed", "abc", "--help"], 0, _RUN_HELP, "",
-                 id="help-wins-over-a-bad-value"),
-    pytest.param(["run", "--help", "--bogus"], 1, "", _refused(_RUN, "No such option '--bogus'."),
-                 id="unknown-option-wins-over-help"),
-    pytest.param(["run", "fig1", "--strict=1", "--bogus"], 1, "",
-                 _refused(_RUN, "No such option '--bogus'."), id="unknown-wins-over-flag-value"),
-    pytest.param(["run", "fig1", "--strict=1", "--help=1"], 1, "",
-                 _refused(_RUN, "Option '--strict' does not take a value."),
-                 id="first-flag-value"),
-    pytest.param(["run", "--help", "--strict=1"], 1, "",
-                 _refused(_RUN, "Option '--strict' does not take a value."),
-                 id="flag-value-wins-over-help"),
-]
 
 
 class TestUsageErrors:
@@ -1469,7 +1192,7 @@ class TestFreshProcess:
                 id="fig1",
             ),
             pytest.param(
-                _OFF_BY_CHANCE,
+                OFF_BY_CHANCE,
                 2,
                 "supermodularity        PASS  (1/1 instances)\n"
                 "core-membership        PASS  (1/1 instances)\n"
@@ -1529,7 +1252,7 @@ class TestInProcessHooks:
     @pytest.mark.parametrize(
         "args, code, named",
         [
-            pytest.param(["verify", _OFF_BY_CHANCE], 2, "oracle-triangle        FAIL",
+            pytest.param(["verify", OFF_BY_CHANCE], 2, "oracle-triangle        FAIL",
                          id="verify-fails"),
             pytest.param(["run", "fig1", "--bogus"], 1, "No such option '--bogus'.",
                          id="usage-error"),
@@ -1556,37 +1279,7 @@ class TestInProcessHooks:
             cli_mod.main.main(args=["presets"], standalone_mode=False)
 
 
-_COMMAND = st.sampled_from(["run", "verify"]) | st.sampled_from(
-    ["presets", "bogus", "--help", "--version", ""]
-)
-_CONFIG = st.sampled_from(
-    ["fig2", json.dumps({"l_total_grid": [2e6], "samples": 200}), _OFF_BY_CHANCE,
-     '{"bogus": 1}', "no-such.json"]
-)
-_OPTION = st.sampled_from(["--out", "--strict", "--seed", "--method"]) | st.sampled_from(
-    ["--help", "--bogus", "-x", "--"]
-)
-_VALUES = {
-    "--out": ["o", ""],
-    "--seed": ["3", "-1", "abc", str(MAX_SEED + 1)],
-    "--method": ["enum", "closed", "sample", "xx"],
-}
-
-
-@st.composite
-def _argv(draw):
-    """A command or junk, mostly a config, then options, mostly with a value of their kind."""
-    argv = [draw(_COMMAND)]
-    if draw(st.integers(0, 3)):
-        argv.append(draw(_CONFIG))
-    for option in draw(st.lists(_OPTION, max_size=3)):
-        argv.append(option)
-        if option in _VALUES and draw(st.integers(0, 3)):
-            argv.append(draw(st.sampled_from(_VALUES[option])))
-    return argv
-
-
-@given(argv=_argv())
+@given(argv=argvs())
 def test_any_argv_exits_with_a_documented_code(argv):
     with isolated_filesystem():
         result = invoke_cli(argv)
@@ -1599,119 +1292,7 @@ def test_any_argv_exits_with_a_documented_code(argv):
         assert "FAIL" in result.output or "check failed" in result.output, (argv, result.output)
 
 
-# values of the wrong type for every field that takes a number, list or object
-_junk = st.none() | st.booleans() | st.just("x") | st.just([]) | st.just({})
-# finite values that pass every range check but can overflow the model
-_extreme = st.sampled_from([1e150, 1e300, 1.7e308, 10**400])
-_nonfinite = st.sampled_from([math.nan, math.inf, -math.inf])
-
-
-def _bad_list(element):
-    """A list that is empty, has one bad element, or is one entry past its cap."""
-    return (
-        st.just([])
-        | st.lists(element, min_size=1, max_size=2)
-        | st.just([1.0] * (MAX_GRID_POINTS + 1))
-        | _junk
-    )
-
-
-def _provider(slots):
-    """A valid custom provider, shaped by the load spec or with explicit loads."""
-    beta = st.floats(0.0, 1e-5)
-    return st.fixed_dictionaries(
-        {"beta": beta, "daily_total": st.floats(0.0, 1e7)}
-    ) | st.fixed_dictionaries(
-        {"beta": beta, "loads": st.lists(st.floats(0.0, 1e5), min_size=slots, max_size=slots)}
-    )
-
-
-# per field, values it rejects, or accepts but that overflow the model
-_BAD_FIELDS = {
-    "scenario": st.just("bogus") | _junk,
-    "description": st.none() | st.integers(),
-    "market": _junk
-    | st.fixed_dictionaries({"d": _nonfinite | st.just(0.0) | _extreme})
-    | st.fixed_dictionaries({"Y": st.sampled_from([0, 1.5, True])})
-    | st.fixed_dictionaries({"T": st.sampled_from([0, MAX_TIMESLOTS + 1])})
-    | st.fixed_dictionaries({"xi": _nonfinite | st.just(-1.0) | _extreme})
-    | st.just({"spread": 1}),
-    "l_total": _junk | _nonfinite | _extreme | st.just(-1.0),
-    "l_total_grid": _bad_list(_nonfinite | _extreme | st.just(-1.0)),
-    "omega_grid": _bad_list(st.sampled_from([0.4, 1.1, math.nan])),
-    "d_grid": _bad_list(st.sampled_from([0.0, -1.0, math.inf, 1e300])),
-    "n_sps": st.sampled_from([0, -1, MAX_PROVIDERS + 1, 2.5, [], [0], [2] * (MAX_GRID_POINTS + 1)])
-    | _junk,
-    "custom_sps": _junk
-    | st.lists(_junk, min_size=1, max_size=2)
-    | st.sampled_from(
-        [
-            [{"beta": 1e-6, "daily_total": 1e6}],
-            [{"id": "a", "beta": 1e-6}],
-            [{"id": "a", "beta": 1e-6, "daily_total": 1e6, "loads": [1.0]}],
-            [{"id": "a", "beta": 1e-6, "loads": [1.0] * 7}],
-            [{"id": "a", "beta": 1e-6, "daily_total": 1e6}] * 2,
-            [{"id": "NO", "beta": 1e-6, "daily_total": 1e6}],
-            [{"id": "a", "beta": 1e300, "daily_total": 1e300}],
-            [{"id": "a", "beta": -1.0, "daily_total": 1e6}],
-        ]
-    ),
-    "out_dir": st.none() | st.just([]),
-    "seed": st.sampled_from([-1, MAX_SEED + 1, 2**64, 1.0]) | _junk,
-    "method": st.sampled_from(["guess", "enum"]) | _junk,
-    "samples": st.sampled_from([0, MAX_SAMPLES + 1, 10.0]) | _junk,
-    "bogus": st.integers(),
-}
-
-
-@st.composite
-def _any_config(draw):
-    """A valid config, or one whose fields are valid but for one or two."""
-    keys = draw(st.sets(st.sampled_from(sorted(_BAD_FIELDS.keys() - {"out_dir", "bogus"}))))
-    slots = draw(st.integers(1, 48)) if "market" in keys else 96
-    valid = {
-        "scenario": st.sampled_from(["same-type", "omega", "price-sweep", "custom"]),
-        "description": st.text(max_size=5),
-        "market": st.fixed_dictionaries(
-            {"T": st.just(slots)},
-            optional={
-                "d": st.floats(1e-3, 1.0),
-                "Y": st.integers(1, 3),
-                "xi": st.floats(1e-4, 1e-2),
-            },
-        ),
-        "l_total": st.floats(0.0, 1e7),
-        "l_total_grid": st.lists(st.floats(0.0, 1e7), min_size=1, max_size=3),
-        "omega_grid": st.lists(st.floats(0.5, 1.0), min_size=1, max_size=3),
-        "d_grid": st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3),
-        "n_sps": st.integers(1, 4) | st.lists(st.integers(1, 4), min_size=1, max_size=3),
-        "custom_sps": st.lists(_provider(slots), min_size=1, max_size=3).map(
-            lambda sps: [{"id": f"SP{k}", **sp} for k, sp in enumerate(sps)]
-        ),
-        "seed": st.integers(0, MAX_SEED),
-        "method": st.sampled_from(["closed", "sample"]),
-        "samples": st.integers(1, 500),
-    }
-    data = {key: draw(valid[key]) for key in sorted(keys)}
-    for key in draw(st.lists(st.sampled_from(sorted(_BAD_FIELDS)), max_size=2, unique=True)):
-        data[key] = draw(_BAD_FIELDS[key])
-    return data
-
-
-# a message names a config field when it names one of these keys
-_CONFIG_FIELD = re.compile(
-    r"\b(scenario|description|market|l_total|l_total_grid|omega_grid|d_grid"
-    r"|n_sps|custom_sps|out_dir|seed|method|samples|bogus)\b"
-)
-_TEXT_COLUMNS = {"scenario", "sweep_param", "player_id"}
-
-
-# each command that solves through cli._solve: run with the config's own
-# method, run with the sampling override, and verify
-_INVOCATIONS = [["run"], ["run", "--method", "sample"], ["verify"]]
-
-
-@given(data=_any_config(), invocation=st.sampled_from(_INVOCATIONS))
+@given(data=any_configs(), invocation=st.sampled_from(INVOCATIONS))
 def test_any_config_runs_finite_or_exits_1_naming_a_field(data, invocation):
     command, *options = invocation
     with tempfile.TemporaryDirectory() as out:
@@ -1719,7 +1300,7 @@ def test_any_config_runs_finite_or_exits_1_naming_a_field(data, invocation):
             options += ["--out", out]
         result = run_cli(command, json.dumps(data), *options)
         if result.exit_code == 1:
-            assert _CONFIG_FIELD.search(result.output), result.output
+            assert CONFIG_FIELD.search(result.output), result.output
             assert not os.listdir(out)
             return
         if command == "verify":
@@ -1732,6 +1313,6 @@ def test_any_config_runs_finite_or_exits_1_naming_a_field(data, invocation):
         with open(os.path.join(out, "records.csv"), newline="") as handle:
             for row in csv.DictReader(handle):
                 for column, cell in row.items():
-                    assert column in _TEXT_COLUMNS or math.isfinite(float(cell)), row
+                    assert column in TEXT_COLUMNS or math.isfinite(float(cell)), row
         with open(os.path.join(out, "summary.json")) as handle:
             json.load(handle)

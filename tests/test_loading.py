@@ -174,7 +174,7 @@ class TestModulesLoaded:
         # a config past the budget for tuple tables, and for no preset, but
         # never numpy.random, which imports secrets, hmac and hashlib
         # (OpenSSL: ~6 MB of resident memory)
-        assert 17**2 << 17 > cli_mod.LIST_TABLE_BUDGET
+        assert 17 << 17 > cli_mod.LIST_TABLE_BUDGET
         one_instance = json.dumps({"l_total_grid": [2e6], "samples": 5000})
         for args, numpy in (
             (["verify", "fig1"], False),

@@ -1,0 +1,60 @@
+"""README's command-line contract against ``coinvest.cli``: the synopsis of
+each command, the exit codes and the records.csv columns name what the code
+declares, so that neither changes without the other."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import coinvest.cli as cli_mod
+
+_README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+_COMMANDS = (cli_mod.presets, cli_mod.run, cli_mod.verify)
+
+
+def _one(pattern: str) -> re.Match:
+    [match] = re.finditer(pattern, _README, re.MULTILINE | re.DOTALL)
+    return match
+
+
+def _synopsis() -> dict[str, str]:
+    """The CLI section's ``sh`` block: each ``coinvest`` line's arguments, by command."""
+    block = _one(r"^## CLI\n\n```sh\n(.*?)```").group(1)
+    lines = [line.split(maxsplit=2) for line in block.splitlines()]
+    assert {line[0] for line in lines} == {"coinvest"}
+    return {line[1]: line[2] if len(line) > 2 else "" for line in lines}
+
+
+def test_the_synopsis_lists_every_command_once():
+    assert sorted(_synopsis()) == sorted(command.name for command in _COMMANDS)
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids=lambda command: command.name)
+def test_the_synopsis_shows_each_option_as_declared(command):
+    shown = _synopsis()[command.name]
+    assert shown.startswith("<config>") == command.takes_config
+    options = re.findall(r"\[(--[\w-]+)( [^\]]+)?\]", shown)
+    assert [flag for flag, _ in options] == [option.flag for option in command.options]
+    for (flag, value), option in zip(options, command.options):
+        # a flag bare, an option that takes a value with a placeholder, and
+        # one that takes a choice with the choices
+        assert bool(value) == (option.metavar is not None), flag
+        if option.metavar and option.metavar.startswith("["):
+            assert value == f" {option.metavar.strip('[]')}", flag
+
+
+def test_the_exit_codes_are_the_declared_ones():
+    text = " ".join(_one(r"^Exit codes: (.*?)\. ").group(1).split())
+    codes = dict(re.findall(r"`(\d)` ([^,(]+)", text))
+    assert {code: meaning.strip() for code, meaning in codes.items()} == {
+        "0": "success",
+        str(cli_mod.EXIT_VALIDATION): "validation error",
+        str(cli_mod.EXIT_CHECK_FAILED): "property-check failure",
+        str(cli_mod.EXIT_IO): "I/O error",
+    }
+
+
+def test_the_csv_columns_are_the_written_ones():
+    listed = _one(r"fixed column order:\n\s*`([^`]*)`").group(1)
+    assert tuple(re.split(r",\s+", listed)) == cli_mod.CSV_COLUMNS
