@@ -382,7 +382,7 @@ def _build_groups(cfg: RunConfig):
             load = _build(f"custom_sps[{k}].daily_total", scale_load, base,
                           spec.daily_total / base.total)
         sps.append(ServiceProvider(spec.id, spec.beta, load))
-    game = _build("custom_sps", GameInstance, cfg.market, tuple(sps))
+    game = _build("market, custom_sps", GameInstance, cfg.market, tuple(sps))
     return [("custom", "index", [0.0], [game])]
 
 

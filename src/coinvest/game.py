@@ -9,11 +9,12 @@ capacity can be deployed and a coalition is worth exactly zero.
 
 Because the objective decomposes per provider, a coalition's value is the sum
 of each member provider's standalone optimum, which is what makes the rest of
-the analysis (payoff division, stability checks) tractable. Summing those
-optima is decided here for one coalition, by :func:`coalition_value`; the
-table of all 2^n of them, which only ``verify`` reads, is built
-bit-identically by :func:`coinvest.oracle.coalition_table`, re-exported here
-lazily.
+the analysis (payoff division, stability checks) tractable. A
+:class:`GameInstance` keeps those profits m_i and the grand value v(N), summed
+once when it is made, and every route and check reads them there.
+:func:`coalition_value` sums any one coalition; the table of all 2^n of
+them, which only ``verify`` reads, is built bit-identically by
+:func:`coinvest.oracle.coalition_table`, re-exported here lazily.
 """
 
 from __future__ import annotations
@@ -160,8 +161,9 @@ class GameInstance(_Validated, namedtuple("GameInstance", "market sps")):
 
     The owner is implicit; it appears in :attr:`players` under the id ``NO``
     with zero load and zero benefit factor. Instances are immutable, so all
-    derived quantities may be evaluated concurrently. Each caches its
-    standalone optima, so it is not slotted.
+    derived quantities may be evaluated concurrently. Each keeps its
+    standalone optima, its profits and its grand value, made once in
+    ``__new__``, so it is not slotted; the two attributes are read-only.
     """
 
     def __new__(cls, market: MarketParams, sps):
@@ -187,8 +189,9 @@ class GameInstance(_Validated, namedtuple("GameInstance", "market sps")):
                 )
         # every coalition value is a subset sum of these profits, the grand
         # value the largest; fsum raises OverflowError when it is not finite
+        profits = tuple(opt.value for opt in optima.values())
         try:
-            grand = math.fsum(opt.value for opt in optima.values())
+            grand = math.fsum(profits)
         except OverflowError:
             grand = math.inf
         if not math.isfinite(grand):
@@ -197,8 +200,13 @@ class GameInstance(_Validated, namedtuple("GameInstance", "market sps")):
                 "largest finite float"
             )
         self = super().__new__(cls, market, sps)
-        self._optima = optima
+        self._optima, self._profits, self._v_grand = optima, profits, grand
         return self
+
+    profits = property(lambda self: self._profits,
+                       doc="Standalone profits m_i, as a tuple in provider order.")
+    v_grand = property(lambda self: self._v_grand,
+                       doc="Grand value v(N), the fsum of the profits, summed once when made.")
 
     @property
     def players(self) -> tuple[str, ...]:

@@ -61,14 +61,12 @@ def coalition_table(game: GameInstance, array: bool = True) -> CoalitionTable:
             f"{len(players)} players exceeds the enumeration bound of {MAX_ENUMERATION_PLAYERS}; "
             "only shapley_sampling of a GameInstance runs beyond it"
         )
-    optima = game.standalone_optima()
-    profits = [optima[sp.id].value for sp in game.sps]
     if not array:
-        sums = _exact_subset_sums(profits)
+        sums = _exact_subset_sums(game.profits)
         return CoalitionTable(players, (0.0,) * len(sums) + tuple(sums))
     import numpy as np
 
-    sums = _fsum_subset_sums(profits)
+    sums = _fsum_subset_sums(game.profits)
     values = np.zeros(2 * sums.size)
     values[sums.size:] = sums
     values.flags.writeable = False

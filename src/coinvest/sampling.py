@@ -13,7 +13,7 @@ from functools import lru_cache
 from random import Random
 
 from .game import GameInstance
-from .shapley import ShapleyResult, _profits
+from .shapley import ShapleyResult
 
 # orders per block of the arrival-key stream: each block draws its own
 # streams, so a block's planes are c-bit ints of at most 8 KiB
@@ -51,9 +51,8 @@ def shapley_sampling(game: GameInstance, samples: int, seed: int = 0) -> Shapley
     players = tuple(game.players)
     # in units of a power of two near the largest m_i (exact), so that the
     # owner's squared profits stay finite whenever the profits are
-    profits = _profits(game)
-    unit = _unit(profits)
-    profit = [m / unit for m in profits]
+    unit = _unit(game.profits)
+    profit = [m / unit for m in game.profits]
     count = _order_counts(len(players), samples, seed)
     # the owner adds m_j in each of the samples - count[j] orders where
     # provider j came first
@@ -113,6 +112,6 @@ def _order_counts(n: int, samples: int, seed: int) -> tuple[int, ...]:
     return tuple(count)
 
 
-def _unit(values: list[float]) -> float:
+def _unit(values) -> float:
     """The largest power of two not above the largest |value| (any, if all are 0)."""
     return math.ldexp(1.0, math.frexp(max(map(abs, values), default=0.0))[1] - 1)

@@ -12,14 +12,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .game import (
-    NO,
-    GameInstance,
-    LoadProfile,
-    MarketParams,
-    ServiceProvider,
-    coalition_value,
-)
+from .game import NO, GameInstance, LoadProfile, MarketParams, ServiceProvider
 from .shapley import ShapleyMethod, settle, shapley_closed_form
 
 #: Default daily-total sweep for the load scenario, requests per day. Starts
@@ -216,7 +209,6 @@ def run_sweep(
 
 
 def _solve_one(game, scenario, sweep_param, sweep_value, method, samples, seed):
-    v_grand = coalition_value(game, game.players)
     if method is ShapleyMethod.CLOSED_FORM:
         result = shapley_closed_form(game)
     elif method is ShapleyMethod.PERMUTATION_SAMPLING:
@@ -248,6 +240,6 @@ def _solve_one(game, scenario, sweep_param, sweep_value, method, samples, seed):
         sweep_param=sweep_param,
         sweep_value=sweep_value,
         c_star=alloc.C,
-        v_grand=v_grand,
+        v_grand=game.v_grand,
         players=rows,
     )

@@ -33,7 +33,6 @@ from .game import (
     Settlement,
     _moved,
     _payoff_floats,
-    coalition_value,
     grand_allocation,
     provider_revenue,
 )
@@ -119,16 +118,9 @@ def shapley_closed_form(game: GameInstance) -> ShapleyResult:
     arrives before it, which happens in half of all orderings, so it gets
     m_i / 2; the owner collects the remaining half of the total.
     """
-    optima = game.standalone_optima()
-    payoffs = {sp.id: optima[sp.id].value / 2.0 for sp in game.sps}
-    payoffs[NO] = math.fsum(opt.value for opt in optima.values()) / 2.0
+    payoffs = {sp.id: m / 2.0 for sp, m in zip(game.sps, game.profits)}
+    payoffs[NO] = game.v_grand / 2.0
     return ShapleyResult(payoffs=payoffs)
-
-
-def _profits(game: GameInstance) -> list[float]:
-    """The providers' standalone profits m_i, in provider order."""
-    optima = game.standalone_optima()
-    return [optima[sp.id].value for sp in game.sps]
 
 
 def check_core_structural(game: GameInstance, payoffs: PayoffVector) -> CoreCheck:
@@ -143,11 +135,10 @@ def check_core_structural(game: GameInstance, payoffs: PayoffVector) -> CoreChec
     coalition named is the one with the least slack.
     """
     x = _payoff_floats(game.players, payoffs)
-    profits = _profits(game)
-    grand = math.fsum(profits)
+    grand = game.v_grand
     noise = STABILITY_TOL * max(1.0, abs(grand))
     without = [sp.id for sp in game.sps if x[sp.id] < 0.0]
-    short = [(sp.id, m) for sp, m in zip(game.sps, profits) if x[sp.id] < m]
+    short = [(sp.id, m) for sp, m in zip(game.sps, game.profits) if x[sp.id] < m]
     slack = math.fsum(x[p] for p in without)
     owner_slack = math.fsum([x[NO], *(x[p] for p, _ in short), *(-m for _, m in short)])
     weakest = frozenset(without)
@@ -170,9 +161,8 @@ def check_supermodularity_structural(game: GameInstance) -> SupermodularityRepor
     profit is floored at 0, it always is. A counterexample is the one the brute-force test
     finds first: the owner adds less to {j} than to the empty coalition.
     """
-    profits = _profits(game)
-    noise = STABILITY_TOL * max(1.0, abs(math.fsum(profits)))
-    for sp, m in zip(game.sps, profits):
+    noise = STABILITY_TOL * max(1.0, abs(game.v_grand))
+    for sp, m in zip(game.sps, game.profits):
         if m < -noise:
             return SupermodularityReport(
                 holds=False, counterexample=(NO, frozenset(), frozenset([sp.id]))
@@ -188,11 +178,10 @@ def classify_players_structural(game: GameInstance) -> dict[str, PlayerFlags]:
     compared with exact 0, as :func:`~coinvest.oracle.classify_players`
     compares values.
     """
-    profits = _profits(game)
-    nonzero = sum(m != 0.0 for m in profits)
+    nonzero = sum(m != 0.0 for m in game.profits)
     flags = {
         sp.id: PlayerFlags(veto=nonzero - (m != 0.0) == 0, null=m == 0.0)
-        for sp, m in zip(game.sps, profits)
+        for sp, m in zip(game.sps, game.profits)
     }
     flags[NO] = PlayerFlags(veto=True, null=nonzero == 0)
     return flags
@@ -209,7 +198,7 @@ def settle(game: GameInstance, payoffs: PayoffVector) -> Settlement:
     """
     players = game.players
     payoff = _payoff_floats(players, payoffs)
-    grand = coalition_value(game, players)
+    grand = game.v_grand
     total = math.fsum(payoff.values())
     if abs(total - grand) > SETTLE_TOL * max(1.0, abs(grand)):
         raise ValueError(

@@ -439,6 +439,7 @@ class TestCliRun:
             result = run_cli(*args)
             assert result.exit_code == 1, args
             assert "custom_sps: provider 'a': " in result.output, result.output
+            assert "market" in result.output, result.output
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -29,7 +29,6 @@ from coinvest import (
     shapley_enumeration,
 )
 from coinvest.checks import verify_checks
-from coinvest.game import SingleOptimum
 from coinvest.oracle import _certified_supermodular
 from coinvest.shapley import AGREEMENT_TOL, STABILITY_TOL, SupermodularityReport
 
@@ -495,10 +494,8 @@ class ProfitsOnly:
     def __init__(self, profits):
         self.sps = tuple(SimpleNamespace(id=pid) for pid in profits)
         self.players = tuple(profits) + (NO,)
-        self._optima = {pid: SingleOptimum(0.0, m) for pid, m in profits.items()}
-
-    def standalone_optima(self):
-        return self._optima
+        self.profits = tuple(profits.values())
+        self.v_grand = math.fsum(self.profits)
 
 
 def test_structural_checks_match_brute_force_on_negative_profits():

@@ -110,8 +110,8 @@ class TestDomainTypes:
         [record] = run_sweep([game])
         for obj, name in (
             (market, "d"), (load, "values"), (load, "total"), (game.sps[0], "beta"),
-            (game, "sps"), (RunConfig(), "seed"), (record, "v_grand"),
-            (shapley_closed_form(game), "payoffs"),
+            (game, "sps"), (game, "profits"), (game, "v_grand"), (RunConfig(), "seed"),
+            (record, "v_grand"), (shapley_closed_form(game), "payoffs"),
         ):
             with pytest.raises(AttributeError):
                 setattr(obj, name, getattr(obj, name))
@@ -300,6 +300,18 @@ class TestCoalitionValue:
             grid_best, gap_bound = grid_max_joint(game)
             assert grid_best <= value + 1e-9 * max(1.0, value)
             assert value - grid_best <= 2.0 * gap_bound + 1e-9
+
+
+class TestInstanceNumbers:
+    def test_keeps_its_profits_and_grand_value(self, rng):
+        # seeded random games, each with a null provider first
+        for _ in range(20):
+            game = random_game(rng)
+            game = game._replace(sps=(ServiceProvider("idle", 0.0, game.sps[0].load), *game.sps))
+            optima = game.standalone_optima()
+            assert game.profits[0] == 0.0
+            assert [m.hex() for m in game.profits] == [optima[sp.id].value.hex() for sp in game.sps]
+            assert game.v_grand.hex() == coalition_value(game, game.players).hex()
 
 
 class TestGrandAllocation:

@@ -1,6 +1,7 @@
 """README's command-line contract against ``coinvest.cli``: the synopsis of
 each command, the exit codes and the records.csv columns name what the code
-declares, so that neither changes without the other."""
+declares, so that neither changes without the other. And README's library
+quickstart runs as written, without numpy."""
 
 import re
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import coinvest.cli as cli_mod
+
+from conftest import fresh_interpreter
 
 _README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 _COMMANDS = (cli_mod.presets, cli_mod.run, cli_mod.verify)
@@ -58,3 +61,11 @@ def test_the_exit_codes_are_the_declared_ones():
 def test_the_csv_columns_are_the_written_ones():
     listed = _one(r"fixed column order:\n\s*`([^`]*)`").group(1)
     assert tuple(re.split(r",\s+", listed)) == cli_mod.CSV_COLUMNS
+
+
+def test_the_library_quickstart_runs_without_numpy():
+    # numpy is an extra, so the quickstart must run on a plain install; a None
+    # entry in sys.modules makes every import of numpy fail
+    block = _one(r"^```python\n(.*?)^```").group(1)
+    proc = fresh_interpreter("-c", 'import sys\nsys.modules["numpy"] = None\n' + block)
+    assert proc.returncode == 0, proc.stderr
