@@ -53,11 +53,10 @@ class Outcome(NamedTuple):
         return f"{self.verdict}: {self.detail}" if self.detail else self.verdict
 
 
-def run_checks(game: GameInstance, record: SweepRecord, payoffs=None) -> dict[str, Outcome]:
+def run_checks(game: GameInstance, record: SweepRecord) -> dict[str, Outcome]:
     """The core, supermodularity and settlement checks ``run`` writes to
-    summary.json. ``payoffs`` is the record's payoff vector, if already read."""
-    if payoffs is None:
-        payoffs = {p.player_id: p.payoff for p in record.players}
+    summary.json, of the record's payoffs."""
+    payoffs = {p.player_id: p.payoff for p in record.players}
     return {
         "core": _core(check_core_structural(game, payoffs)),
         "supermodularity": _supermodularity(check_supermodularity_structural(game)),
@@ -65,21 +64,20 @@ def run_checks(game: GameInstance, record: SweepRecord, payoffs=None) -> dict[st
     }
 
 
-def verify_checks(game, record, samples: int, seed: int,
-                  array: bool = True) -> dict[str, Outcome]:
+def verify_checks(game, record, samples: int, seed: int, array: bool) -> dict[str, Outcome]:
     """``run``'s checks plus the oracle triangle. Within the enumeration bound,
     the core and supermodularity are also decided by brute force over all 2^n
     coalitions, and fail unless both verdicts agree; beyond it the oracle
     triangle is skipped. Their one coalition table, built as an ndarray if
     ``array`` and as a tuple otherwise, is dropped on return."""
-    payoffs = {p.player_id: p.payoff for p in record.players}
-    checks = run_checks(game, record, payoffs)
+    checks = run_checks(game, record)
     n = len(game.players)
     if n > MAX_ENUMERATION_PLAYERS:
         checks["oracle_triangle"] = Outcome(SKIPPED, f"{n} players exceeds the enumeration bound")
         return checks
     from . import oracle  # here, so that run, and verify past the bound, never compile it
 
+    payoffs = {p.player_id: p.payoff for p in record.players}
     table = oracle.coalition_table(game, array)
     for name, brute_force in (
         ("core", _core(oracle.check_core(table, payoffs))),
@@ -135,9 +133,9 @@ def _oracles(game: GameInstance, table: CoalitionTable, samples: int, seed: int)
     exact = oracle.shapley_enumeration(table).payoffs
     closed = shapley_closed_form(game).payoffs
     # enumeration reads each marginal off two correctly rounded table entries,
-    # each within half an ulp of v(N) (the last entry), so its payoffs may miss
-    # by about one ulp of v(N) whatever their own size; n of them bound that
-    rounding = len(game.players) * math.ulp(float(table.values[-1]))
+    # each within half an ulp of v(N), so its payoffs may miss by about one ulp
+    # of v(N) whatever their own size; n of them bound that
+    rounding = len(game.players) * math.ulp(game.v_grand)
     margin = {pid: AGREEMENT_TOL * max(1.0, abs(exact[pid])) + rounding for pid in game.players}
     for pid in game.players:
         if abs(closed[pid] - exact[pid]) > margin[pid]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -336,18 +335,22 @@ def _field_values(obj) -> dict:
             for key, value in obj._asdict().items()}
 
 
+# the shipped presets, one JSON file each, beside this module
+_PRESETS = Path(__file__).with_name("presets")
+
+
 def preset_names() -> tuple[str, ...]:
-    """Names of the configuration presets shipped with the package."""
-    root = resources.files("coinvest").joinpath("presets")
-    return tuple(sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json")))
+    """Names of the configuration presets shipped with the package, the JSON
+    files of its ``presets`` directory (read from disk, so not from a zip)."""
+    return tuple(sorted(p.name[: -len(".json")] for p in _PRESETS.iterdir()
+                        if p.name.endswith(".json")))
 
 
 def load_preset(name: str) -> str:
-    """Return the JSON text of a shipped preset."""
+    """Return the JSON text of a shipped preset, read from the ``presets`` directory."""
     # a name that is not listed never reaches the filesystem: it could be a
     # relative path out of the preset directory, or too long for a file name
     names = preset_names()
     if name not in names:
         raise ConfigError(f"unknown preset {_shown(name)}; available: {list(names)!r}")
-    path = resources.files("coinvest").joinpath("presets").joinpath(f"{name}.json")
-    return path.read_text(encoding="utf-8")
+    return (_PRESETS / f"{name}.json").read_text(encoding="utf-8")

@@ -13,8 +13,8 @@ the analysis (payoff division, stability checks) tractable. A
 :class:`GameInstance` keeps those profits m_i and the grand value v(N), summed
 once when it is made, and every route and check reads them there.
 :func:`coalition_value` sums any one coalition; the table of all 2^n of
-them, which only ``verify`` reads, is built bit-identically by
-:func:`coinvest.oracle.coalition_table`, re-exported here lazily.
+them, which only the exact oracle reads, is built bit-identically by
+:func:`coinvest.oracle.coalition_table`.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ def _moved(module: str, homes: Mapping[str, str]):
         return getattr(import_module(f"{__package__}.{homes[name]}"), name)
 
     return __getattr__
-
-
-__getattr__ = _moved(__name__, {"coalition_table": "oracle"})
 
 
 def _shown(value) -> str:
@@ -188,17 +185,15 @@ class GameInstance(_Validated, namedtuple("GameInstance", "market sps")):
                     f"provider {_shown(pid)}: standalone optimum {opt!r} must be finite"
                 )
         # every coalition value is a subset sum of these profits, the grand
-        # value the largest; fsum raises OverflowError when it is not finite
+        # value the largest; fsum of finite floats is finite or raises OverflowError
         profits = tuple(opt.value for opt in optima.values())
         try:
             grand = math.fsum(profits)
         except OverflowError:
-            grand = math.inf
-        if not math.isfinite(grand):
             raise ValueError(
                 f"providers {_shown(ids)}: their standalone profits sum to more than the "
                 "largest finite float"
-            )
+            ) from None
         self = super().__new__(cls, market, sps)
         self._optima, self._profits, self._v_grand = optima, profits, grand
         return self

@@ -45,15 +45,16 @@ from .shapley import (
 )
 
 
-def coalition_table(game: GameInstance, array: bool = True) -> CoalitionTable:
+def coalition_table(game: GameInstance, array: bool = False) -> CoalitionTable:
     """Every coalition's value in ``game``. The owner is the last player: entries with its
     (high) bit set are the providers' profit subset sums, bit-identical to
     :func:`coalition_value`, and the rest are 0.
 
-    With ``array``, the values are a read-only ndarray, summed in numpy passes by
-    :func:`_fsum_subset_sums`; without it, a tuple of floats, summed in Python
-    integers by :func:`_exact_subset_sums`, which needs no numpy but costs more
-    per entry. Both builds give the same floats.
+    By default the values are a tuple of floats, summed in Python integers by
+    :func:`_exact_subset_sums`, which needs no numpy. With ``array``, they are a
+    read-only ndarray, summed in numpy passes by :func:`_fsum_subset_sums`, which
+    imports numpy but costs less per entry; pass it for large tables. Both builds
+    give the same floats.
     """
     players = game.players
     if len(players) > MAX_ENUMERATION_PLAYERS:
@@ -79,18 +80,13 @@ def _exact_subset_sums(x) -> list[float]:
 
     Every finite float is an integer multiple of 2^-1074, and the x_k are all
     multiples of ``1 / scale``, the largest of their power-of-two denominators.
-    So the sums are taken exactly in integers, by doubling (``t <- [t, t +
-    x_k]``, so bit k is term k), and each is divided by ``scale`` once. That
-    division is correctly rounded, so each entry is the correctly rounded
-    exact sum, which is what ``fsum`` returns.
+    So the sums are taken exactly in integers by :func:`_subset_sums`, and each
+    is divided by ``scale`` once. That division is correctly rounded, so each
+    entry is the correctly rounded exact sum, which is what ``fsum`` returns.
     """
     ratios = [float(v).as_integer_ratio() for v in x]
     scale = max((q for _, q in ratios), default=1)
-    sums = [0]
-    for p, q in ratios:
-        term = p * (scale // q)
-        sums += [s + term for s in sums]
-    return [s / scale for s in sums]
+    return [s / scale for s in _subset_sums([p * (scale // q) for p, q in ratios], ())]
 
 
 def _two_sum(a, b, s=None, spare=None, err=None):

@@ -208,7 +208,7 @@ def sampling_by_table(game, samples, seed):
     """
     players = tuple(game.players)
     keys = mt19937_keys(seed, samples, len(players))
-    table = coalition_table(game).values
+    table = coalition_table(game, array=True).values
     order = np.argsort(keys, axis=1)
     masks = np.bitwise_or.accumulate(np.left_shift(1, order), axis=1)
     gains = np.diff(table[masks], axis=1, prepend=table[0])
@@ -229,7 +229,7 @@ def sampling_exact_stderr(game, samples):
     """
     players = tuple(game.players)
     n = len(players)
-    values = coalition_table(game).values
+    values = coalition_table(game, array=True).values
     weight = np.array([
         math.factorial(k) * math.factorial(n - 1 - k) / math.factorial(n) for k in range(n)
     ])

@@ -110,9 +110,24 @@ def test_the_oracle_and_the_sampler_load_only_where_they_run(
     assert {_ORACLE, _SAMPLER} & loaded == loads
 
 
+@pytest.mark.parametrize(
+    "command", [["run", "fig1"], ["verify", "fig1"], ["presets"]], ids=" ".join
+)
+def test_no_command_loads_the_archive_machinery(command, tmp_path):
+    # the presets are files beside the package, so reading them needs neither
+    # importlib.resources nor the zip and temporary-file modules it imports;
+    # -S, since a site .pth file may import them before coinvest does
+    out = ["--out", str(tmp_path / "out")] if command[0] == "run" else []
+    proc = fresh_interpreter("-S", "-c", _LIST_MODULES_AT_EXIT, *command, *out)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "coinvest.config" in loaded
+    assert not {"importlib.resources", "zipfile", "tempfile", "shutil"} & loaded
+
+
 # each moved name, the module that defines it, and the modules re-exporting it
 _MOVED = {
-    "coalition_table": (coinvest.oracle, (coinvest, coinvest.game)),
+    "coalition_table": (coinvest.oracle, (coinvest,)),
     "shapley_enumeration": (coinvest.oracle, (coinvest, coinvest.shapley)),
     "check_core": (coinvest.oracle, (coinvest, coinvest.shapley)),
     "check_supermodularity": (coinvest.oracle, (coinvest, coinvest.shapley)),

@@ -1,7 +1,8 @@
 """README's command-line contract against ``coinvest.cli``: the synopsis of
 each command, the exit codes and the records.csv columns name what the code
-declares, so that neither changes without the other. And README's library
-quickstart runs as written, without numpy."""
+declares, so that neither changes without the other; so does each named
+constant README states a value for. And README's library quickstart runs as
+written, without numpy."""
 
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import coinvest.cli as cli_mod
+import coinvest.shapley as shapley_mod
 
 from conftest import fresh_interpreter
 
@@ -61,6 +63,40 @@ def test_the_exit_codes_are_the_declared_ones():
 def test_the_csv_columns_are_the_written_ones():
     listed = _one(r"fixed column order:\n\s*`([^`]*)`").group(1)
     assert tuple(re.split(r",\s+", listed)) == cli_mod.CSV_COLUMNS
+
+
+# README's named constants, each with its value in the module README places it in
+_CONSTANTS = {
+    **{name: getattr(shapley_mod, name) for name in (
+        "STABILITY_TOL", "SETTLE_TOL", "SETTLE_TERMS_TOL", "AGREEMENT_TOL", "SAMPLING_SIGMAS",
+    )},
+    "LIST_TABLE_BUDGET": cli_mod.LIST_TABLE_BUDGET,
+}
+# a number such as 4, 1e-9 or 10^6
+_NUMBER = r"(\d[\w.^-]*?)(?=[\s,)])"
+_NAME = r"`(?:coinvest\.\w+\.)?([A-Z][A-Z_]+)`"
+
+
+def _stated_constants() -> dict[str, set[str]]:
+    """Each value README states for a named constant, by name: the number in
+    "`NAME` (value" and the last number before "(`NAME`)", with no parenthesis
+    and no other number between them."""
+    stated = {}
+    pairs = [(name, value) for value, name in re.findall(
+        r"(?<!\S)" + _NUMBER + r"(?:[^()\d]|(?<=\S)\d)*\(" + _NAME + r"\)", _README)]
+    pairs += re.findall(_NAME + r" \(" + _NUMBER, _README)
+    for name, value in pairs:
+        stated.setdefault(name, set()).add(value)
+    return stated
+
+
+def test_each_named_constant_has_its_stated_value():
+    stated = _stated_constants()
+    assert sorted(stated) == sorted(_CONSTANTS)
+    for name, values in stated.items():
+        for value in values:
+            base, power = value.split("^") if "^" in value else (value, "1")
+            assert float(base) ** int(power) == _CONSTANTS[name], (name, value)
 
 
 def test_the_library_quickstart_runs_without_numpy():
