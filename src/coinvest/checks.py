@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .game import MAX_ENUMERATION_PLAYERS, CoalitionTable, GameInstance
+from .game import MAX_ENUMERATION_PLAYERS, GameInstance, PayoffVector
 from .scenarios import SweepRecord
 from .shapley import (
     AGREEMENT_TOL,
@@ -79,9 +79,10 @@ def verify_checks(game, record, samples: int, seed: int, array: bool) -> dict[st
 
     payoffs = {p.player_id: p.payoff for p in record.players}
     table = oracle.coalition_table(game, array)
+    convex, exact = oracle.supermodularity_and_enumeration(table)
     for name, brute_force in (
         ("core", _core(oracle.check_core(table, payoffs))),
-        ("supermodularity", _supermodularity(oracle.check_supermodularity(table))),
+        ("supermodularity", _supermodularity(convex)),
     ):
         structural = checks[name]
         if (structural.verdict == PASS) != (brute_force.verdict == PASS):
@@ -89,7 +90,7 @@ def verify_checks(game, record, samples: int, seed: int, array: bool) -> dict[st
                 FAIL, f"structural verdict '{structural}' but brute-force verdict '{brute_force}'"
             )
         checks[name] = brute_force
-    checks["oracle_triangle"] = _oracles(game, table, samples, seed)
+    checks["oracle_triangle"] = _oracles(game, exact.payoffs, samples, seed)
     return checks
 
 
@@ -126,11 +127,11 @@ def _settlement(game: GameInstance, record: SweepRecord) -> Outcome:
     return Outcome(PASS)
 
 
-def _oracles(game: GameInstance, table: CoalitionTable, samples: int, seed: int) -> Outcome:
-    """Agreement of the three Shapley routes on one instance and its coalition table."""
-    from . import oracle, sampling
+def _oracles(game: GameInstance, exact: PayoffVector, samples: int, seed: int) -> Outcome:
+    """Agreement of the three Shapley routes on one instance, given its
+    enumeration payoffs."""
+    from . import sampling
 
-    exact = oracle.shapley_enumeration(table).payoffs
     closed = shapley_closed_form(game).payoffs
     # enumeration reads each marginal off two correctly rounded table entries,
     # each within half an ulp of v(N), so its payoffs may miss by about one ulp

@@ -74,11 +74,11 @@ CSV_COLUMNS = (
 #: most MAX_ENUMERATION_PLAYERS players, that ``verify`` checks on tuple
 #: tables, without numpy; past it the tables are ndarrays, if numpy is
 #: installed. On a game with a veto player every check costs about n * 2^n
-#: table reads, ~70 ns per unit on tuples. The rule is per config, since a
+#: table reads, ~60 ns per unit on tuples. The rule is per config, since a
 #: config pays numpy's import once, and the budget is the measured crossover
-#: of a fresh ``verify``: one 15-player instance (491 520 units) is faster on
-#: tuples, one 17-player instance (2 228 224) on ndarrays.
-LIST_TABLE_BUDGET = 1_000_000
+#: of a fresh ``verify``: one 16-player instance (1 048 576 units) is faster
+#: on tuples, one of 17 players (2 228 224) or two of 16 on ndarrays.
+LIST_TABLE_BUDGET = 1_500_000
 
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILED = 2

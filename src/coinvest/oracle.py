@@ -18,8 +18,10 @@ tuple, and an ndarray form, which imports numpy; both do the same float
 operations in the same order, so the verdicts and counterexamples agree.
 Only enumeration sums differently: with ``fsum`` on lists. So a process that
 reads no ndarray table never loads numpy. Brute-force supermodularity and
-enumeration first look for a veto player, whose avoiding half of the table
-is all zeros, and where they can read only the other half.
+enumeration are one pass, :func:`supermodularity_and_enumeration`: it finds
+a veto player, whose avoiding half of the table is all zeros, and forms each
+other player's gains over the other half once, for its payoff and for a bound
+that spares the pair scan.
 """
 
 from __future__ import annotations
@@ -278,16 +280,29 @@ def _veto_half(table: CoalitionTable):
     return None, None
 
 
-def shapley_enumeration(table: CoalitionTable) -> ShapleyResult:
-    """Exact Shapley payoffs by weighted subset enumeration.
+def supermodularity_and_enumeration(
+    table: CoalitionTable,
+) -> tuple[SupermodularityReport, ShapleyResult]:
+    """Brute-force supermodularity and the exact Shapley payoffs, in one pass.
 
-    For each player, sums ``|S|! * (n-|S|-1)! / n!`` times its marginal
-    contribution over every coalition S avoiding it. If a player k is veto
-    (:func:`_veto_half`), every other player's marginal over the S avoiding k
-    is 0 - 0, so its sum runs over the S = T + k alone.
+    Enumeration sums ``|S|! * (n-|S|-1)! / n!`` times each player's marginal
+    over every S avoiding it. Where k is veto (:func:`_veto_half`), every
+    other player j's marginal over the S avoiding k is 0 - 0, so its sum runs
+    over its gains g_j = v(T+k+j) - v(T+k) alone, with the weights of |T| + 1.
+
+    The same g_j, with least lo_j and greatest hi_j, prove supermodularity in
+    O(n 2^n). A second difference of :func:`_pair_scan` over S, i and j is
+    0 - 0 if S, i and j all avoid k; an entry of g_j (or g_i) if i or j is k,
+    as x - 0 == x; otherwise fl(a - b) with a and b entries of g_j, so at
+    least fl(lo_j - hi_j), rounding being monotone. So the game holds if every
+    lo_j and fl(lo_j - hi_j) is at least ``-noise``. A NaN entry, which the
+    scan never flags, makes a bound NaN, which proves nothing, or is skipped
+    by ``min`` and ``max``. The scan decides only what the bounds leave open,
+    so verdicts and counterexamples are the scan's.
     """
     players, values = table
     n = len(players)
+    noise = STABILITY_TOL * max(1.0, abs(float(values[-1])))
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
     # raveled, the coalitions avoiding any one player list the other players'
@@ -296,15 +311,26 @@ def shapley_enumeration(table: CoalitionTable) -> ShapleyResult:
     coef = _take(weight, _subset_sums([1] * (n - 1), values))
     upper = coef[len(coef) // 2:]
     k, half = _veto_half(table)
+    certified = k is not None
     payoffs = {}
     for i, pid in enumerate(players):
         if k is None or i == k:
             without, joined = _split(values, i)
             payoffs[pid] = _weighted_sum(coef, _difference(joined, without))
-        else:
-            without, joined = _split(half, i - (i > k))
-            payoffs[pid] = _weighted_sum(upper, _difference(joined, without))
-    return ShapleyResult(payoffs=payoffs)
+            continue
+        without, joined = _split(half, i - (i > k))
+        gain = _difference(joined, without)
+        if certified:  # bounded before _weighted_sum overwrites an ndarray gain
+            lo, hi = _bounds(gain)
+            certified = lo >= -noise and lo - hi >= -noise
+        payoffs[pid] = _weighted_sum(upper, gain)
+    report = SupermodularityReport(True, None) if certified else _pair_scan(table, noise)
+    return report, ShapleyResult(payoffs)
+
+
+def shapley_enumeration(table: CoalitionTable) -> ShapleyResult:
+    """Exact Shapley payoffs (:func:`supermodularity_and_enumeration`)."""
+    return supermodularity_and_enumeration(table)[1]
 
 
 def check_core(table: CoalitionTable, payoffs: PayoffVector) -> CoreCheck:
@@ -327,23 +353,21 @@ def check_core(table: CoalitionTable, payoffs: PayoffVector) -> CoreCheck:
 
 
 def check_supermodularity(table: CoalitionTable) -> SupermodularityReport:
-    """Test that marginal contributions grow with the coalition.
+    """Whether marginal contributions grow with the coalition, up to a noise
+    of ``STABILITY_TOL`` relative to the grand value, as in :func:`check_core`
+    (:func:`supermodularity_and_enumeration`)."""
+    return supermodularity_and_enumeration(table)[0]
 
-    Checks the local condition ``v(S+i) - v(S) <= v(S+i+j) - v(S+j) + noise``
-    for every pair of players i, j and every coalition S avoiding both, which
-    is equivalent to the nested condition over all T subseteq S (Shapley 1971,
-    "Cores of convex games"). The noise is ``STABILITY_TOL`` relative to the
-    grand value, as in :func:`check_core`.
 
-    That pair scan is O(n^2 2^n). It runs only if the O(n 2^n) bound of
-    :func:`_certified_supermodular` proves nothing; on a coinvestment game,
-    whose entries are rounded sums, it always proves. So the verdict, and
-    the first counterexample, are the scan's.
+def _pair_scan(table: CoalitionTable, noise: float) -> SupermodularityReport:
+    """The first S, i, j with ``v(S+i) - v(S) > v(S+i+j) - v(S+j) + noise``,
+    j ascending, then i < j, then S by bitmask: the local condition, equivalent
+    to the nested one over all T subseteq S (Shapley 1971, "Cores of convex
+    games"). O(n^2 2^n); no CLI path reaches it unless the certificate of
+    :func:`supermodularity_and_enumeration` fails, as it never does on a
+    coinvestment game.
     """
     players, values = table
-    noise = STABILITY_TOL * max(1.0, abs(float(values[-1])))
-    if _certified_supermodular(table, noise):
-        return SupermodularityReport(holds=True, counterexample=None)
     for j, pid in enumerate(players):
         without, joined = _split(values, j)
         gain = _difference(joined, without)
@@ -359,32 +383,6 @@ def check_supermodularity(table: CoalitionTable) -> SupermodularityReport:
                     holds=False, counterexample=(pid, smaller, smaller | {players[i]})
                 )
     return SupermodularityReport(holds=True, counterexample=None)
-
-
-def _certified_supermodular(table: CoalitionTable, noise: float) -> bool:
-    """Whether every second difference :func:`check_supermodularity`'s pair
-    scan forms is at least ``-noise``, proven from bounds in O(n 2^n); False
-    when unproven, so the scan decides.
-
-    Let k be veto (:func:`_veto_half`) and, for each other player j, g_j the
-    gains v(T+k+j) - v(T+k), with least lo_j and greatest hi_j. A second
-    difference over S, i and j is 0 - 0 if S, i and j all avoid k; it is an
-    entry of g_j (or g_i) if i or j is k, since the subtrahends are 0 and
-    x - 0 == x; otherwise S = T + k, and it is fl(a - b) with a and b entries
-    of g_j, so at least fl(lo_j - hi_j), rounding being monotone. So it holds
-    if every lo_j and every fl(lo_j - hi_j) is at least ``-noise``. A NaN
-    entry, whose differences the scan never flags, either makes a bound NaN,
-    which proves nothing, or is skipped by ``min`` and ``max``.
-    """
-    k, half = _veto_half(table)
-    if k is None:
-        return False
-    for j in range(len(table.players) - 1):  # the players but k, as the half indexes them
-        without, joined = _split(half, j)
-        lo, hi = _bounds(_difference(joined, without))
-        if not (lo >= -noise and lo - hi >= -noise):
-            return False
-    return True
 
 
 def classify_players(table: CoalitionTable) -> dict[str, PlayerFlags]:

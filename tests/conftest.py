@@ -275,17 +275,18 @@ def sampling_exact_mean(game, samples, seed):
     return mean
 
 
-def load_bench_workloads(monkeypatch):
-    """The benchmark's ``bench/workloads.py``, loaded for the length of a test."""
-    # it imports only the standard library; its dataclass needs the module
-    # registered while it loads, and bench/ gets no bytecode
+def load_bench_module(monkeypatch, stem):
+    """The benchmark's ``bench/<stem>.py``, such as its workloads or its
+    output gate, loaded from the file for the length of a test."""
+    # each imports only the standard library; the workloads' dataclass needs
+    # the module registered while it loads, and bench/ gets no bytecode
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    return workloads
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def shapley_by_orderings(players, value_fn):

@@ -7,8 +7,9 @@ so this reads the table from the file (parsed, not imported) and resolves
 every name on its home module. ``bench/run.py`` also reads
 ``cli.shapley_closed_form`` and runs the CLI in-process through
 ``cli.main.main(args=, prog_name=, standalone_mode=)``. The
-workloads' configs must also stay inside the config's caps, and their
-exact-method ``records.csv`` must match the digests in ``bench/reference.json``.
+workloads' configs must also stay inside the config's caps, their
+exact-method ``records.csv`` must match the digests in ``bench/reference.json``,
+and their ``verify`` stdout must pass the bench's gate, ``bench/gate.py``.
 """
 
 import ast
@@ -21,7 +22,7 @@ from pathlib import Path
 import coinvest.cli
 from coinvest.config import config_from_dict
 
-from conftest import load_bench_workloads
+from conftest import invoke_cli, load_bench_module
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -60,7 +61,7 @@ def test_value_hook_and_commands_resolve():
 
 
 def test_every_workload_config_is_accepted(monkeypatch):
-    workloads = load_bench_workloads(monkeypatch)
+    workloads = load_bench_module(monkeypatch, "workloads")
     for name in workloads.WORKLOADS:
         for seed in (0, 1, 7):
             jobs = workloads.make_jobs(name, seed, ROOT)
@@ -71,7 +72,7 @@ def test_every_workload_config_is_accepted(monkeypatch):
 
 def test_exact_records_match_the_reference_digests(monkeypatch, tmp_path):
     # the bench fails a run whose records.csv moves by one bit; so does this
-    workloads = load_bench_workloads(monkeypatch)
+    workloads = load_bench_module(monkeypatch, "workloads")
     reference = json.loads((ROOT / "bench" / "reference.json").read_text(encoding="utf-8"))
     checked = []
     for name in workloads.WORKLOADS:
@@ -88,3 +89,16 @@ def test_exact_records_match_the_reference_digests(monkeypatch, tmp_path):
             assert digest == reference[job.reference_key]["sha256"], f"{name}/{job.name}"
             checked.append(job.reference_key)
     assert sorted(checked) == sorted(reference)
+
+
+def test_verify_passes_the_bench_gate(monkeypatch):
+    # the bench counts a verify as failed, and lowers ok_frac, unless it exits
+    # 0 and its gate finds all four property lines PASS; at the seed the
+    # reference was captured at, every workload's verify must get through
+    workloads = load_bench_module(monkeypatch, "workloads")
+    gate = load_bench_module(monkeypatch, "gate")
+    for name in workloads.WORKLOADS:
+        for job in workloads.make_jobs(name, workloads.DEFAULT_SEED, ROOT):
+            result = invoke_cli(["verify", job.inline])
+            problems, _, _ = gate.check_verify_stdout(result.stdout)
+            assert (result.exit_code, problems) == (0, []), f"{name}/{job.name}: {result.output}"

@@ -829,13 +829,16 @@ class TestCliVerifyAndPresets:
         assert result.output.count("PASS") == 4
 
     def test_verify_detects_injected_failure(self, monkeypatch):
-        def broken_check(game, **kwargs):
-            return SupermodularityReport(
+        exact_pass = oracle_mod.supermodularity_and_enumeration
+
+        def broken_pass(table):
+            report = SupermodularityReport(
                 holds=False,
                 counterexample=("SP1", frozenset(), frozenset({"NO"})),
             )
+            return report, exact_pass(table)[1]
 
-        monkeypatch.setattr(oracle_mod, "check_supermodularity", broken_check)
+        monkeypatch.setattr(oracle_mod, "supermodularity_and_enumeration", broken_pass)
         result = invoke_cli(["verify", json.dumps({"l_total_grid": [2e6], "samples": 1000})])
         assert result.exit_code == 2
         assert "FAIL" in result.output

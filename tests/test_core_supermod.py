@@ -29,7 +29,6 @@ from coinvest import (
     shapley_enumeration,
 )
 from coinvest.checks import verify_checks
-from coinvest.oracle import _certified_supermodular
 from coinvest.shapley import AGREEMENT_TOL, STABILITY_TOL, SupermodularityReport
 
 from conftest import (
@@ -290,30 +289,45 @@ def certificate_games():
     yield TabularGame(["A", "B", "C"], {("A",): 1.0, ("A", "B", "C"): 1.0})
 
 
+def count_pair_scans(monkeypatch):
+    """The tables ``coinvest.oracle._pair_scan`` is called on from now on, one
+    entry per call, for the length of a test."""
+    scans, scan = [], coinvest.oracle._pair_scan
+
+    def counting(table, noise):
+        scans.append(table)
+        return scan(table, noise)
+
+    monkeypatch.setattr(coinvest.oracle, "_pair_scan", counting)
+    return scans
+
+
 class TestSupermodularityCertificate:
-    def test_verdicts_and_counterexamples_match_the_pair_scan(self):
+    def test_verdicts_and_counterexamples_match_the_pair_scan(self, monkeypatch):
         # check_supermodularity returns 'holds' off its certificate, or else
         # scans the pairs: either way it reports what the loop oracle finds
         # first, on both table kinds
+        scans = count_pair_scans(monkeypatch)
         paths = set()
         for game in certificate_games():
             expected = pair_scan(game)
             for table in both_tables(game):
+                before = len(scans)
                 assert check_supermodularity(table) == SupermodularityReport(
                     expected is None, expected
                 ), (game.players, table.values)
-                noise = STABILITY_TOL * max(1.0, abs(float(table.values[-1])))
-                paths.add((_certified_supermodular(table, noise), expected is None))
+                paths.add((len(scans) == before, expected is None))
         # some tables are proven; the others fall back to the scan, which
         # finds some supermodular and some not; none is proven and fails
         assert paths == {(True, True), (False, True), (False, False)}
 
-    def test_certifies_coinvestment_games(self, rng):
+    def test_certifies_coinvestment_games(self, rng, monkeypatch):
+        scans = count_pair_scans(monkeypatch)
         for _ in range(10):
             game = random_game(rng)
-            noise = STABILITY_TOL * max(1.0, coalition_value(game, game.players))
             for table in both_tables(game):
-                assert _certified_supermodular(table, noise)
+                assert check_supermodularity(table).holds
+        assert scans == []
 
 
 class TestClassification:
@@ -403,6 +417,26 @@ class TestLoopOracles:
                 want = [(name, 3)] if len(game.sps) == 3 else []
                 assert builds == want
                 assert checks["oracle_triangle"].verdict == ("pass" if want else "skipped")
+
+    def test_one_veto_split_serves_supermodularity_and_enumeration(self, monkeypatch, rng):
+        # verify finds the veto half once per instance and forms each gain
+        # vector once, for the certificate and for enumeration alike
+        scans = count_pair_scans(monkeypatch)
+        splits, veto_half = [], coinvest.oracle._veto_half
+
+        def counting(table):
+            splits.append(len(table.players))
+            return veto_half(table)
+
+        monkeypatch.setattr(coinvest.oracle, "_veto_half", counting)
+        games = [random_game(rng, n_sps=n) for n in (1, 3, 6)]
+        for array in TABLE_KINDS.values():
+            splits.clear()
+            for game, record in zip(games, run_sweep(games)):
+                checks = verify_checks(game, record, samples=200, seed=0, array=array)
+                assert {o.verdict for o in checks.values()} == {"pass"}
+            assert splits == [2, 4, 7]
+        assert scans == []
 
 
 # one timeslot a day; a provider with beta * L above d / (D * xi) is active

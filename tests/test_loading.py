@@ -21,7 +21,7 @@ import coinvest.oracle
 import coinvest.sampling
 import coinvest.shapley
 
-from conftest import OVER_BUDGET, fresh_interpreter, load_bench_workloads
+from conftest import OVER_BUDGET, fresh_interpreter, load_bench_module
 
 def _click_modules(loaded: set[str]) -> set[str]:
     return {name for name in loaded if name == "click" or name.startswith("click.")}
@@ -101,7 +101,8 @@ def test_the_oracle_and_the_sampler_load_only_where_they_run(
     else:
         name, config, *options = command
         if isinstance(config, int):  # the bench's seeded game of that many players
-            config = json.dumps(load_bench_workloads(monkeypatch).custom_game(1, config, 5000))
+            workloads = load_bench_module(monkeypatch, "workloads")
+            config = json.dumps(workloads.custom_game(1, config, 5000))
         out = ["--out", str(tmp_path / "out")] if name == "run" else []
         proc = fresh_interpreter("-c", _LIST_MODULES_AT_EXIT, name, config, *options, *out)
     assert proc.returncode == 0, proc.stderr

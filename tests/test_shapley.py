@@ -27,7 +27,7 @@ from conftest import (
     TabularGame,
     bloated_game,
     coalitions_by_mask,
-    load_bench_workloads,
+    load_bench_module,
     marginal_contribution,
     random_game,
     shapley_by_orderings,
@@ -122,7 +122,7 @@ class TestEnumeration:
         # sha256 of every payoff's float.hex, per table kind, over the six
         # presets' instances and 36 seeded games of 2 to 14 players; the
         # ndarray sum and fsum round differently, so each kind has its digest
-        workloads = load_bench_workloads(monkeypatch)
+        workloads = load_bench_module(monkeypatch, "workloads")
         configs = [parse_config(load_preset(name)) for name in preset_names()]
         configs += [
             parse_config(json.dumps(workloads.custom_game(seed, n, 5000)))

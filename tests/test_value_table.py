@@ -118,6 +118,20 @@ def test_rounding_tie_matches_fsum():
     assert_bit_identical(_exact_subset_sums(x), want)
 
 
+def test_signed_sums_near_a_rounding_boundary_match_fsum():
+    # profits of both signs and mixed magnitudes leave some entries of the
+    # ndarray build with a nonzero slack, and one whose exact sum lies within
+    # slack, but not within half of it, of its rounding boundary: a slack
+    # bound any smaller than the one the build uses misrounds that entry
+    x = [
+        -9007199254740991.0, -1.7347234759768069e-18, -9007199254740994.0,
+        -1.0000000000000002, 7.999999999999999, 1.8014398509481982e16,
+    ]
+    want = fsum_subset_sums(x)
+    assert_bit_identical(_fsum_subset_sums(x), want)
+    assert_bit_identical(_exact_subset_sums(x), want)
+
+
 def test_game_table_makes_no_value_calls(monkeypatch):
     calls = []
 
