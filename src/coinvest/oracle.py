@@ -2,14 +2,14 @@
 checks that read them.
 
 :func:`coalition_table` sums the providers' standalone profits over all 2^n
-coalitions of a game (at most
-:data:`~coinvest.game.MAX_ENUMERATION_PLAYERS` players), bit-identically to
-:func:`~coinvest.game.coalition_value`. Its caller builds the table once and
-passes it to every route and check it runs: enumeration of the Shapley
-value, core membership, supermodularity and player classification, each a
-brute force over the table. ``coinvest verify`` holds them against the
-O(n) structural checks of :mod:`coinvest.shapley`; ``run`` never loads this
-module, nor does a ``verify`` whose instances are all past the bound.
+coalitions of a game (at most :data:`~coinvest.game.MAX_ENUMERATION_PLAYERS`
+players), bit-identically to :func:`~coinvest.game.coalition_value`, in exact
+integers; an ndarray's float pass falls back to them unless it stays exact.
+Its caller builds the table once and passes it to every route and check it
+runs: enumeration of the Shapley value, core membership, supermodularity and
+player classification, each a brute force over the table. ``coinvest verify``
+holds them against the O(n) structural checks of :mod:`coinvest.shapley`;
+``run`` never loads this module, nor does a ``verify`` wholly past the bound.
 
 Each route and check has one body, written over a few array primitives
 (``_split``, ``_difference``, ``_first_below``, ``_subset_sums`` and the
@@ -21,7 +21,7 @@ reads no ndarray table never loads numpy. Brute-force supermodularity and
 enumeration are one pass, :func:`supermodularity_and_enumeration`: it finds
 a veto player, whose avoiding half of the table is all zeros, and forms each
 other player's gains over the other half once, for its payoff and for a bound
-that spares the pair scan.
+that spares the pair scan, which :func:`shapley_enumeration` never runs.
 """
 
 from __future__ import annotations
@@ -91,12 +91,9 @@ def _exact_subset_sums(x) -> list[float]:
     return [s / scale for s in _subset_sums([p * (scale // q) for p, q in ratios], ())]
 
 
-def _two_sum(a, b, s=None, spare=None, err=None):
-    """``(s, err)`` with ``s = fl(a + b)`` and ``s + err == a + b`` exactly (Knuth's TwoSum).
-
-    ``a`` is an array. Given arrays ``s``, ``spare`` and ``err`` (``err`` may
-    be ``b``), it writes into them through ``out=`` and allocates nothing.
-    """
+def _two_sum(a, b, s, spare, err):
+    """``(s, err)`` with ``s = fl(a + b)`` and ``s + err == a + b`` exactly (Knuth's TwoSum),
+    written through ``out=`` into the arrays ``s``, ``spare`` and ``err`` (which may be ``b``)."""
     import numpy as np
 
     s = np.add(a, b, out=s)
@@ -111,25 +108,22 @@ def _two_sum(a, b, s=None, spare=None, err=None):
 def _fsum_subset_sums(x) -> np.ndarray:
     """``math.fsum`` of the finite ``x`` over every coalition, indexed by bitmask.
 
-    Built by doubling (``t <- [t, t + x_k]``, so bit k is term k), but
-    error-free: each sum is carried as ``hi + lo`` plus the rounding errors
-    of the ``lo`` additions, whose magnitudes add up in ``slack`` (Ogita,
-    Rump & Oishi 2005, "Accurate sum and dot product"). The rounded
-    ``hi + lo`` is the correctly rounded exact sum, which is what ``fsum``
-    returns, when ``slack`` is zero, or when the exact sum, known to within
-    ``slack``, lies strictly inside the rounding interval of ``hi + lo``.
-    Every other entry, and any that is not finite, is recomputed with
-    ``fsum``.
+    Built by doubling (``t <- [t, t + x_k]``, so bit k is term k), each sum
+    carried as ``hi + lo``: TwoSum adds the term to ``hi`` and its rounding
+    error to ``lo``. If no ``lo`` addition loses bits, each ``hi + lo`` is the
+    exact sum, and rounding it once gives what ``fsum`` returns. Otherwise (on
+    profits spanning more than about 2^50), or if an entry is not finite, the
+    sums are :func:`_exact_subset_sums`'s, the one exact algorithm both kinds
+    rest on (Shewchuk 1997, "Adaptive precision floating-point arithmetic").
 
-    Each doubling step writes its TwoSums straight into the upper halves,
-    through two reused scratch rows of half the length of ``hi``, so no
-    temporary outgrows one of ``hi``, ``lo`` and ``slack``.
+    Each doubling step writes its TwoSums into the upper halves through two
+    reused scratch rows, half as long as ``hi``, so no temporary outgrows it.
     """
     import numpy as np
 
     x = [float(v) for v in x]
     size = 1 << len(x)
-    hi, lo, slack = np.zeros(size), np.zeros(size), np.zeros(size)
+    hi, lo = np.zeros(size), np.zeros(size)
     scratch = np.empty((2, size // 2))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, term in enumerate(x):
@@ -137,21 +131,12 @@ def _fsum_subset_sums(x) -> np.ndarray:
             spare, err = scratch[:, :h]
             _two_sum(hi[:h], term, hi[h:2 * h], spare, err)
             _, lost = _two_sum(lo[:h], err, lo[h:2 * h], spare, err)
-            np.add(slack[:h], np.abs(lost, out=lost), out=slack[h:2 * h])
-        # where slack is 0, hi + lo is the exact sum (on real games, everywhere)
-        rough = np.flatnonzero(slack)
-        sums, err = _two_sum(hi[rough], lo[rough])
-        # inflated to cover the rounding of slack's own additions (one per term)
-        bound = slack[rough] * (1.0 + 1e-10)
-        up = (np.nextafter(sums, np.inf) - sums) * 0.5
-        down = (sums - np.nextafter(sums, -np.inf)) * 0.5
-        inside = (err + bound < up) & (err - bound > -down)
-        sums = np.add(hi, lo, out=hi)
-    redo = ~np.isfinite(sums)
-    redo[rough[~inside]] = True
-    for mask in np.flatnonzero(redo).tolist():
-        sums[mask] = math.fsum(v for k, v in enumerate(x) if mask >> k & 1)
-    return sums
+            if lost.any():
+                break
+        else:
+            if np.isfinite(np.add(hi, lo, out=hi)).all():
+                return hi
+    return np.array(_exact_subset_sums(x))
 
 
 def _mask_coalition(mask: int, players: tuple[str, ...]) -> Coalition:
@@ -280,10 +265,13 @@ def _veto_half(table: CoalitionTable):
     return None, None
 
 
-def supermodularity_and_enumeration(
-    table: CoalitionTable,
-) -> tuple[SupermodularityReport, ShapleyResult]:
-    """Brute-force supermodularity and the exact Shapley payoffs, in one pass.
+def _noise(values) -> float:
+    """``STABILITY_TOL`` relative to the grand value, the table's last entry."""
+    return STABILITY_TOL * max(1.0, abs(float(values[-1])))
+
+
+def _certified_enumeration(table: CoalitionTable) -> tuple[bool, ShapleyResult]:
+    """The exact Shapley payoffs, and whether their gains prove supermodularity.
 
     Enumeration sums ``|S|! * (n-|S|-1)! / n!`` times each player's marginal
     over every S avoiding it. Where k is veto (:func:`_veto_half`), every
@@ -295,14 +283,13 @@ def supermodularity_and_enumeration(
     0 - 0 if S, i and j all avoid k; an entry of g_j (or g_i) if i or j is k,
     as x - 0 == x; otherwise fl(a - b) with a and b entries of g_j, so at
     least fl(lo_j - hi_j), rounding being monotone. So the game holds if every
-    lo_j and fl(lo_j - hi_j) is at least ``-noise``. A NaN entry, which the
-    scan never flags, makes a bound NaN, which proves nothing, or is skipped
-    by ``min`` and ``max``. The scan decides only what the bounds leave open,
-    so verdicts and counterexamples are the scan's.
+    lo_j and fl(lo_j - hi_j) is at least ``-noise`` (:func:`_noise`). A NaN
+    entry, which the scan never flags, makes a bound NaN, which proves
+    nothing, or is skipped by ``min`` and ``max``.
     """
     players, values = table
     n = len(players)
-    noise = STABILITY_TOL * max(1.0, abs(float(values[-1])))
+    noise = _noise(values)
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
     # raveled, the coalitions avoiding any one player list the other players'
@@ -324,13 +311,23 @@ def supermodularity_and_enumeration(
             lo, hi = _bounds(gain)
             certified = lo >= -noise and lo - hi >= -noise
         payoffs[pid] = _weighted_sum(upper, gain)
-    report = SupermodularityReport(True, None) if certified else _pair_scan(table, noise)
-    return report, ShapleyResult(payoffs)
+    return certified, ShapleyResult(payoffs)
+
+
+def supermodularity_and_enumeration(
+    table: CoalitionTable,
+) -> tuple[SupermodularityReport, ShapleyResult]:
+    """Brute-force supermodularity and the exact Shapley payoffs in one pass: the pair
+    scan decides what the certificate leaves open, so verdicts are the scan's."""
+    certified, exact = _certified_enumeration(table)
+    if certified:
+        return SupermodularityReport(True, None), exact
+    return _pair_scan(table, _noise(table.values)), exact
 
 
 def shapley_enumeration(table: CoalitionTable) -> ShapleyResult:
-    """Exact Shapley payoffs (:func:`supermodularity_and_enumeration`)."""
-    return supermodularity_and_enumeration(table)[1]
+    """Exact Shapley payoffs (:func:`_certified_enumeration`), with no pair scan."""
+    return _certified_enumeration(table)[1]
 
 
 def check_core(table: CoalitionTable, payoffs: PayoffVector) -> CoreCheck:
@@ -343,7 +340,7 @@ def check_core(table: CoalitionTable, payoffs: PayoffVector) -> CoreCheck:
     players, values = table
     x = list(_payoff_floats(players, payoffs).values())
     grand = float(values[-1])
-    noise = STABILITY_TOL * max(1.0, abs(grand))
+    noise = _noise(values)
     gap = _difference(_subset_sums(x, values), values, in_place=True)
     blocked = _first_below(gap, -noise)
     return CoreCheck(

@@ -329,6 +329,24 @@ class TestSupermodularityCertificate:
                 assert check_supermodularity(table).holds
         assert scans == []
 
+    def test_enumeration_alone_never_scans_pairs(self, monkeypatch):
+        # v(S) = (sum of w over S)^2 is convex but has no veto player, so the
+        # certificate proves nothing: only a supermodularity verdict scans
+        scans = count_pair_scans(monkeypatch)
+        w = [1.0 + 0.37 * k for k in range(12)]
+        players = tuple(f"P{k}" for k in range(12))
+        game = TabularGame(
+            players,
+            {c: math.fsum(w[players.index(p)] for p in c) ** 2 for c in coalitions_by_mask(players)},
+            default=None,
+        )
+        for table in both_tables(game):
+            scans.clear()
+            shapley_enumeration(table)
+            assert scans == []
+            assert check_supermodularity(table).holds
+            assert len(scans) == 1 and scans[0] is table
+
 
 class TestClassification:
     def test_owner_is_veto(self, rng):

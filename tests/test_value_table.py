@@ -4,6 +4,7 @@ top of the ndarray build."""
 
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coinvest.game
+import coinvest.oracle
 from coinvest import (
     GameInstance,
     LoadProfile,
@@ -23,10 +25,19 @@ from coinvest import (
     shapley_closed_form,
     shapley_enumeration,
 )
+from coinvest.cli import _build_groups
+from coinvest.config import load_preset, parse_config, preset_names
 from coinvest.oracle import _exact_subset_sums, _fsum_subset_sums
 from coinvest.scenarios import DEFAULT_D_GRID
 
-from conftest import TABLE_KINDS, bloated_game, coalitions_by_mask, invoke_cli, random_game
+from conftest import (
+    TABLE_KINDS,
+    bloated_game,
+    coalitions_by_mask,
+    invoke_cli,
+    load_bench_module,
+    random_game,
+)
 
 _MARKET = MarketParams()
 
@@ -119,10 +130,8 @@ def test_rounding_tie_matches_fsum():
 
 
 def test_signed_sums_near_a_rounding_boundary_match_fsum():
-    # profits of both signs and mixed magnitudes leave some entries of the
-    # ndarray build with a nonzero slack, and one whose exact sum lies within
-    # slack, but not within half of it, of its rounding boundary: a slack
-    # bound any smaller than the one the build uses misrounds that entry
+    # profits of both signs and mixed magnitudes, with an entry whose exact
+    # sum lies close to a rounding boundary: both builds round it as fsum does
     x = [
         -9007199254740991.0, -1.7347234759768069e-18, -9007199254740994.0,
         -1.0000000000000002, 7.999999999999999, 1.8014398509481982e16,
@@ -130,6 +139,59 @@ def test_signed_sums_near_a_rounding_boundary_match_fsum():
     want = fsum_subset_sums(x)
     assert_bit_identical(_fsum_subset_sums(x), want)
     assert_bit_identical(_exact_subset_sums(x), want)
+
+
+def count_exact_builds(monkeypatch):
+    """The term counts ``coinvest.oracle._exact_subset_sums`` is called with
+    from now on, one entry per call, for the length of a test."""
+    calls, build = [], coinvest.oracle._exact_subset_sums
+
+    def counting(x):
+        calls.append(len(x))
+        return build(x)
+
+    monkeypatch.setattr(coinvest.oracle, "_exact_subset_sums", counting)
+    return calls
+
+
+def test_shipped_and_bench_games_take_the_float_pass(monkeypatch):
+    # their profits span far less than 2^50, so no lo addition of the ndarray
+    # build loses bits and none falls back to the integer build
+    workloads = load_bench_module(monkeypatch, "workloads")
+    configs = [parse_config(load_preset(name)) for name in preset_names()]
+    configs += [
+        parse_config(json.dumps(workloads.custom_game(seed, n, 5000)))
+        for seed in (0, 1)
+        for n in (12, 17, 20)
+    ]
+    games = [game for cfg in configs for *_, group in _build_groups(cfg) for game in group]
+    calls = count_exact_builds(monkeypatch)
+    for game in games:
+        coalition_table(game, array=True)
+    assert calls == []
+
+
+def test_wide_profits_fall_back_to_the_exact_build(monkeypatch):
+    # twelve terms of both signs from 2^60 down to 2^-61: the carried errors
+    # outgrow one float, so the ndarray build takes the integer build's sums
+    x = [(-1) ** k * math.ldexp(1 + k / 13, 60 - 11 * k) for k in range(12)]
+    want = fsum_subset_sums(x)
+    calls = count_exact_builds(monkeypatch)
+    got = _fsum_subset_sums(x)
+    assert calls == [12]
+    assert isinstance(got, np.ndarray)
+    assert_bit_identical(got, want)
+
+
+def test_sums_past_the_float_range_overflow():
+    # as fsum does; in the second input, hi stays finite and only hi + lo
+    # overflows, since each small term is below half an ulp of the largest float
+    big = sys.float_info.max
+    small = math.ulp(big) * 3 / 8
+    for x in ([big, big], [big, small, small]):
+        for build in (_fsum_subset_sums, _exact_subset_sums):
+            with pytest.raises(OverflowError):
+                build(x)
 
 
 def test_game_table_makes_no_value_calls(monkeypatch):
@@ -173,9 +235,9 @@ def _traced_peak(step):
 
 
 def test_exact_layer_memory_stays_near_the_table(rng):
-    # the build keeps hi, lo and slack (half the table each) and two reused
-    # scratch rows (a quarter each); the checks on a built table allocate
-    # about one table's worth of their own
+    # the build keeps hi and lo (half the table each) and two reused scratch
+    # rows (a quarter each); the checks on a built table allocate about one
+    # table's worth of their own
     game = random_game(rng, n_sps=15)
     payoffs = shapley_closed_form(game).payoffs
     build = _traced_peak(lambda: coalition_table(game, array=True))
@@ -183,7 +245,7 @@ def test_exact_layer_memory_stays_near_the_table(rng):
     size = table.values.nbytes
     core = _traced_peak(lambda: check_core(table, payoffs))
     enum = _traced_peak(lambda: shapley_enumeration(table))
-    assert build <= 2.5 * size, build / size
+    assert build <= 1.75 * size, build / size
     assert core <= 1.25 * size, core / size
     assert enum <= 1.5 * size, enum / size
 
