@@ -5,9 +5,9 @@ The game is convex, so the Shapley payoffs lie in the core (Shapley 1971,
 returns an :class:`Outcome`; :data:`PROPERTIES` names the checks, their
 ``verify`` lines and how ``run`` decides each one. ``run`` decides them
 structurally. ``verify`` also holds them against the brute force of
-:mod:`coinvest.oracle` and the sampler of :mod:`coinvest.sampling`, which
-it imports only for an instance within the enumeration bound, so that
-neither loads for a ``run``.
+:mod:`coinvest.oracle`, which it imports only for an instance within the
+enumeration bound, and the closed-form payoffs against the sampler of
+:mod:`coinvest.sampling`, so that neither loads for a ``run``.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from .shapley import (
     SETTLE_TOL,
     check_core_structural,
     check_supermodularity_structural,
-    shapley_closed_form,
 )
 
-PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
+PASS, FAIL = "pass", "fail"
 
 #: Each property's summary.json key, ``verify`` line and the method ``run``
 #: decides it by, the ``verify`` lines in print order. ``run`` leaves the oracle
@@ -43,8 +42,9 @@ RUN_METHODS = {key: method for key, _, method in PROPERTIES if method}  # check_
 
 
 class Outcome(NamedTuple):
-    """One check's verdict on one instance (``pass``, ``fail`` or ``skipped``)
-    and, unless it passed, why. Its string is ``pass`` or ``<verdict>: <detail>``."""
+    """One check's verdict on one instance (``pass`` or ``fail``) and, for a
+    failure, why, or for a pass, what it left out. Its string is the verdict,
+    followed by ``: <detail>`` if there is one."""
 
     verdict: str
     detail: str = ""
@@ -65,15 +65,24 @@ def run_checks(game: GameInstance, record: SweepRecord) -> dict[str, Outcome]:
 
 
 def verify_checks(game, record, samples: int, seed: int, array: bool) -> dict[str, Outcome]:
-    """``run``'s checks plus the oracle triangle. Within the enumeration bound,
-    the core and supermodularity are also decided by brute force over all 2^n
-    coalitions, and fail unless both verdicts agree; beyond it the oracle
-    triangle is skipped. Their one coalition table, built as an ndarray if
-    ``array`` and as a tuple otherwise, is dropped on return."""
+    """``run``'s checks plus the oracle triangle, which holds the record's
+    closed-form ``shapley`` column against enumeration and the sampler. Within
+    the enumeration bound, the core and supermodularity are also decided by
+    brute force over all 2^n coalitions, and fail unless both verdicts agree;
+    beyond it the triangle's enumeration leg is skipped, and a pass says so.
+    Their one coalition table, built as an ndarray if ``array`` and as a tuple
+    otherwise, is dropped on return."""
     checks = run_checks(game, record)
+    closed = {p.player_id: p.shapley for p in record.players}
     n = len(game.players)
     if n > MAX_ENUMERATION_PLAYERS:
-        checks["oracle_triangle"] = Outcome(SKIPPED, f"{n} players exceeds the enumeration bound")
+        # the closed form stands in for enumeration, so only the sampler is held against it
+        triangle = _oracles(game, closed, closed, samples, seed)
+        if triangle.verdict == PASS:
+            triangle = Outcome(
+                PASS, f"enumeration leg skipped ({n} players exceeds the enumeration bound)"
+            )
+        checks["oracle_triangle"] = triangle
         return checks
     from . import oracle  # here, so that run, and verify past the bound, never compile it
 
@@ -90,7 +99,7 @@ def verify_checks(game, record, samples: int, seed: int, array: bool) -> dict[st
                 FAIL, f"structural verdict '{structural}' but brute-force verdict '{brute_force}'"
             )
         checks[name] = brute_force
-    checks["oracle_triangle"] = _oracles(game, exact.payoffs, samples, seed)
+    checks["oracle_triangle"] = _oracles(game, closed, exact.payoffs, samples, seed)
     return checks
 
 
@@ -127,12 +136,12 @@ def _settlement(game: GameInstance, record: SweepRecord) -> Outcome:
     return Outcome(PASS)
 
 
-def _oracles(game: GameInstance, exact: PayoffVector, samples: int, seed: int) -> Outcome:
+def _oracles(game: GameInstance, closed: PayoffVector, exact: PayoffVector, samples: int,
+             seed: int) -> Outcome:
     """Agreement of the three Shapley routes on one instance, given its
-    enumeration payoffs."""
+    closed-form and enumeration payoffs."""
     from . import sampling
 
-    closed = shapley_closed_form(game).payoffs
     # enumeration reads each marginal off two correctly rounded table entries,
     # each within half an ulp of v(N), so its payoffs may miss by about one ulp
     # of v(N) whatever their own size; n of them bound that

@@ -38,13 +38,7 @@ from .game import (
     PayoffVector,
     _payoff_floats,
 )
-from .shapley import (
-    STABILITY_TOL,
-    CoreCheck,
-    PlayerFlags,
-    ShapleyResult,
-    SupermodularityReport,
-)
+from .shapley import CoreCheck, PlayerFlags, ShapleyResult, SupermodularityReport, _noise
 
 
 def coalition_table(game: GameInstance, array: bool = False) -> CoalitionTable:
@@ -88,7 +82,11 @@ def _exact_subset_sums(x) -> list[float]:
     """
     ratios = [float(v).as_integer_ratio() for v in x]
     scale = max((q for _, q in ratios), default=1)
-    return [s / scale for s in _subset_sums([p * (scale // q) for p, q in ratios], ())]
+    sums = _subset_sums([p * (scale // q) for p, q in ratios], ())
+    # in place, so the list never holds every integer and every float at once
+    for k, s in enumerate(sums):
+        sums[k] = s / scale
+    return sums
 
 
 def _two_sum(a, b, s, spare, err):
@@ -114,7 +112,8 @@ def _fsum_subset_sums(x) -> np.ndarray:
     exact sum, and rounding it once gives what ``fsum`` returns. Otherwise (on
     profits spanning more than about 2^50), or if an entry is not finite, the
     sums are :func:`_exact_subset_sums`'s, the one exact algorithm both kinds
-    rest on (Shewchuk 1997, "Adaptive precision floating-point arithmetic").
+    rest on (Shewchuk 1997, "Adaptive precision floating-point arithmetic"),
+    taken once the float pass's arrays are gone.
 
     Each doubling step writes its TwoSums into the upper halves through two
     reused scratch rows, half as long as ``hi``, so no temporary outgrows it.
@@ -136,6 +135,7 @@ def _fsum_subset_sums(x) -> np.ndarray:
         else:
             if np.isfinite(np.add(hi, lo, out=hi)).all():
                 return hi
+    del hi, lo, scratch, spare, err, _, lost  # x is not empty here: the loop ran
     return np.array(_exact_subset_sums(x))
 
 
@@ -265,11 +265,6 @@ def _veto_half(table: CoalitionTable):
     return None, None
 
 
-def _noise(values) -> float:
-    """``STABILITY_TOL`` relative to the grand value, the table's last entry."""
-    return STABILITY_TOL * max(1.0, abs(float(values[-1])))
-
-
 def _certified_enumeration(table: CoalitionTable) -> tuple[bool, ShapleyResult]:
     """The exact Shapley payoffs, and whether their gains prove supermodularity.
 
@@ -283,13 +278,14 @@ def _certified_enumeration(table: CoalitionTable) -> tuple[bool, ShapleyResult]:
     0 - 0 if S, i and j all avoid k; an entry of g_j (or g_i) if i or j is k,
     as x - 0 == x; otherwise fl(a - b) with a and b entries of g_j, so at
     least fl(lo_j - hi_j), rounding being monotone. So the game holds if every
-    lo_j and fl(lo_j - hi_j) is at least ``-noise`` (:func:`_noise`). A NaN
-    entry, which the scan never flags, makes a bound NaN, which proves
-    nothing, or is skipped by ``min`` and ``max``.
+    lo_j and fl(lo_j - hi_j) is at least ``-noise``
+    (:func:`~coinvest.shapley._noise`). A NaN entry, which the scan never
+    flags, makes a bound NaN, which proves nothing, or is skipped by ``min``
+    and ``max``.
     """
     players, values = table
     n = len(players)
-    noise = _noise(values)
+    noise = _noise(values[-1])
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
     # raveled, the coalitions avoiding any one player list the other players'
@@ -322,7 +318,7 @@ def supermodularity_and_enumeration(
     certified, exact = _certified_enumeration(table)
     if certified:
         return SupermodularityReport(True, None), exact
-    return _pair_scan(table, _noise(table.values)), exact
+    return _pair_scan(table, _noise(table.values[-1])), exact
 
 
 def shapley_enumeration(table: CoalitionTable) -> ShapleyResult:
@@ -340,7 +336,7 @@ def check_core(table: CoalitionTable, payoffs: PayoffVector) -> CoreCheck:
     players, values = table
     x = list(_payoff_floats(players, payoffs).values())
     grand = float(values[-1])
-    noise = _noise(values)
+    noise = _noise(grand)
     gap = _difference(_subset_sums(x, values), values, in_place=True)
     blocked = _first_below(gap, -noise)
     return CoreCheck(

@@ -63,6 +63,11 @@ SETTLE_TERMS_TOL = 1e-9
 SAMPLING_SIGMAS = 4.0
 
 
+def _noise(grand) -> float:
+    """The float noise of :data:`STABILITY_TOL` on a game whose grand value is ``grand``."""
+    return STABILITY_TOL * max(1.0, abs(float(grand)))
+
+
 class ShapleyMethod(str, Enum):
     """How ``run`` splits the payoffs; enumeration is only ``verify``'s oracle."""
 
@@ -130,13 +135,13 @@ def check_core_structural(game: GameInstance, payoffs: PayoffVector) -> CoreChec
     over coalitions without the owner is the sum of the negative x_i, and
     over coalitions with it x_NO plus the sum of the negative x_i - m_i; each
     minimiser takes exactly the providers whose term is negative. Both sums
-    are rounded once (``fsum``), and both tests allow the noise of
-    :func:`~coinvest.oracle.check_core`, so the verdicts agree. On failure the
-    coalition named is the one with the least slack.
+    are rounded once (``fsum``), and both tests allow the :func:`_noise` that
+    :func:`~coinvest.oracle.check_core` allows, so the verdicts agree. On
+    failure the coalition named is the one with the least slack.
     """
     x = _payoff_floats(game.players, payoffs)
     grand = game.v_grand
-    noise = STABILITY_TOL * max(1.0, abs(grand))
+    noise = _noise(grand)
     without = [sp.id for sp in game.sps if x[sp.id] < 0.0]
     short = [(sp.id, m) for sp, m in zip(game.sps, game.profits) if x[sp.id] < m]
     slack = math.fsum(x[p] for p in without)
@@ -156,12 +161,12 @@ def check_supermodularity_structural(game: GameInstance) -> SupermodularityRepor
 
     The second difference v(S+i+j) - v(S+i) - v(S+j) + v(S) is m_j when i is
     the owner and j a provider not in S, and 0 otherwise. So the game is
-    supermodular iff every m_j >= -noise, with the noise of
+    supermodular iff every m_j >= -noise, with the :func:`_noise` of
     :func:`~coinvest.oracle.check_supermodularity`; since every standalone
     profit is floored at 0, it always is. A counterexample is the one the brute-force test
     finds first: the owner adds less to {j} than to the empty coalition.
     """
-    noise = STABILITY_TOL * max(1.0, abs(game.v_grand))
+    noise = _noise(game.v_grand)
     for sp, m in zip(game.sps, game.profits):
         if m < -noise:
             return SupermodularityReport(
@@ -205,7 +210,13 @@ def settle(game: GameInstance, payoffs: PayoffVector) -> Settlement:
             f"payoffs sum to {total!r} but the grand coalition is worth {grand!r}"
         )
     alloc = grand_allocation(game)
-    revenue = {sp.id: provider_revenue(sp, game.market, alloc.h[sp.id]) for sp in game.sps}
+    # a sweep's providers often share beta, load profile and h: sum each such slot list once
+    summed, revenue = {}, {}
+    for sp in game.sps:
+        key = (sp.beta, id(sp.load), alloc.h[sp.id])
+        if key not in summed:
+            summed[key] = provider_revenue(sp, game.market, alloc.h[sp.id])
+        revenue[sp.id] = summed[key]
     revenue[NO] = 0.0
     payment = {p: revenue[p] - payoff[p] for p in players}
     return Settlement(revenue=revenue, payment=payment, payoff=payoff, allocation=alloc)

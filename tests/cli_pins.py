@@ -48,10 +48,11 @@ Usage: coinvest verify [OPTIONS] CONFIG
   Properties: supermodularity of every instance, core membership of the
   Shapley payoffs, agreement of the three Shapley routes, and settlement
   balance. Up to the enumeration bound, the core and supermodularity are
-  decided both structurally and by brute force, and must agree. A property
-  skipped on some instances also gets a line on stderr, with the count and
-  the first such instance's reason. CONFIG is a preset name, a JSON file
-  path, or inline JSON.
+  decided both structurally and by brute force, and must agree; past it,
+  only the sampler checks the closed form. A property that passed without
+  one of its legs on some instances also gets a line on stderr, with the
+  count and the first such instance's reason. CONFIG is a preset name, a
+  JSON file path, or inline JSON.
 
 Options:
   --help  Show this message and exit.

@@ -8,7 +8,6 @@ from coinvest.checks import (
     PASS,
     PROPERTIES,
     RUN_METHODS,
-    SKIPPED,
     Outcome,
     run_checks,
     verify_checks,
@@ -24,8 +23,8 @@ from conftest import TABLE_KINDS, random_game
         (Outcome(PASS), "pass"),
         (Outcome(FAIL, "blocked by efficiency"), "fail: blocked by efficiency"),
         (
-            Outcome(SKIPPED, "21 players exceeds the enumeration bound"),
-            "skipped: 21 players exceeds the enumeration bound",
+            Outcome(PASS, "enumeration leg skipped (21 players exceeds the enumeration bound)"),
+            "pass: enumeration leg skipped (21 players exceeds the enumeration bound)",
         ),
     ],
 )
@@ -63,6 +62,8 @@ def test_checks_of_a_solved_instance(rng, n_players):
         triangle = checks.pop("oracle_triangle")
         assert set(checks.values()) == {Outcome(PASS)}
         if n_players > MAX_ENUMERATION_PLAYERS:
-            assert triangle == Outcome(SKIPPED, f"{n_players} players exceeds the enumeration bound")
+            assert triangle == Outcome(
+                PASS, f"enumeration leg skipped ({n_players} players exceeds the enumeration bound)"
+            )
         else:
             assert triangle == Outcome(PASS)

@@ -22,6 +22,7 @@ import coinvest.checks as checks_mod
 import coinvest.cli as cli_mod
 import coinvest.oracle as oracle_mod
 import coinvest.sampling as sampling_mod
+import coinvest.scenarios as scenarios_mod
 from coinvest import (
     __version__,
     ConfigError,
@@ -33,6 +34,7 @@ from coinvest import (
     config_to_dict,
     parse_config,
     scenario_price_sweep,
+    shapley_closed_form,
     shapley_sampling,
 )
 from coinvest.cli import CSV_COLUMNS
@@ -873,7 +875,7 @@ class TestCliVerifyAndPresets:
 
     def test_verify_fails_on_nonfinite_stderr(self, monkeypatch):
         def blind_sampler(game, samples, seed=0):
-            result = checks_mod.shapley_closed_form(game)
+            result = shapley_closed_form(game)
             return result._replace(stderr={pid: math.nan for pid in game.players})
 
         monkeypatch.setattr(sampling_mod, "shapley_sampling", blind_sampler)
@@ -906,7 +908,8 @@ class TestCliVerifyAndPresets:
         assert result.output.count("PASS") == 4
 
     def test_verify_still_catches_a_closed_form_off_by_more_than_rounding(self, monkeypatch):
-        real = checks_mod.shapley_closed_form
+        # verify checks the shapley column the solve writes, so the shift goes there
+        real = scenarios_mod.shapley_closed_form
 
         def shifted(game):
             result = real(game)
@@ -915,10 +918,25 @@ class TestCliVerifyAndPresets:
             payoffs["a"] += 100 * len(game.players) * math.ulp(grand)
             return result._replace(payoffs=payoffs)
 
-        monkeypatch.setattr(checks_mod, "shapley_closed_form", shifted)
+        monkeypatch.setattr(scenarios_mod, "shapley_closed_form", shifted)
         result = run_cli("verify", self._spread_profits(1.5, 1e8))
         assert result.exit_code == 2
         assert "closed form vs enumeration diverges for a" in result.output
+
+    def test_verify_catches_a_shapley_column_written_high(self, monkeypatch):
+        # every shapley cell the solve writes 0.1% high, payoffs and payments
+        # unchanged: the core and settlement still pass, the triangle must not
+        real = scenarios_mod._solve_one
+
+        def inflated(*args):
+            record = real(*args)
+            players = tuple(p._replace(shapley=p.shapley * 1.001) for p in record.players)
+            return record._replace(players=players)
+
+        monkeypatch.setattr(scenarios_mod, "_solve_one", inflated)
+        result = run_cli("verify", "fig1")
+        assert result.exit_code == 2, result.output
+        assert "closed form vs enumeration diverges" in result.output
 
     def test_presets_listing(self):
         result = run_cli("presets")
@@ -954,12 +972,12 @@ class TestCliVerifyAndPresets:
         assert result.stdout == (
             "supermodularity        PASS  (2/2 instances)\n"
             "core-membership        PASS  (2/2 instances)\n"
-            "oracle-triangle        PASS  (1/2 instances)\n"
+            "oracle-triangle        PASS  (2/2 instances)\n"
             "settlement-balance     PASS  (2/2 instances)\n"
         )
         assert result.stderr == (
-            "oracle-triangle: skipped on 1/2 instances; "
-            "instance 0: 21 players exceeds the enumeration bound\n"
+            "oracle-triangle: passed in part on 1/2 instances; "
+            "instance 0: enumeration leg skipped (21 players exceeds the enumeration bound)\n"
         )
 
     def test_run_decides_checks_past_the_enumeration_bound(self, tmp_path):
@@ -993,7 +1011,7 @@ class TestCliVerifyAndPresets:
         assert result.exit_code == 0, result.output
         assert "supermodularity        PASS  (1/1 instances)" in result.output
         assert "core-membership        PASS  (1/1 instances)" in result.output
-        assert "oracle-triangle        PASS  (0/1 instances)" in result.output
+        assert "oracle-triangle        PASS  (1/1 instances)" in result.output
 
     def test_verify_past_the_budget_reads_tuples_without_numpy(self):
         # past the budget verify reads ndarrays if numpy is installed and

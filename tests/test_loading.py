@@ -85,15 +85,15 @@ _ORACLE, _SAMPLER = "coinvest.oracle", "coinvest.sampling"
         pytest.param(["run", "fig6", "--method", "sample"], {_SAMPLER}, id="sampled-run-fig6"),
         pytest.param(["verify", "fig1"], {_ORACLE, _SAMPLER}, id="verify-fig1"),
         pytest.param(["verify", "fig6"], {_ORACLE, _SAMPLER}, id="verify-fig6"),
-        pytest.param(["verify", 22], set(), id="verify-22-players"),
+        pytest.param(["verify", 22], {_SAMPLER}, id="verify-22-players"),
     ],
 )
 def test_the_oracle_and_the_sampler_load_only_where_they_run(
     command, loads, tmp_path, monkeypatch
 ):
     # a closed run decides every check structurally; the sampler loads for a
-    # sampled run, and both for a verify that holds an instance within the
-    # enumeration bound against the brute force
+    # sampled run and for every verify, and the oracle for a verify that holds
+    # an instance within the enumeration bound against the brute force
     if command is None:
         proc = fresh_interpreter(
             "-c", "import sys, coinvest; print(*sorted(sys.modules), file=sys.stderr)"

@@ -8,12 +8,15 @@ through the command line with ``--method closed`` and compares the
 - null player: a provider whose gain D·ξ·β·L/d is below 1 gets ``h_star``,
   ``shapley`` and ``payment`` 0 and changes no other row;
 - efficiency and veto: the payoffs sum to ``v_grand``, and the owner gets at
-  least what each provider gets.
+  least what each provider gets;
+- independence: rescaling one provider's daily load changes no other
+  provider's own fields, ``beta`` through ``payoff``.
 
 Two properties of the same family are not here. Payoffs are not monotone in
-the price within u ≈ 1e-8 of a provider's activation threshold g = 1 + u,
-where the standalone profit loses its digits to cancellation. And ``verify``
-may exit 2 on a correct game, since its 4-sigma sampling gate fails by chance.
+the price, nor a provider's in its own load, within u ≈ 1e-8 of its
+activation threshold g = 1 + u, where the standalone profit loses its digits
+to cancellation. And ``verify`` may exit 2 on a correct game, since its
+4-sigma sampling gate fails by chance.
 """
 
 import csv
@@ -94,3 +97,18 @@ def test_the_payoffs_split_the_grand_value_and_the_owner_gets_most(sps):
     assert abs(math.fsum(payoffs.values()) - grand) <= SETTLE_TOL * max(1.0, abs(grand))
     owner = payoffs.pop("NO")
     assert all(owner >= payoff for payoff in payoffs.values()), (owner, payoffs)
+
+
+# the PlayerRecord fields of records.csv: C_star and v_grand belong to the instance
+_OWN_FIELDS = ("beta", "daily_load", "h_star", "r_hat", "shapley", "payment", "payoff")
+
+
+@_EXAMPLES
+@given(data=st.data(), sps=_providers(), factor=st.floats(1e-2, 1e2))
+def test_rescaling_one_load_changes_no_other_providers_fields(data, sps, factor):
+    k = data.draw(st.integers(0, len(sps) - 1))
+    rescaled = [dict(sp) for sp in sps]
+    rescaled[k]["daily_total"] *= factor
+    before, after = _rows(_records(sps)), _rows(_records(rescaled))
+    for pid in before.keys() - {"NO", sps[k]["id"]}:
+        assert [after[pid][f] for f in _OWN_FIELDS] == [before[pid][f] for f in _OWN_FIELDS]

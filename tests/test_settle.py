@@ -26,6 +26,7 @@ from coinvest import (
     shapley_enumeration,
     shapley_sampling,
 )
+import coinvest.shapley
 from coinvest.shapley import AGREEMENT_TOL, SETTLE_TERMS_TOL, SETTLE_TOL, STABILITY_TOL
 
 from conftest import golden_max_single, random_game, shapley_by_orderings
@@ -69,6 +70,34 @@ def test_revenue_equals_profit_plus_capacity_cost(rng):
     for sp in game.sps:
         expected = optima[sp.id].value + game.market.d * alloc.h[sp.id]
         assert settlement.revenue[sp.id] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+def test_revenue_is_summed_once_per_beta_load_profile_and_h(monkeypatch, rng):
+    # a price sweep's providers share all three, so their slots are summed
+    # once; providers that differ in any one get their own sums
+    sweep = scenario_price_sweep(1000, [0.05], 2e6)[0]
+    shared = LoadProfile([1.0] * MarketParams().T)
+    mixed = GameInstance(
+        MarketParams(),
+        (ServiceProvider("A", 2e-6, shared), ServiceProvider("B", 3e-6, shared),
+         *random_game(rng, n_sps=3).sps),
+    )
+    real = coinvest.shapley.provider_revenue
+    calls = []
+
+    def counting(sp, market, h):
+        calls.append(sp.id)
+        return real(sp, market, h)
+
+    for game, want_calls in ((sweep, 1), (mixed, 5)):
+        h = grand_allocation(game).h
+        want = {sp.id: real(sp, game.market, h[sp.id]).hex() for sp in game.sps}
+        calls.clear()
+        monkeypatch.setattr(coinvest.shapley, "provider_revenue", counting)
+        settlement = settle(game, shapley_closed_form(game).payoffs)
+        monkeypatch.undo()
+        assert len(calls) == want_calls
+        assert {pid: r.hex() for pid, r in settlement.revenue.items()} == {**want, NO: "0x0.0p+0"}
 
 
 def test_zero_game_settles_to_zero(market):

@@ -183,6 +183,20 @@ def test_wide_profits_fall_back_to_the_exact_build(monkeypatch):
     assert_bit_identical(got, want)
 
 
+def test_the_fallback_build_holds_one_list_of_sums(monkeypatch):
+    # sixteen positive terms spanning 2^75 take the fallback, whose peak is
+    # the list of integer sums: ~44-byte ints and their pointers, about 7
+    # times the table. Neither the float pass's arrays nor a list of floats
+    # may sit beside it, so the build stays within 8 times the table
+    x = [math.ldexp(1 + k / 17, 5 * k) for k in range(16)]
+    calls = count_exact_builds(monkeypatch)
+    got = _fsum_subset_sums(x)
+    assert calls == [16]
+    assert_bit_identical(got, fsum_subset_sums(x))
+    peak = _traced_peak(lambda: _fsum_subset_sums(x))
+    assert peak <= 8 * got.nbytes, peak / got.nbytes
+
+
 def test_sums_past_the_float_range_overflow():
     # as fsum does; in the second input, hi stays finite and only hi + lo
     # overflows, since each small term is below half an ulp of the largest float
